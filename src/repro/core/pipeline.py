@@ -270,16 +270,17 @@ class CircuitBreaker:
         return result
 
 
-def _paths_related(cached: str, mutated: str) -> bool:
-    """Could a mutation at ``mutated`` change what a read at ``cached``
-    observed?  Yes if either path contains the other: writing a child
-    changes the parent directory's stat/readdir, and replacing a parent
-    (rename, setacl on the governing dir) changes every verdict below."""
-    return (
-        cached == mutated
-        or cached.startswith(mutated + "/")
-        or mutated.startswith(cached + "/")
-    )
+def _ancestors(path: str) -> list[str]:
+    """Every strict ancestor of ``path``: each prefix that ends just
+    before a ``/``.  Purely lexical, so ``/a`` is an ancestor of ``/a/b``
+    but not of ``/a/bb``, and ``/`` is an ancestor of nothing (``""`` is
+    the ancestor of every absolute path)."""
+    out = []
+    cut = path.find("/")
+    while cut != -1:
+        out.append(path[:cut])
+        cut = path.find("/", cut + 1)
+    return out
 
 
 class ReadCache:
@@ -297,7 +298,11 @@ class ReadCache:
       each path it touches, its ancestors (a created child changes the
       parent's stat), and its descendants (a renamed or re-ACL'd
       directory changes every verdict below it) — ``setacl`` invalidates
-      from the *governing* directory down;
+      from the *governing* directory down.  A path index finds them
+      without scanning: ``_by_path`` maps each cached path to the keys
+      that read it and ``_below`` maps each ancestor to the cached paths
+      strictly under it, so a mutation costs O(path depth + entries
+      dropped), whatever the cache size;
     * descriptor writes (``pwrite``/``ftruncate``) invalidate via the
       ``op.scratch["fastlane_paths"]`` hint the surface stashes; a
       path-less mutation flushes everything;
@@ -326,6 +331,8 @@ class ReadCache:
         self.epoch_source = epoch_source
         self._epoch = epoch_source() if epoch_source is not None else None
         self._entries: "OrderedDict[tuple, Any]" = OrderedDict()
+        self._by_path: dict[str, set[tuple]] = {}
+        self._below: dict[str, set[str]] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -344,9 +351,9 @@ class ReadCache:
             "entries": len(self._entries),
         }
 
-    def _count(self, name: str, **labels: str) -> None:
+    def _count(self, name: str, value: int = 1, **labels: str) -> None:
         if self.telemetry is not None:
-            self.telemetry.counter_inc(name, **labels)
+            self.telemetry.counter_inc(name, value, **labels)
 
     def _key(self, op: Operation) -> tuple | None:
         path_fields = {bound.spec.field for bound in op.paths}
@@ -380,29 +387,57 @@ class ReadCache:
             if self._entries:
                 self.invalidate_all()
 
+    def _index(self, key: tuple) -> None:
+        for path in set(key[2]):
+            keys = self._by_path.get(path)
+            if keys is None:
+                keys = self._by_path[path] = set()
+                for ancestor in _ancestors(path):
+                    self._below.setdefault(ancestor, set()).add(path)
+            keys.add(key)
+
+    def _unindex(self, key: tuple) -> None:
+        for path in set(key[2]):
+            keys = self._by_path[path]
+            keys.discard(key)
+            if keys:
+                continue
+            del self._by_path[path]
+            for ancestor in _ancestors(path):
+                below = self._below[ancestor]
+                below.discard(path)
+                if not below:
+                    del self._below[ancestor]
+
+    def _dropped(self, dropped: int) -> None:
+        if dropped:
+            self.invalidations += dropped
+            self._count("fastlane.cache.invalidations", dropped)
+
     def invalidate_all(self) -> None:
         dropped = len(self._entries)
         self._entries.clear()
-        if dropped:
-            self.invalidations += dropped
+        self._by_path.clear()
+        self._below.clear()
+        self._dropped(dropped)
         self.flushes += 1
         self._count("fastlane.cache.flushes")
 
     def invalidate_paths(self, paths: list[str]) -> None:
-        doomed = [
-            key
-            for key in self._entries
-            if any(
-                _paths_related(cached, mutated)
-                for cached in key[2]
-                for mutated in paths
-            )
-        ]
+        # the keys cached at a mutated path, at any of its ancestors, or
+        # at any path below it — exactly the pairs where one path is the
+        # other or contains it
+        by_path = self._by_path
+        doomed: set[tuple] = set()
+        for mutated in paths:
+            for path in (mutated, *_ancestors(mutated)):
+                doomed.update(by_path.get(path, ()))
+            for path in self._below.get(mutated, ()):
+                doomed.update(by_path[path])
         for key in doomed:
             del self._entries[key]
-        if doomed:
-            self.invalidations += len(doomed)
-            self._count("fastlane.cache.invalidations")
+            self._unindex(key)
+        self._dropped(len(doomed))
 
     def _invalidate_for(self, op: Operation) -> None:
         # setacl's verdict scope is the governing directory the monitor
@@ -443,8 +478,9 @@ class ReadCache:
                 self._entries[key] = (
                     dict(result) if isinstance(result, dict) else result
                 )
+                self._index(key)
                 while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
+                    self._unindex(self._entries.popitem(last=False)[0])
                 return result
             return proceed()
         if name in MUTATING_OPS and (name != "open" or open_mutates(op)):

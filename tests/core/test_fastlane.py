@@ -7,6 +7,8 @@ tests drive both against a toy registry so every rule is pinned without
 a server in the loop.
 """
 
+from collections import OrderedDict
+
 import pytest
 
 from repro.core.ops import CACHEABLE_OPS, OpRegistry, OpSpec, PathArg
@@ -16,10 +18,11 @@ from repro.core.pipeline import (
     Operation,
     Pipeline,
     ReadCache,
-    _paths_related,
 )
+from repro.core.telemetry import Telemetry
 from repro.kernel.errno import Errno, KernelError
 from repro.kernel.fdtable import OpenFlags
+from tests.helpers import paths_related
 
 
 def read_op(name, sub, identity="fred", **args):
@@ -44,11 +47,22 @@ def run_cached(cache, op, handler):
 
 
 def test_paths_related_equal_prefix_and_unrelated():
-    assert _paths_related("/a/b", "/a/b")
-    assert _paths_related("/a/b", "/a")  # parent mutated: child verdict stale
-    assert _paths_related("/a", "/a/b")  # child mutated: parent stat stale
-    assert not _paths_related("/a/bb", "/a/b")  # sibling with shared prefix
-    assert not _paths_related("/x", "/y")
+    assert paths_related("/a/b", "/a/b")
+    assert paths_related("/a/b", "/a")  # parent mutated: child verdict stale
+    assert paths_related("/a", "/a/b")  # child mutated: parent stat stale
+    assert not paths_related("/a/bb", "/a/b")  # sibling with shared prefix
+    assert not paths_related("/x", "/y")
+
+
+def test_index_drops_the_same_entries_as_the_relation():
+    cache = ReadCache()
+    cached = ("/", "/a", "/a/b", "/a/bb", "/a/b/c", "/ab", "/x")
+    for sub in cached:
+        run_cached(cache, read_op("stat", sub), lambda: {})
+    run_cached(cache, write_op("unlink", "/a/b"), lambda: {})
+    # "/a/bb" is a sibling, not a child, and "/" is nobody's ancestor
+    assert {key[2][0] for key in cache._entries} == {"/", "/a/bb", "/ab", "/x"}
+    assert set(cache._by_path) == {"/", "/a/bb", "/ab", "/x"}
 
 
 # -- hit/miss mechanics ------------------------------------------------------ #
@@ -126,6 +140,37 @@ def test_mutation_invalidates_same_ancestor_and_descendant_paths():
     assert cache.invalidations == 3
     run_cached(cache, read_op("stat", "/other"), lambda: {"p": 0})
     assert cache.hits == 1
+
+
+class NoScanDict(OrderedDict):
+    """An entry table that fails the test if anything iterates it."""
+
+    def __iter__(self):
+        raise AssertionError("the read cache scanned its entries")
+
+
+def test_unrelated_mutation_never_scans_a_full_cache():
+    cache = ReadCache(capacity=4096)
+    cache._entries = NoScanDict()
+    for i in range(4096):
+        run_cached(cache, read_op("stat", f"/d{i % 64}/f{i}"), lambda: {})
+    assert len(cache) == 4096
+    run_cached(cache, write_op("unlink", "/elsewhere/f"), lambda: {})
+    assert len(cache) == 4096 and cache.invalidations == 0
+    # a related mutation drops only its subtree, still without a scan
+    run_cached(cache, write_op("rmdir", "/d7"), lambda: {})
+    assert len(cache) == 4096 - 64 and cache.invalidations == 64
+
+
+def test_invalidation_counter_counts_dropped_entries_like_the_attribute():
+    telemetry = Telemetry()
+    cache = ReadCache(telemetry=telemetry)
+    for sub in ("/d", "/d/f", "/d/g", "/e", "/e/f"):
+        run_cached(cache, read_op("stat", sub), lambda: {})
+    run_cached(cache, write_op("unlink", "/d/f"), lambda: {})  # drops 2
+    run_cached(cache, write_op("exec", "/bin/sim"), lambda: {})  # drops 3
+    assert cache.invalidations == 5
+    assert telemetry.counter_total("fastlane.cache.invalidations") == 5
 
 
 def test_mutation_invalidates_even_when_the_handler_fails():

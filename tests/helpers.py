@@ -16,6 +16,7 @@ __all__ = [
     "boxed_read_file",
     "boxed_write_file",
     "make_machine",
+    "paths_related",
     "run_calls",
     "snapshot_fixtures_enabled",
 ]
@@ -140,3 +141,16 @@ def boxed_read_file(box: IdentityBox, path: str) -> Any:
     box.spawn(body, comm="boxed-read")
     box.machine.run()
     return outcome[0]
+
+
+def paths_related(cached: str, mutated: str) -> bool:
+    """Oracle for the read cache: could a mutation at ``mutated`` change
+    what a read at ``cached`` observed?  Yes if either path contains the
+    other: writing a child changes the parent directory's stat/readdir,
+    and replacing a parent (rename, setacl on the governing dir) changes
+    every verdict below."""
+    return (
+        cached == mutated
+        or cached.startswith(mutated + "/")
+        or mutated.startswith(cached + "/")
+    )
