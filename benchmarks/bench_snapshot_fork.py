@@ -23,6 +23,7 @@ Run:  pytest benchmarks/bench_snapshot_fork.py --benchmark-only -s
 Smoke (CI):  REPRO_BENCH_SMOKE=1 pytest benchmarks/bench_snapshot_fork.py -q
 """
 
+import gc
 import time
 
 import pytest
@@ -43,17 +44,28 @@ MIN_FORK_SPEEDUP = 20.0
 
 
 def measure_fork_vs_boot() -> dict:
-    """Per-boot latency: cold workload-world preparation vs snapshot fork."""
+    """Per-boot latency: cold workload-world preparation vs snapshot fork.
+
+    Timed with the cyclic collector off, as ``timeit`` does.  A fork
+    loop lasts well under a millisecond, so one collection of the heap
+    the earlier benchmarks in the session left behind, landing in one
+    loop and not the other, would swing the ratio several-fold.
+    """
     machine = None
-    t0 = time.perf_counter()
-    for _ in range(BOOT_REPS):
-        machine, _cred = runner._prepare_cold(None, None)
-    cold_s = (time.perf_counter() - t0) / BOOT_REPS
-    snap = machine.snapshot()
-    t0 = time.perf_counter()
-    for _ in range(BOOT_REPS):
-        Machine(snapshot=snap)
-    fork_s = (time.perf_counter() - t0) / BOOT_REPS
+    gc.collect()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        for _ in range(BOOT_REPS):
+            machine, _cred = runner._prepare_cold(None, None)
+        cold_s = (time.perf_counter() - t0) / BOOT_REPS
+        snap = machine.snapshot()
+        t0 = time.perf_counter()
+        for _ in range(BOOT_REPS):
+            Machine(snapshot=snap)
+        fork_s = (time.perf_counter() - t0) / BOOT_REPS
+    finally:
+        gc.enable()
     return {
         "cold_boot_ms": cold_s * 1e3,
         "fork_ms": fork_s * 1e3,

@@ -16,8 +16,9 @@ access to the supervising user's files in Figure 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
-from .identity import identity_matches, validate_identity
+from .identity import compile_pattern, identity_matches, is_pattern, validate_identity
 from .rights import Rights, RightsError
 
 #: Name of the per-directory ACL file.
@@ -37,7 +38,7 @@ class AclEntry:
 
     def __post_init__(self) -> None:
         # Wildcard characters are legal in subjects; whitespace is not.
-        if not self.subject or any(c.isspace() for c in self.subject):
+        if not self.subject or self.subject.split() != [self.subject]:
             raise AclError(f"bad ACL subject {self.subject!r}")
 
     def matches(self, identity: str) -> bool:
@@ -47,21 +48,46 @@ class AclEntry:
         return f"{self.subject} {self.rights}"
 
 
+#: Shared result for identities no entry covers (Rights is immutable).
+_NO_RIGHTS = Rights.none()
+
+#: An ACL compiled for evaluation: exact subject -> union of its rights,
+#: plus ``(regex match, rights)`` for each wildcard subject.
+_Compiled = tuple[dict[str, Rights], list[tuple[Callable, Rights]]]
+
+
 @dataclass
 class Acl:
     """An ordered collection of ACL entries."""
 
     entries: list[AclEntry] = field(default_factory=list)
+    #: ``entries`` compiled, built on first use and dropped by every
+    #: mutation.  Keyed by subject, never by the identities asked about.
+    _compiled: _Compiled | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- evaluation ------------------------------------------------------ #
+
+    def _compile(self) -> _Compiled:
+        exact: dict[str, Rights] = {}
+        wildcards: list[tuple[Callable, Rights]] = []
+        for entry in self.entries:
+            if is_pattern(entry.subject):
+                wildcards.append((compile_pattern(entry.subject).match, entry.rights))
+            elif entry.subject in exact:
+                exact[entry.subject] = exact[entry.subject] | entry.rights
+            else:
+                exact[entry.subject] = entry.rights
+        self._compiled = (exact, wildcards)
+        return self._compiled
 
     def rights_for(self, identity: str) -> Rights:
         """Effective rights of ``identity``: union of matching entries."""
         validate_identity(identity)
-        effective = Rights.none()
-        for entry in self.entries:
-            if entry.matches(identity):
-                effective = effective | entry.rights
+        exact, wildcards = self._compiled or self._compile()
+        effective = exact.get(identity, _NO_RIGHTS)
+        for match, rights in wildcards:
+            if match(identity) is not None:
+                effective = effective | rights
         return effective
 
     def allows(self, identity: str, letters: str) -> bool:
@@ -82,6 +108,7 @@ class Acl:
         self.entries = [e for e in self.entries if e.subject != subject]
         if not rights.is_empty:
             self.entries.append(AclEntry(subject=subject, rights=rights))
+        self._compiled = None
 
     def remove_entry(self, subject: str) -> None:
         self.set_entry(subject, Rights.none())

@@ -37,7 +37,8 @@ def validate_identity(identity: str) -> str:
     """
     if not identity:
         raise IdentityError("identity must be non-empty")
-    if any(c.isspace() for c in identity):
+    # str.split() breaks at exactly the characters str.isspace() matches
+    if identity.split() != [identity]:
         raise IdentityError(f"identity may not contain whitespace: {identity!r}")
     if not identity.isprintable():
         raise IdentityError(f"identity must be printable: {identity!r}")
@@ -45,7 +46,8 @@ def validate_identity(identity: str) -> str:
 
 
 @lru_cache(maxsize=4096)
-def _compile_pattern(pattern: str) -> re.Pattern[str]:
+def compile_pattern(pattern: str) -> re.Pattern[str]:
+    """The anchored regex a wildcard subject matches identities with."""
     out = []
     for ch in pattern:
         if ch == "*":
@@ -66,7 +68,7 @@ def identity_matches(pattern: str, identity: str) -> bool:
     """
     if "*" not in pattern and "?" not in pattern:
         return pattern == identity
-    return _compile_pattern(pattern).match(identity) is not None
+    return compile_pattern(pattern).match(identity) is not None
 
 
 def is_pattern(subject: str) -> bool:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 from ..kernel.errno import Errno, KernelError, err
@@ -740,14 +741,12 @@ class Pipeline:
         """Send ``op`` down the chain to its handler; returns its result."""
         spec = self.registry.get(op.name)
         op.spec = spec
-        chain = self.interceptors
-
-        def call(depth: int) -> Any:
-            if depth == len(chain):
-                return spec.handler(op, ctx)
-            return chain[depth](op, ctx, lambda: call(depth + 1))
-
-        return call(0)
+        # each interceptor's ``proceed`` is the rest of the chain, bound
+        # from the handler outwards
+        proceed = partial(spec.handler, op, ctx)
+        for interceptor in reversed(self.interceptors):
+            proceed = partial(interceptor, op, ctx, proceed)
+        return proceed()
 
 
 def build_pipeline(

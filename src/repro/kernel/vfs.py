@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errno import Errno, err
-from .inode import Inode, access_allowed
-from .localfs import DOT_NAMES, LocalFS
+from .inode import FileType, Inode, access_allowed
+from .localfs import LocalFS
 from .users import Credentials
 
 #: Maximum symlink traversals in one resolution, as on Linux.
@@ -36,6 +36,15 @@ def normalize(path: str) -> str:
     Purely textual — does not consult the filesystem, so it must not be used
     where symlinks matter; the resolver below is the authoritative walker.
     """
+    if (
+        path[:1] == "/"
+        and len(path) <= PATH_MAX
+        and "//" not in path
+        and "/." not in path
+        and (path[-1] != "/" or path == "/")
+    ):
+        # already normal: every component is non-empty and none is "." or ".."
+        return path
     stack: list[str] = []
     for component in split_path(path):
         if component == ".":
@@ -167,22 +176,26 @@ class VFS:
         stats: WalkStats,
         depth: int,
     ) -> tuple[Inode | None, Inode, str, str]:
+        # Reads the inode table and file types directly rather than through
+        # LocalFS.lookup: same errors in the same order (ENOTDIR, EACCES,
+        # ENOENT, EIO for a dangling entry, ELOOP), one call fewer per step.
         fs = self.fs
-        current = fs.root
+        inodes = fs._inodes
+        root = current = fs.root
         current_path: list[str] = []
         components = split_path(path)
         if not components:
-            return fs.root, fs.root, "", "/"
+            return root, root, "", "/"
+        check = check_traverse and cred is not None
         i = 0
         while i < len(components):
             component = components[i]
             is_last = i == len(components) - 1
             stats.components += 1
-            if not current.is_dir:
+            if current.ftype is not FileType.DIR:
                 raise err(Errno.ENOTDIR, "/" + "/".join(current_path))
-            if check_traverse and cred is not None:
-                if not access_allowed(current, cred.uid, cred.gid, 1):
-                    raise err(Errno.EACCES, "/" + "/".join(current_path))
+            if check and not access_allowed(current, cred.uid, cred.gid, 1):
+                raise err(Errno.EACCES, "/" + "/".join(current_path))
             if component == ".":
                 i += 1
                 continue
@@ -192,35 +205,34 @@ class VFS:
                     current_path.pop()
                 i += 1
                 continue
-            try:
-                child = fs.lookup(current, component)
-            except Exception as exc:  # noqa: BLE001 - narrow re-raise below
-                from .errno import KernelError
-
-                if isinstance(exc, KernelError) and exc.errno is Errno.ENOENT and is_last:
+            ino = current.entries.get(component)
+            if ino is None:
+                if is_last:
                     return None, current, component, "/" + "/".join(current_path)
-                raise
-            if child.is_symlink and (follow or not is_last):
+                raise err(Errno.ENOENT, component)
+            child = inodes.get(ino)
+            if child is None:
+                raise err(Errno.EIO, f"dangling inode {ino}")
+            if child.ftype is FileType.SYMLINK and (follow or not is_last):
                 stats.symlinks += 1
                 if stats.symlinks > MAX_SYMLINKS:
                     raise err(Errno.ELOOP, path)
                 target = child.symlink_target
                 if target.startswith("/"):
                     rest = split_path(target) + components[i + 1 :]
-                    current = fs.root
+                    current = root
                     current_path = []
                     components = rest
                     i = 0
                     if not components:
-                        return fs.root, fs.root, "", "/"
+                        return root, root, "", "/"
                     continue
                 components = components[:i] + split_path(target) + components[i + 1 :]
                 continue
             if is_last:
                 return child, current, component, "/" + "/".join(current_path)
             current = child
-            if component not in DOT_NAMES:
-                current_path.append(component)
+            current_path.append(component)
             i += 1
         # the path ended in "." or ".." — we landed on a directory whose
         # identity is in current/current_path rather than a final component

@@ -4,6 +4,11 @@ Messages are dictionaries of JSON-able values plus raw byte strings;
 encoding renders honest byte counts so the network's throughput charge
 reflects real payload sizes (an 8 MB ``put`` costs 8 MB of transfer).
 Bytes values are tagged and base64-encoded inside the JSON envelope.
+
+Every frame takes one ``json.dumps`` / ``json.loads`` pass.  The
+recursive tag walk below runs only for frames that could hold a user
+dict shaped like a tag envelope; it defines the wire format, and the
+single pass produces exactly its bytes whenever it is skipped.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ class ProtocolError(ValueError):
 _BYTES_TAG = "__b64__"
 _ESCAPE_TAG = "__esc__"
 _TAG_SHAPES = ({_BYTES_TAG}, {_ESCAPE_TAG})
+#: The bytes tag as it appears in a rendered frame (key or string value).
+_QUOTED_BYTES_TAG = f'"{_BYTES_TAG}"'
 
 
 def _encode_value(value: Any) -> Any:
@@ -43,7 +50,10 @@ def _decode_value(value: Any) -> Any:
     if isinstance(value, dict):
         keys = set(value.keys())
         if keys == {_BYTES_TAG}:
-            return base64.b64decode(value[_BYTES_TAG])
+            payload = value[_BYTES_TAG]
+            if not isinstance(payload, str):
+                raise ProtocolError(f"bytes tag holds {type(payload).__name__}, not text")
+            return base64.b64decode(payload)
         if keys == {_ESCAPE_TAG} and isinstance(value[_ESCAPE_TAG], dict):
             # escaped user dict: its values decode normally, but the dict
             # itself is returned verbatim rather than treated as a tag
@@ -56,19 +66,44 @@ def _decode_value(value: Any) -> Any:
 
 
 def encode_message(message: dict[str, Any]) -> bytes:
-    """Serialize a message dict to wire bytes."""
+    """Serialize a message dict to wire bytes.
+
+    ``json.dumps`` tags bytes as it meets them.  A user dict shaped like
+    a tag needs an ``__esc__`` wrapper that pass cannot add, so the frame
+    is re-encoded through the tag walk when it may hold one: when some
+    ``"__b64__"`` in the output was not written by the tagger (each tag
+    writes exactly one, and base64 text cannot contain another), or when
+    ``__esc__`` appears at all.
+    """
+    tagged = 0
+
+    def tag(value: Any) -> Any:
+        nonlocal tagged
+        if isinstance(value, bytes):
+            tagged += 1
+            return {_BYTES_TAG: base64.b64encode(value).decode("ascii")}
+        raise ProtocolError(f"cannot encode {type(value).__name__} on the wire")
+
     try:
-        return json.dumps(
-            _encode_value(message), separators=(",", ":"), sort_keys=True
-        ).encode("utf-8")
+        text = json.dumps(message, separators=(",", ":"), sort_keys=True, default=tag)
+        if text.count(_QUOTED_BYTES_TAG) != tagged or _ESCAPE_TAG in text:
+            text = json.dumps(_encode_value(message), separators=(",", ":"), sort_keys=True)
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"unencodable message: {exc}") from exc
+    return text.encode("utf-8")
 
 
 def decode_message(frame: bytes) -> dict[str, Any]:
-    """Parse wire bytes back into a message dict."""
+    """Parse wire bytes back into a message dict.
+
+    The tag walk runs only when a tag could be present: spelled out, or
+    hidden behind a ``\\u`` escape in a key.
+    """
     try:
-        decoded = _decode_value(json.loads(frame.decode("utf-8")))
+        text = frame.decode("utf-8")
+        decoded = json.loads(text)
+        if _BYTES_TAG in text or _ESCAPE_TAG in text or "\\u" in text:
+            decoded = _decode_value(decoded)
     except (ValueError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"bad frame: {exc}") from exc
     if not isinstance(decoded, dict):

@@ -27,6 +27,7 @@ from repro.kernel.errno import Errno
 from repro.kernel.fdtable import OpenFlags
 from repro.kernel.timing import NS_PER_MS, NS_PER_S
 from repro.net import Cluster, FaultPlan
+from repro.net.rpc import decode_message, encode_message
 from repro.workloads import AMANDA, BLAST, CMS, HF, IBIS, MAKE
 
 SERVER = "server1.nowhere.edu"
@@ -215,6 +216,19 @@ def test_corrupted_request_poisons_one_connection_only():
     assert server.stats.protocol_errors == 1
     assert fred.stats.reconnects >= 1
     # the accept loop and every other connection are untouched
+    assert bystander.whoami() == f"globus:{FRED_DN}"
+
+
+def test_malformed_bytes_tag_poisons_one_connection_only():
+    cluster, server, wallet = make_world()
+    bystander = connect_fred(cluster, wallet, retry=None)
+    conn = cluster.network.connect(LAPTOP, SERVER, CHIRP_PORT)
+    reply = decode_message(conn.call(b'{"op":"stat","path":{"__b64__":5}}'))
+    assert reply["ok"] is False and reply["errno"] == int(Errno.EBADMSG)
+    assert server.stats.protocol_errors == 1
+    # the connection stays poisoned, even for a well-formed frame
+    reply = decode_message(conn.call(encode_message({"op": "whoami"})))
+    assert reply["errno"] == int(Errno.EPIPE)
     assert bystander.whoami() == f"globus:{FRED_DN}"
 
 

@@ -119,6 +119,26 @@ def test_grant_and_revoke_by_grid_identity(fred, heidi):
         heidi.get("/work/data")
 
 
+def test_setacl_never_leaves_a_stale_compiled_acl(fred, heidi, server):
+    heidi_id = f"globus:{HEIDI_DN}"
+    fred.mkdir("/work")
+    fred.put(b"shared", "/work/data")
+    with pytest.raises(ChirpError):
+        heidi.get("/work/data")  # compiles the ACL the policy now caches
+    (work_dir,) = [d for d in server.policy._cache if d.endswith("/work")]
+    held = server.policy._cache[work_dir]
+    assert held.rights_for(heidi_id).is_empty
+    # setacl edits that very instance before writing it out
+    fred.setacl("/work", heidi_id, "rl")
+    assert str(held.rights_for(heidi_id)) == "rl"
+    assert heidi.get("/work/data") == b"shared"
+    assert str(server.policy.acl_of(work_dir).rights_for(heidi_id)) == "rl"
+    fred.setacl("/work", heidi_id, "-")
+    with pytest.raises(ChirpError):
+        heidi.get("/work/data")
+    assert server.policy.acl_of(work_dir).rights_for(heidi_id).is_empty
+
+
 def test_setacl_requires_admin_right(fred, heidi):
     fred.mkdir("/work")
     fred.setacl("/work", f"globus:{HEIDI_DN}", "rl")  # no 'a' for heidi

@@ -1,7 +1,11 @@
 """Identity strings, principals, and wildcard matching."""
 
+import sys
+
 import pytest
 
+from repro.core.acl import AclEntry, AclError
+from repro.core.rights import Rights
 from repro.core.identity import (
     IdentityError,
     Principal,
@@ -34,6 +38,25 @@ def test_paper_examples_are_valid(good):
 def test_whitespace_and_empty_rejected(bad):
     with pytest.raises(IdentityError):
         validate_identity(bad)
+
+
+def test_whitespace_check_is_exactly_isspace():
+    # validation splits instead of testing each character: the two must
+    # agree on every code point
+    for code in range(sys.maxunicode + 1):
+        text = f"a{chr(code)}b"
+        assert (text.split() != [text]) == chr(code).isspace(), hex(code)
+
+
+@pytest.mark.parametrize("space", [" ", "\x85", "\x1c", "\xa0", "\u2028", "\u3000"])
+def test_unicode_whitespace_rejected_before_printability(space):
+    # several of these are also unprintable; the whitespace error wins
+    with pytest.raises(IdentityError, match="whitespace"):
+        validate_identity(f"a{space}b")
+    with pytest.raises(IdentityError, match="whitespace"):
+        validate_identity(space)
+    with pytest.raises(AclError):
+        AclEntry(f"a{space}b", Rights.full())
 
 
 # -- matching ------------------------------------------------------------ #

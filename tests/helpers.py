@@ -2,20 +2,31 @@
 
 from __future__ import annotations
 
+import base64
+import json
 from dataclasses import astuple
 from typing import Any
 
 from repro.config import snapshot_fixtures_enabled
 from repro.core.box import IdentityBox
+from repro.kernel.errno import Errno, KernelError, err
 from repro.kernel.fdtable import OpenFlags
+from repro.kernel.inode import access_allowed
+from repro.kernel.localfs import DOT_NAMES, LocalFS
 from repro.kernel.machine import Machine, WorldSnapshot
 from repro.kernel.timing import CostModel
 from repro.kernel.users import Credentials
+from repro.kernel.vfs import MAX_SYMLINKS, WalkStats, split_path
+from repro.net.rpc import ProtocolError
 
 __all__ = [
     "boxed_read_file",
     "boxed_write_file",
     "make_machine",
+    "oracle_decode_message",
+    "oracle_encode_message",
+    "oracle_normalize",
+    "oracle_walk",
     "paths_related",
     "run_calls",
     "snapshot_fixtures_enabled",
@@ -154,3 +165,156 @@ def paths_related(cached: str, mutated: str) -> bool:
         or cached.startswith(mutated + "/")
         or mutated.startswith(cached + "/")
     )
+
+
+# ---------------------------------------------------------------------- #
+# reference implementations the hot path is checked against
+# ---------------------------------------------------------------------- #
+
+_BYTES_TAG = "__b64__"
+_ESCAPE_TAG = "__esc__"
+_TAG_SHAPES = ({_BYTES_TAG}, {_ESCAPE_TAG})
+
+
+def _oracle_encode_value(value: Any) -> Any:
+    if isinstance(value, bytes):
+        return {_BYTES_TAG: base64.b64encode(value).decode("ascii")}
+    if isinstance(value, dict):
+        encoded = {k: _oracle_encode_value(v) for k, v in value.items()}
+        if set(encoded.keys()) in _TAG_SHAPES:
+            return {_ESCAPE_TAG: encoded}
+        return encoded
+    if isinstance(value, (list, tuple)):
+        return [_oracle_encode_value(v) for v in value]
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    raise ProtocolError(f"cannot encode {type(value).__name__} on the wire")
+
+
+def _oracle_decode_value(value: Any) -> Any:
+    if isinstance(value, dict):
+        keys = set(value.keys())
+        if keys == {_BYTES_TAG}:
+            if not isinstance(value[_BYTES_TAG], str):
+                # the one deliberate difference from the original walk,
+                # which let base64 raise TypeError here
+                raise ProtocolError("bytes tag payload is not text")
+            return base64.b64decode(value[_BYTES_TAG])
+        if keys == {_ESCAPE_TAG} and isinstance(value[_ESCAPE_TAG], dict):
+            inner = value[_ESCAPE_TAG]
+            return {k: _oracle_decode_value(v) for k, v in inner.items()}
+        return {k: _oracle_decode_value(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_oracle_decode_value(v) for v in value]
+    return value
+
+
+def oracle_encode_message(message: dict[str, Any]) -> bytes:
+    """The wire format by definition: the recursive tag walk, then JSON."""
+    try:
+        return json.dumps(
+            _oracle_encode_value(message), separators=(",", ":"), sort_keys=True
+        ).encode("utf-8")
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"unencodable message: {exc}") from exc
+
+
+def oracle_decode_message(frame: bytes) -> dict[str, Any]:
+    """JSON, then the recursive tag walk over every value."""
+    try:
+        decoded = _oracle_decode_value(json.loads(frame.decode("utf-8")))
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise ProtocolError(f"bad frame: {exc}") from exc
+    if not isinstance(decoded, dict):
+        raise ProtocolError(f"frame is not a message dict: {type(decoded).__name__}")
+    return decoded
+
+
+def oracle_normalize(path: str) -> str:
+    """Lexical normalization by a full component pass, no shortcuts."""
+    stack: list[str] = []
+    for component in split_path(path):
+        if component == ".":
+            continue
+        if component == "..":
+            if stack:
+                stack.pop()
+            continue
+        stack.append(component)
+    return "/" + "/".join(stack)
+
+
+def oracle_walk(
+    fs: LocalFS,
+    path: str,
+    cred: Credentials | None = None,
+    *,
+    follow: bool = True,
+    check_traverse: bool = True,
+) -> tuple:
+    """Resolve an absolute ``path`` with one ``LocalFS.lookup`` per component.
+
+    Returns ``(inode, parent, name, dir_path, stats)`` as the resolver's
+    walk does, or raises the same :class:`KernelError`.
+    """
+    stats = WalkStats()
+    current = fs.root
+    current_path: list[str] = []
+    components = split_path(path)
+    if not components:
+        return fs.root, fs.root, "", "/", stats
+    i = 0
+    while i < len(components):
+        component = components[i]
+        is_last = i == len(components) - 1
+        stats.components += 1
+        if not current.is_dir:
+            raise err(Errno.ENOTDIR, "/" + "/".join(current_path))
+        if check_traverse and cred is not None:
+            if not access_allowed(current, cred.uid, cred.gid, 1):
+                raise err(Errno.EACCES, "/" + "/".join(current_path))
+        if component == ".":
+            i += 1
+            continue
+        if component == "..":
+            current = fs.parent_of(current)
+            if current_path:
+                current_path.pop()
+            i += 1
+            continue
+        try:
+            child = fs.lookup(current, component)
+        except KernelError as exc:
+            if exc.errno is Errno.ENOENT and is_last:
+                return None, current, component, "/" + "/".join(current_path), stats
+            raise
+        if child.is_symlink and (follow or not is_last):
+            stats.symlinks += 1
+            if stats.symlinks > MAX_SYMLINKS:
+                raise err(Errno.ELOOP, path)
+            target = child.symlink_target
+            if target.startswith("/"):
+                current = fs.root
+                current_path = []
+                components = split_path(target) + components[i + 1 :]
+                i = 0
+                if not components:
+                    return fs.root, fs.root, "", "/", stats
+                continue
+            components = components[:i] + split_path(target) + components[i + 1 :]
+            continue
+        if is_last:
+            return child, current, component, "/" + "/".join(current_path), stats
+        current = child
+        if component not in DOT_NAMES:
+            current_path.append(component)
+        i += 1
+    if current_path:
+        return (
+            current,
+            fs.parent_of(current),
+            current_path[-1],
+            "/" + "/".join(current_path[:-1]),
+            stats,
+        )
+    return current, fs.parent_of(current), "", "/", stats

@@ -101,3 +101,13 @@ def test_hostile_escape_tag_with_non_dict_value_is_preserved():
     # tag wrapping a non-dict must not crash the decoder
     frame = json.dumps({"x": {"__esc__": 5}}).encode()
     assert decode_message(frame) == {"x": {"__esc__": 5}}
+
+
+def test_non_string_bytes_tag_payload_raises_protocol_error():
+    # a peer-forged tag whose payload is not text must be a framing error,
+    # not a TypeError from base64 escaping the decoder
+    with pytest.raises(ProtocolError):
+        decode_message(b'{"op":"stat","path":{"__b64__":5}}')
+    # the same tag spelled with a \u escape in its key
+    with pytest.raises(ProtocolError):
+        decode_message(b'{"op":"stat","path":{"\\u005f_b64__":[1]}}')

@@ -66,3 +66,45 @@ def test_allows_consistent_with_rights_for(acl, identity):
     rights = acl.rights_for(identity)
     for letter in RIGHT_LETTERS:
         assert acl.allows(identity, letter) == rights.has(letter)
+
+
+# -- the compiled form never serves stale rights --------------------------- #
+
+SUBJECTS = ("fred", "wilma", "fr*", "*", "w?lma", "*ma", "barney")
+IDENTITIES = ("fred", "wilma", "wxlma", "frodo", "barney", "betty")
+
+steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("set"),
+            st.sampled_from(SUBJECTS),
+            st.one_of(rights_strat, st.just(Rights.none())),
+        ),
+        st.tuples(st.just("remove"), st.sampled_from(SUBJECTS)),
+    ),
+    max_size=25,
+)
+
+
+def reference_rights(acl, identity):
+    """Union over matching entries, one uncompiled match per entry."""
+    expected = Rights.none()
+    for entry in acl:
+        if entry.matches(identity):
+            expected = expected | entry.rights
+    return expected
+
+
+@given(steps)
+def test_interleaved_mutations_never_serve_stale_rights(script):
+    acl = Acl.parse("fred r\nfred w\n*ma l\n")  # a duplicated exact subject
+    for step in script:
+        # every mutation lands on an ACL that was compiled just before
+        for identity in IDENTITIES:
+            assert acl.rights_for(identity) == reference_rights(acl, identity)
+        if step[0] == "set":
+            acl.set_entry(step[1], step[2])
+        else:
+            acl.remove_entry(step[1])
+    for identity in IDENTITIES:
+        assert acl.rights_for(identity) == reference_rights(acl, identity)
