@@ -43,6 +43,7 @@ from ..core.ops import (
     rmdir_clearing_acl,
 )
 from ..core.pipeline import (
+    CROSSED_SYMLINK,
     BoundPath,
     CircuitBreaker,
     IdentityQuota,
@@ -170,7 +171,10 @@ def c_open(op: Operation, conn: "_Connection") -> dict[str, Any]:
     flags = OpenFlags(int(op.args.get("flags", 0)))
     mode = int(op.args.get("mode", 0o644))
     sup_fd = path.driver.open(path.sub, int(flags), mode)
-    return {"fd": conn.install_fd(sup_fd, path.sub)}
+    # a descriptor opened through a symlink gets no path: the fast lane
+    # then flushes on its writes instead of invalidating the alias
+    hint = None if op.scratch.get(CROSSED_SYMLINK) else path.sub
+    return {"fd": conn.install_fd(sup_fd, hint)}
 
 
 def c_close(op: Operation, conn: "_Connection") -> dict[str, Any]:
@@ -248,8 +252,8 @@ def c_mkdir(op: Operation, conn: "_Connection") -> dict[str, Any]:
 
 def c_rmdir(op: Operation, conn: "_Connection") -> dict[str, Any]:
     path = op.path()
+    conn.server.policy.invalidate(path.sub)  # its ACL dies with it
     rmdir_clearing_acl(path.driver, path.sub)
-    conn.server.policy.invalidate(path.sub)
     return {}
 
 
@@ -261,8 +265,10 @@ def c_unlink(op: Operation, conn: "_Connection") -> dict[str, Any]:
 
 def c_rename(op: Operation, conn: "_Connection") -> dict[str, Any]:
     old, new = op.path(0), op.path(1)
+    # a moved directory keeps its inode and its ACL; only an empty
+    # directory the rename replaces dies
+    conn.server.policy.invalidate(new.sub)
     rename_clearing_acl(old.driver, old.sub, new.sub)
-    conn.server.policy.invalidate_all()
     return {}
 
 

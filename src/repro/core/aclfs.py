@@ -20,9 +20,27 @@ any filesystem action (§3).  The rules, straight from the paper:
 
 The policy object performs its reads and writes **as the supervising
 user** through kernel calls, so every ACL consultation is charged to the
-simulated clock like any other file access; a small cache keeps repeated
+simulated clock like any other file access.  A cache keeps repeated
 checks of hot directories from dominating (disable it to measure the
-difference — ``bench_ablation_acl``).
+difference — ``bench_ablation_acl``).  It is keyed by the governing
+directory's **inode number**, because the ACL belongs to the directory,
+not to the name it is reached by:
+
+* a rename moves a directory together with its inode and its ``.__acl``,
+  so it invalidates nothing;
+* a symlink alias of a directory shares the directory's entry, so a
+  revocation written through the alias is seen through every name;
+* :meth:`AclPolicy.write_acl` is write-through (it caches the parse of
+  the bytes it wrote), and a directory's entry is dropped just before an
+  ``rmdir`` or a replacing rename kills it, so the cache holds live
+  directories only;
+* a world restore can reuse inode numbers, so the cache empties whenever
+  the machine's world epoch moves.
+
+Checks take the inode from the resolution they already made; path-only
+callers find it with a resolution that charges nothing, so a hit costs
+no simulated time.  A miss reads ``.__acl`` through the kernel, charged
+as before.
 """
 
 from __future__ import annotations
@@ -40,6 +58,18 @@ from .rights import Rights
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.machine import Machine
     from ..kernel.process import Task
+
+
+#: Cache-miss sentinel (None is a cached answer: "this directory has no ACL").
+_MISSING = object()
+
+
+def _parse(data: bytes) -> Acl:
+    """``.__acl`` bytes as an ACL; a malformed file denies everyone."""
+    try:
+        return Acl.parse(data.decode("utf-8", errors="replace"))
+    except AclError:
+        return Acl()
 
 
 @dataclass
@@ -66,7 +96,13 @@ class AclPolicy:
         self.machine = machine
         self.owner_task = owner_task
         self.cache_enabled = cache_enabled
-        self._cache: dict[str, Acl | None] = {}
+        #: governing directory's inode number -> its ACL (None: no file)
+        self._cache: dict[int, Acl | None] = {}
+        self._epoch = machine.epoch
+        #: symlinks followed by every resolution this policy has made; the
+        #: reference monitor compares it across an op to tell whether the
+        #: op reached anything through an alias
+        self.symlinks_walked = 0
 
     # ------------------------------------------------------------------ #
     # ACL file access (as the supervising user, charged to the clock)
@@ -80,37 +116,87 @@ class AclPolicy:
         falling back to the more permissive nobody check.
         """
         dir_path = normalize(dir_path)
-        if self.cache_enabled and dir_path in self._cache:
-            return self._cache[dir_path]
-        acl: Acl | None
+        return self._acl_at(self._dir_ino(dir_path), dir_path)
+
+    def _acl_at(self, ino: int | None, dir_path: str) -> Acl | None:
+        """The ACL of directory ``ino``, read through ``dir_path`` on a miss.
+
+        ``ino`` is None when the caller has no live directory to key by
+        (or the cache is off): the read then reports the kernel's answer
+        and nothing is cached.
+        """
+        cache = self._live_cache() if ino is not None else None
+        if cache is not None:
+            acl = cache.get(ino, _MISSING)
+            if acl is not _MISSING:
+                return acl
         try:
-            text = self.machine.read_file(
-                self.owner_task, join(dir_path, ACL_FILE_NAME)
-            ).decode("utf-8", errors="replace")
-            acl = Acl.parse(text)
+            acl = _parse(
+                self.machine.read_file(self.owner_task, join(dir_path, ACL_FILE_NAME))
+            )
         except KernelError as exc:
             if exc.errno is not Errno.ENOENT:
                 raise
             acl = None
-        except AclError:
-            acl = Acl()  # present but malformed: deny-all
-        if self.cache_enabled:
-            self._cache[dir_path] = acl
+        if cache is not None:
+            cache[ino] = acl
         return acl
 
     def write_acl(self, dir_path: str, acl: Acl) -> None:
-        """Store ``acl`` as the directory's ``.__acl`` file (owner-privileged)."""
+        """Store ``acl`` as the directory's ``.__acl`` file (owner-privileged).
+
+        Write-through: the cache then holds the parse of the bytes written,
+        exactly what a reread would return.
+        """
         dir_path = normalize(dir_path)
-        self.machine.write_file(
-            self.owner_task, join(dir_path, ACL_FILE_NAME), acl.render().encode()
-        )
-        self.invalidate(dir_path)
+        data = acl.render().encode()
+        ino = self._dir_ino(dir_path)  # None when the cache is off
+        if ino is not None:
+            self._live_cache().pop(ino, None)  # a failed write leaves no guess
+        self.machine.write_file(self.owner_task, join(dir_path, ACL_FILE_NAME), data)
+        if ino is not None:
+            self._cache[ino] = _parse(data)
 
     def invalidate(self, dir_path: str) -> None:
-        self._cache.pop(normalize(dir_path), None)
+        """Drop the cached ACL of the directory ``dir_path`` names.
+
+        Called before an ``rmdir`` or a replacing rename kills the
+        directory, and after its ``.__acl`` changed behind the policy.
+        """
+        ino = self._dir_ino(normalize(dir_path))
+        if ino is not None:
+            self._cache.pop(ino, None)
 
     def invalidate_all(self) -> None:
         self._cache.clear()
+
+    def _live_cache(self) -> dict[int, Acl | None] | None:
+        """The cache, emptied first if the world was restored under it."""
+        if not self.cache_enabled:
+            return None
+        epoch = self.machine.epoch
+        if epoch != self._epoch:
+            # a restore rewinds inode allocation, so the same number may
+            # now name a different directory; the owner's descriptor table
+            # is stamped with the old world, so rereads need a fresh one
+            self._cache.clear()
+            self._epoch = epoch
+            self.owner_task = self.machine.host_task(
+                self.owner_task.cred, cwd=self.owner_task.cwd
+            )
+        return self._cache
+
+    def _dir_ino(self, dir_path: str) -> int | None:
+        """Inode number of the directory at ``dir_path``, found without
+        charging the clock; None when the cache is off or the path names
+        no directory (the uncached read then reports why)."""
+        if not self.cache_enabled:
+            return None
+        try:
+            node = self._walk(dir_path, "/", True).inode
+        except KernelError:
+            return None
+        return node.ino if node is not None and node.is_dir else None
 
     # ------------------------------------------------------------------ #
     # rights evaluation
@@ -142,14 +228,20 @@ class AclPolicy:
 
     def _resolve(self, path: str, cwd: str, follow: bool) -> Resolution:
         """Resolve as the supervising user (who implements every action)."""
-        res = self.machine.vfs.resolve(
-            path, self.owner_task.cred, cwd=cwd, follow=follow
-        )
+        res = self._walk(path, cwd, follow)
         self.machine.clock.advance(
             self.machine.costs.path_component_ns
             * (res.stats.components + res.stats.symlinks),
             "vfs",
         )
+        return res
+
+    def _walk(self, path: str, cwd: str, follow: bool) -> Resolution:
+        """:meth:`_resolve` without the charge (cache keys only)."""
+        res = self.machine.vfs.resolve(
+            path, self.owner_task.cred, cwd=cwd, follow=follow
+        )
+        self.symlinks_walked += res.stats.symlinks
         return res
 
     def _unix_fallback(
@@ -161,7 +253,7 @@ class AclPolicy:
     ) -> bool:
         """No ACL present: check Unix bits as the user ``nobody`` (§3).
 
-        ``own_scope`` mirrors :meth:`_governing_dir`: when true the object
+        ``own_scope`` mirrors the rule in :meth:`check`: when true the object
         being governed is the resolved directory itself, so its own mode
         bits are consulted; otherwise the containing directory's are.
 
@@ -232,10 +324,15 @@ class AclPolicy:
         would fail anyway.
         """
         res = self._resolve(path, cwd, follow)
-        governing = self._governing_dir(res, scope)
         own_scope = scope == "auto" and res.exists and res.inode.is_dir
         entry_mutation = scope == "parent" and res.exists
-        acl = self.acl_of(governing)
+        if own_scope:
+            # a directory's own ACL governs listing it and working in it
+            governing = join(res.dir_path, res.name) if res.name else "/"
+            acl = self._acl_at(res.inode.ino, governing)
+        else:
+            governing = res.dir_path
+            acl = self._acl_at(res.parent.ino, governing)
         if acl is None:
             ok = self._unix_fallback(res, letters, own_scope, entry_mutation)
             return AccessDecision(
@@ -274,15 +371,6 @@ class AclPolicy:
         own_decision = self.check(identity, path, "w", cwd=cwd, scope="auto")
         return own_decision if own_decision.allowed else parent_decision
 
-    @staticmethod
-    def _governing_dir(res: Resolution, scope: str) -> str:
-        """Directory whose ACL governs this resolution (see :meth:`check`)."""
-        if scope == "auto" and res.exists and res.inode.is_dir:
-            if not res.name:
-                return "/"
-            return normalize(join(res.dir_path, res.name))
-        return res.dir_path
-
     def require(
         self,
         identity: str,
@@ -317,7 +405,7 @@ class AclPolicy:
         res = self._resolve(path, cwd, follow=True)
         if res.exists:
             raise err(Errno.EEXIST, path)
-        acl = self.acl_of(res.dir_path)
+        acl = self._acl_at(res.parent.ino, res.dir_path)
         if acl is None:
             if self._unix_fallback(res, "w", own_scope=False):
                 # un-ACL'd world-writable directory (e.g. /tmp): the new
@@ -368,7 +456,7 @@ class AclPolicy:
         dst = self._resolve(newpath, cwd, follow=False)
         if dst.exists:
             raise err(Errno.EEXIST, newpath)
-        dst_acl = self.acl_of(dst.dir_path)
+        dst_acl = self._acl_at(dst.parent.ino, dst.dir_path)
         if dst_acl is None:
             if not self._unix_fallback(dst, "w", own_scope=False):
                 raise err(Errno.EACCES, f"{identity} cannot link into {dst.dir_path}")

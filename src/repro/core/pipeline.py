@@ -57,6 +57,11 @@ from .telemetry import Telemetry, TracingInterceptor
 #: ``proceed()`` to continue down the chain; raise to short-circuit.
 Interceptor = Callable[["Operation", Any, Callable[[], Any]], Any]
 
+#: ``op.scratch`` flag the reference monitor sets when any resolution the
+#: op made followed a symlink: the op then reached an object under a name
+#: other than its physical path, which path-keyed state cannot track.
+CROSSED_SYMLINK = "crossed_symlink"
+
 
 @dataclass
 class BoundPath:
@@ -311,7 +316,12 @@ class ReadCache:
       may have partially applied before raising;
     * a world-epoch change (``Machine.restore``) flushes everything —
       entries must never outlive the world they were read from;
-    * errors are never cached, so ENOENT-then-create stays visible.
+    * errors are never cached, so ENOENT-then-create stays visible;
+    * an op that crossed a symlink (:data:`CROSSED_SYMLINK`) reached its
+      object under an alias: its result is never stored, and if it is a
+      mutation it flushes everything.  Every cached path is therefore a
+      physical one, and a mutation by physical path finds every entry it
+      can change.
 
     Only successful results of ops in ``cacheable`` are stored, and only
     surfaces whose handlers are pure install the cache at all (the Chirp
@@ -454,9 +464,14 @@ class ReadCache:
                 self.invalidate_all()
                 return
             paths.extend(hints)
-        if not paths or op.name in ("exec", "spawn"):
-            # a path-less mutation, or arbitrary code running as the
-            # caller: nothing narrower than a flush is sound
+        if (
+            not paths
+            or op.name in ("exec", "spawn")
+            or op.scratch.get(CROSSED_SYMLINK)
+        ):
+            # a path-less mutation, arbitrary code running as the caller,
+            # or a change made through an alias the cached paths do not
+            # name: nothing narrower than a flush is sound
             self.invalidate_all()
             return
         self.invalidate_paths(paths)
@@ -476,6 +491,8 @@ class ReadCache:
                 result = proceed()
                 self.misses += 1
                 self._count("fastlane.cache.misses", op=name)
+                if op.scratch.get(CROSSED_SYMLINK):
+                    return result
                 self._entries[key] = (
                     dict(result) if isinstance(result, dict) else result
                 )
@@ -600,6 +617,10 @@ class ReferenceMonitor:
     and raises EACCES on refusal — the handler below never runs.  Paths
     whose driver enforces ACLs server-side (``check_acl`` false) are
     skipped, as are cross-driver pairs after the EXDEV refusal.
+
+    Sets :data:`CROSSED_SYMLINK` in ``op.scratch`` when a resolution of
+    the policy's followed a symlink — the checks' own, before the handler
+    runs, and any the handler makes through the policy.
     """
 
     def __init__(self, policy: AclPolicy, audit: AuditSink) -> None:
@@ -615,11 +636,19 @@ class ReferenceMonitor:
                 and first.driver is not second.driver
             ):
                 raise err(Errno.EXDEV, f"{first.full} -> {second.full}")
-        for bound in op.paths:
-            if not bound.check_acl or bound.spec.check == CHECK_NONE:
-                continue
-            self._check_path(op, bound)
-        return proceed()
+        policy = self.policy
+        walked = policy.symlinks_walked
+        try:
+            for bound in op.paths:
+                if not bound.check_acl or bound.spec.check == CHECK_NONE:
+                    continue
+                self._check_path(op, bound)
+            if policy.symlinks_walked != walked:
+                op.scratch[CROSSED_SYMLINK] = True
+            return proceed()
+        finally:
+            if policy.symlinks_walked != walked:
+                op.scratch[CROSSED_SYMLINK] = True
 
     def _check_path(self, op: Operation, bound: BoundPath) -> None:
         spec = bound.spec

@@ -39,8 +39,8 @@ def h_mkdir(op: "Operation", ctx: "SyscallContext") -> None:
 def h_rmdir(op: "Operation", ctx: "SyscallContext") -> None:
     path = op.path()
     if path.check_acl:
+        ctx.sup.policy.invalidate(path.sub)  # its ACL dies with it
         rmdir_clearing_acl(path.driver, path.sub)
-        ctx.sup.policy.invalidate(path.sub)
     else:
         path.driver.rmdir(path.sub)
     ctx.finish(0)
@@ -55,9 +55,10 @@ def h_unlink(op: "Operation", ctx: "SyscallContext") -> None:
 def h_rename(op: "Operation", ctx: "SyscallContext") -> None:
     old, new = op.path(0), op.path(1)
     if old.check_acl:
+        # a moved directory keeps its inode and its ACL; only an empty
+        # directory the rename replaces dies
+        ctx.sup.policy.invalidate(new.sub)
         rename_clearing_acl(old.driver, old.sub, new.sub)
-        # a directory (and the ACLs beneath it) may have moved
-        ctx.sup.policy.invalidate_all()
     else:
         old.driver.rename(old.sub, new.sub)
     ctx.finish(0)

@@ -17,6 +17,7 @@ from dataclasses import astuple, dataclass, field
 
 from ..config import snapshot_fixtures_enabled
 from ..core.acl import Acl
+from ..core.aclfs import AclPolicy
 from ..core.box import IdentityBox
 from ..core.telemetry import LatencyStats, Telemetry
 from ..kernel.machine import Machine, WorldSnapshot
@@ -165,9 +166,15 @@ def _run(
 ) -> tuple[float, int]:
     """Execute one prepared run; returns (sim seconds, syscalls dispatched)."""
     if boxed:
+        # the owner grants the visiting identity the workload directory
+        # before the box starts, so the box's monitor reads that ACL on
+        # first use like any ACL already on disk (a one-off writer keeps
+        # no cache)
+        owner = machine.host_task(cred)
+        AclPolicy(machine, owner, cache_enabled=False).write_acl(
+            WORKDIR, Acl.for_owner(BOX_IDENTITY)
+        )
         box = IdentityBox(machine, cred, BOX_IDENTITY, make_home=False)
-        # the visiting identity owns the workload directory
-        box.policy.write_acl(WORKDIR, Acl.for_owner(BOX_IDENTITY))
         start = machine.clock.now_ns
         box.spawn(factory, cwd=WORKDIR, comm=comm)
         machine.run_to_completion()

@@ -32,6 +32,7 @@ from tests.chirp.test_federation import (
     make_fed_world,
 )
 from tests.chirp.test_resilience import (
+    FRED_DN,
     RETRY,
     connect_fred,
     input_bytes,
@@ -101,6 +102,63 @@ def test_setacl_between_cached_acl_reads_is_visible(monkeypatch):
     # the governing directory's ACL changed: cached verdicts under it died
     assert "globus:/O=NotreDame/*" in fred.getacl("/t")
     assert server.read_cache.invalidations >= 1
+
+
+def alias_world(monkeypatch):
+    """A cached server with ``/t/s`` a symlink to ``/t/real``."""
+    fastlane_off(monkeypatch)
+    monkeypatch.setenv("REPRO_CACHE", "1")
+    cluster, server, wallet = make_world()
+    fred = connect_fred(cluster, wallet, retry=None)
+    fred.mkdir("/t")
+    fred.mkdir("/t/real")
+    fred.mkdir("/t/real/d")
+    fred.put(b"x" * 10, "/t/real/f")
+    fred.symlink("/t/real", "/t/s")
+    return server, fred
+
+
+def test_put_through_a_symlink_is_visible_by_the_real_name(monkeypatch):
+    server, fred = alias_world(monkeypatch)
+    assert fred.stat("/t/real/f").size == 10
+    assert fred.stat("/t/real/f").size == 10  # memoized
+    fred.put(b"y" * 999, "/t/s/f")
+    assert fred.stat("/t/real/f").size == 999
+    assert fred.get("/t/real/f") == b"y" * 999
+
+
+def test_read_through_a_symlink_is_never_memoized(monkeypatch):
+    server, fred = alias_world(monkeypatch)
+    entries = len(server.read_cache)
+    assert fred.stat("/t/s/f").size == 10
+    assert len(server.read_cache) == entries
+    fred.put(b"y" * 999, "/t/real/f")  # invalidates by the real name only
+    assert fred.stat("/t/s/f").size == 999
+
+
+def test_descriptor_opened_through_a_symlink_flushes_on_write(monkeypatch):
+    server, fred = alias_world(monkeypatch)
+    fd = fred.open("/t/s/f", OpenFlags.O_WRONLY)
+    assert fred.stat("/t/real/f").size == 10
+    assert fred.stat("/t/real/f").size == 10  # memoized after the open
+    fred.pwrite(fd, b"z" * 64, 0)
+    fred.close_fd(fd)
+    assert fred.stat("/t/real/f").size == 64
+
+
+def test_setacl_through_a_symlink_is_visible_by_the_real_name(monkeypatch):
+    server, fred = alias_world(monkeypatch)
+    fred_id = f"globus:{FRED_DN}"
+    assert fred.access("/t/real/d", "w") is True
+    assert fred.aclcheck("/t/s/d", "w") is True
+    assert fred.access("/t/real/d", "w") is True  # memoized
+    fred.setacl("/t/s/d", fred_id, "rl")
+    assert fred.access("/t/real/d", "w") is False
+    assert fred.aclcheck("/t/s/d", "w") is False
+    # and the other way round: a verdict asked through the alias
+    assert fred.aclcheck("/t/s", "w") is True
+    fred.setacl("/t/real", fred_id, "rlx")
+    assert fred.aclcheck("/t/s", "w") is False
 
 
 def test_restore_flushes_the_cache_with_the_world(monkeypatch):

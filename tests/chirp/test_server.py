@@ -125,8 +125,9 @@ def test_setacl_never_leaves_a_stale_compiled_acl(fred, heidi, server):
     fred.put(b"shared", "/work/data")
     with pytest.raises(ChirpError):
         heidi.get("/work/data")  # compiles the ACL the policy now caches
-    (work_dir,) = [d for d in server.policy._cache if d.endswith("/work")]
-    held = server.policy._cache[work_dir]
+    work_dir = server.real_path("/work")
+    # the cache is keyed by the directory's inode, not by its name
+    held = server.policy._cache[server.machine.vfs.resolve(work_dir).inode.ino]
     assert held.rights_for(heidi_id).is_empty
     # setacl edits that very instance before writing it out
     fred.setacl("/work", heidi_id, "rl")
@@ -137,6 +138,26 @@ def test_setacl_never_leaves_a_stale_compiled_acl(fred, heidi, server):
     with pytest.raises(ChirpError):
         heidi.get("/work/data")
     assert server.policy.acl_of(work_dir).rights_for(heidi_id).is_empty
+
+
+def test_revocation_through_a_symlinked_path_takes_effect(fred, heidi):
+    # the ACL belongs to the directory, not to the name it is reached by:
+    # a revocation written through an alias must bind every other name
+    heidi_id = f"globus:{HEIDI_DN}"
+    fred.mkdir("/w")
+    fred.mkdir("/w/real")
+    fred.mkdir("/w/real/d")
+    fred.setacl("/w/real/d", heidi_id, "rl")
+    fred.put(b"shared", "/w/real/d/f")
+    fred.symlink("/w/real", "/w/s")
+    assert heidi.get("/w/real/d/f") == b"shared"
+    fred.setacl("/w/s/d", heidi_id, "-")
+    assert heidi_id not in fred.getacl("/w/real/d")
+    assert heidi_id not in fred.getacl("/w/s/d")
+    for path in ("/w/real/d/f", "/w/s/d/f"):
+        with pytest.raises(ChirpError) as info:
+            heidi.get(path)
+        assert info.value.errno is Errno.EACCES
 
 
 def test_setacl_requires_admin_right(fred, heidi):

@@ -6,6 +6,7 @@ from repro.core.acl import ACL_FILE_NAME, Acl
 from repro.core.aclfs import AclPolicy
 from repro.core.rights import Rights
 from repro.kernel.errno import Errno, KernelError
+from tests.helpers import run_calls
 
 FRED = "/O=X/CN=Fred"
 GEORGE = "/O=X/CN=George"
@@ -246,6 +247,59 @@ def test_write_acl_invalidates_cache(policy, shared):
     acl.set_entry("/O=X/*", Rights.none())
     policy.write_acl(shared, acl)
     assert not policy.acl_of(shared).rights_for(GEORGE).has("r")
+
+
+def count_acl_reads(monkeypatch, machine):
+    """Record every ``.__acl`` file read from now on."""
+    reads = []
+    read_file = machine.read_file
+
+    def counting(task, path):
+        if path.endswith("/" + ACL_FILE_NAME):
+            reads.append(path)
+        return read_file(task, path)
+
+    monkeypatch.setattr(machine, "read_file", counting)
+    return reads
+
+
+def test_mkdir_then_check_in_it_reads_no_acl(monkeypatch, machine, alice_task, policy, shared):
+    reads = count_acl_reads(monkeypatch, machine)
+    _res, acl = policy.plan_mkdir(FRED, f"{shared}/new")
+    machine.kcall_x(alice_task, "mkdir", f"{shared}/new", 0o755)
+    policy.apply_mkdir(f"{shared}/new", acl)
+    assert policy.check(FRED, f"{shared}/new/f", "w").allowed
+    assert not policy.check(GEORGE, f"{shared}/new/f", "w").allowed
+    assert reads == []  # write-through: the installed ACL is already cached
+
+
+def test_rename_keeps_the_moved_directory_cached(monkeypatch, machine, alice_task, policy, shared):
+    assert policy.check(GEORGE, f"{shared}/data.txt", "r").allowed
+    reads = count_acl_reads(monkeypatch, machine)
+    machine.kcall_x(alice_task, "rename", shared, "/home/alice/moved")
+    # the ACL moved with the directory's inode: nothing to invalidate
+    assert policy.check(GEORGE, "/home/alice/moved/data.txt", "r").allowed
+    assert not policy.check(GEORGE, "/home/alice/moved/data.txt", "w").allowed
+    assert reads == []
+
+
+def test_restore_empties_the_cache(machine, policy, shared):
+    snap = machine.snapshot()
+    policy.write_acl(shared, Acl.for_owner(GEORGE))
+    assert policy.acl_of(shared).subjects() == [GEORGE]
+    machine.restore(snap)  # rewinds the ACL file and inode allocation
+    assert policy.acl_of(shared).rights_for(FRED).has_all("rwlxa")
+
+
+def test_mkdir_rmdir_cycles_keep_the_cache_bounded(machine, box):
+    calls = []
+    for i in range(5000):
+        calls += [("mkdir", f"d{i}"), ("rmdir", f"d{i}")]
+    # a rename over an empty directory kills the replaced one
+    calls += [("mkdir", "x"), ("mkdir", "y"), ("rename", "x", "y")]
+    assert set(run_calls(calls, machine=machine, box=box)) == {0}
+    live = [node.ino for node in machine.fs._inodes.values() if node.is_dir]
+    assert set(box.policy._cache) <= set(live)
 
 
 def test_exists_helper(policy, shared):

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.ops import CACHEABLE_OPS, OpRegistry, OpSpec, PathArg
 from repro.core.pipeline import (
+    CROSSED_SYMLINK,
     BoundPath,
     IdentityQuota,
     Operation,
@@ -234,6 +235,20 @@ def test_exec_flushes_everything():
     cache = ReadCache()
     run_cached(cache, read_op("stat", "/unrelated"), lambda: {"v": 1})
     run_cached(cache, write_op("exec", "/bin/sim"), lambda: {"status": 0})
+    assert len(cache) == 0 and cache.flushes == 1
+
+
+def test_ops_that_crossed_a_symlink_are_not_stored_and_flush():
+    cache = ReadCache()
+    run_cached(cache, read_op("stat", "/real/f"), lambda: {"v": 1})
+    alias = read_op("stat", "/s/f")
+    alias.scratch[CROSSED_SYMLINK] = True
+    run_cached(cache, alias, lambda: {"v": 1})
+    assert len(cache) == 1 and cache.misses == 2  # the alias read was not kept
+    write = write_op("truncate", "/s/f")
+    write.scratch[CROSSED_SYMLINK] = True
+    run_cached(cache, write, lambda: {})
+    # /s/f names /real/f under another path: only a flush is sound
     assert len(cache) == 0 and cache.flushes == 1
 
 

@@ -360,6 +360,35 @@ def test_getacl_of_unacled_dir_is_empty(machine, alice, alice_task, vbox):
     assert results == [""]
 
 
+def test_setacl_through_a_symlink_revokes_for_every_name(machine, alice, vbox):
+    other = IdentityBox(
+        machine, alice, "Other", supervisor=vbox.supervisor, make_home=False
+    )
+    real, alias = f"{vbox.home}/real", f"{vbox.home}/s"
+    results = run_calls(
+        [
+            ("mkdir", "real"),
+            ("mkdir", "real/d"),
+            ("setacl", "real/d", "Other", "rl"),
+            ("symlink", real, "s"),
+        ],
+        machine=machine,
+        box=vbox,
+    )
+    assert results == [0, 0, 0, 0]
+    assert boxed_write_file(vbox, "real/d/f", b"data") == 4
+    assert boxed_read_file(other, f"{real}/d/f") == b"data"
+    results = run_calls(
+        [("setacl", "s/d", "Other", "-"), ("getacl", "real/d")],
+        machine=machine,
+        box=vbox,
+    )
+    assert results[0] == 0
+    assert "Other" not in results[1]
+    for path in (f"{real}/d/f", f"{alias}/d/f"):
+        assert boxed_read_file(other, path) == -Errno.EACCES
+
+
 def test_setacl_bad_rights_is_einval(machine, vbox):
     results = run_calls(
         [("setacl", ".", "Other", "zz")], machine=machine, box=vbox, cwd=vbox.home
