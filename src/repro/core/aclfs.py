@@ -74,13 +74,25 @@ def _parse(data: bytes) -> Acl:
 
 @dataclass
 class AccessDecision:
-    """Outcome of one policy check (kept for audit records)."""
+    """Outcome of one policy check (kept for audit records).
+
+    ``rights`` is what the ACL of the ``governing`` directory grants, or
+    None when no ACL governs and the Unix fallback decided.  The audit
+    text, :attr:`reason`, is formatted only when something reads it.
+    """
 
     allowed: bool
     identity: str
     path: str
     letters: str
-    reason: str
+    governing: str = ""
+    rights: Rights | None = None
+
+    @property
+    def reason(self) -> str:
+        if self.rights is None:
+            return "unix-fallback-as-nobody"
+        return f"acl({self.governing})={self.rights}"
 
 
 class AclPolicy:
@@ -335,21 +347,10 @@ class AclPolicy:
             acl = self._acl_at(res.parent.ino, governing)
         if acl is None:
             ok = self._unix_fallback(res, letters, own_scope, entry_mutation)
-            return AccessDecision(
-                allowed=ok,
-                identity=identity,
-                path=path,
-                letters=letters,
-                reason="unix-fallback-as-nobody",
-            )
+            return AccessDecision(ok, identity, path, letters)
         rights = acl.rights_for(identity)
-        ok = rights.has_all(letters)
         return AccessDecision(
-            allowed=ok,
-            identity=identity,
-            path=path,
-            letters=letters,
-            reason=f"acl({governing})={rights}",
+            rights.has_all(letters), identity, path, letters, governing, rights
         )
 
     def check_remove_dir(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..kernel.errno import Errno, KernelError, err
-from ..kernel.fdtable import OpenFlags
+from ..kernel.fdtable import O_CREAT, O_TRUNC, can_read, can_write
 from ..kernel.syscalls import R_OK, W_OK, X_OK
 from ..kernel.vfs import join
 from .acl import ACL_FILE_NAME
@@ -112,9 +112,9 @@ class OpRegistry:
 
 def open_letters(op: "Operation", path: "BoundPath", policy: "AclPolicy") -> str:
     """``open`` needs r/w per the flags; creating needs write-in-directory."""
-    flags = OpenFlags(int(op.args.get("flags", 0)))
-    letters = ("r" if flags.readable else "") + ("w" if flags.writable else "")
-    if flags & OpenFlags.O_CREAT and not policy.exists(path.sub):
+    flags = int(op.args.get("flags", 0))
+    letters = ("r" if can_read(flags) else "") + ("w" if can_write(flags) else "")
+    if flags & O_CREAT and not policy.exists(path.sub):
         # creating: the governing check is write in the directory;
         # read-on-missing-file is meaningless
         letters = "w"
@@ -183,10 +183,8 @@ MUTATING_OPS = frozenset(
 def open_mutates(op: "Operation") -> bool:
     """Does this ``open`` have any way to change state?  Read-only opens
     (no write mode, no O_CREAT, no O_TRUNC) leave the world untouched."""
-    flags = OpenFlags(int(op.args.get("flags", 0)))
-    return bool(
-        flags.writable or flags & OpenFlags.O_CREAT or flags & OpenFlags.O_TRUNC
-    )
+    flags = int(op.args.get("flags", 0))
+    return bool(can_write(flags) or flags & (O_CREAT | O_TRUNC))
 
 
 # ---------------------------------------------------------------------- #

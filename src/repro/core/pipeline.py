@@ -670,13 +670,14 @@ class ReferenceMonitor:
                 follow=spec.follow,
                 scope=spec.scope,
             )
-            self.audit.emit(
-                op.identity,
-                f"check:{letters}",
-                bound.sub,
-                decision.allowed,
-                decision.reason,
-            )
+            if self.audit.log is not None:  # the reason is built only to be logged
+                self.audit.emit(
+                    op.identity,
+                    f"check:{letters}",
+                    bound.sub,
+                    decision.allowed,
+                    decision.reason,
+                )
             if not decision.allowed:
                 raise err(
                     Errno.EACCES, f"{op.identity} lacks {letters!r} on {bound.sub}"
@@ -686,9 +687,10 @@ class ReferenceMonitor:
             op.scratch["mkdir_acl"] = new_acl
         elif spec.check == CHECK_RMDIR:
             decision = self.policy.check_remove_dir(op.identity, bound.sub, cwd=op.cwd)
-            self.audit.emit(
-                op.identity, "check:rmdir", bound.sub, decision.allowed, decision.reason
-            )
+            if self.audit.log is not None:
+                self.audit.emit(
+                    op.identity, "check:rmdir", bound.sub, decision.allowed, decision.reason
+                )
             if not decision.allowed:
                 raise err(Errno.EACCES, f"{op.identity} may not rmdir {bound.sub}")
         elif spec.check == CHECK_HARDLINK:

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from ...core.ops import OP_PATH_SPECS, OpSpec
 from ...kernel.errno import Errno, err
-from ...kernel.fdtable import OpenFlags
+from ...kernel.fdtable import OpenFlags, can_read, can_write
 from ..drivers import NATIVE, NativePassthrough
 from ..iochannel import CHANNEL_FD
 from ..table import VirtualFD
@@ -36,10 +36,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def h_open(op: "Operation", ctx: "SyscallContext") -> None:
     path = op.path()
-    flags = OpenFlags(int(op.args["flags"]))
-    handle = path.driver.open(path.sub, int(flags), op.args["mode"])
+    flags = int(op.args["flags"])
+    handle = path.driver.open(path.sub, flags, op.args["mode"])
     fd = ctx.state.install(
-        VirtualFD(driver=path.driver, handle=handle, path=path.full, flags=int(flags))
+        VirtualFD(driver=path.driver, handle=handle, path=path.full, flags=flags)
     )
     ctx.finish(fd)
 
@@ -132,7 +132,7 @@ def _deliver_read(ctx: "SyscallContext", data: bytes, addr: int) -> None:
 def h_read(op: "Operation", ctx: "SyscallContext") -> None:
     fd, addr, length = op.args["fd"], op.args["addr"], op.args["length"]
     vfd = ctx.state.get(fd)
-    if not OpenFlags(vfd.flags).readable:
+    if not can_read(vfd.flags):
         raise err(Errno.EBADF, f"fd {fd} not open for reading")
     if isinstance(vfd.driver, NativePassthrough):
         # pipe end: execute natively so the kernel can block the child
@@ -145,7 +145,7 @@ def h_read(op: "Operation", ctx: "SyscallContext") -> None:
 def h_pread(op: "Operation", ctx: "SyscallContext") -> None:
     fd, addr = op.args["fd"], op.args["addr"]
     vfd = ctx.state.get(fd)
-    if not OpenFlags(vfd.flags).readable:
+    if not can_read(vfd.flags):
         raise err(Errno.EBADF, f"fd {fd} not open for reading")
     if isinstance(vfd.driver, NativePassthrough):
         raise err(Errno.ESPIPE, "pread on a pipe")
@@ -162,7 +162,7 @@ def h_write(op: "Operation", ctx: "SyscallContext") -> None:
     sup, proc, state = ctx.sup, ctx.proc, ctx.state
     fd, addr, length = op.args["fd"], op.args["addr"], op.args["length"]
     vfd = state.get(fd)
-    if not OpenFlags(vfd.flags).writable:
+    if not can_write(vfd.flags):
         raise err(Errno.EBADF, f"fd {fd} not open for writing")
     if isinstance(vfd.driver, NativePassthrough):
         sup.machine.trace.rewrite(proc, "write", (vfd.handle, addr, length))
@@ -191,7 +191,7 @@ def h_pwrite(op: "Operation", ctx: "SyscallContext") -> None:
     fd, addr = op.args["fd"], op.args["addr"]
     length, offset = op.args["length"], op.args["offset"]
     vfd = state.get(fd)
-    if not OpenFlags(vfd.flags).writable:
+    if not can_write(vfd.flags):
         raise err(Errno.EBADF, f"fd {fd} not open for writing")
     if isinstance(vfd.driver, NativePassthrough):
         raise err(Errno.ESPIPE, "pwrite on a pipe")
@@ -242,7 +242,7 @@ def h_ftruncate(op: "Operation", ctx: "SyscallContext") -> None:
     if isinstance(vfd.driver, NativePassthrough):
         ctx.sup.machine.trace.rewrite(ctx.proc, "ftruncate", (vfd.handle, length))
         return
-    if not OpenFlags(vfd.flags).writable:
+    if not can_write(vfd.flags):
         raise err(Errno.EBADF, f"fd {fd} not open for writing")
     vfd.driver.ftruncate(vfd.handle, length)
     ctx.finish(0)

@@ -32,15 +32,36 @@ class OpenFlags(enum.IntFlag):
 
     @property
     def accmode(self) -> "OpenFlags":
-        return OpenFlags(self & 0o3)
+        return OpenFlags(int(self) & O_ACCMODE)
 
     @property
     def readable(self) -> bool:
-        return self.accmode in (OpenFlags.O_RDONLY, OpenFlags.O_RDWR)
+        return can_read(int(self))
 
     @property
     def writable(self) -> bool:
-        return self.accmode in (OpenFlags.O_WRONLY, OpenFlags.O_RDWR)
+        return can_write(int(self))
+
+
+# Plain-int twins of the flags, for bit tests on the open and descriptor
+# paths: an ``OpenFlags`` operand makes ``&`` build a new enum member, and
+# those paths ask on every call.
+O_ACCMODE = 0o3
+O_CREAT = int(OpenFlags.O_CREAT)
+O_EXCL = int(OpenFlags.O_EXCL)
+O_TRUNC = int(OpenFlags.O_TRUNC)
+O_APPEND = int(OpenFlags.O_APPEND)
+O_DIRECTORY = int(OpenFlags.O_DIRECTORY)
+
+
+def can_read(flags: int) -> bool:
+    """Whether the access mode of ``flags`` allows reading."""
+    return (flags & O_ACCMODE) in (0o0, 0o2)  # O_RDONLY, O_RDWR
+
+
+def can_write(flags: int) -> bool:
+    """Whether the access mode of ``flags`` allows writing."""
+    return (flags & O_ACCMODE) in (0o1, 0o2)  # O_WRONLY, O_RDWR
 
 
 #: Hard per-process descriptor limit (RLIMIT_NOFILE analogue).

@@ -112,12 +112,15 @@ class Inode:
 
     def st_mode(self) -> int:
         """Full ``st_mode`` word combining file type and permission bits."""
-        type_bits = {
-            FileType.FILE: stat_mod.S_IFREG,
-            FileType.DIR: stat_mod.S_IFDIR,
-            FileType.SYMLINK: stat_mod.S_IFLNK,
-        }[self.ftype]
-        return type_bits | (self.mode & 0o7777)
+        return _TYPE_BITS[self.ftype] | (self.mode & 0o7777)
+
+
+#: ``st_mode`` file-type bits of each :class:`FileType`.
+_TYPE_BITS = {
+    FileType.FILE: stat_mod.S_IFREG,
+    FileType.DIR: stat_mod.S_IFDIR,
+    FileType.SYMLINK: stat_mod.S_IFLNK,
+}
 
 
 @dataclass(frozen=True)

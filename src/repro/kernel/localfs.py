@@ -14,7 +14,10 @@ into the mutable layer (:meth:`LocalFS.writable`); file *bytes* stay shared
 even then, until a data write claims them (:meth:`LocalFS._own_data`).
 Callers therefore never mutate an inode object directly — every mutation
 goes through a ``LocalFS`` method so the copy-on-write step cannot be
-skipped.
+skipped.  That makes :meth:`LocalFS.writable`, :meth:`LocalFS._alloc` and
+:meth:`LocalFS.restore_state` the only doors to a changed namespace, and
+each bumps :attr:`LocalFS.generation`: the path resolver's memo
+(:mod:`repro.kernel.vfs`) is valid only while the generation holds.
 """
 
 from __future__ import annotations
@@ -57,6 +60,9 @@ class LocalFS:
         #: them, POSIX-style).  Always the *writable* incarnation; never part
         #: of a snapshot — an unlinked file dies with its world.
         self._orphans: dict[int, Inode] = {}
+        #: bumped on every possible inode or namespace mutation (see the
+        #: module docstring); equal generations mean an unchanged tree
+        self.generation = 0
         root = Inode(ino=1, ftype=FileType.DIR, mode=DEFAULT_DIR_MODE, uid=0, gid=0, nlink=2)
         self._inodes[1] = root
         self._dir_parent[1] = 1
@@ -92,6 +98,7 @@ class LocalFS:
         into the mutable top layer.  Before any snapshot (and on every
         later touch) this is a plain lookup with no copying.
         """
+        self.generation += 1
         ino = node.ino
         if self._inodes.in_top(ino):
             return self._inodes[ino]
@@ -110,6 +117,7 @@ class LocalFS:
             node.owns_data = True
 
     def _alloc(self, ftype: FileType, mode: int, uid: int, gid: int, now_ns: int) -> Inode:
+        self.generation += 1
         ino = self._next_ino
         self._next_ino += 1
         node = Inode(
@@ -271,9 +279,22 @@ class LocalFS:
         dst_name: str,
         now_ns: int = 0,
     ) -> None:
-        """Atomically move an entry, replacing a same-kind destination."""
+        """Atomically move an entry, replacing a same-kind destination.
+
+        A directory cannot move into its own subtree (EINVAL, as on
+        Linux): it would detach into an unreachable cycle.
+        """
         check_name(dst_name)
         node = self.lookup(src_dir, src_name)
+        if node.is_dir:
+            ino = dst_dir.ino
+            while ino != node.ino:
+                parent = self._dir_parent[ino]
+                if parent == ino:  # reached the root
+                    break
+                ino = parent
+            else:
+                raise err(Errno.EINVAL, f"{src_name!r} would move into its own subtree")
         if dst_name in dst_dir.entries:
             existing = self.inode(dst_dir.entries[dst_name])
             if existing.ino == node.ino:
@@ -394,6 +415,7 @@ class LocalFS:
 
     def restore_state(self, state: object) -> None:
         inode_layers, parent_layers, next_ino = state
+        self.generation += 1
         self._inodes.restore(inode_layers)
         self._dir_parent.restore(parent_layers)
         self._next_ino = next_ino

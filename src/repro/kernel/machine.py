@@ -50,6 +50,11 @@ SHEBANG = "#!repro:"
 #: Exit-status encoding for signal deaths (mirrors WIFSIGNALED semantics).
 SIGNAL_EXIT_BASE = 128
 
+#: Every syscall the executor implements (its ``do_<name>`` methods).
+_SYSCALL_NAMES = tuple(
+    attr[3:] for attr in dir(SyscallExecutor) if attr.startswith("do_")
+)
+
 #: Sentinel returned by the traced-call machinery when the call blocked on
 #: a pipe and the process has been parked (nothing to deliver yet).
 PARKED = object()
@@ -117,9 +122,18 @@ class Machine:
         self.fs = LocalFS()
         self.vfs = VFS(self.fs)
         self.executor = SyscallExecutor(self)
+        #: syscall name -> the executor's bound ``do_<name>``; a name not
+        #: in it falls back to a lookup by name (ENOSYS when that fails too)
+        self._handlers: dict[str, Any] = {
+            name: getattr(self.executor, "do_" + name) for name in _SYSCALL_NAMES
+        }
         self.trace = TraceSession(self)
         self.programs: dict[str, ProgramFactory] = {}
         self._procs: dict[int, Process] = {}
+        #: id(task) -> the first process created with that task (threads
+        #: share their creator's); the process keeps the task alive, so
+        #: its id cannot be reused while the entry stands
+        self._task_procs: dict[int, Process] = {}
         self._next_pid = 100
         self._ready: deque[int] = deque()
         self._last_run_pid: int | None = None
@@ -241,6 +255,9 @@ class Machine:
         self.vfs.restore_state(snapshot.fs)
         self.programs = dict(snapshot.programs)
         self._procs = dict(snapshot.procs)
+        self._task_procs = {}
+        for proc in self._procs.values():
+            self._task_procs.setdefault(id(proc.task), proc)
         self._next_pid = snapshot.next_pid
         self._ready.clear()
         self._last_run_pid = None
@@ -306,9 +323,11 @@ class Machine:
 
     def _dispatch(self, task: Task, name: str, args: tuple) -> Any:
         """Execute one syscall body (no trap charge) with Unix error convention."""
-        handler = getattr(self.executor, f"do_{name}", None)
+        handler = self._handlers.get(name)
         if handler is None:
-            return -int(Errno.ENOSYS)
+            handler = getattr(self.executor, f"do_{name}", None)
+            if handler is None:
+                return -int(Errno.ENOSYS)
         try:
             return handler(task, *args)
         except KernelError as exc:
@@ -334,11 +353,11 @@ class Machine:
         return result
 
     def process_of(self, task: Task) -> Process | None:
-        """Reverse-map a Task to its Process (None for host agents)."""
-        for proc in self._procs.values():
-            if proc.task is task:
-                return proc
-        return None
+        """Reverse-map a Task to its Process (None for host agents).
+
+        A thread shares its creator's task; the creator is the answer.
+        """
+        return self._task_procs.get(id(task))
 
     # ------------------------------------------------------------------ #
     # process lifecycle
@@ -379,6 +398,7 @@ class Machine:
             comm=comm,
         )
         self._procs[pid] = proc
+        self._task_procs[id(task)] = proc
         if ppid in self._procs:
             self._procs[ppid].children.add(pid)
         self.clock.advance(self.costs.fork_ns + self.costs.exec_ns, "proc")
@@ -412,6 +432,7 @@ class Machine:
             comm=comm,
         )
         self._procs[pid] = proc
+        self._task_procs.setdefault(id(parent.task), proc)
         parent.children.add(pid)
         # thread creation is much cheaper than fork+exec
         self.clock.advance(self.costs.fork_ns // 4, "proc")

@@ -100,6 +100,8 @@ class SysProxy:
             return Request(RequestKind.SYSCALL, name=name, args=args)
 
         build.__name__ = name
+        # cached on the instance: later lookups of the name skip __getattr__
+        self.__dict__[name] = build
         return build
 
 
@@ -167,7 +169,8 @@ class Process:
 
     @property
     def alive(self) -> bool:
-        return self.state not in (ProcessState.ZOMBIE, ProcessState.DEAD)
+        state = self.state
+        return state is not ProcessState.ZOMBIE and state is not ProcessState.DEAD
 
     @property
     def inert(self) -> bool:

@@ -24,7 +24,17 @@ from typing import TYPE_CHECKING
 import stat as stat_mod
 
 from .errno import Errno, err
-from .fdtable import OpenFile, OpenFlags
+from .fdtable import (
+    O_APPEND,
+    O_CREAT,
+    O_DIRECTORY,
+    O_EXCL,
+    O_TRUNC,
+    OpenFile,
+    OpenFlags,
+    can_read,
+    can_write,
+)
 from .inode import Inode, StatResult, access_allowed, stat_of
 from .pipes import Pipe
 from .process import Task
@@ -126,24 +136,26 @@ class SyscallExecutor:
 
     def do_open(self, task: Task, path: str, flags: int = 0, mode: int = 0o644) -> int:
         flags = OpenFlags(flags)
+        bits = int(flags)
+        readable, writable = can_read(bits), can_write(bits)
         res = self._resolve(task, path)
         costs = self.machine.costs
         now = self.machine.clock.now_ns
         if res.exists:
             node = res.require()
-            if flags & OpenFlags.O_CREAT and flags & OpenFlags.O_EXCL:
+            if bits & O_CREAT and bits & O_EXCL:
                 raise err(Errno.EEXIST, path)
-            if node.is_dir and flags.writable:
+            if node.is_dir and writable:
                 raise err(Errno.EISDIR, path)
-            if flags & OpenFlags.O_DIRECTORY and not node.is_dir:
+            if bits & O_DIRECTORY and not node.is_dir:
                 raise err(Errno.ENOTDIR, path)
-            want = (4 if flags.readable else 0) | (2 if flags.writable else 0)
+            want = (4 if readable else 0) | (2 if writable else 0)
             if want:
                 self._check_perm(task, node, want)
-            if flags & OpenFlags.O_TRUNC and node.is_file and flags.writable:
+            if bits & O_TRUNC and node.is_file and writable:
                 node = self.machine.fs.truncate(node, 0, now)
         else:
-            if not flags & OpenFlags.O_CREAT:
+            if not bits & O_CREAT:
                 raise err(Errno.ENOENT, path)
             self._check_perm(task, res.parent, 2)
             node = self.machine.fs.create_file(
@@ -156,7 +168,7 @@ class SyscallExecutor:
             )
         self._charge(costs.fd_op_ns, "fd")
         of = OpenFile(inode=node, flags=flags, path=join(res.dir_path, res.name) if res.name else "/")
-        if flags & OpenFlags.O_APPEND:
+        if bits & O_APPEND:
             of.seek_end()
         return task.fdtable.install(of)
 
@@ -223,7 +235,7 @@ class SyscallExecutor:
             self._charge(costs.io_base_ns + costs.copy_cost(n), "io")
             self.machine.wake_pipe(of.pipe)  # new data wakes readers
             return n
-        if of.flags & OpenFlags.O_APPEND and offset is None:
+        if int(of.flags) & O_APPEND and offset is None:
             of.offset = self.machine.fs.current(of.inode).size
         pos = of.offset if offset is None else offset
         n = self.machine.fs.write_at(of.inode, pos, data, now)

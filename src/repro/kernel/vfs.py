@@ -123,10 +123,23 @@ class Resolution:
 
 
 class VFS:
-    """Resolver bound to one :class:`LocalFS`."""
+    """Resolver bound to one :class:`LocalFS`.
+
+    :meth:`resolve` remembers its last successful walk.  An op usually
+    resolves the same path twice back to back — the reference monitor as
+    the supervising user, then the kernel for that same user — and the
+    second call returns the first one's outcome without walking again.
+    The memo holds **one** entry, keyed by the absolute path, the walking
+    credentials (when traverse checks run), ``follow`` and
+    :attr:`LocalFS.generation`; any inode mutation anywhere bumps the
+    generation, so a hit returns exactly what a fresh walk would.  Errors
+    are never memoized.
+    """
 
     def __init__(self, fs: LocalFS) -> None:
         self.fs = fs
+        #: (key, outcome) of the last successful walk, or None
+        self._memo: tuple[tuple, tuple] | None = None
 
     # ------------------------------------------------------------------ #
     # snapshot protocol (see repro.kernel.Snapshotable)
@@ -159,12 +172,29 @@ class VFS:
         crossed must grant execute permission, as a real kernel requires.
         ``follow=False`` stops at a symlink in the final component (lstat,
         unlink, readlink semantics).
+
+        Every call returns a fresh :class:`Resolution` whose
+        :class:`WalkStats` count the components a walk touches, whether or
+        not the memo (see the class docstring) spared the walk, so callers
+        charge the same simulated time either way.
         """
         if not path:
             raise err(Errno.ENOENT, "empty path")
         full = path if path.startswith("/") else join(cwd, path)
+        key = (
+            full,
+            # who walks matters only when traverse permission is checked
+            (cred.uid, cred.gid) if check_traverse and cred is not None else None,
+            follow,
+            self.fs.generation,
+        )
+        memo = self._memo
+        if memo is not None and memo[0] == key:
+            node, parent, name, dir_path, components, symlinks = memo[1]
+            return Resolution(node, parent, name, dir_path, WalkStats(components, symlinks))
         stats = WalkStats()
         node, parent, name, dir_path = self._walk(full, cred, follow, check_traverse, stats, 0)
+        self._memo = (key, (node, parent, name, dir_path, stats.components, stats.symlinks))
         return Resolution(inode=node, parent=parent, name=name, dir_path=dir_path, stats=stats)
 
     def _walk(

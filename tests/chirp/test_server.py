@@ -65,6 +65,16 @@ def test_rename_unlink(fred):
         fred.stat("/w/b")
 
 
+def test_rename_directory_into_its_own_subtree_is_einval(fred):
+    fred.mkdir("/w")
+    fred.mkdir("/w/x")
+    fred.mkdir("/w/x/y")
+    with pytest.raises(ChirpError) as info:
+        fred.rename("/w/x", "/w/x/y/z")
+    assert info.value.errno is Errno.EINVAL
+    assert fred.stat("/w/x/y").is_dir
+
+
 def test_symlink_readlink(fred):
     fred.mkdir("/w")
     fred.put(b"t", "/w/target")

@@ -26,6 +26,7 @@ __all__ = [
     "oracle_decode_message",
     "oracle_encode_message",
     "oracle_normalize",
+    "oracle_open_access",
     "oracle_walk",
     "paths_related",
     "run_calls",
@@ -228,6 +229,15 @@ def oracle_decode_message(frame: bytes) -> dict[str, Any]:
     if not isinstance(decoded, dict):
         raise ProtocolError(f"frame is not a message dict: {type(decoded).__name__}")
     return decoded
+
+
+def oracle_open_access(flags: OpenFlags) -> tuple[OpenFlags, bool, bool]:
+    """``(accmode, readable, writable)`` by enum arithmetic, the way
+    ``OpenFlags`` first defined them."""
+    accmode = OpenFlags(flags & 0o3)
+    readable = accmode in (OpenFlags.O_RDONLY, OpenFlags.O_RDWR)
+    writable = accmode in (OpenFlags.O_WRONLY, OpenFlags.O_RDWR)
+    return accmode, readable, writable
 
 
 def oracle_normalize(path: str) -> str:

@@ -253,6 +253,21 @@ def test_rename_within_home(machine, vbox):
     assert boxed_read_file(vbox, "b") == b"1"
 
 
+def test_rename_directory_into_its_own_subtree_is_einval(machine, vbox):
+    results = run_calls(
+        [
+            ("mkdir", "x", 0o755),
+            ("mkdir", "x/y", 0o755),
+            ("rename", "x", "x/y/z"),
+            ("stat", "x/y"),
+        ],
+        machine=machine,
+        box=vbox,
+    )
+    assert results[:3] == [0, 0, -Errno.EINVAL]
+    assert results[3].is_dir
+
+
 def test_rename_out_of_home_denied(machine, vbox):
     boxed_write_file(vbox, "a", b"1")
     results = run_calls(

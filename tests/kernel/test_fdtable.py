@@ -1,10 +1,13 @@
 """Descriptor tables and open-file descriptions."""
 
+from itertools import combinations
+
 import pytest
 
 from repro.kernel.errno import Errno, KernelError
-from repro.kernel.fdtable import FDTable, OpenFile, OpenFlags
+from repro.kernel.fdtable import FDTable, OpenFile, OpenFlags, can_read, can_write
 from repro.kernel.inode import FileType, Inode
+from tests.helpers import oracle_open_access
 
 
 def make_of(flags=OpenFlags.O_RDONLY):
@@ -129,3 +132,19 @@ def test_seek_end():
     of = make_of()
     of.seek_end()
     assert of.offset == 10
+
+
+def test_access_mode_matches_the_enum_definitions_for_every_flag_combination():
+    bits = [int(flag) for flag in OpenFlags if int(flag)]
+    checked = 0
+    for size in range(len(bits) + 1):
+        for combo in combinations(bits, size):
+            value = sum(combo)
+            flags = OpenFlags(value)
+            accmode, readable, writable = oracle_open_access(flags)
+            assert type(flags.accmode) is OpenFlags and flags.accmode == accmode
+            assert (flags.readable, flags.writable) == (readable, writable), oct(value)
+            assert (can_read(value), can_write(value)) == (readable, writable), oct(value)
+            checked += 1
+    # every subset of the seven non-zero flags, O_WRONLY|O_RDWR included
+    assert checked == 2 ** 7

@@ -310,3 +310,51 @@ def test_shared_clock_between_machines():
     before = clock.now_ns
     m1.kcall(t1, "getuid")
     assert m2.clock.now_ns == clock.now_ns > before
+
+
+class NoScanProcs(dict):
+    """A process table that fails the test if anything scans it."""
+
+    def values(self):
+        raise AssertionError("the machine scanned its process table")
+
+
+def quick(proc, args):
+    return 0
+    yield  # pragma: no cover - makes this a generator
+
+
+def test_process_of_does_not_scan_reaped_processes(machine, alice):
+    for _ in range(2000):
+        machine.spawn(quick, cred=alice)
+    machine.run()
+    assert sum(p.state is ProcessState.DEAD for p in machine.processes()) == 2000
+    machine._procs = NoScanProcs(machine._procs)
+    seen = {}
+
+    def parent(proc, args):
+        seen["pid"] = yield proc.sys.getpid()
+        seen["ppid"] = yield proc.sys.getppid()
+        return 0
+
+    def thread(proc, args):
+        seen["thread_pid"] = yield proc.sys.getpid()
+        return 0
+
+    proc = machine.spawn(parent, cred=alice, ppid=7)
+    machine.spawn_thread(proc, thread)
+    machine.run()
+    # a thread shares its creator's task, so the creator answers for it
+    assert seen == {"pid": proc.pid, "ppid": 7, "thread_pid": proc.pid}
+    assert machine.process_of(machine.host_task(alice)) is None
+
+
+def test_process_of_survives_a_restore(machine, alice):
+    proc = machine.spawn(quick, cred=alice)
+    machine.run()
+    snap = machine.snapshot()
+    machine.spawn(quick, cred=alice)
+    machine.run()
+    machine.restore(snap)
+    assert machine.process_of(proc.task) is proc
+    assert machine.fork(snap).process_of(proc.task) is proc

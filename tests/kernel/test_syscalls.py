@@ -224,6 +224,22 @@ def test_unlink_and_rename(machine, t):
     assert machine.kcall(t, "stat", "b") == -Errno.ENOENT
 
 
+def test_rename_directory_into_its_own_subtree_is_einval(machine, t):
+    machine.kcall_x(t, "mkdir", "x", 0o755)
+    machine.kcall_x(t, "mkdir", "x/y", 0o755)
+    for target in ("x/y/z", "x/z", "x/y/x"):
+        assert machine.kcall(t, "rename", "x", target) == -Errno.EINVAL
+    # nothing moved: both directories are still where they were
+    assert machine.kcall_x(t, "stat", "x").is_dir
+    assert machine.kcall_x(t, "stat", "x/y").is_dir
+    assert machine.kcall(t, "stat", "x/z") == -Errno.ENOENT
+    machine.fs.check_invariants()
+    # a sibling whose name merely starts the same is not a subtree
+    machine.kcall_x(t, "mkdir", "xy", 0o755)
+    machine.kcall_x(t, "rename", "x", "xy/x")
+    assert machine.kcall_x(t, "stat", "xy/x/y").is_dir
+
+
 def test_link_counts(machine, t):
     write(machine, t, "orig", b"x")
     machine.kcall_x(t, "link", "orig", "alias")

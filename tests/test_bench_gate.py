@@ -29,11 +29,38 @@ def test_identical_run_passes():
     assert compare(clone(BASELINE), BASELINE) == []
 
 
-def test_faster_run_never_fails():
+def test_faster_ratio_run_never_fails():
     current = clone(BASELINE)
-    current["fig5a"]["getpid"]["boxed_p50_us"] = 1.0
-    current["fig5b"]["make"]["boxed_ops_per_sec"] = 10**6
+    current["snapshot"]["fork_vs_boot"]["speedup_x"] = 1000.0
+    current["fastlane"]["read_heavy"]["speedup_x"] = 1000.0
     assert compare(current, BASELINE) == []
+
+
+def test_fig5_fields_are_held_exactly_in_both_directions():
+    """fig5a/fig5b are simulated and deterministic: any move is a change
+    to the simulated clock, so faster fails as surely as slower."""
+    for section, name, field, value in [
+        ("fig5a", "getpid", "boxed_p50_us", 1.0),
+        ("fig5a", "getpid", "boxed_p50_us", 14.0 * TOLERANCE * 0.99),
+        ("fig5a", "stat", "boxed_p50_us", 20.000001),
+        ("fig5b", "make", "boxed_ops_per_sec", 10**6),
+        ("fig5b", "make", "boxed_ops_per_sec", 14999.0),
+    ]:
+        current = clone(BASELINE)
+        current[section][name][field] = value
+        failures = compare(current, BASELINE)
+        assert len(failures) == 1, (section, name, value)
+        assert f"{section}/{name}" in failures[0] and field in failures[0]
+
+
+def test_fig5_field_added_or_dropped_fails_naming_it():
+    current = clone(BASELINE)
+    current["fig5a"]["getpid"]["boxed_p99_us"] = 14.0
+    del current["fig5b"]["make"]["boxed_ops_per_sec"]
+    failures = compare(current, BASELINE)
+    assert len(failures) == 2
+    assert any("fig5a/getpid" in f and "boxed_p99_us" in f for f in failures)
+    assert any("fig5b/make" in f and "boxed_ops_per_sec" in f for f in failures)
 
 
 def test_latency_regression_beyond_tolerance_fails():
@@ -41,12 +68,6 @@ def test_latency_regression_beyond_tolerance_fails():
     current["fig5a"]["getpid"]["boxed_p50_us"] = 14.0 * TOLERANCE * 1.01
     failures = compare(current, BASELINE)
     assert len(failures) == 1 and "fig5a/getpid" in failures[0]
-
-
-def test_latency_regression_within_tolerance_passes():
-    current = clone(BASELINE)
-    current["fig5a"]["getpid"]["boxed_p50_us"] = 14.0 * TOLERANCE * 0.99
-    assert compare(current, BASELINE) == []
 
 
 def test_throughput_regression_beyond_tolerance_fails():
