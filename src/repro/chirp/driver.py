@@ -10,6 +10,7 @@ credentials.  ACLs are enforced server-side, so the driver sets
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -186,17 +187,18 @@ class ChirpDriver(Driver):
         )
 
     def _fd_call(self, handle: ChirpHandle, method: str, *args):
-        """A descriptor op that survives reconnects by reopening."""
-        try:
-            return _wrap(getattr(handle.client, method))(handle.fd, *args)
-        except KernelError as exc:
-            if not self._stale(handle, exc):
-                raise
+        """A descriptor op that survives reconnects by reopening, up to the
+        client's retry budget: a reopened descriptor can die in turn."""
+        for revival in itertools.count():
+            try:
+                return _wrap(getattr(handle.client, method))(handle.fd, *args)
+            except KernelError as exc:
+                if not self._stale(handle, exc) or revival == handle.client.retry.max_attempts:
+                    raise
             handle.fd = _wrap(handle.client.open)(
                 handle.path, handle.flags & ~int(_REOPEN_CLEAR), handle.mode
             )
             handle.epoch = handle.client.epoch
-            return _wrap(getattr(handle.client, method))(handle.fd, *args)
 
     def close(self, handle: ChirpHandle) -> None:
         try:

@@ -129,7 +129,11 @@ def parse_response(frame: bytes) -> dict[str, Any]:
     message = decode_message(frame)
     if message.get("ok"):
         return message
-    errno = Errno(message.get("errno", int(Errno.EIO)))
+    code = message.get("errno", int(Errno.EIO))
+    try:
+        errno = Errno(code)
+    except ValueError:
+        raise ProtocolError(f"failure reply carries unknown errno {code!r}") from None
     raise ChirpError(errno, str(message.get("error", "")))
 
 

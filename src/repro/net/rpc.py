@@ -3,18 +3,26 @@
 Messages are dictionaries of JSON-able values plus raw byte strings;
 encoding renders honest byte counts so the network's throughput charge
 reflects real payload sizes (an 8 MB ``put`` costs 8 MB of transfer).
-Bytes values are tagged and base64-encoded inside the JSON envelope.
 
-Every frame takes one ``json.dumps`` / ``json.loads`` pass.  The
-recursive tag walk below runs only for frames that could hold a user
-dict shaped like a tag envelope; it defines the wire format, and the
-single pass produces exactly its bytes whenever it is skipped.
+Like the paper's Chirp, which sends a text request line and then the
+raw data, a frame keeps its payloads out of band::
+
+    prefix    8 bytes: header length, slot-list length (big-endian u32s)
+    header    the message as JSON, every bytes value written as null
+    slots     JSON list of [path, length], one per payload (absent if none)
+    segments  the payloads' raw bytes, in slot order
+
+A path is the list of dict keys and list indices leading from the
+message to the payload's null.  Nothing in the header marks a payload,
+so no user value can be mistaken for one.  The declared lengths must
+account for every byte: a frame that is short, long, or whose slots do
+not each land on a null is a :class:`ProtocolError`.
 """
 
 from __future__ import annotations
 
-import base64
 import json
+import struct
 from typing import Any
 
 
@@ -22,90 +30,103 @@ class ProtocolError(ValueError):
     """A frame failed to decode or had the wrong shape."""
 
 
-_BYTES_TAG = "__b64__"
-_ESCAPE_TAG = "__esc__"
-_TAG_SHAPES = ({_BYTES_TAG}, {_ESCAPE_TAG})
-#: The bytes tag as it appears in a rendered frame (key or string value).
-_QUOTED_BYTES_TAG = f'"{_BYTES_TAG}"'
+_PREFIX = struct.Struct(">II")
 
 
-def _encode_value(value: Any) -> Any:
+def _collect(value: Any, path: list, out: list) -> None:
+    """Append ``(path, payload)`` for every bytes value under ``value``."""
     if isinstance(value, bytes):
-        return {_BYTES_TAG: base64.b64encode(value).decode("ascii")}
-    if isinstance(value, dict):
-        encoded = {k: _encode_value(v) for k, v in value.items()}
-        if set(encoded.keys()) in _TAG_SHAPES:
-            # a user dict that *looks* like one of our tag envelopes must
-            # not round-trip as bytes: wrap it so decode can tell them apart
-            return {_ESCAPE_TAG: encoded}
-        return encoded
-    if isinstance(value, (list, tuple)):
-        return [_encode_value(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    raise ProtocolError(f"cannot encode {type(value).__name__} on the wire")
-
-
-def _decode_value(value: Any) -> Any:
-    if isinstance(value, dict):
-        keys = set(value.keys())
-        if keys == {_BYTES_TAG}:
-            payload = value[_BYTES_TAG]
-            if not isinstance(payload, str):
-                raise ProtocolError(f"bytes tag holds {type(payload).__name__}, not text")
-            return base64.b64decode(payload)
-        if keys == {_ESCAPE_TAG} and isinstance(value[_ESCAPE_TAG], dict):
-            # escaped user dict: its values decode normally, but the dict
-            # itself is returned verbatim rather than treated as a tag
-            inner = value[_ESCAPE_TAG]
-            return {k: _decode_value(v) for k, v in inner.items()}
-        return {k: _decode_value(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_decode_value(v) for v in value]
-    return value
+        out.append((path, value))
+    elif isinstance(value, dict):
+        for key in sorted(value):
+            # a non-string key is named as the header spells it (1 -> "1")
+            step = key if isinstance(key, str) else json.dumps(key)
+            _collect(value[key], [*path, step], out)
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            _collect(item, [*path, index], out)
 
 
 def encode_message(message: dict[str, Any]) -> bytes:
     """Serialize a message dict to wire bytes.
 
-    ``json.dumps`` tags bytes as it meets them.  A user dict shaped like
-    a tag needs an ``__esc__`` wrapper that pass cannot add, so the frame
-    is re-encoded through the tag walk when it may hold one: when some
-    ``"__b64__"`` in the output was not written by the tagger (each tag
-    writes exactly one, and base64 text cannot contain another), or when
-    ``__esc__`` appears at all.
+    One ``json.dumps`` pass writes the header; its ``default`` hook turns
+    each bytes value into null.  Only when the hook fired does a walk
+    find the payloads' paths.
     """
-    tagged = 0
+    payloads = 0
 
-    def tag(value: Any) -> Any:
-        nonlocal tagged
+    def nullify(value: Any) -> None:
+        nonlocal payloads
         if isinstance(value, bytes):
-            tagged += 1
-            return {_BYTES_TAG: base64.b64encode(value).decode("ascii")}
+            payloads += 1
+            return None
         raise ProtocolError(f"cannot encode {type(value).__name__} on the wire")
 
     try:
-        text = json.dumps(message, separators=(",", ":"), sort_keys=True, default=tag)
-        if text.count(_QUOTED_BYTES_TAG) != tagged or _ESCAPE_TAG in text:
-            text = json.dumps(_encode_value(message), separators=(",", ":"), sort_keys=True)
+        header = json.dumps(
+            message, separators=(",", ":"), sort_keys=True, default=nullify
+        ).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"unencodable message: {exc}") from exc
-    return text.encode("utf-8")
+    if not payloads:
+        return _PREFIX.pack(len(header), 0) + header
+    found: list[tuple[list, bytes]] = []
+    _collect(message, [], found)
+    slots = json.dumps(
+        [[path, len(data)] for path, data in found], separators=(",", ":")
+    ).encode("utf-8")
+    return b"".join(
+        [_PREFIX.pack(len(header), len(slots)), header, slots]
+        + [data for _, data in found]
+    )
+
+
+def _fill(message: dict[str, Any], path: list, data: bytes) -> None:
+    """Put one payload at ``path``, which must lead to a null."""
+    parent: Any = None
+    step: Any = None
+    node: Any = message
+    for step in path:
+        parent = node
+        if isinstance(node, dict) and type(step) is str and step in node:
+            node = node[step]
+        elif isinstance(node, list) and type(step) is int and 0 <= step < len(node):
+            node = node[step]
+        else:
+            raise ProtocolError(f"slot path {path!r} leads nowhere")
+    if parent is None or node is not None:
+        raise ProtocolError(f"slot path {path!r} does not point at a null")
+    parent[step] = data
 
 
 def decode_message(frame: bytes) -> dict[str, Any]:
-    """Parse wire bytes back into a message dict.
-
-    The tag walk runs only when a tag could be present: spelled out, or
-    hidden behind a ``\\u`` escape in a key.
-    """
+    """Parse wire bytes back into a message dict."""
+    if len(frame) < _PREFIX.size:
+        raise ProtocolError(f"frame of {len(frame)} bytes has no prefix")
+    header_len, slots_len = _PREFIX.unpack_from(frame)
+    header_end = _PREFIX.size + header_len
+    slots_end = header_end + slots_len
+    if slots_end > len(frame):
+        raise ProtocolError(f"prefix declares {slots_end} bytes, frame has {len(frame)}")
     try:
-        text = frame.decode("utf-8")
-        decoded = json.loads(text)
-        if _BYTES_TAG in text or _ESCAPE_TAG in text or "\\u" in text:
-            decoded = _decode_value(decoded)
+        message = json.loads(frame[_PREFIX.size : header_end].decode("utf-8"))
+        slots = json.loads(frame[header_end:slots_end].decode("utf-8")) if slots_len else ()
     except (ValueError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"bad frame: {exc}") from exc
-    if not isinstance(decoded, dict):
-        raise ProtocolError(f"frame is not a message dict: {type(decoded).__name__}")
-    return decoded
+    if not isinstance(message, dict):
+        raise ProtocolError(f"frame is not a message dict: {type(message).__name__}")
+    if slots_len and not (isinstance(slots, list) and slots):
+        raise ProtocolError("slot section is not a non-empty list")
+    offset = slots_end
+    for slot in slots:
+        path, length = slot if isinstance(slot, list) and len(slot) == 2 else (None, None)
+        if not isinstance(path, list) or type(length) is not int or length < 0:
+            raise ProtocolError(f"malformed slot {slot!r}")
+        _fill(message, path, frame[offset : offset + length])
+        offset += length
+    if offset != len(frame):  # a truncated segment, or trailing bytes
+        raise ProtocolError(
+            f"slots declare {offset - slots_end} payload bytes, frame has {len(frame) - slots_end}"
+        )
+    return message

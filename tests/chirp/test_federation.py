@@ -222,6 +222,16 @@ def test_cross_shard_rename_survives_drops_and_a_mid_transfer_restart():
     payload = input_bytes(CMS)
     client.put(payload, f"{src_dir}/blob")
     replays_before = sum(s.stats.replays for s in federation.servers())
+    # the keyed commit's reply is lost after the destination applied it,
+    # so its retry must be answered from the replay cache
+    raw_dst, _shard = client.client_for(dst_dir)
+    commit = raw_dst.rename
+
+    def commit_with_lost_reply(old, new):
+        plan.force("drop_after")
+        return commit(old, new)
+
+    raw_dst.rename = commit_with_lost_reply
 
     client.rename(f"{src_dir}/blob", f"{dst_dir}/blob")
 
@@ -229,8 +239,7 @@ def test_cross_shard_rename_survives_drops_and_a_mid_transfer_restart():
     assert client.get(f"{dst_dir}/blob") == payload  # no loss
     with pytest.raises(ChirpError):  # no duplication: the source is gone
         client.stat(f"{src_dir}/blob")
-    raw, _shard = client.client_for(dst_dir)
-    listing = raw.readdir(dst_dir)
+    listing = raw_dst.readdir(dst_dir)
     assert listing.count("blob") == 1
     assert not [n for n in listing if n.endswith(FED_XFER_SUFFIX)]
     retries = sum(c.stats.retries for c in client._clients.values())

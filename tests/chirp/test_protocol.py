@@ -1,7 +1,10 @@
 """Wire protocol framing for Chirp."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.chirp import CHIRP_PORT, ChirpClient, RetryPolicy
 from repro.chirp.protocol import (
     ALL_OPS,
     ChirpError,
@@ -13,7 +16,9 @@ from repro.chirp.protocol import (
     request,
 )
 from repro.kernel.errno import Errno
-from repro.net.rpc import ProtocolError
+from repro.kernel.timing import Clock, CostModel
+from repro.net.network import Network
+from repro.net.rpc import ProtocolError, encode_message
 
 
 def test_request_roundtrip():
@@ -82,3 +87,21 @@ def test_stat_payload_from_kernel_stat(machine, alice, alice_task):
     payload = StatPayload.from_stat(st)
     assert payload.size == 5
     assert payload.is_file and not payload.is_dir
+
+
+@pytest.mark.parametrize("code", [99999, "x", None])
+@pytest.mark.parametrize("retry", [None, RetryPolicy(max_attempts=3)], ids=["once", "retrying"])
+def test_unknown_errno_in_a_reply_is_a_protocol_error(code, retry):
+    reply = encode_message({"ok": False, "errno": code, "error": "?"})
+    with pytest.raises(ProtocolError):
+        parse_response(reply)
+    network = Network(clock=Clock(), costs=CostModel())
+    network.add_host("srv")
+    network.add_host("cli")
+    network.listen("srv", CHIRP_PORT, lambda peer: SimpleNamespace(handle=lambda f: reply))
+    client = ChirpClient.connect(network, "cli", "srv", retry=retry)
+    with pytest.raises(ChirpError) as info:
+        client.whoami()
+    assert info.value.errno is Errno.EBADMSG  # mapped, not a bare ValueError
+    if retry is not None:
+        assert client.connection.closed  # framing is suspect: never reused

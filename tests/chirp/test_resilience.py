@@ -12,6 +12,7 @@ import pytest
 from repro.chirp import (
     CHIRP_PORT,
     ChirpClient,
+    ChirpDriver,
     ChirpError,
     ChirpServer,
     GlobusAuthenticator,
@@ -27,8 +28,10 @@ from repro.kernel.errno import Errno
 from repro.kernel.fdtable import OpenFlags
 from repro.kernel.timing import NS_PER_MS, NS_PER_S
 from repro.net import Cluster, FaultPlan
+from repro.net.faults import mangle_frame
 from repro.net.rpc import decode_message, encode_message
 from repro.workloads import AMANDA, BLAST, CMS, HF, IBIS, MAKE
+from tests.helpers import forge_frame
 
 SERVER = "server1.nowhere.edu"
 LAPTOP = "laptop.cs.nowhere.edu"
@@ -219,17 +222,61 @@ def test_corrupted_request_poisons_one_connection_only():
     assert bystander.whoami() == f"globus:{FRED_DN}"
 
 
-def test_malformed_bytes_tag_poisons_one_connection_only():
+def poisons_one_connection_only(frame):
     cluster, server, wallet = make_world()
     bystander = connect_fred(cluster, wallet, retry=None)
     conn = cluster.network.connect(LAPTOP, SERVER, CHIRP_PORT)
-    reply = decode_message(conn.call(b'{"op":"stat","path":{"__b64__":5}}'))
+    reply = decode_message(conn.call(frame))
     assert reply["ok"] is False and reply["errno"] == int(Errno.EBADMSG)
     assert server.stats.protocol_errors == 1
     # the connection stays poisoned, even for a well-formed frame
     reply = decode_message(conn.call(encode_message({"op": "whoami"})))
     assert reply["errno"] == int(Errno.EPIPE)
     assert bystander.whoami() == f"globus:{FRED_DN}"
+
+
+def test_malformed_bytes_tag_poisons_one_connection_only():
+    # the payload slot points at the path string, not at a null
+    poisons_one_connection_only(
+        forge_frame(b'{"op":"stat","path":"/x"}', b'[[["path"],1]]', b"x")
+    )
+
+
+PWRITE = encode_message({"op": "pwrite", "fd": 3, "offset": 0, "data": b"x" * 64})
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        forge_frame(b'{"op":"pwrite","data":null}', b'[[["nope"],2]]', b"hi"),
+        forge_frame(b'{"op":"pwrite","data":null}', b'[[["data"],99]]', b"hi"),
+        PWRITE[: len(PWRITE) // 2],  # what the truncate fault does
+        mangle_frame(PWRITE),  # what the corrupt fault does
+    ],
+    ids=["bad-slot-path", "slot-past-the-end", "truncated", "corrupted"],
+)
+def test_damaged_frames_on_a_live_connection_get_ebadmsg(frame):
+    poisons_one_connection_only(frame)
+
+
+def test_driver_descriptor_survives_losing_the_wire_during_its_revival():
+    plan = FaultPlan(ports=(CHIRP_PORT,))
+    cluster, _server, wallet = make_world(plan)
+    fred = connect_fred(cluster, wallet)
+    fred.mkdir("/w")
+    driver = ChirpDriver(cluster.network, LAPTOP, [GlobusAuthenticator(wallet)], retry=RETRY)
+    handle = driver.open(f"/{SERVER}/w/out", OpenFlags.O_WRONLY | OpenFlags.O_CREAT, 0o644)
+    pwrite, dropped = handle.client.pwrite, []
+
+    def pwrite_on_a_dying_wire(fd, data, offset):
+        if len(dropped) < 2:  # the write, then its reopened descriptor
+            dropped.append(fd)
+            plan.force("drop")
+        return pwrite(fd, data, offset)
+
+    handle.client.pwrite = pwrite_on_a_dying_wire
+    assert driver.pwrite(handle, b"abc", 0) == 3
+    assert len(dropped) == 2 and fred.get("/w/out") == b"abc"
 
 
 def test_truncated_response_is_transient_and_retried():

@@ -33,6 +33,7 @@ def test_session_closes_even_on_body_error(cluster, server, fred_wallet):
             CLIENT_HOST,
             SERVER_HOST,
             authenticators=[GlobusAuthenticator(fred_wallet)],
+            retry=DEFAULT_RETRY,
         ) as client:
             raise RuntimeError("boom")
     assert client.connection.closed

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import base64
-import json
+import struct
 from dataclasses import astuple
 from typing import Any
 
@@ -17,14 +16,12 @@ from repro.kernel.machine import Machine, WorldSnapshot
 from repro.kernel.timing import CostModel
 from repro.kernel.users import Credentials
 from repro.kernel.vfs import MAX_SYMLINKS, WalkStats, split_path
-from repro.net.rpc import ProtocolError
 
 __all__ = [
     "boxed_read_file",
     "boxed_write_file",
+    "forge_frame",
     "make_machine",
-    "oracle_decode_message",
-    "oracle_encode_message",
     "oracle_normalize",
     "oracle_open_access",
     "oracle_walk",
@@ -168,67 +165,15 @@ def paths_related(cached: str, mutated: str) -> bool:
     )
 
 
+def forge_frame(header: bytes, slots: bytes = b"", *segments: bytes) -> bytes:
+    """A wire frame assembled by hand, as a hostile peer could send it:
+    the two-length prefix, the header, the slot list, then the segments."""
+    return struct.pack(">II", len(header), len(slots)) + header + slots + b"".join(segments)
+
+
 # ---------------------------------------------------------------------- #
 # reference implementations the hot path is checked against
 # ---------------------------------------------------------------------- #
-
-_BYTES_TAG = "__b64__"
-_ESCAPE_TAG = "__esc__"
-_TAG_SHAPES = ({_BYTES_TAG}, {_ESCAPE_TAG})
-
-
-def _oracle_encode_value(value: Any) -> Any:
-    if isinstance(value, bytes):
-        return {_BYTES_TAG: base64.b64encode(value).decode("ascii")}
-    if isinstance(value, dict):
-        encoded = {k: _oracle_encode_value(v) for k, v in value.items()}
-        if set(encoded.keys()) in _TAG_SHAPES:
-            return {_ESCAPE_TAG: encoded}
-        return encoded
-    if isinstance(value, (list, tuple)):
-        return [_oracle_encode_value(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    raise ProtocolError(f"cannot encode {type(value).__name__} on the wire")
-
-
-def _oracle_decode_value(value: Any) -> Any:
-    if isinstance(value, dict):
-        keys = set(value.keys())
-        if keys == {_BYTES_TAG}:
-            if not isinstance(value[_BYTES_TAG], str):
-                # the one deliberate difference from the original walk,
-                # which let base64 raise TypeError here
-                raise ProtocolError("bytes tag payload is not text")
-            return base64.b64decode(value[_BYTES_TAG])
-        if keys == {_ESCAPE_TAG} and isinstance(value[_ESCAPE_TAG], dict):
-            inner = value[_ESCAPE_TAG]
-            return {k: _oracle_decode_value(v) for k, v in inner.items()}
-        return {k: _oracle_decode_value(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_oracle_decode_value(v) for v in value]
-    return value
-
-
-def oracle_encode_message(message: dict[str, Any]) -> bytes:
-    """The wire format by definition: the recursive tag walk, then JSON."""
-    try:
-        return json.dumps(
-            _oracle_encode_value(message), separators=(",", ":"), sort_keys=True
-        ).encode("utf-8")
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"unencodable message: {exc}") from exc
-
-
-def oracle_decode_message(frame: bytes) -> dict[str, Any]:
-    """JSON, then the recursive tag walk over every value."""
-    try:
-        decoded = _oracle_decode_value(json.loads(frame.decode("utf-8")))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ProtocolError(f"bad frame: {exc}") from exc
-    if not isinstance(decoded, dict):
-        raise ProtocolError(f"frame is not a message dict: {type(decoded).__name__}")
-    return decoded
 
 
 def oracle_open_access(flags: OpenFlags) -> tuple[OpenFlags, bool, bool]:

@@ -1,8 +1,9 @@
-"""Message framing: JSON envelope with tagged bytes."""
+"""Message framing: a JSON header with its bytes values out of band."""
 
 import pytest
 
 from repro.net.rpc import ProtocolError, decode_message, encode_message
+from tests.helpers import forge_frame
 
 
 def test_scalar_roundtrip():
@@ -40,10 +41,8 @@ def test_bad_frame_raises():
 
 
 def test_non_dict_frame_raises():
-    import json
-
     with pytest.raises(ProtocolError):
-        decode_message(json.dumps([1, 2]).encode())
+        decode_message(forge_frame(b"[1,2]"))
 
 
 def test_encoding_is_deterministic():
@@ -54,21 +53,20 @@ def test_encoding_is_deterministic():
 def test_frame_size_reflects_payload():
     small = len(encode_message({"data": b"x"}))
     big = len(encode_message({"data": b"x" * 30000}))
-    assert big > small + 30000  # base64 expansion included
+    # the payload rides verbatim: only its declared length grows a digit
+    assert big == small + 29999 + len("30000") - len("1")
 
 
-# -- tag-collision escaping --------------------------------------------------- #
+# -- dicts shaped like the retired in-band tags are plain data ----------- #
 
 
 def test_user_dict_shaped_like_bytes_tag_roundtrips():
-    # a user payload that *looks* like the wire encoding of bytes must not
-    # be decoded as bytes — "not-base64!" isn't even valid base64
     msg = {"payload": {"__b64__": "not-base64!"}}
     assert decode_message(encode_message(msg)) == msg
 
 
 def test_user_dict_shaped_like_bytes_tag_with_valid_base64_roundtrips():
-    msg = {"payload": {"__b64__": "aGVsbG8="}}  # would decode to b"hello"
+    msg = {"payload": {"__b64__": "aGVsbG8="}}  # stays text, never b"hello"
     assert decode_message(encode_message(msg)) == msg
 
 
@@ -83,7 +81,6 @@ def test_escape_wrapping_nests():
 
 
 def test_escaped_dict_values_still_decode():
-    # values inside an escaped collision dict keep full wire semantics
     msg = {"__b64__": [b"real bytes", {"deep": b"more"}]}
     frame = encode_message({"payload": msg})
     assert decode_message(frame) == {"payload": msg}
@@ -95,19 +92,37 @@ def test_bytes_still_roundtrip_alongside_collisions():
 
 
 def test_hostile_escape_tag_with_non_dict_value_is_preserved():
-    import json
-
-    # a frame forged by a peer, not produced by encode_message: the escape
-    # tag wrapping a non-dict must not crash the decoder
-    frame = json.dumps({"x": {"__esc__": 5}}).encode()
+    frame = forge_frame(b'{"x":{"__esc__":5}}')
     assert decode_message(frame) == {"x": {"__esc__": 5}}
 
 
-def test_non_string_bytes_tag_payload_raises_protocol_error():
-    # a peer-forged tag whose payload is not text must be a framing error,
-    # not a TypeError from base64 escaping the decoder
+# -- strict accounting ---------------------------------------------------- #
+
+
+def test_slot_not_pointing_at_a_null_raises_protocol_error():
+    header = b'{"op":"stat","path":"/a","n":null,"l":[null]}'
+    for path in (
+        b'["path"]',  # a string, not a null
+        b'["op","x"]',  # through a string
+        b'["nope"]',  # no such key
+        b'["l",1]',  # past the list's end
+        b'["l",-1]',  # no index from the end
+        b'["l",true]',  # a bool is no index
+        b"[]",  # the message itself
+    ):
+        with pytest.raises(ProtocolError):
+            decode_message(forge_frame(header, b"[[%s,1]]" % path, b"x"))
+    # two slots may not fill one null
     with pytest.raises(ProtocolError):
-        decode_message(b'{"op":"stat","path":{"__b64__":5}}')
-    # the same tag spelled with a \u escape in its key
+        decode_message(forge_frame(header, b'[[["n"],1],[["n"],1]]', b"xy"))
+    assert decode_message(forge_frame(header, b'[[["l",0],1]]', b"x"))["l"] == [b"x"]
+
+
+@pytest.mark.parametrize(
+    "slots",
+    [b"[]", b"{}", b"[5]", b'[[["n"]]]', b'[[["n"],-1]]', b'[[["n"],"1"]]', b'[["n",1]]'],
+)
+def test_malformed_slot_lists_raise(slots):
     with pytest.raises(ProtocolError):
-        decode_message(b'{"op":"stat","path":{"\\u005f_b64__":[1]}}')
+        decode_message(forge_frame(b'{"n":null}', slots, b"x"))
+

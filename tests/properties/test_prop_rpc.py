@@ -1,5 +1,8 @@
 """Property tests: the wire codec."""
 
+import json
+import struct
+
 from hypothesis import given, settings, strategies as st
 
 from repro.net.rpc import decode_message, encode_message
@@ -49,5 +52,18 @@ def test_bytes_payloads_exact(data):
 
 
 @given(messages)
-def test_wire_is_pure_utf8(message):
-    encode_message(message).decode("utf-8")  # must not raise
+def test_header_is_utf8_json_and_segments_are_verbatim(message):
+    frame = encode_message(message)
+    header_len, slots_len = struct.unpack_from(">II", frame)
+    header_end = 8 + header_len
+    header = json.loads(frame[8:header_end].decode("utf-8"))
+    slots = json.loads(frame[header_end : header_end + slots_len]) if slots_len else []
+    offset = header_end + slots_len
+    for path, length in slots:
+        value, null = message, header
+        for step in path:
+            value, null = value[step], null[step]
+        assert null is None
+        assert frame[offset : offset + length] == value  # the payload, verbatim
+        offset += length
+    assert offset == len(frame)
