@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .. import config as repro_config
-from ..core.telemetry import Telemetry, format_trace_parent
+from ..core.telemetry import HandleCache, Telemetry, format_trace_parent
 from ..kernel.errno import Errno, KernelError
 from ..kernel.fdtable import OpenFlags
 from ..net.network import Connection, Network
@@ -81,6 +81,14 @@ class ChirpClient:
     _epoch: int = 0
     _idem_seq: int = 0
     _session_id: str = ""
+    _latency: HandleCache = field(
+        default_factory=lambda: HandleCache("histogram", "op"), repr=False, compare=False
+    )
+    _calls: HandleCache = field(
+        default_factory=lambda: HandleCache("counter", "op", "status"),
+        repr=False,
+        compare=False,
+    )
 
     # ------------------------------------------------------------------ #
     # session setup
@@ -231,8 +239,8 @@ class ChirpClient:
             status = "error"
         t = self.telemetry
         t.end_span(span, status=status)
-        t.observe("client.latency_ns", span.duration_ns, op=op)
-        t.counter_inc("client.calls", op=op, status=status)
+        self._latency.get(t, "client.latency_ns", op).observe(span.duration_ns)
+        self._calls.get(t, "client.calls", op, status).inc()
 
     def _call_once(self, op: str, fields: dict[str, Any]) -> dict[str, Any]:
         span, fields = self._start_rpc_span(op, fields)

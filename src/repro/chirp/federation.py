@@ -72,7 +72,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from ..core.acl import ACL_FILE_NAME
-from ..core.telemetry import Telemetry, instrument
+from ..core.telemetry import HandleCache, Telemetry, instrument
 from ..kernel.errno import Errno, KernelError
 from ..kernel.fdtable import OpenFlags
 from ..kernel.vfs import normalize
@@ -297,6 +297,7 @@ class FederatedClient:
         self.authenticators = list(authenticators)
         self.retry = retry
         self.telemetry = telemetry
+        self._counters = HandleCache("counter", "op", "shard")
         self.catalog_host = catalog_host
         self.catalog_port = catalog_port
         self.stats = FederationStats()
@@ -375,8 +376,7 @@ class FederatedClient:
             self._clients.pop(name).close()
         for name in [n for n in self._missed if n not in keep]:
             del self._missed[name]  # a departed shard's log is moot
-        if self.telemetry is not None:
-            self.telemetry.counter_inc("fed.map_rebuilds")
+        self._inc("fed.map_rebuilds")
         return True
 
     def close(self) -> None:
@@ -427,8 +427,11 @@ class FederatedClient:
 
     def _count(self, op: str, shard: ShardInfo) -> None:
         self.stats.count(shard.name)
+        self._inc("fed.ops", op, shard.name)
+
+    def _inc(self, name: str, op: str = "", shard: str = "", value: int = 1) -> None:
         if self.telemetry is not None:
-            self.telemetry.counter_inc("fed.ops", op=op, shard=shard.name)
+            self._counters.get(self.telemetry, name, op, shard).inc(value)
 
     def _span(self, op: str, **attrs: Any):
         t = self.telemetry
@@ -478,10 +481,7 @@ class FederatedClient:
                 if is_unavailable(error) and index + 1 < len(ordered):
                     last = error
                     self.stats.failover_reads += 1
-                    if self.telemetry is not None:
-                        self.telemetry.counter_inc(
-                            "repl.failover_reads", op=op, shard=shard.name
-                        )
+                    self._inc("repl.failover_reads", op, shard.name)
                     continue
                 raise error from exc
         raise last  # pragma: no cover - loop always raises or returns
@@ -516,8 +516,7 @@ class FederatedClient:
             if not definite:
                 raise downs[0][1]  # replicas=1: surface the original error
             self.stats.quorum_failures += 1
-            if self.telemetry is not None:
-                self.telemetry.counter_inc("repl.quorum_failures", op=op)
+            self._inc("repl.quorum_failures", op)
             raise ChirpError(
                 Errno.EAGAIN,
                 f"{op}: only {len(definite)} of the {need} replica answers"
@@ -525,8 +524,7 @@ class FederatedClient:
             )
         if len(ordered) > 1:
             self.stats.quorum_writes += 1
-            if self.telemetry is not None:
-                self.telemetry.counter_inc("repl.quorum_writes", op=op)
+            self._inc("repl.quorum_writes", op)
         error, result = definite[0]
         if error is not None:
             raise error
@@ -552,16 +550,14 @@ class FederatedClient:
             entries.pop(0)
         del self._missed[shard.name]
         self.stats.read_repairs += 1
-        if self.telemetry is not None:
-            self.telemetry.counter_inc("repl.read_repairs", shard=shard.name)
+        self._inc("repl.read_repairs", shard=shard.name)
 
     def _log_missed(
         self, shard: ShardInfo, op: str, apply: Callable[[ChirpClient], Any]
     ) -> None:
         self._missed.setdefault(shard.name, []).append((op, apply))
         self.stats.missed_writes += 1
-        if self.telemetry is not None:
-            self.telemetry.counter_inc("repl.missed_writes", op=op, shard=shard.name)
+        self._inc("repl.missed_writes", op, shard.name)
 
     def _delegated(self, op: str, path: str, call: Callable[[ChirpClient], Any]) -> Any:
         """Route a read: primary first, replica peers on unavailability."""
@@ -714,12 +710,7 @@ class FederatedClient:
                             as_chirp_error(exc)
                         ):
                             self.stats.failover_reads += 1
-                            if self.telemetry is not None:
-                                self.telemetry.counter_inc(
-                                    "repl.failover_reads",
-                                    op="readdir",
-                                    shard=shard.name,
-                                )
+                            self._inc("repl.failover_reads", "readdir", shard.name)
                             continue
                         raise as_chirp_error(exc) from exc
             finally:
@@ -822,9 +813,8 @@ class FederatedClient:
             )
             self.stats.transfers += 1
             self.stats.transfer_bytes += len(data)
-            if self.telemetry is not None:
-                self.telemetry.counter_inc("fed.transfers")
-                self.telemetry.counter_inc("fed.transfer_bytes", value=len(data))
+            self._inc("fed.transfers")
+            self._inc("fed.transfer_bytes", value=len(data))
         except ChirpError as exc:
             self._end(span, status=exc.errno.name)
             span = None

@@ -52,6 +52,7 @@ from ..core.pipeline import (
     ReadCache,
     build_pipeline,
 )
+from ..core.telemetry import HandleCache, is_trace_parent
 from .. import config as repro_config
 from ..gsi.cas import AdmissionPolicy, OpenPolicy
 from ..interpose.drivers import LocalDriver
@@ -421,6 +422,7 @@ class ChirpServer:
         )
         self.fs = LocalDriver(machine, self.owner_task)
         self.stats = ServerStats()
+        self._counters = HandleCache("counter", "op")
         self.overload = overload
         self._idem_cache: OrderedDict[str, bytes] = OrderedDict()
         self.registry = build_chirp_registry()
@@ -463,6 +465,10 @@ class ChirpServer:
 
     def _count_denial(self, op: Operation) -> None:
         self.stats.denials += 1
+
+    def _count(self, name: str, op: str = "", value: int = 1) -> None:
+        if self.telemetry is not None:
+            self._counters.get(self.telemetry, name, op).inc(value)
 
     # ------------------------------------------------------------------ #
     # setup
@@ -605,8 +611,7 @@ class _Connection:
             # only this connection — its identity state is released right
             # away — and never the accept loop
             server.stats.protocol_errors += 1
-            if server.telemetry is not None:
-                server.telemetry.counter_inc("chirp.protocol_errors")
+            server._count("chirp.protocol_errors")
             self._poison()
             return error_response(Errno.EBADMSG, f"unparseable frame: {exc}")
         op_name = message["op"]
@@ -621,14 +626,12 @@ class _Connection:
         # trace parent (``trace_id/span_id``, minted once per logical
         # call, so every retry of one call lands in one trace)
         idem = message.pop("idem", None)
-        trace = message.pop("trace", None)
-        telemetry = server.telemetry
+        trace = self._trace_parent(message.pop("trace", None))
         if idem is not None:
             cached = server._idem_cache.get(str(idem))
             if cached is not None:
                 server.stats.replays += 1
-                if telemetry is not None:
-                    telemetry.counter_inc("chirp.replays", op=op_name)
+                server._count("chirp.replays", op_name)
                 return cached
         if server.overload is not None and not server.overload.admit(
             server.machine.clock.now_ns
@@ -636,13 +639,12 @@ class _Connection:
             # overload shed: EAGAIN now beats queueing unboundedly;
             # deliberately not cached so the retry is re-admitted
             server.stats.sheds += 1
-            if telemetry is not None:
-                telemetry.counter_inc("chirp.sheds", op=op_name)
+            server._count("chirp.sheds", op_name)
             return error_response(Errno.EAGAIN, "server overloaded; retry later")
         try:
             op = self._bind(op_name, message)
-            if trace is not None:
-                op.scratch["trace_parent"] = str(trace)
+            if trace:
+                op.scratch["trace_parent"] = trace
             payload = self.server.pipeline.run(op, self)
             response = ok_response(**(payload or {}))
         except KernelError as exc:
@@ -667,22 +669,19 @@ class _Connection:
         exactly as the same requests sent singly would behave.
         """
         server = self.server
-        telemetry = server.telemetry
         idem = message.pop("idem", None)
-        trace = message.pop("trace", None)
+        trace = self._trace_parent(message.pop("trace", None))
         if idem is not None:
             cached = server._idem_cache.get(str(idem))
             if cached is not None:
                 server.stats.replays += 1
-                if telemetry is not None:
-                    telemetry.counter_inc("chirp.replays", op=BATCH_OP)
+                server._count("chirp.replays", BATCH_OP)
                 return cached
         if server.overload is not None and not server.overload.admit(
             server.machine.clock.now_ns
         ):
             server.stats.sheds += 1
-            if telemetry is not None:
-                telemetry.counter_inc("chirp.sheds", op=BATCH_OP)
+            server._count("chirp.sheds", BATCH_OP)
             return error_response(Errno.EAGAIN, "server overloaded; retry later")
         frames = message.get("frames")
         if (
@@ -700,11 +699,8 @@ class _Connection:
         identity = str(self.principal)
         server.stats.batches += 1
         server.stats.coalesced += len(frames)
-        if telemetry is not None:
-            telemetry.counter_inc("fastlane.batches")
-            telemetry.counter_inc(
-                "fastlane.coalesced_frames", value=len(frames)
-            )
+        server._count("fastlane.batches")
+        server._count("fastlane.coalesced_frames", value=len(frames))
         results = [self._run_frame(sub, identity, trace) for sub in frames]
         response = ok_response(results=results)
         if idem is not None:
@@ -712,7 +708,7 @@ class _Connection:
         return response
 
     def _run_frame(
-        self, sub: Any, identity: str, trace: Any
+        self, sub: Any, identity: str, trace: str
     ) -> dict[str, Any]:
         """One inner request of a batch; failures stay in this slot."""
         server = self.server
@@ -730,8 +726,8 @@ class _Connection:
         try:
             op = self._bind(op_name, sub)
             op.identity = identity
-            if trace is not None:
-                op.scratch["trace_parent"] = str(trace)
+            if trace:
+                op.scratch["trace_parent"] = trace
             payload = server.pipeline.run(op, self) or {}
             return {"ok": True, **payload}
         except KernelError as exc:
@@ -744,6 +740,16 @@ class _Connection:
                 "errno": int(Errno.EINVAL),
                 "error": f"malformed {op_name!r} request: {exc}",
             }
+
+    def _trace_parent(self, trace: Any) -> str:
+        """The wire ``trace`` field if it has the shape
+        :func:`format_trace_parent` writes, else ``""``: the server span
+        then starts a fresh root trace and ``chirp.bad_trace`` counts the
+        field a remote peer sent."""
+        if trace is None or is_trace_parent(trace):
+            return trace or ""
+        self.server._count("chirp.bad_trace")
+        return ""
 
     def _remember(self, idem: str, response: bytes) -> None:
         cache = self.server._idem_cache

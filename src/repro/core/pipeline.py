@@ -51,7 +51,7 @@ from .ops import (
     acl_dir_for,
     open_mutates,
 )
-from .telemetry import Telemetry, TracingInterceptor
+from .telemetry import HandleCache, Telemetry, TracingInterceptor
 
 #: Interceptor signature: ``(op, ctx, proceed) -> result``.  Call
 #: ``proceed()`` to continue down the chain; raise to short-circuit.
@@ -348,6 +348,7 @@ class ReadCache:
         self.misses = 0
         self.invalidations = 0
         self.flushes = 0
+        self._counters = HandleCache("counter", "op")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -362,9 +363,9 @@ class ReadCache:
             "entries": len(self._entries),
         }
 
-    def _count(self, name: str, value: int = 1, **labels: str) -> None:
+    def _count(self, name: str, op: str = "", value: int = 1) -> None:
         if self.telemetry is not None:
-            self.telemetry.counter_inc(name, value, **labels)
+            self._counters.get(self.telemetry, name, op).inc(value)
 
     def _key(self, op: Operation) -> tuple | None:
         path_fields = {bound.spec.field for bound in op.paths}
@@ -423,7 +424,7 @@ class ReadCache:
     def _dropped(self, dropped: int) -> None:
         if dropped:
             self.invalidations += dropped
-            self._count("fastlane.cache.invalidations", dropped)
+            self._count("fastlane.cache.invalidations", value=dropped)
 
     def invalidate_all(self) -> None:
         dropped = len(self._entries)
@@ -485,12 +486,12 @@ class ReadCache:
                 if key in self._entries:
                     self._entries.move_to_end(key)
                     self.hits += 1
-                    self._count("fastlane.cache.hits", op=name)
+                    self._count("fastlane.cache.hits", name)
                     value = self._entries[key]
                     return dict(value) if isinstance(value, dict) else value
                 result = proceed()
                 self.misses += 1
-                self._count("fastlane.cache.misses", op=name)
+                self._count("fastlane.cache.misses", name)
                 if op.scratch.get(CROSSED_SYMLINK):
                     return result
                 self._entries[key] = (

@@ -9,7 +9,11 @@ This module provides it, in three pieces:
   and fixed-bucket latency histograms, all stamped from the *simulated*
   clock.  Recording never advances the clock, so instrumentation is
   invisible to the thing being measured: a run with telemetry attached
-  spends exactly the same simulated nanoseconds as a bare run.
+  spends exactly the same simulated nanoseconds as a bare run.  Hot
+  paths bind an instrument once (:meth:`Telemetry.counter`,
+  :meth:`Telemetry.histogram`) and record through the handle with one
+  add; each metric name holds a bounded number of label sets, the rest
+  folding into one counted overflow series.
 * :class:`Span` — one timed unit of work in a trace tree.  Spans nest
   through a stack on the owning :class:`Telemetry` (the simulation is
   single-threaded, so stack discipline holds), and a ``trace_id`` can be
@@ -17,8 +21,11 @@ This module provides it, in three pieces:
   nest under the RPC that caused them.
 * :class:`TracingInterceptor` — the pipeline hookup.  Installed at the
   mouth of :func:`repro.core.pipeline.build_pipeline`, it opens a span
-  per operation, observes per-op/per-surface/per-identity latency into
-  the shared histograms, and counts outcomes (ok / errno, denials).
+  per operation, observes per-surface/per-op latency into the shared
+  histograms, and counts outcomes (ok / errno, denials).  The acting
+  identity goes on the span, never on a metric label, so the registry
+  does not grow with the number of principals; each denial series keeps
+  the last denied principal and errno as its exemplar.
 
 Everything a snapshot returns is a fresh copy: callers may mutate the
 result freely without corrupting live state (see ``Pipeline.stats``).
@@ -27,6 +34,7 @@ result freely without corrupting live state (see ``Pipeline.stats``).
 from __future__ import annotations
 
 import itertools
+import re
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
@@ -50,6 +58,14 @@ _SPAN_IDS = itertools.count(1)
 
 #: Label-set key: a canonical, hashable rendering of **labels.
 LabelKey = tuple[tuple[str, str], ...]
+
+#: Most label sets one metric name holds.  Past it, a new label set
+#: records into the name's :data:`OVERFLOW_KEY` series, so a cardinality
+#: leak shows up as a count there instead of as memory.
+MAX_SERIES_PER_NAME = 1024
+
+#: The one series every label set past the cap folds into.
+OVERFLOW_KEY: LabelKey = (("overflow", "1"),)
 
 
 def _label_key(labels: dict[str, Any]) -> LabelKey:
@@ -90,9 +106,10 @@ class Histogram:
         value_ns = int(value_ns)
         if self.count == 0:
             self.min = self.max = value_ns
-        else:
-            self.min = min(self.min, value_ns)
-            self.max = max(self.max, value_ns)
+        elif value_ns < self.min:
+            self.min = value_ns
+        elif value_ns > self.max:
+            self.max = value_ns
         self.count += 1
         self.sum += value_ns
         self.counts[bisect_left(self.edges, value_ns)] += 1
@@ -198,7 +215,7 @@ class LatencyStats:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed unit of work inside a trace tree."""
 
@@ -238,10 +255,108 @@ def format_trace_parent(span: Span) -> str:
     return f"{span.trace_id}/{span.span_id}"
 
 
+#: A ``trace`` wire field as :func:`format_trace_parent` writes it; the
+#: digit runs are bounded so a peer cannot hand over an unbounded id.
+_TRACE_PARENT = re.compile(r"t[0-9]{1,20}/s[0-9]{1,20}")
+
+
+def is_trace_parent(value: Any) -> bool:
+    """Could :func:`format_trace_parent` have written ``value``?"""
+    return isinstance(value, str) and _TRACE_PARENT.fullmatch(value) is not None
+
+
 def parse_trace_parent(text: str) -> tuple[str, str]:
     """Split a wire ``trace`` field; tolerant of a bare trace id."""
     trace_id, _, span_id = str(text).partition("/")
     return trace_id, span_id
+
+
+class _Cell:
+    """One counter or gauge series: its value and, for counters that keep
+    one, the exemplar recorded with the latest increment."""
+
+    __slots__ = ("value", "exemplar")
+
+    def __init__(self) -> None:
+        self.value = 0
+        self.exemplar: dict[str, Any] | None = None
+
+
+class _Handle:
+    """One label set of one metric, resolved once.
+
+    The series itself is found on first record (a handle that never
+    records never shows in a snapshot) and found again after
+    :meth:`Telemetry.reset`, which starts a new epoch; between the two
+    every record is one attribute check and one add.
+    """
+
+    __slots__ = ("telemetry", "name", "key", "_store", "_new", "_series", "_epoch")
+
+    def __init__(self, telemetry: "Telemetry", name: str, key: LabelKey, store, new) -> None:
+        self.telemetry = telemetry
+        self.name = name
+        self.key = key
+        #: the registry's series of this kind, and how to make one
+        self._store = store
+        self._new = new
+        self._series: Any = None
+        self._epoch = -1
+
+    def _resolve(self) -> Any:
+        t = self.telemetry
+        self._series = t._series(self._store, self.name, self.key, self._new)
+        self._epoch = t._epoch
+        return self._series
+
+    def _peek(self) -> Any:
+        """The series this handle records into, without creating it."""
+        if self._epoch == self.telemetry._epoch:
+            return self._series
+        return self.telemetry._series(self._store, self.name, self.key)
+
+
+class CounterHandle(_Handle):
+    """A bound counter: ``inc()`` is one add into the registry."""
+
+    __slots__ = ()
+
+    def inc(self, value: int = 1, exemplar: dict[str, Any] | None = None) -> None:
+        """Add ``value``; an ``exemplar`` replaces the series' last one."""
+        t = self.telemetry
+        if not t.enabled:
+            return
+        cell = self._series if self._epoch == t._epoch else self._resolve()
+        cell.value += value
+        if exemplar is not None:
+            cell.exemplar = exemplar
+
+    @property
+    def value(self) -> int:
+        cell = self._peek()
+        return cell.value if cell is not None else 0
+
+
+class HistogramHandle(_Handle):
+    """A bound histogram: ``observe()`` goes straight to its series.
+
+    Reads (``count``, ``mean``, ``percentile()``, ``snapshot()``...) are
+    those of the series, or of an empty histogram before the first
+    observation.
+    """
+
+    __slots__ = ()
+
+    def observe(self, value_ns: int) -> None:
+        t = self.telemetry
+        if not t.enabled:
+            return
+        hist = self._series if self._epoch == t._epoch else self._resolve()
+        hist.observe(value_ns)
+
+    def __getattr__(self, attr: str) -> Any:
+        hist = self._peek()
+        return getattr(hist if hist is not None else self._new(), attr)
 
 
 class Telemetry:
@@ -250,6 +365,12 @@ class Telemetry:
     All mutating methods are no-ops when ``enabled`` is false, and no
     method ever advances the simulated clock, so attaching telemetry is
     free in simulated time by construction.
+
+    Hot paths bind an instrument once (:meth:`counter`, :meth:`histogram`)
+    and keep the handle; :meth:`counter_inc` and :meth:`observe` are the
+    cold-path spelling of the same lookup.  Each metric name holds at
+    most :data:`MAX_SERIES_PER_NAME` label sets; the rest fold into its
+    ``{overflow=1}`` series.
     """
 
     def __init__(
@@ -263,9 +384,13 @@ class Telemetry:
         self.clock = clock
         self.enabled = enabled
         self.bucket_edges_ns = tuple(bucket_edges_ns)
-        self.counters: dict[tuple[str, LabelKey], int] = {}
-        self.gauges: dict[tuple[str, LabelKey], float] = {}
-        self.histograms: dict[tuple[str, LabelKey], Histogram] = {}
+        #: name -> label set -> series
+        self._counters: dict[str, dict[LabelKey, _Cell]] = {}
+        self._gauges: dict[str, dict[LabelKey, _Cell]] = {}
+        self._histograms: dict[str, dict[LabelKey, Histogram]] = {}
+        #: bumped by :meth:`reset`: a handle resolved in an older epoch
+        #: finds its series again on its next record
+        self._epoch = 0
         self.spans: deque[Span] = deque(maxlen=max_spans)
         self._stack: list[Span] = []
 
@@ -277,51 +402,98 @@ class Telemetry:
         return self.clock.now_ns if self.clock is not None else 0
 
     # ------------------------------------------------------------------ #
+    # the registry
+    # ------------------------------------------------------------------ #
+
+    def _series(self, store, name: str, key: LabelKey, new=None) -> Any:
+        """The series of ``name`` for label set ``key``.
+
+        A label set the name has no room for reads (and, with ``new``,
+        records into) the overflow series.  Without ``new`` nothing is
+        created and a missing series is ``None``.
+        """
+        family = store.get(name)
+        if family is None:
+            if new is None:
+                return None
+            family = store[name] = {}
+        series = family.get(key)
+        if series is None:
+            if len(family) >= MAX_SERIES_PER_NAME:
+                key = OVERFLOW_KEY
+                series = family.get(key)
+            if series is None and new is not None:
+                series = family[key] = new()
+        return series
+
+    @staticmethod
+    def _flat(store) -> dict[tuple[str, LabelKey], Any]:
+        return {
+            (name, key): series
+            for name, family in store.items()
+            for key, series in family.items()
+        }
+
+    @property
+    def counters(self) -> dict[tuple[str, LabelKey], int]:
+        """Every counter series' value by ``(name, label set)``; a copy."""
+        return {key: cell.value for key, cell in self._flat(self._counters).items()}
+
+    @property
+    def gauges(self) -> dict[tuple[str, LabelKey], float]:
+        return {key: cell.value for key, cell in self._flat(self._gauges).items()}
+
+    @property
+    def histograms(self) -> dict[tuple[str, LabelKey], Histogram]:
+        """Every live histogram by ``(name, label set)``."""
+        return self._flat(self._histograms)
+
+    # ------------------------------------------------------------------ #
     # counters and gauges
     # ------------------------------------------------------------------ #
 
-    def counter_inc(self, name: str, value: int = 1, **labels: Any) -> None:
-        if not self.enabled:
-            return
-        key = (name, _label_key(labels))
-        self.counters[key] = self.counters.get(key, 0) + value
+    def counter(self, name: str, **labels: Any) -> CounterHandle:
+        """Bind one label set of a counter; keep the handle, call ``inc()``."""
+        return CounterHandle(self, name, _label_key(labels), self._counters, _Cell)
 
-    def counter(self, name: str, **labels: Any) -> int:
-        return self.counters.get((name, _label_key(labels)), 0)
+    def counter_inc(self, name: str, value: int = 1, **labels: Any) -> None:
+        if self.enabled:
+            self._series(self._counters, name, _label_key(labels), _Cell).value += value
 
     def counter_total(self, name: str) -> int:
         """Sum of a counter across every label combination."""
-        return sum(v for (n, _k), v in self.counters.items() if n == name)
+        return sum(cell.value for cell in self._counters.get(name, {}).values())
 
     def gauge_set(self, name: str, value: float, **labels: Any) -> None:
-        if not self.enabled:
-            return
-        self.gauges[(name, _label_key(labels))] = value
+        if self.enabled:
+            self._series(self._gauges, name, _label_key(labels), _Cell).value = value
 
     def gauge(self, name: str, **labels: Any) -> float:
-        return self.gauges.get((name, _label_key(labels)), 0.0)
+        cell = self._series(self._gauges, name, _label_key(labels))
+        return cell.value if cell is not None else 0.0
 
     # ------------------------------------------------------------------ #
     # histograms
     # ------------------------------------------------------------------ #
 
-    def histogram(self, name: str, **labels: Any) -> Histogram:
-        """The histogram for this exact label set (created on demand)."""
-        key = (name, _label_key(labels))
-        hist = self.histograms.get(key)
-        if hist is None:
-            hist = self.histograms[key] = Histogram(edges=self.bucket_edges_ns)
-        return hist
+    def histogram(self, name: str, **labels: Any) -> HistogramHandle:
+        """Bind one label set of a histogram; keep the handle, call
+        ``observe()``, read it like a :class:`Histogram`."""
+        return HistogramHandle(
+            self, name, _label_key(labels), self._histograms, self._new_histogram
+        )
+
+    def _new_histogram(self) -> Histogram:
+        return Histogram(edges=self.bucket_edges_ns)
 
     def observe(self, name: str, value_ns: int, **labels: Any) -> None:
-        if not self.enabled:
-            return
-        self.histogram(name, **labels).observe(value_ns)
+        if self.enabled:
+            self._series(
+                self._histograms, name, _label_key(labels), self._new_histogram
+            ).observe(value_ns)
 
     def histograms_named(self, name: str) -> Iterator[tuple[LabelKey, Histogram]]:
-        for (n, key), hist in self.histograms.items():
-            if n == name:
-                yield key, hist
+        yield from self._histograms.get(name, {}).items()
 
     # ------------------------------------------------------------------ #
     # spans
@@ -351,15 +523,10 @@ class Telemetry:
             trace_id, parent_id = top.trace_id, top.span_id
         else:
             trace_id, parent_id = f"t{next(_TRACE_IDS):06d}", ""
+        # positional, in field order; ``attrs`` is this call's own dict
         span = Span(
-            name=name,
-            trace_id=trace_id,
-            span_id=f"s{next(_SPAN_IDS):06d}",
-            parent_id=parent_id,
-            surface=surface,
-            identity=identity,
-            start_ns=self.now_ns(),
-            attrs=dict(attrs),
+            name, trace_id, f"s{next(_SPAN_IDS):06d}", parent_id, surface,
+            identity, self.now_ns(), 0, "ok", attrs,
         )
         self._stack.append(span)
         return span
@@ -369,11 +536,14 @@ class Telemetry:
             return
         span.end_ns = self.now_ns()
         span.status = status
-        if span in self._stack:
+        stack = self._stack
+        if stack and stack[-1] is span:
+            stack.pop()
+        elif any(open_span is span for open_span in stack):
             # pop through (tolerates a caller that leaked a child span)
-            while self._stack and self._stack[-1] is not span:
-                self._stack.pop()
-            self._stack.pop()
+            while stack[-1] is not span:
+                stack.pop()
+            stack.pop()
         self.spans.append(span)
 
     def current_span(self) -> Span | None:
@@ -400,15 +570,20 @@ class Telemetry:
         included; ``None`` includes them all.  Mutating the returned
         structure never touches live state.
         """
-        span_list = list(self.spans)
+        span_list = list(self.spans) if spans != 0 else []
         if spans is not None:
             span_list = span_list[-spans:]
+        counters = sorted(self._flat(self._counters).items())
         return {
             "enabled": self.enabled,
             "clock_ns": self.now_ns(),
             "counters": {
-                _render_key(name, key): value
-                for (name, key), value in sorted(self.counters.items())
+                _render_key(name, key): cell.value for (name, key), cell in counters
+            },
+            "exemplars": {
+                _render_key(name, key): dict(cell.exemplar)
+                for (name, key), cell in counters
+                if cell.exemplar is not None
             },
             "gauges": {
                 _render_key(name, key): value
@@ -422,9 +597,11 @@ class Telemetry:
         }
 
     def reset(self) -> None:
-        self.counters.clear()
-        self.gauges.clear()
-        self.histograms.clear()
+        """Forget everything recorded; bound handles stay usable."""
+        self._counters.clear()
+        self._gauges.clear()
+        self._histograms.clear()
+        self._epoch += 1
         self.spans.clear()
         self._stack.clear()
 
@@ -445,6 +622,32 @@ class Telemetry:
         )
 
 
+class HandleCache:
+    """The handles of one kind (``"counter"`` or ``"histogram"``) that a
+    site records into, each bound on first use.
+
+    Keyed by metric name and the values of the site's labels (``""``
+    leaves a label off), and bound again when the site's telemetry is
+    swapped for another, so the site passes whatever telemetry it holds.
+    """
+
+    __slots__ = ("kind", "labels", "_handles")
+
+    def __init__(self, kind: str, *labels: str) -> None:
+        self.kind = kind
+        self.labels = labels
+        self._handles: dict[tuple[str, ...], Any] = {}
+
+    def get(self, telemetry: Telemetry, name: str, *values: str) -> Any:
+        key = (name, *values)
+        handle = self._handles.get(key)
+        if handle is None or handle.telemetry is not telemetry:
+            labels = {label: v for label, v in zip(self.labels, values) if v}
+            handle = getattr(telemetry, self.kind)(name, **labels)
+            self._handles[key] = handle
+        return handle
+
+
 def instrument(machine) -> Telemetry:
     """Attach a fresh :class:`Telemetry` to a machine's clock.
 
@@ -460,6 +663,29 @@ def instrument(machine) -> Telemetry:
 _DENIAL_STATUSES = frozenset({"EACCES", "EPERM"})
 
 
+class _OpInstruments:
+    """The handles one ``(surface, op)`` records into, bound once."""
+
+    __slots__ = ("span_name", "latency", "ops", "denials", "outcomes", "labels")
+
+    def __init__(self, telemetry: Telemetry, surface: str, op: str) -> None:
+        self.span_name = f"{surface}:{op}"
+        self.labels = {"surface": surface, "op": op}
+        self.latency = telemetry.histogram("pipeline.latency_ns", **self.labels)
+        self.ops = telemetry.counter("pipeline.ops", **self.labels)
+        self.denials = telemetry.counter("pipeline.denials", **self.labels)
+        #: status -> its ``pipeline.outcomes`` handle, bound on first sight
+        self.outcomes: dict[str, CounterHandle] = {}
+
+    def outcome(self, status: str) -> CounterHandle:
+        handle = self.outcomes.get(status)
+        if handle is None:
+            handle = self.outcomes[status] = self.ops.telemetry.counter(
+                "pipeline.outcomes", status=status, **self.labels
+            )
+        return handle
+
+
 class TracingInterceptor:
     """Pipeline-mouth interceptor: spans + latency histograms + outcomes.
 
@@ -471,6 +697,9 @@ class TracingInterceptor:
     the caller's trace; otherwise nesting follows the active-span stack,
     which is how a remote ``exec``'s boxed syscalls end up under the RPC
     span that spawned them.
+
+    Metrics are labelled by surface and op only: the acting identity
+    goes on the span, and a denial leaves it as its series' exemplar.
     """
 
     #: scratch slot surfaces use to hand over a wire trace parent
@@ -478,15 +707,24 @@ class TracingInterceptor:
 
     def __init__(self, telemetry: Telemetry) -> None:
         self.telemetry = telemetry
+        #: (surface, op) -> its bound handles, for ``_bound_to`` only
+        self._instruments: dict[tuple[str, str], _OpInstruments] = {}
+        self._bound_to: Telemetry | None = None
 
     def __call__(self, op, ctx, proceed):
         t = self.telemetry
         if t is None or not t.enabled:
             return proceed()
+        if t is not self._bound_to:
+            self._instruments, self._bound_to = {}, t
+        key = (op.surface, op.name)
+        inst = self._instruments.get(key)
+        if inst is None:
+            inst = self._instruments[key] = _OpInstruments(t, *key)
         span = t.start_span(
-            f"{op.surface}:{op.name}",
+            inst.span_name,
             surface=op.surface,
-            trace_parent=str(op.scratch.pop(self.SCRATCH_KEY, "") or ""),
+            trace_parent=op.scratch.pop(self.SCRATCH_KEY, ""),
         )
         status = "ok"
         try:
@@ -501,11 +739,8 @@ class TracingInterceptor:
             identity = op.identity or "?"
             span.identity = identity
             t.end_span(span, status=status)
-            labels = {"surface": op.surface, "op": op.name, "identity": identity}
-            t.observe("pipeline.latency_ns", span.duration_ns, **labels)
-            t.counter_inc("pipeline.ops", **labels)
-            t.counter_inc(
-                "pipeline.outcomes", surface=op.surface, op=op.name, status=status
-            )
+            inst.latency.observe(span.duration_ns)
+            inst.ops.inc()
+            inst.outcome(status).inc()
             if status in _DENIAL_STATUSES:
-                t.counter_inc("pipeline.denials", **labels)
+                inst.denials.inc(exemplar={"identity": identity, "errno": status})

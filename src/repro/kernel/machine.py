@@ -118,6 +118,8 @@ class Machine:
         #: — the kernel never imports it).  When attached, every completed
         #: simulated-process syscall lands in a per-op latency histogram.
         self.telemetry = telemetry
+        #: (syscall, mode) -> bound latency histogram handle
+        self._latency_hists: dict[tuple[str, str], Any] = {}
         self.users = UserDB()
         self.fs = LocalFS()
         self.vfs = VFS(self.fs)
@@ -620,11 +622,8 @@ class Machine:
             if result is PARKED:
                 return  # blocked on a pipe mid-call; retried on wakeup
             if measure:
-                telemetry.observe(
-                    "syscall.latency_ns",
-                    self.clock.now_ns - start_ns,
-                    op=name,
-                    mode="traced",
+                self._latency(telemetry, name, "traced").observe(
+                    self.clock.now_ns - start_ns
                 )
         else:
             self.clock.advance(self.costs.syscall_trap_ns, "trap")
@@ -634,17 +633,23 @@ class Machine:
                 self._park(proc, request, wb)
                 return
             if measure:
-                telemetry.observe(
-                    "syscall.latency_ns",
-                    self.clock.now_ns - start_ns,
-                    op=name,
-                    mode="direct",
+                self._latency(telemetry, name, "direct").observe(
+                    self.clock.now_ns - start_ns
                 )
         if not proc.alive:
             return  # the call terminated the caller (e.g. kill(self))
         proc.pending_result = result
         proc.state = ProcessState.READY
         self._ready.append(proc.pid)
+
+    def _latency(self, telemetry, name: str, mode: str):
+        """The ``syscall.latency_ns`` histogram handle of one op and mode,
+        bound once per attached telemetry."""
+        hist = self._latency_hists.get((name, mode))
+        if hist is None or hist.telemetry is not telemetry:
+            hist = telemetry.histogram("syscall.latency_ns", op=name, mode=mode)
+            self._latency_hists[name, mode] = hist
+        return hist
 
     def _handle_waitpid(self, proc: Process) -> None:
         zombies = [

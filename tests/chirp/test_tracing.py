@@ -138,7 +138,7 @@ def test_retried_frame_reuses_the_original_trace_id():
     client.mkdir("/w")
 
     assert client.stats.retries >= 1
-    assert client_tel.counter("client.retries", op="mkdir") >= 1
+    assert client_tel.counter("client.retries", op="mkdir").value >= 1
     rpc = only_span(client_tel, "rpc:mkdir")  # one logical call, one span
     remote = only_span(server_tel, "chirp:mkdir")
     assert remote.trace_id == rpc.trace_id
@@ -155,7 +155,7 @@ def test_replayed_retry_shares_the_trace_and_executes_once():
     client.mkdir("/solo")
 
     assert server.stats.replays == 1
-    assert server_tel.counter("chirp.replays", op="mkdir") == 1
+    assert server_tel.counter("chirp.replays", op="mkdir").value == 1
     rpc = only_span(client_tel, "rpc:mkdir")
     remote = only_span(server_tel, "chirp:mkdir")
     assert remote.trace_id == rpc.trace_id

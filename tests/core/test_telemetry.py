@@ -13,9 +13,12 @@ from repro.core.box import IdentityBox
 from repro.core.pipeline import CircuitBreaker
 from repro.core.telemetry import (
     DEFAULT_BUCKET_EDGES_NS,
+    MAX_SERIES_PER_NAME,
+    OVERFLOW_KEY,
     Histogram,
     LatencyStats,
     Telemetry,
+    TracingInterceptor,
     format_trace_parent,
     instrument,
     parse_trace_parent,
@@ -115,9 +118,9 @@ def test_counters_are_per_label_set_with_a_cross_label_total():
     t.counter_inc("ops", op="open")
     t.counter_inc("ops", op="open")
     t.counter_inc("ops", op="close")
-    assert t.counter("ops", op="open") == 2
-    assert t.counter("ops", op="close") == 1
-    assert t.counter("ops", op="stat") == 0
+    assert t.counter("ops", op="open").value == 2
+    assert t.counter("ops", op="close").value == 1
+    assert t.counter("ops", op="stat").value == 0
     assert t.counter_total("ops") == 3
 
 
@@ -166,7 +169,7 @@ def test_mutating_a_telemetry_snapshot_leaves_live_state_intact():
     snap["counters"].clear()
     snap["histograms"]["lat{op=open}"]["buckets"].clear()
     snap["spans"].clear()
-    assert t.counter("ops", op="open") == 1
+    assert t.counter("ops", op="open").value == 1
     assert t.histogram("lat", op="open").count == 1
     assert len(t.spans) == 1
     assert t.snapshot()["counters"] == {"ops{op=open}": 1}
@@ -264,3 +267,107 @@ def test_fork_detaches_lineage_and_state():
     # recording stays fully separate in both directions
     assert parent.spans_named("forked-op") == []
     assert child.spans_named("outer") == []
+
+
+# -- bound handles ------------------------------------------------------------ #
+
+
+def test_a_bound_handle_records_into_the_series_the_keyword_path_reads():
+    t = Telemetry()
+    opens = t.counter("ops", op="open")
+    opens.inc()
+    opens.inc(2)
+    t.counter_inc("ops", op="open")
+    assert opens.value == 4 == t.counter("ops", op="open").value
+    lat = t.histogram("lat", op="open")
+    lat.observe(1_000)
+    t.observe("lat", 3_000, op="open")
+    assert lat.count == 2 and lat.sum == 4_000
+    assert t.snapshot()["histograms"]["lat{op=open}"]["count"] == 2
+
+
+def test_a_handle_that_never_records_leaves_no_series():
+    t = Telemetry()
+    t.counter("ops", op="open")
+    t.histogram("lat", op="open")
+    assert t.counters == {} and t.histograms == {}
+    assert t.histogram("lat", op="open").count == 0
+
+
+def test_handles_survive_reset_and_follow_the_enabled_flag():
+    t = Telemetry()
+    ops, lat = t.counter("ops"), t.histogram("lat")
+    ops.inc(5)
+    lat.observe(100)
+    t.reset()
+    assert ops.value == 0 and lat.count == 0 and t.counters == {}
+    ops.inc()
+    lat.observe(200)
+    assert t.counters == {("ops", ()): 1}
+    assert t.histogram("lat").max == 200 and t.histogram("lat").count == 1
+    t.enabled = False
+    ops.inc()
+    lat.observe(300)
+    assert ops.value == 1 and lat.count == 1
+    t.enabled = True
+    ops.inc()
+    assert t.counter_total("ops") == 2
+
+
+def test_handles_stay_with_their_own_registry_across_fork():
+    parent = Telemetry(Clock())
+    ops = parent.counter("pipeline.ops", surface="chirp", op="stat")
+    ops.inc()
+    child = parent.fork()
+    ops.inc()
+    child.counter("pipeline.ops", surface="chirp", op="stat").inc(10)
+    assert parent.counter_total("pipeline.ops") == 2
+    assert child.counter_total("pipeline.ops") == 10
+
+
+def test_label_sets_past_the_cap_fold_into_one_counted_overflow_series():
+    t = Telemetry()
+    for i in range(MAX_SERIES_PER_NAME):
+        t.counter("ops", op=f"op{i}").inc()
+    extra = t.counter("ops", op="one-too-many")
+    extra.inc(3)
+    t.counter_inc("ops", op="another", value=4)
+    t.observe("lat", 7, op="x")  # another name has its own room
+    counters = t.counters
+    assert len(counters) == MAX_SERIES_PER_NAME + 1
+    assert counters[("ops", OVERFLOW_KEY)] == 7
+    assert ("ops", (("op", "one-too-many"),)) not in counters
+    assert t.snapshot()["counters"]["ops{overflow=1}"] == 7
+    assert t.counter_total("ops") == MAX_SERIES_PER_NAME + 7
+    assert extra.value == 7  # a folded handle reads the series it adds to
+    assert t.histogram("lat", op="x").count == 1
+
+
+def _deny(interceptor: TracingInterceptor, identity: str) -> None:
+    op = type("Op", (), {})()
+    op.surface, op.name, op.identity, op.scratch = "chirp", "mkdir", identity, {}
+
+    def refuse():
+        raise err(Errno.EACCES, "not on the ACL")
+
+    with pytest.raises(KernelError):
+        interceptor(op, None, refuse)
+
+
+def test_ten_thousand_denied_principals_leave_one_series_and_one_exemplar():
+    t = Telemetry(Clock())
+    interceptor = TracingInterceptor(t)
+    for i in range(10_000):
+        _deny(interceptor, f"globus:/O=Grid/CN=user{i:05d}")
+    snap = t.snapshot(spans=0)
+    denials = {k: v for k, v in snap["counters"].items() if k.startswith("pipeline.denials")}
+    assert denials == {"pipeline.denials{op=mkdir,surface=chirp}": 10_000}
+    assert snap["exemplars"] == {
+        "pipeline.denials{op=mkdir,surface=chirp}": {
+            "identity": "globus:/O=Grid/CN=user09999",
+            "errno": "EACCES",
+        }
+    }
+    assert len(snap["counters"]) + len(snap["histograms"]) == 4
+    # the identity is still on every span
+    assert t.spans[-1].identity == "globus:/O=Grid/CN=user09999"

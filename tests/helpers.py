@@ -8,6 +8,7 @@ from typing import Any
 
 from repro.config import snapshot_fixtures_enabled
 from repro.core.box import IdentityBox
+from repro.core.telemetry import Histogram
 from repro.kernel.errno import Errno, KernelError, err
 from repro.kernel.fdtable import OpenFlags
 from repro.kernel.inode import access_allowed
@@ -18,6 +19,7 @@ from repro.kernel.users import Credentials
 from repro.kernel.vfs import MAX_SYMLINKS, WalkStats, split_path
 
 __all__ = [
+    "KeywordRecorder",
     "boxed_read_file",
     "boxed_write_file",
     "forge_frame",
@@ -273,3 +275,59 @@ def oracle_walk(
             stats,
         )
     return current, fs.parent_of(current), "", "/", stats
+
+
+class KeywordRecorder:
+    """The keyword-label registry the bound handles replaced.
+
+    Every record builds its sorted ``(label, str(value))`` tuple and looks
+    the series up by ``(name, labels)``, and the pipeline's latency, op and
+    denial series carry the acting identity as a label, exactly as the
+    tracing interceptor recorded them before identity left metric labels.
+    """
+
+    DENIALS = frozenset({"EACCES", "EPERM"})
+
+    def __init__(self) -> None:
+        self.counters: dict[tuple[str, tuple], int] = {}
+        self.histograms: dict[tuple[str, tuple], Histogram] = {}
+
+    @staticmethod
+    def key(labels: dict[str, Any]) -> tuple:
+        return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+    def counter_inc(self, name: str, value: int = 1, **labels: Any) -> None:
+        key = (name, self.key(labels))
+        self.counters[key] = self.counters.get(key, 0) + value
+
+    def observe(self, name: str, value_ns: int, **labels: Any) -> None:
+        key = (name, self.key(labels))
+        self.histograms.setdefault(key, Histogram()).observe(value_ns)
+
+    def record_op(
+        self, surface: str, op: str, status: str, identity: str, latency_ns: int
+    ) -> None:
+        labels = {"surface": surface, "op": op, "identity": identity}
+        self.observe("pipeline.latency_ns", latency_ns, **labels)
+        self.counter_inc("pipeline.ops", **labels)
+        self.counter_inc("pipeline.outcomes", surface=surface, op=op, status=status)
+        if status in self.DENIALS:
+            self.counter_inc("pipeline.denials", **labels)
+
+    def counters_without(self, name: str, label: str) -> dict[tuple, int]:
+        """``name``'s counters summed over every value of ``label``."""
+        out: dict[tuple, int] = {}
+        for (n, key), value in self.counters.items():
+            if n == name:
+                kept = tuple(pair for pair in key if pair[0] != label)
+                out[kept] = out.get(kept, 0) + value
+        return out
+
+    def histograms_without(self, name: str, label: str) -> dict[tuple, Histogram]:
+        """``name``'s histograms merged over every value of ``label``."""
+        out: dict[tuple, Histogram] = {}
+        for (n, key), hist in self.histograms.items():
+            if n == name:
+                kept = tuple(pair for pair in key if pair[0] != label)
+                out.setdefault(kept, Histogram()).merge(hist)
+        return out
