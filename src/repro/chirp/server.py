@@ -44,9 +44,8 @@ from ..core.ops import (
 )
 from ..core.pipeline import (
     CROSSED_SYMLINK,
+    Admission,
     BoundPath,
-    CircuitBreaker,
-    IdentityQuota,
     Operation,
     Pipeline,
     ReadCache,
@@ -97,7 +96,7 @@ class ServerStats:
     denials: int = 0
     #: malformed/truncated frames that poisoned their connection
     protocol_errors: int = 0
-    #: requests shed with EAGAIN by the overload guard
+    #: requests shed with EAGAIN by the admission arrival bucket
     sheds: int = 0
     #: idempotency-key cache hits (a retry that would have re-applied)
     replays: int = 0
@@ -106,36 +105,6 @@ class ServerStats:
     batches: int = 0
     #: inner requests that arrived coalesced inside a batch envelope
     coalesced: int = 0
-
-
-@dataclass
-class OverloadPolicy:
-    """Token-bucket admission against the simulated clock.
-
-    A real server queues requests; a queue with no bound melts down under
-    heavy traffic.  This guard sheds excess load with EAGAIN instead —
-    the client's backoff advances the shared simulated clock, which
-    refills the bucket, so a shed-then-retry actually succeeds.
-    """
-
-    rate_per_s: float
-    burst: int = 32
-    _tokens: float = field(init=False)
-    _last_ns: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
-        self._tokens = float(self.burst)
-
-    def admit(self, now_ns: int) -> bool:
-        elapsed = max(0, now_ns - self._last_ns)
-        self._last_ns = now_ns
-        self._tokens = min(
-            float(self.burst), self._tokens + elapsed * self.rate_per_s / 1e9
-        )
-        if self._tokens >= 1.0:
-            self._tokens -= 1.0
-            return True
-        return False
 
 
 #: Bound on the idempotency replay cache (responses, not payload data).
@@ -387,11 +356,9 @@ class ChirpServer:
         auth: ServerAuth | None = None,
         admission: AdmissionPolicy | None = None,
         audit: AuditLog | None = None,
-        overload: OverloadPolicy | None = None,
-        health: CircuitBreaker | None = None,
+        limits: Admission | None = None,
         telemetry=None,
         read_cache: ReadCache | None = None,
-        quota: IdentityQuota | None = None,
     ) -> None:
         self.machine = machine
         self.owner_cred = owner_cred
@@ -423,12 +390,12 @@ class ChirpServer:
         self.fs = LocalDriver(machine, self.owner_task)
         self.stats = ServerStats()
         self._counters = HandleCache("counter", "op")
-        self.overload = overload
+        self.limits = limits
         self._idem_cache: OrderedDict[str, bytes] = OrderedDict()
         self.registry = build_chirp_registry()
-        # the fast lane: explicit instances win; otherwise the REPRO_CACHE
-        # / REPRO_QUOTA knobs decide, so the CI fastlane leg turns the
-        # cache on for every server the suite builds.  The cache watches
+        # the fast lane: an explicit cache wins; otherwise the REPRO_CACHE
+        # knob decides, so the CI fastlane leg turns the cache on for
+        # every server the suite builds.  The cache watches
         # the machine's world epoch: a restore() flushes it wholesale —
         # entries must never outlive the world they were read from.
         if read_cache is None and repro_config.read_cache_enabled():
@@ -436,12 +403,7 @@ class ChirpServer:
         if read_cache is not None and read_cache.epoch_source is None:
             read_cache.epoch_source = lambda: machine.epoch
             read_cache._epoch = machine.epoch
-        if quota is None:
-            quota_spec = repro_config.quota_spec()
-            if quota_spec is not None:
-                quota = IdentityQuota(quota_spec[0], quota_spec[1])
         self.read_cache = read_cache
-        self.quota = quota
         self.pipeline: Pipeline = build_pipeline(
             self.registry,
             policy=self.policy,
@@ -449,10 +411,9 @@ class ChirpServer:
             audit_log=audit,
             resolve_identity=self._resolve_identity,
             on_denial=self._count_denial,
-            health=health,
+            limits=limits,
             telemetry=self.telemetry,
             cache=read_cache,
-            quota=quota,
         )
         self._ensure_export_root()
 
@@ -627,20 +588,9 @@ class _Connection:
         # call, so every retry of one call lands in one trace)
         idem = message.pop("idem", None)
         trace = self._trace_parent(message.pop("trace", None))
-        if idem is not None:
-            cached = server._idem_cache.get(str(idem))
-            if cached is not None:
-                server.stats.replays += 1
-                server._count("chirp.replays", op_name)
-                return cached
-        if server.overload is not None and not server.overload.admit(
-            server.machine.clock.now_ns
-        ):
-            # overload shed: EAGAIN now beats queueing unboundedly;
-            # deliberately not cached so the retry is re-admitted
-            server.stats.sheds += 1
-            server._count("chirp.sheds", op_name)
-            return error_response(Errno.EAGAIN, "server overloaded; retry later")
+        refusal = self._replay_or_shed(idem, op_name)
+        if refusal is not None:
+            return refusal
         try:
             op = self._bind(op_name, message)
             if trace:
@@ -662,8 +612,8 @@ class _Connection:
     def _handle_batch(self, message: dict[str, Any]) -> bytes:
         """Unpack a coalescing envelope: one wire frame, many pipeline ops.
 
-        The whole batch pays one admission token (it is one arrival; the
-        per-identity quota still meters every inner op), resolves its
+        The whole batch pays one arrival token (it is one arrival; the
+        per-identity budget still meters every inner op), resolves its
         identity once, and isolates failures per slot — a refused frame
         yields an error *result* in its position and the rest still run,
         exactly as the same requests sent singly would behave.
@@ -671,18 +621,9 @@ class _Connection:
         server = self.server
         idem = message.pop("idem", None)
         trace = self._trace_parent(message.pop("trace", None))
-        if idem is not None:
-            cached = server._idem_cache.get(str(idem))
-            if cached is not None:
-                server.stats.replays += 1
-                server._count("chirp.replays", BATCH_OP)
-                return cached
-        if server.overload is not None and not server.overload.admit(
-            server.machine.clock.now_ns
-        ):
-            server.stats.sheds += 1
-            server._count("chirp.sheds", BATCH_OP)
-            return error_response(Errno.EAGAIN, "server overloaded; retry later")
+        refusal = self._replay_or_shed(idem, BATCH_OP)
+        if refusal is not None:
+            return refusal
         frames = message.get("frames")
         if (
             not isinstance(frames, list)
@@ -740,6 +681,25 @@ class _Connection:
                 "errno": int(Errno.EINVAL),
                 "error": f"malformed {op_name!r} request: {exc}",
             }
+
+    def _replay_or_shed(self, idem: Any, op_name: str) -> bytes | None:
+        """The framing layer's answer before any op runs, if it has one:
+        the remembered reply to a retried idempotency key, or an
+        overload shed when the arrival bucket is empty."""
+        server = self.server
+        if idem is not None:
+            cached = server._idem_cache.get(str(idem))
+            if cached is not None:
+                server.stats.replays += 1
+                server._count("chirp.replays", op_name)
+                return cached
+        if server.limits is not None and not server.limits.arrive():
+            # EAGAIN now beats queueing unboundedly; deliberately not
+            # cached so the retry is re-admitted
+            server.stats.sheds += 1
+            server._count("chirp.sheds", op_name)
+            return error_response(Errno.EAGAIN, "server overloaded; retry later")
+        return None
 
     def _trace_parent(self, trace: Any) -> str:
         """The wire ``trace`` field if it has the shape

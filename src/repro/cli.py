@@ -252,7 +252,7 @@ def _fastlane_drill(trust, wallet) -> dict:
         GlobusAuthenticator,
         ServerAuth,
     )
-    from repro.core import Acl, IdentityQuota, ReadCache, Rights, Telemetry
+    from repro.core import Acl, Admission, ReadCache, Rights, Telemetry
 
     cluster = Cluster()
     machine = cluster.add_machine("server1.nowhere.edu")
@@ -267,7 +267,7 @@ def _fastlane_drill(trust, wallet) -> dict:
         auth=ServerAuth(credential_store=trust),
         telemetry=telemetry,
         read_cache=ReadCache(),
-        quota=IdentityQuota(rate_per_s=10.0, burst=4),
+        limits=Admission(rate_per_s=10.0, burst=4),
     )
     acl = Acl()
     acl.set_entry("globus:/O=UnivNowhere/*", Rights.parse("rlv(rwlax)"))
@@ -289,7 +289,7 @@ def _fastlane_drill(trust, wallet) -> dict:
         pass
     return {
         "cache": server.read_cache.snapshot(),
-        "quota": server.quota.snapshot(),
+        "quota": server.limits.snapshot()["quota"],
         "batches": server.stats.batches,
         "coalesced_frames": server.stats.coalesced,
         "cache_hits": telemetry.counter_total("fastlane.cache.hits"),

@@ -19,8 +19,6 @@ parsed here, once, instead of each conftest re-implementing the same
                              mouth (CI's ``test-fastlane`` leg sets ``1``)
 ``REPRO_COALESCE``           client-side frame coalescing: adjacent Chirp
                              frames batch into one wire frame
-``REPRO_QUOTA``              per-identity op budget as ``rate[:burst]``
-                             ops/sec at the pipeline mouth (EAGAIN past it)
 ===========================  =================================================
 
 All readers are *dynamic* — they consult the environment on every call, so
@@ -104,19 +102,3 @@ def coalesce_enabled() -> bool:
     """Client-side frame coalescing for chunked Chirp transfers."""
     return env_flag("REPRO_COALESCE")
 
-
-def quota_spec() -> tuple[float, int] | None:
-    """Per-identity op budget as ``rate[:burst]`` (ops/sec, bucket size).
-
-    ``None`` when unset.  ``REPRO_QUOTA=200`` means 200 ops/sec per
-    principal with the default burst; ``REPRO_QUOTA=200:16`` sets both.
-    """
-    raw = os.environ.get("REPRO_QUOTA", "")
-    if not raw:
-        return None
-    rate_text, _, burst_text = raw.partition(":")
-    rate = float(rate_text)
-    burst = int(burst_text) if burst_text else 16
-    if rate <= 0 or burst < 1:
-        raise ValueError(f"REPRO_QUOTA {raw!r} needs rate>0 and burst>=1")
-    return rate, burst

@@ -16,16 +16,13 @@ from .identity import (
 from .ops import CACHEABLE_OPS, MUTATING_OPS, OP_PATH_SPECS, OpRegistry, OpSpec, PathArg
 from .pipeline import (
     AclFileGuard,
+    Admission,
     AuditSink,
     BoundPath,
-    CircuitBreaker,
     DenialCounter,
-    HealthStats,
     IdentityGate,
-    IdentityQuota,
     Operation,
     Pipeline,
-    QuotaStats,
     ReadCache,
     ReferenceMonitor,
     build_pipeline,
@@ -56,20 +53,18 @@ __all__ = [
     "AclError",
     "AclFileGuard",
     "AclPolicy",
+    "Admission",
     "AuditLog",
     "AuditRecord",
     "AuditSink",
     "BoundPath",
     "CACHEABLE_OPS",
-    "CircuitBreaker",
     "DEFAULT_BOXES_ROOT",
     "DenialCounter",
-    "HealthStats",
     "Histogram",
     "IdentityBox",
     "IdentityError",
     "IdentityGate",
-    "IdentityQuota",
     "KNOWN_METHODS",
     "LatencyStats",
     "MUTATING_OPS",
@@ -80,7 +75,6 @@ __all__ = [
     "PathArg",
     "Pipeline",
     "Principal",
-    "QuotaStats",
     "RIGHT_LETTERS",
     "ReadCache",
     "ReferenceMonitor",

@@ -3,22 +3,30 @@
 Every guarded operation — a syscall trapped inside an identity box (§3,
 Figure 4a) or a Chirp RPC from an authenticated principal (§4) — flows
 through one :class:`Pipeline`: an ordered chain of interceptors ending at
-the operation's registered handler.  The standard chain is
+the operation's registered handler.  :func:`build_pipeline` composes the
+standard chain, outermost first; the bracketed stages are present only
+when the caller supplies them:
 
-1. :class:`DenialCounter` — maps EACCES/EPERM into the surface's denial
+1. [:class:`~repro.core.telemetry.TracingInterceptor`] — the op's span
+   and latency histogram, bracketing the whole chain,
+2. :class:`DenialCounter` — maps EACCES/EPERM into the surface's denial
    statistic (``Supervisor.denials``, ``ServerStats.denials``),
-2. :class:`IdentityGate` — resolves *who* is acting (the box member's
+3. :class:`IdentityGate` — resolves *who* is acting (the box member's
    identity; the connection's principal, refusing unauthenticated calls),
-3. :class:`AclFileGuard` — shields the per-directory ACL file, which is
+4. [:class:`Admission`] — the per-identity op budget and circuit
+   breaker, refusing with EAGAIN before any policy work is spent,
+5. [:class:`ReadCache`] — memoized results of read-only ops, invalidated
+   by the mutations passing through,
+6. :class:`AclFileGuard` — shields the per-directory ACL file, which is
    reachable only through getacl/setacl,
-4. :class:`ReferenceMonitor` — the paper's ACL check, consulting the
+7. :class:`ReferenceMonitor` — the paper's ACL check, consulting the
    directory ACL for the letters each :class:`~repro.core.ops.PathArg`
    declares, with the mkdir/rmdir/hard-link special rules, feeding the
    audit log,
-5. the handler, which only implements the action.
+8. the handler, which only implements the action.
 
-Cross-cutting features (caching, batching, tracing — see ROADMAP) insert
-one interceptor here instead of patching ~40 handler methods.
+A cross-cutting feature inserts one interceptor here instead of patching
+~40 handler methods.
 """
 
 from __future__ import annotations
@@ -190,90 +198,6 @@ class IdentityGate:
         if op.identity is None and self.resolve is not None:
             op.identity = self.resolve(op, ctx)
         return proceed()
-
-
-@dataclass
-class HealthStats:
-    """Counters the circuit breaker surfaces in pipeline stats."""
-
-    successes: int = 0
-    failures: int = 0
-    trips: int = 0
-    rejected: int = 0
-
-
-class CircuitBreaker:
-    """Per-identity consecutive-failure circuit breaker.
-
-    Grimlock-style graceful degradation: an identity whose operations
-    fail ``threshold`` times in a row stops being serviced for
-    ``cooldown_ns`` of simulated time — its calls are rejected with
-    EAGAIN at the pipeline mouth, shielding the handlers (and the
-    machine behind them) from a client stuck in a failure loop.  After
-    the cooldown the circuit half-opens: the next operation runs, and
-    its outcome closes or re-trips the breaker.
-    """
-
-    def __init__(
-        self,
-        clock=None,
-        threshold: int = 8,
-        cooldown_ns: int = NS_PER_S,
-    ) -> None:
-        self.clock = clock
-        self.threshold = threshold
-        self.cooldown_ns = cooldown_ns
-        self.stats = HealthStats()
-        self._consecutive: dict[str, int] = {}
-        self._open_until: dict[str, int] = {}
-
-    def _now(self) -> int:
-        return self.clock.now_ns if self.clock is not None else 0
-
-    def is_open(self, identity: str) -> bool:
-        until = self._open_until.get(identity)
-        return until is not None and self._now() < until
-
-    def failure_count(self, identity: str) -> int:
-        return self._consecutive.get(identity, 0)
-
-    def snapshot(self) -> dict[str, Any]:
-        """A detached copy: callers may mutate it without corrupting the breaker."""
-        return {
-            "successes": self.stats.successes,
-            "failures": self.stats.failures,
-            "trips": self.stats.trips,
-            "rejected": self.stats.rejected,
-            "open": sorted(i for i in self._open_until if self.is_open(i)),
-        }
-
-    def __call__(self, op: Operation, ctx: Any, proceed: Callable[[], Any]) -> Any:
-        identity = op.identity or "<anonymous>"
-        now = self._now()
-        until = self._open_until.get(identity)
-        if until is not None:
-            if now < until:
-                self.stats.rejected += 1
-                raise err(
-                    Errno.EAGAIN, f"circuit open for {identity}; degraded service"
-                )
-            # cooldown over: half-open, let this operation probe
-            del self._open_until[identity]
-            self._consecutive[identity] = 0
-        try:
-            result = proceed()
-        except KernelError:
-            self.stats.failures += 1
-            count = self._consecutive.get(identity, 0) + 1
-            self._consecutive[identity] = count
-            if count >= self.threshold:
-                self._open_until[identity] = now + self.cooldown_ns
-                self._consecutive[identity] = 0
-                self.stats.trips += 1
-            raise
-        self._consecutive[identity] = 0
-        self.stats.successes += 1
-        return result
 
 
 def _ancestors(path: str) -> list[str]:
@@ -510,93 +434,205 @@ class ReadCache:
         return proceed()
 
 
-@dataclass
-class QuotaStats:
-    """Counters the per-identity quota surfaces in pipeline stats."""
+#: Most identities :class:`Admission` remembers at once.  The least
+#: recently seen is forgotten first and comes back with a full bucket and
+#: no failures: dodging a limit that way takes this many valid
+#: identities, each of which has its own budget anyway.
+ADMISSION_RECORDS = 4096
 
-    admitted: int = 0
-    rejected: int = 0
+
+class _Record:
+    """One token bucket, plus the circuit state of the identity it meters."""
+
+    __slots__ = ("tokens", "last_ns", "failures", "open_until")
+
+    def __init__(self, tokens: float, now_ns: int) -> None:
+        self.tokens = tokens
+        self.last_ns = now_ns
+        self.failures = 0
+        self.open_until: int | None = None
 
 
-class IdentityQuota:
-    """Per-identity op budget: a token bucket per principal at the mouth.
+def _balance(record: _Record, rate_per_s: float, burst: int, now_ns: int) -> float:
+    """``record``'s tokens refilled up to ``now_ns``, none spent."""
+    elapsed = max(0, now_ns - record.last_ns)
+    return min(float(burst), record.tokens + elapsed * rate_per_s / 1e9)
 
-    Grimlock-style admission control.  PR 2's :class:`OverloadPolicy`
-    sheds by *arrival* — one server-wide bucket, blind to who is asking —
-    so a single hot principal can starve everyone.  This interceptor
-    meters each identity separately: every op drains that principal's
-    bucket, which refills at ``rate_per_s`` of simulated time up to
-    ``burst``.  Past the budget the op is refused with EAGAIN *before*
-    any guard or monitor work runs — the same transient-errno contract
-    the shed and the circuit breaker use, so a retrying client backs
-    off, the simulated clock advances, and the bucket refills.
-    Pre-auth ops (``auth``) are exempt: an identity must be resolvable
-    to be metered.
+
+def _take(record: _Record, rate_per_s: float, burst: int, now_ns: int) -> bool:
+    """Refill ``record`` to ``now_ns`` and spend one token if it has one."""
+    tokens = _balance(record, rate_per_s, burst, now_ns)
+    record.last_ns = now_ns
+    if tokens >= 1.0:
+        record.tokens = tokens - 1.0
+        return True
+    record.tokens = tokens
+    return False
+
+
+class Admission:
+    """Grimlock-style admission control: every EAGAIN refusal in one place.
+
+    Three rules against the simulated clock, each off until armed:
+
+    * **arrivals** (``arrival_rate_per_s``, ``arrival_burst``) — one
+      server-wide bucket that sheds load instead of queueing it without
+      bound.  The Chirp framing layer spends it through :meth:`arrive`,
+      so a batch envelope is one arrival and a shed reply is never cached;
+    * **budget** (``rate_per_s``, ``burst``) — a bucket per identity, so
+      one hot principal cannot starve the rest;
+    * **circuit** (``threshold``, ``cooldown_ns``) — an identity whose ops
+      fail ``threshold`` times in a row is refused for ``cooldown_ns``,
+      then half-opens: its next op runs and closes or re-trips it.
+
+    As a pipeline interceptor, right after the identity gate, it checks
+    the budget and then the circuit: a budget refusal never counts as a
+    circuit failure, and a circuit refusal has already spent its token.
+    Pre-auth ops (``auth``) are exempt from both: before authentication
+    there is no identity to meter, and one shared name for every stranger
+    would let anyone's failed logins close the circuit on everyone.
+    EAGAIN is transient, so a retrying client backs off, simulated time
+    passes and the bucket refills.  Each identity's bucket and circuit are
+    one record in an LRU bounded by :data:`ADMISSION_RECORDS`.
     """
 
     def __init__(
         self,
-        rate_per_s: float,
-        burst: int = 16,
         clock=None,
+        *,
+        arrival_rate_per_s: float | None = None,
+        arrival_burst: int = 32,
+        rate_per_s: float | None = None,
+        burst: int = 16,
+        threshold: int | None = None,
+        cooldown_ns: int = NS_PER_S,
         telemetry: Telemetry | None = None,
     ) -> None:
+        self.clock = clock
+        self.arrival_rate_per_s = arrival_rate_per_s
+        self.arrival_burst = arrival_burst
         self.rate_per_s = rate_per_s
         self.burst = burst
-        self.clock = clock
+        self.threshold = threshold
+        self.cooldown_ns = cooldown_ns
         self.telemetry = telemetry
-        self.stats = QuotaStats()
-        self._buckets: dict[str, tuple[float, int]] = {}
+        self._arrivals = _Record(float(arrival_burst), 0)
+        self._records: "OrderedDict[str, _Record]" = OrderedDict()
+        self.admitted = 0
+        self.over_budget = 0
+        self.successes = 0
+        self.failures = 0
+        self.trips = 0
+        self.circuit_rejected = 0
+
+    def __len__(self) -> int:
+        return len(self._records)
 
     def _now(self) -> int:
         return self.clock.now_ns if self.clock is not None else 0
 
-    def tokens(self, identity: str) -> float:
-        """Current balance (after refill), mainly for tests and metrics."""
-        tokens, last_ns = self._buckets.get(identity, (float(self.burst), 0))
-        elapsed = max(0, self._now() - last_ns)
-        return min(float(self.burst), tokens + elapsed * self.rate_per_s / 1e9)
-
-    def _admit(self, identity: str, now_ns: int) -> bool:
-        tokens, last_ns = self._buckets.get(identity, (float(self.burst), now_ns))
-        elapsed = max(0, now_ns - last_ns)
-        tokens = min(float(self.burst), tokens + elapsed * self.rate_per_s / 1e9)
-        if tokens >= 1.0:
-            self._buckets[identity] = (tokens - 1.0, now_ns)
+    def arrive(self) -> bool:
+        """Spend one server-wide arrival token; ``False`` means shed."""
+        if self.arrival_rate_per_s is None:
             return True
-        self._buckets[identity] = (tokens, now_ns)
-        return False
+        return _take(
+            self._arrivals, self.arrival_rate_per_s, self.arrival_burst, self._now()
+        )
+
+    def tokens(self, identity: str) -> float:
+        """Current budget balance (after refill), mainly for tests and metrics."""
+        record = self._records.get(identity)
+        if record is None:
+            return float(self.burst)
+        return _balance(record, self.rate_per_s, self.burst, self._now())
+
+    def is_open(self, identity: str) -> bool:
+        record = self._records.get(identity)
+        return (
+            record is not None
+            and record.open_until is not None
+            and self._now() < record.open_until
+        )
 
     def snapshot(self) -> dict[str, Any]:
-        """A detached copy: admitted/rejected plus identities at zero."""
-        return {
-            "admitted": self.stats.admitted,
-            "rejected": self.stats.rejected,
-            "exhausted": sorted(
-                identity
-                for identity in self._buckets
-                if self.tokens(identity) < 1.0
-            ),
-            "rate_per_s": self.rate_per_s,
-            "burst": self.burst,
-        }
+        """Detached sections for each armed per-identity rule: ``health``
+        for the circuit, ``quota`` for the budget."""
+        out: dict[str, Any] = {}
+        if self.threshold is not None:
+            out["health"] = {
+                "successes": self.successes,
+                "failures": self.failures,
+                "trips": self.trips,
+                "rejected": self.circuit_rejected,
+                "open": sorted(i for i in self._records if self.is_open(i)),
+            }
+        if self.rate_per_s is not None:
+            out["quota"] = {
+                "admitted": self.admitted,
+                "rejected": self.over_budget,
+                "exhausted": sorted(
+                    i for i in self._records if self.tokens(i) < 1.0
+                ),
+                "rate_per_s": self.rate_per_s,
+                "burst": self.burst,
+            }
+        return out
+
+    def _record(self, identity: str, now_ns: int) -> _Record:
+        records = self._records
+        record = records.get(identity)
+        if record is None:
+            record = records[identity] = _Record(float(self.burst), now_ns)
+            if len(records) > ADMISSION_RECORDS:
+                records.popitem(last=False)
+        else:
+            records.move_to_end(identity)
+        return record
 
     def __call__(self, op: Operation, ctx: Any, proceed: Callable[[], Any]) -> Any:
-        if op.spec is not None and op.spec.pre_auth:
+        if (self.rate_per_s is None and self.threshold is None) or (
+            op.spec is not None and op.spec.pre_auth
+        ):
             return proceed()
         identity = op.identity or "<anonymous>"
-        if not self._admit(identity, self._now()):
-            self.stats.rejected += 1
-            if self.telemetry is not None:
-                self.telemetry.counter_inc(
-                    "fastlane.quota.rejections", op=op.name
+        now = self._now()
+        record = self._record(identity, now)
+        if self.rate_per_s is not None:
+            if not _take(record, self.rate_per_s, self.burst, now):
+                self.over_budget += 1
+                if self.telemetry is not None:
+                    self.telemetry.counter_inc(
+                        "fastlane.quota.rejections", op=op.name
+                    )
+                raise err(
+                    Errno.EAGAIN,
+                    f"per-identity quota exceeded for {identity}; retry later",
                 )
-            raise err(
-                Errno.EAGAIN,
-                f"per-identity quota exceeded for {identity}; retry later",
-            )
-        self.stats.admitted += 1
-        return proceed()
+            self.admitted += 1
+        if self.threshold is None:
+            return proceed()
+        if record.open_until is not None:
+            if now < record.open_until:
+                self.circuit_rejected += 1
+                raise err(
+                    Errno.EAGAIN, f"circuit open for {identity}; degraded service"
+                )
+            # cooldown over: half-open, let this operation probe (the
+            # trip already zeroed the failure count)
+            record.open_until = None
+        try:
+            result = proceed()
+        except KernelError:
+            self.failures += 1
+            record.failures += 1
+            if record.failures >= self.threshold:
+                record.open_until = now + self.cooldown_ns
+                record.failures = 0
+                self.trips += 1
+            raise
+        record.failures = 0
+        self.successes += 1
+        return result
 
 
 class AclFileGuard:
@@ -725,39 +761,38 @@ class Pipeline:
         registry: OpRegistry,
         interceptors: list[Interceptor] | None = None,
         audit: AuditSink | None = None,
-        health: CircuitBreaker | None = None,
+        limits: Admission | None = None,
         telemetry: Telemetry | None = None,
         denial_counter: DenialCounter | None = None,
         cache: ReadCache | None = None,
-        quota: IdentityQuota | None = None,
     ) -> None:
         self.registry = registry
         self.interceptors: list[Interceptor] = list(interceptors or [])
         self.audit = audit or AuditSink()
-        self.health = health
+        self.limits = limits
         self.telemetry = telemetry
         self.denial_counter = denial_counter
         self.cache = cache
-        self.quota = quota
 
     def stats(self) -> dict[str, Any]:
-        """Cross-cutting pipeline state: breaker health, denials, telemetry.
+        """Cross-cutting pipeline state: circuit health, denials, telemetry.
 
         Every value is a detached copy — callers may mutate the result
         (sort it, annotate it, json-dump it destructively) without
-        corrupting the live breaker or the live histograms.
+        corrupting the live admission store or the live histograms.
         """
         out: dict[str, Any] = {}
-        if self.health is not None:
-            out["health"] = self.health.snapshot()
+        limits = self.limits.snapshot() if self.limits is not None else {}
+        if "health" in limits:
+            out["health"] = limits["health"]
         if self.denial_counter is not None:
             out["denials"] = self.denial_counter.snapshot()
-        if self.cache is not None or self.quota is not None:
+        if self.cache is not None or "quota" in limits:
             fastlane: dict[str, Any] = {}
             if self.cache is not None:
                 fastlane["cache"] = self.cache.snapshot()
-            if self.quota is not None:
-                fastlane["quota"] = self.quota.snapshot()
+            if "quota" in limits:
+                fastlane["quota"] = limits["quota"]
             out["fastlane"] = fastlane
         if self.telemetry is not None:
             out["telemetry"] = self.telemetry.snapshot()
@@ -789,26 +824,21 @@ def build_pipeline(
     audit_log: AuditLog | None = None,
     resolve_identity: Callable[[Operation, Any], str | None] | None = None,
     on_denial: Callable[[Operation], None] | None = None,
-    health: CircuitBreaker | None = None,
+    limits: Admission | None = None,
     telemetry: Telemetry | None = None,
     cache: ReadCache | None = None,
-    quota: IdentityQuota | None = None,
 ) -> Pipeline:
     """Compose the standard enforcement chain over ``registry``.
 
-    A :class:`CircuitBreaker` passed as ``health`` slots in right after
-    identity resolution, so it can meter per-identity failures before
-    any policy work is done for a tripped identity.  A
+    An :class:`Admission` passed as ``limits`` slots in right after
+    identity resolution, so an identity over budget or with an open
+    circuit is refused before any policy work is spent on it.  A
+    :class:`ReadCache` goes just inside it: a hit answers before the
+    ACL-file guard and the reference monitor run, a mutating op
+    invalidates on its way through.  Both inherit the pipeline's
+    clock/telemetry unless they brought their own.  A
     :class:`Telemetry` goes outermost: its span and latency histogram
     bracket the entire chain, rejections and denials included.
-
-    The fast lane slots in around the breaker: an :class:`IdentityQuota`
-    goes right after identity resolution (admission is decided before
-    any work is spent on the op), and a :class:`ReadCache` goes just
-    inside the breaker — a hit answers before the ACL-file guard and
-    the reference monitor run, a mutating op invalidates on its way
-    through.  Both inherit the pipeline's clock/telemetry unless they
-    brought their own.
     """
     audit = AuditSink(clock, audit_log)
     denials = DenialCounter(on_denial)
@@ -816,14 +846,12 @@ def build_pipeline(
         denials,
         IdentityGate(resolve_identity),
     ]
-    if quota is not None:
-        if quota.clock is None:
-            quota.clock = clock
-        if quota.telemetry is None:
-            quota.telemetry = telemetry
-        interceptors.append(quota)
-    if health is not None:
-        interceptors.append(health)
+    if limits is not None:
+        if limits.clock is None:
+            limits.clock = clock
+        if limits.telemetry is None:
+            limits.telemetry = telemetry
+        interceptors.append(limits)
     if cache is not None:
         if cache.telemetry is None:
             cache.telemetry = telemetry
@@ -835,9 +863,8 @@ def build_pipeline(
         registry,
         interceptors=interceptors,
         audit=audit,
-        health=health,
+        limits=limits,
         telemetry=telemetry,
         denial_counter=denials,
         cache=cache,
-        quota=quota,
     )

@@ -11,11 +11,11 @@ This module just projects those counters into a set of *edge strings*:
   stage resolved which op with which errno, and *how hard* the run
   leaned on it (count, log2-bucketed).  The stage is recovered from the
   status post-hoc: the interceptor chain is fixed (identity gate →
-  breaker → ACL guard → reference monitor → handler) and each stage owns
+  admission → ACL guard → reference monitor → handler) and each stage owns
   its errnos, so no per-stage counters are needed.  The bucket makes
   repetition a behavior in its own right — one denied unlink and a
   hammering loop of them stress different machinery (caches, fd tables,
-  the breaker) — without making every raw count a new edge.
+  admission) — without making every raw count a new edge.
 * ``fault|<kind>|x<bucket>`` — a fault kind fired, count bucketed the
   same way: "one drop" and "a storm of drops" are different weathers.
 * ``seq|…`` — consecutive pairs and triples in the span record
@@ -38,8 +38,10 @@ from typing import Iterable
 
 #: Errnos owned by each fixed pipeline stage (everything else reaches the
 #: handler).  EACCES/EPERM are the reference monitor's refusals (the ACL
-#: file guard shares EACCES — same enforcement layer), EAGAIN is the
-#: circuit breaker shedding, ENOSYS is the registry missing an op.
+#: file guard shares EACCES — same enforcement layer), EAGAIN is
+#: :class:`~repro.core.pipeline.Admission` refusing (labelled ``breaker``,
+#: its old name, so the edge set stays put), ENOSYS is the registry
+#: missing an op.
 _STAGE_BY_STATUS = {
     "ok": "handler",
     "EACCES": "monitor",

@@ -19,7 +19,7 @@ from repro.chirp import (
     GlobusAuthenticator,
     ServerAuth,
 )
-from repro.core import Acl, IdentityQuota, Rights
+from repro.core import Acl, Admission, Rights
 from repro.gsi import CertificateAuthority, CredentialStore, provision_user
 from repro.kernel.errno import Errno
 from repro.kernel.fdtable import OpenFlags
@@ -44,7 +44,7 @@ PROFILES = [AMANDA, BLAST, CMS, HF, IBIS, MAKE]
 
 
 def fastlane_off(monkeypatch):
-    for var in ("REPRO_CACHE", "REPRO_COALESCE", "REPRO_QUOTA"):
+    for var in ("REPRO_CACHE", "REPRO_COALESCE"):
         monkeypatch.delenv(var, raising=False)
 
 
@@ -349,7 +349,7 @@ def quota_world(rate="50:4"):
         owner,
         network=cluster.network,
         auth=ServerAuth(credential_store=trust),
-        quota=IdentityQuota(float(rate_s), int(burst_s)),
+        limits=Admission(rate_per_s=float(rate_s), burst=int(burst_s)),
     )
     acl = Acl()
     acl.set_entry("globus:/O=UnivNowhere/*", Rights.parse("rlv(rwlax)"))
@@ -375,7 +375,7 @@ def test_quota_exhaustion_surfaces_as_eagain():
             fred.stat("/")
     assert excinfo.value.errno is Errno.EAGAIN
     assert "quota exceeded" in str(excinfo.value)
-    assert server.quota.stats.rejected >= 1
+    assert server.limits.over_budget >= 1
 
 
 def test_retrying_client_rides_out_the_quota():
@@ -386,15 +386,8 @@ def test_retrying_client_rides_out_the_quota():
     fred = connect(cluster, wallet, retry=RETRY)
     for _ in range(32):
         fred.stat("/")
-    assert server.quota.stats.rejected >= 1  # the budget really did bite
-    assert server.quota.stats.admitted >= 32
-
-
-def test_quota_env_knob_arms_the_server(monkeypatch):
-    monkeypatch.setenv("REPRO_QUOTA", "25:8")
-    cluster, server, wallet = make_world()
-    assert server.quota is not None
-    assert (server.quota.rate_per_s, server.quota.burst) == (25.0, 8)
+    assert server.limits.over_budget >= 1  # the budget really did bite
+    assert server.limits.admitted >= 32
 
 
 # ---------------------------------------------------------------------- #

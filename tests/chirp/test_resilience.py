@@ -17,12 +17,11 @@ from repro.chirp import (
     ChirpServer,
     GlobusAuthenticator,
     HostnameAuthenticator,
-    OverloadPolicy,
     RetryPolicy,
     ServerAuth,
 )
 from repro.chirp.client import CHUNK
-from repro.core import Acl, CircuitBreaker, Rights
+from repro.core import Acl, Admission, Rights
 from repro.gsi import CertificateAuthority, CredentialStore, provision_user
 from repro.kernel.errno import Errno
 from repro.kernel.fdtable import OpenFlags
@@ -46,7 +45,7 @@ RETRY = RetryPolicy(
 )
 
 
-def make_world(plan=None, overload=None, breaker=None):
+def make_world(plan=None, limits=None):
     """A one-server cluster with GSI auth, optionally under a fault plan."""
     cluster = Cluster()
     cluster.add_machine(SERVER)
@@ -63,8 +62,7 @@ def make_world(plan=None, overload=None, breaker=None):
         owner,
         network=cluster.network,
         auth=ServerAuth(credential_store=trust),
-        overload=overload,
-        health=breaker,
+        limits=limits,
     )
     acl = Acl()
     acl.set_entry("hostname:*.nowhere.edu", Rights.parse("rlx"))
@@ -305,8 +303,8 @@ def test_late_response_counts_as_timeout_and_is_retried():
 
 
 def test_overload_shed_returns_eagain_and_backoff_drains_it():
-    overload = OverloadPolicy(rate_per_s=200.0, burst=2)
-    cluster, server, wallet = make_world(overload=overload)
+    overload = Admission(arrival_rate_per_s=200.0, arrival_burst=2)
+    cluster, server, wallet = make_world(limits=overload)
     fred = connect_fred(cluster, wallet)  # auth spends a token
     fred.mkdir("/w")  # the burst is gone now
     for i in range(6):
@@ -317,8 +315,8 @@ def test_overload_shed_returns_eagain_and_backoff_drains_it():
 
 
 def test_overload_shed_without_retry_surfaces_eagain():
-    overload = OverloadPolicy(rate_per_s=0.001, burst=1)
-    cluster, server, wallet = make_world(overload=overload)
+    overload = Admission(arrival_rate_per_s=0.001, arrival_burst=1)
+    cluster, server, wallet = make_world(limits=overload)
     fred = connect_fred(cluster, wallet, retry=None)  # auth drains the bucket
     with pytest.raises(ChirpError) as info:
         fred.stat("/")
@@ -328,7 +326,7 @@ def test_overload_shed_without_retry_surfaces_eagain():
 
 def test_circuit_breaker_trips_per_identity_and_half_opens():
     cluster = Cluster()  # need the clock before the breaker exists
-    breaker = CircuitBreaker(clock=cluster.clock, threshold=3, cooldown_ns=NS_PER_S)
+    breaker = Admission(clock=cluster.clock, threshold=3, cooldown_ns=NS_PER_S)
     cluster.add_machine(SERVER)
     cluster.add_machine(LAPTOP)
     ca = CertificateAuthority("UnivNowhere CA")
@@ -341,7 +339,7 @@ def test_circuit_breaker_trips_per_identity_and_half_opens():
         machine.add_user("dthain"),
         network=cluster.network,
         auth=ServerAuth(credential_store=trust),
-        health=breaker,
+        limits=breaker,
     )
     acl = Acl()
     acl.set_entry("globus:/O=UnivNowhere/*", Rights.parse("rlv(rwlax)"))
@@ -374,6 +372,41 @@ def test_circuit_breaker_trips_per_identity_and_half_opens():
     assert fred.stat("/").is_dir
     assert not breaker.is_open(identity)
     assert server.pipeline.stats()["health"]["successes"] > 0
+
+
+def test_strangers_failed_logins_do_not_lock_everyone_out_of_auth():
+    cluster, server, wallet = make_world(limits=Admission(threshold=3))
+    rogue_ca = CertificateAuthority("Rogue CA")  # the server trusts no such CA
+    rogue_store = CredentialStore()
+    rogue_store.trust(rogue_ca)
+    rogue_wallet = provision_user(rogue_ca, rogue_store, "/O=Rogue/CN=Mallory")
+    for _ in range(3):
+        stranger = ChirpClient.connect(cluster.network, LAPTOP, SERVER)
+        with pytest.raises(ChirpError) as info:
+            stranger.authenticate([GlobusAuthenticator(rogue_wallet)])
+        assert info.value.errno is Errno.EACCES
+    fred = connect_fred(cluster, wallet, retry=None)
+    assert fred.whoami() == f"globus:{FRED_DN}"
+    assert server.pipeline.stats()["health"]["open"] == []
+
+
+def test_batch_envelope_is_one_arrival_and_each_frame_one_budget_token():
+    cluster, server, wallet = make_world(
+        limits=Admission(
+            arrival_rate_per_s=1e-9, arrival_burst=2, rate_per_s=1e-9, burst=3
+        )
+    )
+    fred = connect_fred(cluster, wallet, retry=None)  # arrival token 1
+    slots = fred.batch([{"op": "stat", "path": "/"}] * 5)  # arrival token 2
+    assert [slot["ok"] for slot in slots] == [True, True, True, False, False]
+    assert [slot["errno"] for slot in slots[3:]] == [int(Errno.EAGAIN)] * 2
+    with pytest.raises(ChirpError) as info:
+        fred.stat("/")  # no arrival token left
+    assert info.value.errno is Errno.EAGAIN
+    assert "server overloaded" in str(info.value)
+    assert server.stats.sheds == 1
+    quota = server.pipeline.stats()["fastlane"]["quota"]
+    assert (quota["admitted"], quota["rejected"]) == (3, 2)
 
 
 # ---------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""The fast lane's interceptors in isolation: ReadCache and IdentityQuota.
+"""The fast lane's interceptors in isolation: ReadCache and Admission's budget.
 
 The cache's whole correctness story is invalidation — path relations,
 governing-directory scope for ``setacl``, descriptor hints, world-epoch
@@ -7,21 +7,23 @@ tests drive both against a toy registry so every rule is pinned without
 a server in the loop.
 """
 
+import tracemalloc
 from collections import OrderedDict
 
 import pytest
 
 from repro.core.ops import CACHEABLE_OPS, OpRegistry, OpSpec, PathArg
 from repro.core.pipeline import (
+    ADMISSION_RECORDS,
     CROSSED_SYMLINK,
+    Admission,
     BoundPath,
-    IdentityQuota,
     Operation,
     Pipeline,
     ReadCache,
 )
 from repro.core.telemetry import Telemetry
-from repro.kernel.errno import Errno, KernelError
+from repro.kernel.errno import Errno, KernelError, err
 from repro.kernel.fdtable import OpenFlags
 from tests.helpers import paths_related
 
@@ -288,14 +290,14 @@ def quota_op(name="stat", identity="fred"):
 
 def test_quota_rejects_past_burst_with_eagain_and_the_retry_contract():
     clock = FakeClock()
-    quota = IdentityQuota(rate_per_s=2.0, burst=3, clock=clock)
+    quota = Admission(clock, rate_per_s=2.0, burst=3)
     for _ in range(3):
         assert quota(quota_op(), None, lambda: "ok") == "ok"
     with pytest.raises(KernelError) as exc_info:
         quota(quota_op(), None, lambda: "ok")
     assert exc_info.value.errno is Errno.EAGAIN
     assert "quota exceeded for fred" in str(exc_info.value)
-    assert quota.stats.rejected == 1
+    assert quota.over_budget == 1
     # the contract: backing off (simulated time passing) refills the
     # bucket, so a retrying client gets through
     clock.advance(500_000_000)  # 0.5s at 2 tokens/s -> one token back
@@ -304,7 +306,7 @@ def test_quota_rejects_past_burst_with_eagain_and_the_retry_contract():
 
 def test_quota_meters_each_identity_separately():
     clock = FakeClock()
-    quota = IdentityQuota(rate_per_s=1.0, burst=1, clock=clock)
+    quota = Admission(clock, rate_per_s=1.0, burst=1)
     assert quota(quota_op(identity="fred"), None, lambda: "ok") == "ok"
     with pytest.raises(KernelError):
         quota(quota_op(identity="fred"), None, lambda: "ok")
@@ -315,7 +317,7 @@ def test_quota_meters_each_identity_separately():
 
 def test_quota_rejection_spends_no_handler_work():
     clock = FakeClock()
-    quota = IdentityQuota(rate_per_s=1.0, burst=1, clock=clock)
+    quota = Admission(clock, rate_per_s=1.0, burst=1)
     quota(quota_op(), None, lambda: "ok")
     ran = []
     with pytest.raises(KernelError):
@@ -325,21 +327,66 @@ def test_quota_rejection_spends_no_handler_work():
 
 def test_quota_exempts_pre_auth_ops():
     clock = FakeClock()
-    quota = IdentityQuota(rate_per_s=1.0, burst=1, clock=clock)
+    quota = Admission(clock, rate_per_s=1.0, burst=1)
     op = quota_op(name="auth")
     op.spec = OpSpec("auth", lambda op, ctx: None, pre_auth=True)
     for _ in range(5):  # far past burst, never rejected
         assert quota(op, None, lambda: "ok") == "ok"
-    assert quota.stats.rejected == 0
+    assert quota.over_budget == 0
 
 
 def test_quota_snapshot_reports_exhausted_identities():
     clock = FakeClock()
-    quota = IdentityQuota(rate_per_s=1.0, burst=1, clock=clock)
+    quota = Admission(clock, rate_per_s=1.0, burst=1)
     quota(quota_op(identity="fred"), None, lambda: "ok")
-    snap = quota.snapshot()
+    snap = quota.snapshot()["quota"]
     assert snap["exhausted"] == ["fred"]
     assert snap["admitted"] == 1 and snap["burst"] == 1
+
+
+def test_admission_state_stays_bounded_however_many_identities_arrive():
+    registry = OpRegistry()
+    registry.register(OpSpec("noop", lambda op, ctx: None))
+    limits = Admission(FakeClock(), rate_per_s=1.0, burst=4, threshold=3)
+    pipeline = Pipeline(registry, [limits], limits=limits)
+
+    def arrive(first, last):
+        for n in range(first, last):
+            op = Operation(name="noop", surface="test", identity=f"globus:/CN=u{n}")
+            pipeline.run(op, None)
+            assert len(limits) <= ADMISSION_RECORDS
+
+    tracemalloc.start()
+    try:
+        arrive(0, 10_000)
+        after_10k = tracemalloc.get_traced_memory()[0]
+        arrive(10_000, 100_000)
+        after_100k = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(limits) == ADMISSION_RECORDS
+    assert after_100k <= after_10k * 1.10
+
+
+def test_an_evicted_identity_comes_back_with_a_full_bucket_and_no_failures():
+    limits = Admission(FakeClock(), rate_per_s=1e-9, burst=2, threshold=3)
+
+    def failing():
+        raise err(Errno.ENOENT, "no such file")
+
+    for _ in range(2):  # fred's bucket is empty, two failures toward three
+        with pytest.raises(KernelError):
+            limits(quota_op(identity="fred"), None, failing)
+    assert limits.tokens("fred") < 1.0
+    for n in range(ADMISSION_RECORDS):  # push fred's record out
+        limits(quota_op(identity=f"u{n}"), None, lambda: "ok")
+    # a remembered fred would be refused by the budget (EAGAIN) or, once
+    # admitted, trip the circuit on this third failure
+    with pytest.raises(KernelError) as info:
+        limits(quota_op(identity="fred"), None, failing)
+    assert info.value.errno is Errno.ENOENT
+    assert not limits.is_open("fred")
+    assert limits.snapshot()["health"]["trips"] == 0
 
 
 # -- pipeline integration ---------------------------------------------------- #
@@ -349,8 +396,8 @@ def test_pipeline_stats_reports_the_fastlane_section():
     registry = OpRegistry()
     registry.register(OpSpec("noop", lambda op, ctx: None))
     cache = ReadCache()
-    quota = IdentityQuota(rate_per_s=1.0, burst=8, clock=FakeClock())
-    pipeline = Pipeline(registry, [quota, cache], cache=cache, quota=quota)
+    quota = Admission(FakeClock(), rate_per_s=1.0, burst=8)
+    pipeline = Pipeline(registry, [quota, cache], cache=cache, limits=quota)
     pipeline.run(Operation(name="noop", surface="test", identity="fred"), None)
     stats = pipeline.stats()["fastlane"]
     assert stats["cache"]["entries"] == 0

@@ -10,7 +10,7 @@ clock dimension to bare ones.
 import pytest
 
 from repro.core.box import IdentityBox
-from repro.core.pipeline import CircuitBreaker
+from repro.core.pipeline import Admission
 from repro.core.telemetry import (
     DEFAULT_BUCKET_EDGES_NS,
     MAX_SERIES_PER_NAME,
@@ -177,21 +177,21 @@ def test_mutating_a_telemetry_snapshot_leaves_live_state_intact():
 
 def test_mutating_a_breaker_snapshot_leaves_the_breaker_intact():
     clock = Clock()
-    breaker = CircuitBreaker(clock=clock, threshold=1, cooldown_ns=10**9)
-    op_ctx = type("Op", (), {"identity": "Visitor", "name": "open"})()
+    breaker = Admission(clock=clock, threshold=1, cooldown_ns=10**9)
+    op_ctx = type("Op", (), {"identity": "Visitor", "name": "open", "spec": None})()
 
     def failing():
         raise err(Errno.ENOENT, "no such file")
 
     with pytest.raises(KernelError):
         breaker(op_ctx, None, failing)
-    before = breaker.snapshot()
+    before = breaker.snapshot()["health"]
     assert before["open"] == ["Visitor"] and before["trips"] == 1
     # vandalize the snapshot every way a caller could
     before["open"].clear()
     before["trips"] = 0
     before["failures"] = -99
-    after = breaker.snapshot()
+    after = breaker.snapshot()["health"]
     assert after["open"] == ["Visitor"]
     assert after["trips"] == 1 and after["failures"] == 1
     assert breaker.is_open("Visitor")
