@@ -1,6 +1,6 @@
 """Fast lane: read-op memoization + frame coalescing on a read-heavy load.
 
-The hot path this PR builds is measured here end to end: a client hammers
+The hot path is measured here end to end: a client hammers
 ``stat``/``access``/``getacl`` over a small staged tree, once with the
 fast lane off (one wire frame per op, full guard + monitor walk every
 time) and once with it on (a ``ReadCache`` at the pipeline mouth and the
@@ -16,7 +16,7 @@ The gate (``repro.bench.gate``) checks the dimensionless ``speedup_x``
 against ``benchmarks/baseline.json`` — the acceptance bar is ≥2x on this
 read-heavy mix.
 
-Run:  pytest benchmarks/bench_fastlane.py --benchmark-only -s
+Run:  pytest benchmarks/bench_fastlane.py -s
 Smoke (CI):  REPRO_BENCH_SMOKE=1 pytest benchmarks/bench_fastlane.py -q
 """
 
@@ -137,12 +137,8 @@ def fastlane_results():
     return {"read_heavy": measure_read_heavy()}
 
 
-def test_read_heavy_speedup(benchmark, fastlane_results):
+def test_read_heavy_speedup(fastlane_results):
     row = fastlane_results["read_heavy"]
-    benchmark.extra_info["ops_per_sec_off"] = round(row["ops_per_sec_off"])
-    benchmark.extra_info["ops_per_sec_on"] = round(row["ops_per_sec_on"])
-    benchmark.extra_info["speedup_x"] = round(row["speedup_x"], 2)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert row["identical"], "cache on vs off diverged"
     assert row["speedup_x"] >= MIN_FASTLANE_SPEEDUP, (
         f"fast lane only {row['speedup_x']:.2f}x on the read-heavy mix "

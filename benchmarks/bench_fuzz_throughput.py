@@ -20,7 +20,7 @@ so the headline execs/sec number exists in one place.
 Gates on the dimensionless ``speedup_x`` (the ROADMAP/ISSUE bar is
 ≥20x), which is stable across hosts where absolute numbers are not.
 
-Run:  pytest benchmarks/bench_fuzz_throughput.py --benchmark-only -s
+Run:  pytest benchmarks/bench_fuzz_throughput.py -s
 Smoke (CI):  REPRO_BENCH_SMOKE=1 pytest benchmarks/bench_fuzz_throughput.py -q
 """
 
@@ -91,23 +91,16 @@ def fuzz_results():
     }
 
 
-def test_fuzz_fork_speedup(benchmark, fuzz_results):
+def test_fuzz_fork_speedup(fuzz_results):
     row = fuzz_results["fork_vs_cold"]
-    benchmark.extra_info["warm_ms"] = round(row["warm_ms"], 4)
-    benchmark.extra_info["cold_ms"] = round(row["cold_ms"], 4)
-    benchmark.extra_info["speedup_x"] = round(row["speedup_x"], 1)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert row["speedup_x"] >= MIN_FUZZ_SPEEDUP, (
         f"warm-fork fuzzing only {row['speedup_x']:.1f}x cold-boot "
         f"(bar: {MIN_FUZZ_SPEEDUP:.0f}x)"
     )
 
 
-def test_fuzz_campaign_clean(benchmark, fuzz_results):
+def test_fuzz_campaign_clean(fuzz_results):
     row = fuzz_results["campaign"]
-    benchmark.extra_info["execs_per_s"] = round(row["execs_per_s"], 1)
-    benchmark.extra_info["edges"] = row["edges"]
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     # the boundary holds under fuzzing: a violation here is a real bug
     assert row["violations"] == 0, (
         f"fuzz campaign found {row['violations']} containment violations"

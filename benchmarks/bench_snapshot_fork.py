@@ -19,7 +19,7 @@ snapshot layer:
 Both gate on the dimensionless ``speedup_x`` ratios, which are stable
 across host machines where absolute milliseconds are not.
 
-Run:  pytest benchmarks/bench_snapshot_fork.py --benchmark-only -s
+Run:  pytest benchmarks/bench_snapshot_fork.py -s
 Smoke (CI):  REPRO_BENCH_SMOKE=1 pytest benchmarks/bench_snapshot_fork.py -q
 """
 
@@ -124,12 +124,8 @@ def test_fork_speedup(benchmark, snapshot_results):
     )
 
 
-def test_suite_batch_faster(benchmark, snapshot_results):
+def test_suite_batch_faster(snapshot_results):
     row = snapshot_results["suite_batch"]
-    benchmark.extra_info["cold_s"] = round(row["cold_s"], 3)
-    benchmark.extra_info["forked_s"] = round(row["forked_s"], 3)
-    benchmark.extra_info["speedup_x"] = round(row["speedup_x"], 2)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     # template forking must clearly win even paying for the template build
     assert row["speedup_x"] > 1.5, (
         f"snapshot session only {row['speedup_x']:.2f}x: "

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .. import config as repro_config
 from ..core.telemetry import HandleCache, Telemetry, format_trace_parent
 from ..kernel.errno import Errno, KernelError
 from ..kernel.fdtable import OpenFlags
@@ -29,7 +28,6 @@ from ..net.network import Connection, Network
 from ..net.rpc import ProtocolError
 from .auth import ClientAuthenticator
 from .protocol import (
-    BATCH_LIMIT,
     CHIRP_PORT,
     ChirpError,
     StatPayload,
@@ -423,108 +421,38 @@ class ChirpClient:
     # staging conveniences and remote exec (Figure 3's verbs)
     # ------------------------------------------------------------------ #
 
-    def _fd_stale(self, exc: ChirpError, epoch: int) -> bool:
-        """Did this descriptor die with its connection (vs a real EBADF)?
-
-        Descriptors do not survive reconnects, so a retried descriptor op
-        after a reconnect reports EBADF from the fresh connection.  That
-        EBADF is transport weather, not a verdict: the caller reopens the
-        path and resumes — ``pread``/``pwrite`` offsets are absolute, so
-        a revived descriptor continues exactly where the old one died.
-        """
-        return (
-            self.retry is not None
-            and exc.errno is Errno.EBADF
-            and self._epoch != epoch
-        )
-
-    def _close_fd_quietly(self, fd: int, epoch: int) -> None:
-        try:
-            self.close_fd(fd)
-        except ChirpError as exc:
-            # an fd minted before a reconnect died with its connection;
-            # anything else is a real error
-            if not self._fd_stale(exc, epoch):
-                raise
-
     def put(self, data: bytes, path: str, mode: int = 0o644) -> int:
         """Stage data onto the server, chunked; survives reconnects.
 
-        The transfer is resumable: if the descriptor dies with its
-        connection mid-stream, the path is reopened *without* O_TRUNC —
-        chunks already written stay written — and the stream picks up at
-        the same absolute offset.  A stall budget (consecutive revivals
-        with zero forward progress) bounds the worst case.
-
-        Under ``REPRO_COALESCE`` adjacent chunks ride one batch envelope
-        instead of one wire frame each; bytes on the server are
-        identical either way.
+        The transfer is resumable: a descriptor that dies with its
+        connection mid-stream is revived (:class:`RemoteFile`) without
+        O_TRUNC — chunks already written stay written — and the stream
+        picks up at the same absolute offset.
         """
-        if repro_config.coalesce_enabled():
-            return self._put_coalesced(data, path, mode)
-        fd = self.open(
-            path, OpenFlags.O_WRONLY | OpenFlags.O_CREAT | OpenFlags.O_TRUNC, mode
+        f = RemoteFile.open(
+            self, path, OpenFlags.O_WRONLY | OpenFlags.O_CREAT | OpenFlags.O_TRUNC, mode
         )
-        epoch = self._epoch
-        written = 0
-        stalls = 0
         try:
-            for off in range(0, len(data), CHUNK):
-                while True:
-                    try:
-                        written += self.pwrite(fd, data[off : off + CHUNK], off)
-                        stalls = 0
-                        break
-                    except ChirpError as exc:
-                        if not self._fd_stale(exc, epoch) or (
-                            self.retry is not None
-                            and stalls + 1 >= self.retry.max_attempts
-                        ):
-                            raise
-                        stalls += 1
-                        self.stats.transfer_restarts += 1
-                        fd = self.open(path, OpenFlags.O_WRONLY, mode)
-                        epoch = self._epoch
-            return written
+            return sum(
+                f.call("pwrite", data[off : off + CHUNK], off)
+                for off in range(0, len(data), CHUNK)
+            )
         finally:
-            self._close_fd_quietly(fd, epoch)
+            f.close()
 
     def get(self, path: str) -> bytes:
         """Retrieve a whole remote file, chunked; survives reconnects.
 
-        Resumable like :meth:`put`: a descriptor that died with its
-        connection is revived by reopening the path, and reading resumes
-        at the same absolute offset.
+        Resumable like :meth:`put`; an empty ``pread`` proves EOF.
         """
-        fd = self.open(path, OpenFlags.O_RDONLY)
-        epoch = self._epoch
+        f = RemoteFile.open(self, path, OpenFlags.O_RDONLY)
         out = bytearray()
-        stalls = 0
         try:
-            if repro_config.coalesce_enabled():
-                # bulk phase in batch envelopes; the loop below reads
-                # whatever is left and proves EOF with an empty pread
-                fd, epoch = self._prefetch_coalesced(fd, epoch, path, out)
-            while True:
-                try:
-                    chunk = self.pread(fd, CHUNK, len(out))
-                    stalls = 0
-                except ChirpError as exc:
-                    if not self._fd_stale(exc, epoch) or (
-                        self.retry is not None
-                        and stalls + 1 >= self.retry.max_attempts
-                    ):
-                        raise
-                    stalls += 1
-                    self.stats.transfer_restarts += 1
-                    fd = self.open(path, OpenFlags.O_RDONLY)
-                    epoch = self._epoch
-                    continue
-                if not chunk:
-                    return bytes(out)
+            while chunk := f.call("pread", CHUNK, len(out)):
                 out.extend(chunk)
+            return bytes(out)
         finally:
-            self._close_fd_quietly(fd, epoch)
+            f.close()
 
     def batch(self, frames: list[dict[str, Any]]) -> list[dict[str, Any]]:
         """Send several requests in one coalescing envelope.
@@ -537,116 +465,79 @@ class ChirpClient:
         """
         return list(self._call("batch", frames=list(frames))["results"])
 
-    @staticmethod
-    def _slot_error(slot: dict[str, Any]) -> ChirpError:
-        return ChirpError(
-            Errno(int(slot.get("errno", int(Errno.EIO)))),
-            str(slot.get("error", "")),
-        )
-
-    def _put_coalesced(self, data: bytes, path: str, mode: int) -> int:
-        """Coalescing bulk path of :meth:`put`: chunks ride in batch
-        envelopes of up to ``BATCH_LIMIT`` pwrites each.  Offsets are
-        absolute, so a replayed or revived envelope lands the same bytes
-        in the same places — the transfer stays idempotent.
-        """
-        fd = self.open(
-            path, OpenFlags.O_WRONLY | OpenFlags.O_CREAT | OpenFlags.O_TRUNC, mode
-        )
-        epoch = self._epoch
-        written = 0
-        stalls = 0
-        pending = list(range(0, len(data), CHUNK))
-        try:
-            while pending:
-                frames = [
-                    {
-                        "op": "pwrite",
-                        "fd": fd,
-                        "data": data[off : off + CHUNK],
-                        "offset": off,
-                    }
-                    for off in pending[:BATCH_LIMIT]
-                ]
-                results = self._call("batch", frames=frames)["results"]
-                done = 0
-                stale: ChirpError | None = None
-                for slot in results:
-                    if slot.get("ok"):
-                        written += int(slot["count"])
-                        done += 1
-                        continue
-                    exc = self._slot_error(slot)
-                    if self._fd_stale(exc, epoch):
-                        stale = exc  # descriptor died with its connection
-                        break
-                    raise exc
-                pending = pending[done:]
-                if stale is None:
-                    stalls = 0
-                    continue
-                stalls = stalls + 1 if done == 0 else 0
-                if self.retry is not None and stalls >= self.retry.max_attempts:
-                    raise stale
-                self.stats.transfer_restarts += 1
-                fd = self.open(path, OpenFlags.O_WRONLY, mode)
-                epoch = self._epoch
-            return written
-        finally:
-            self._close_fd_quietly(fd, epoch)
-
-    def _prefetch_coalesced(
-        self, fd: int, epoch: int, path: str, out: bytearray
-    ) -> tuple[int, int]:
-        """Coalescing bulk phase of :meth:`get`: read up to the last
-        ``fstat`` size in batch envelopes.  The caller's single-frame
-        loop still runs afterwards, so the tail — and any growth since
-        the size was sampled — is read exactly as an uncoalesced
-        transfer would read it.
-        """
-        stalls = 0
-        size: int | None = None
-        while True:
-            try:
-                if size is None:
-                    size = self.fstat(fd).size
-                if len(out) >= size:
-                    return fd, epoch
-                frames = [
-                    {"op": "pread", "fd": fd, "length": CHUNK, "offset": off}
-                    for off in range(len(out), size, CHUNK)[:BATCH_LIMIT]
-                ]
-                progressed = False
-                for slot in self._call("batch", frames=frames)["results"]:
-                    if not slot.get("ok"):
-                        raise self._slot_error(slot)
-                    chunk = slot["data"]
-                    out.extend(chunk)
-                    if chunk:
-                        progressed = True
-                    if len(chunk) < CHUNK:
-                        break  # short read: recompute offsets from here
-                if progressed:
-                    stalls = 0
-                else:
-                    size = None  # file shrank underneath us; re-sample
-            except ChirpError as exc:
-                if not self._fd_stale(exc, epoch) or (
-                    self.retry is not None
-                    and stalls + 1 >= self.retry.max_attempts
-                ):
-                    raise
-                stalls += 1
-                self.stats.transfer_restarts += 1
-                fd = self.open(path, OpenFlags.O_RDONLY)
-                epoch = self._epoch
-                size = None
-
     def exec(self, path: str, args: list[str] | None = None, cwd: str = "/") -> int:
         """Run a remote program inside an identity box named by this
         connection's principal; returns its exit status."""
         reply = self._call("exec", path=path, args=args or [], cwd=cwd)
         return int(reply["status"])
+
+
+#: Open flags a revived descriptor must not replay: the reopened file
+#: must be found as it was left, chunks already written intact.
+_REOPEN_CLEAR = int(OpenFlags.O_CREAT | OpenFlags.O_TRUNC | OpenFlags.O_EXCL)
+
+
+@dataclass
+class RemoteFile:
+    """An open remote descriptor that outlives its connection.
+
+    Descriptors do not survive reconnects, so a descriptor op retried
+    after a reconnect reports EBADF from the fresh connection.  That
+    EBADF is transport weather, not a verdict: the file remembers how it
+    was opened, reopens the path with its open flags minus
+    ``O_CREAT|O_TRUNC|O_EXCL`` and reruns the op.  ``pread``/``pwrite`` offsets are absolute, so a revived
+    descriptor continues exactly where the old one died.  A reopened
+    descriptor can die in turn; each op gets ``retry.max_attempts``
+    attempts in all.  ``put``, ``get`` and the Parrot driver's handles
+    all revive through here.
+    """
+
+    client: ChirpClient
+    fd: int
+    path: str = ""
+    flags: int = 0
+    mode: int = 0o644
+    #: the client's epoch when ``fd`` was minted
+    epoch: int = 0
+
+    @classmethod
+    def open(
+        cls, client: ChirpClient, path: str, flags: int, mode: int = 0o644
+    ) -> "RemoteFile":
+        fd = client.open(path, flags, mode)
+        return cls(client, fd, path, int(flags), mode, client.epoch)
+
+    def _stale(self, exc: ChirpError) -> bool:
+        """Did this descriptor die with its connection (vs a real EBADF)?"""
+        return (
+            self.client.retry is not None
+            and exc.errno is Errno.EBADF
+            and self.client.epoch != self.epoch
+        )
+
+    def call(self, method: str, *args: Any) -> Any:
+        """``client.<method>(fd, *args)``, reviving a dead descriptor."""
+        client = self.client
+        attempt = 1
+        while True:
+            try:
+                return getattr(client, method)(self.fd, *args)
+            except ChirpError as exc:
+                if not self._stale(exc) or attempt >= client.retry.max_attempts:
+                    raise
+            attempt += 1
+            client.stats.transfer_restarts += 1
+            self.fd = client.open(self.path, self.flags & ~_REOPEN_CLEAR, self.mode)
+            self.epoch = client.epoch
+
+    def close(self) -> None:
+        """Close the descriptor; one that died with its connection is
+        already gone, so its EBADF is not an error."""
+        try:
+            self.client.close_fd(self.fd)
+        except ChirpError as exc:
+            if not self._stale(exc):
+                raise
 
 
 @dataclass

@@ -10,16 +10,14 @@ credentials.  ACLs are enforced server-side, so the driver sets
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..interpose.drivers import Driver
 from ..kernel.errno import Errno, KernelError, err
-from ..kernel.fdtable import OpenFlags
 from ..kernel.inode import StatResult
 from ..kernel.syscalls import SEEK_CUR, SEEK_END, SEEK_SET
-from .client import ChirpClient
+from .client import ChirpClient, RemoteFile
 from .protocol import CHIRP_PORT, ChirpError, StatPayload
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,27 +68,11 @@ def _wrap(call):
 
 
 @dataclass
-class ChirpHandle:
-    """Driver-private open-file state (remote fd + local offset mirror).
+class ChirpHandle(RemoteFile):
+    """Driver-private open-file state: a remote descriptor that revives
+    after a transparent reconnect, plus the local offset mirror."""
 
-    The handle remembers how it was opened: a remote descriptor dies with
-    its connection, so after a transparent reconnect the driver reopens
-    the same path (never re-truncating) and carries on at the same
-    offset.
-    """
-
-    client: ChirpClient
-    fd: int
-    path: str = ""
-    flags: int = 0
-    mode: int = 0o644
-    epoch: int = 0
     offset: int = 0
-
-
-#: Flags that must not replay when a handle is re-established: reopening
-#: after a reconnect must find the file as the application left it.
-_REOPEN_CLEAR = OpenFlags.O_CREAT | OpenFlags.O_TRUNC | OpenFlags.O_EXCL
 
 
 class ChirpDriver(Driver):
@@ -168,60 +150,26 @@ class ChirpDriver(Driver):
 
     def open(self, path: str, flags: int, mode: int) -> ChirpHandle:
         client, vpath = self._split(path)
-        fd = _wrap(client.open)(vpath, flags, mode)
-        return ChirpHandle(
-            client=client,
-            fd=fd,
-            path=vpath,
-            flags=int(flags),
-            mode=mode,
-            epoch=client.epoch,
-        )
-
-    def _stale(self, handle: ChirpHandle, exc: KernelError) -> bool:
-        """Did this descriptor die with its connection (vs a real EBADF)?"""
-        return (
-            handle.client.retry is not None
-            and exc.errno is Errno.EBADF
-            and handle.client.epoch != handle.epoch
-        )
-
-    def _fd_call(self, handle: ChirpHandle, method: str, *args):
-        """A descriptor op that survives reconnects by reopening, up to the
-        client's retry budget: a reopened descriptor can die in turn."""
-        for revival in itertools.count():
-            try:
-                return _wrap(getattr(handle.client, method))(handle.fd, *args)
-            except KernelError as exc:
-                if not self._stale(handle, exc) or revival == handle.client.retry.max_attempts:
-                    raise
-            handle.fd = _wrap(handle.client.open)(
-                handle.path, handle.flags & ~int(_REOPEN_CLEAR), handle.mode
-            )
-            handle.epoch = handle.client.epoch
+        return _wrap(ChirpHandle.open)(client, vpath, flags, mode)
 
     def close(self, handle: ChirpHandle) -> None:
-        try:
-            _wrap(handle.client.close_fd)(handle.fd)
-        except KernelError as exc:
-            if not self._stale(handle, exc):
-                raise  # the connection already reaped a stale descriptor
+        _wrap(handle.close)()
 
     def read(self, handle: ChirpHandle, length: int) -> bytes:
-        data = self._fd_call(handle, "pread", length, handle.offset)
+        data = _wrap(handle.call)("pread", length, handle.offset)
         handle.offset += len(data)
         return data
 
     def write(self, handle: ChirpHandle, data: bytes) -> int:
-        n = self._fd_call(handle, "pwrite", data, handle.offset)
+        n = _wrap(handle.call)("pwrite", data, handle.offset)
         handle.offset += n
         return n
 
     def pread(self, handle: ChirpHandle, length: int, offset: int) -> bytes:
-        return self._fd_call(handle, "pread", length, offset)
+        return _wrap(handle.call)("pread", length, offset)
 
     def pwrite(self, handle: ChirpHandle, data: bytes, offset: int) -> int:
-        return self._fd_call(handle, "pwrite", data, offset)
+        return _wrap(handle.call)("pwrite", data, offset)
 
     def lseek(self, handle: ChirpHandle, offset: int, whence: int) -> int:
         if whence == SEEK_SET:
@@ -229,7 +177,7 @@ class ChirpDriver(Driver):
         elif whence == SEEK_CUR:
             new = handle.offset + offset
         elif whence == SEEK_END:
-            new = self._fd_call(handle, "fstat").size + offset
+            new = _wrap(handle.call)("fstat").size + offset
         else:
             raise err(Errno.EINVAL, f"whence {whence}")
         if new < 0:
@@ -238,10 +186,10 @@ class ChirpDriver(Driver):
         return new
 
     def ftruncate(self, handle: ChirpHandle, length: int) -> None:
-        self._fd_call(handle, "ftruncate", length)
+        _wrap(handle.call)("ftruncate", length)
 
     def fstat(self, handle: ChirpHandle) -> StatResult:
-        return _stat_result(self._fd_call(handle, "fstat"))
+        return _stat_result(_wrap(handle.call)("fstat"))
 
     # ------------------------------------------------------------------ #
     # path ops

@@ -35,8 +35,8 @@ PRE_AUTH_OPS = frozenset({"auth"})
 #: (identity must be settled before frames can be coalesced under it).
 BATCH_OP = "batch"
 
-#: Bound on requests per batch frame; a client coalescing a long
-#: transfer splits it into envelopes of at most this many chunks.
+#: Bound on requests per batch frame; a longer envelope is refused
+#: whole with EINVAL.
 BATCH_LIMIT = 64
 
 #: The Unix-like operation set.

@@ -13,9 +13,10 @@ Non-idempotent *path* operations therefore carry an idempotency key (see
 key and replays it instead of re-executing.  Descriptor operations
 (``open``/``pwrite``/``close``…) do not carry keys: a descriptor dies
 with its connection, so a retried descriptor op after a reconnect fails
-with EBADF and the client revives the descriptor — ``put``/``get`` reopen
-the path and resume at the absolute offset already transferred — which
-is idempotent at the file level because every chunk I/O is positioned.
+with EBADF and the client revives the descriptor
+(:class:`~repro.chirp.client.RemoteFile`): it reopens the path and reruns
+the op at the same absolute offset, which is idempotent at the file
+level because every chunk I/O is positioned.
 """
 
 from __future__ import annotations
@@ -66,9 +67,10 @@ IDEMPOTENCY_KEYED_OPS = frozenset(
         "truncate",
         "setacl",
         "exec",
-        # the coalescing envelope: its frames are positioned I/O (already
-        # idempotent), but keying the whole envelope lets the server
-        # replay the stored response instead of re-running every slot
+        # the coalescing envelope: any file op (mkdir, rename...) may
+        # ride one, so keying the whole envelope is what makes it
+        # exactly-once: a retry replays the stored response instead of
+        # re-running every slot
         "batch",
     }
 )

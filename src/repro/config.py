@@ -17,8 +17,6 @@ parsed here, once, instead of each conftest re-implementing the same
 ``REPRO_BENCH_SMOKE``        CI-sized benchmark iteration counts
 ``REPRO_CACHE``              fast-lane read-op memoization at the pipeline
                              mouth (CI's ``test-fastlane`` leg sets ``1``)
-``REPRO_COALESCE``           client-side frame coalescing: adjacent Chirp
-                             frames batch into one wire frame
 ===========================  =================================================
 
 All readers are *dynamic* — they consult the environment on every call, so
@@ -96,9 +94,4 @@ def bench_smoke() -> bool:
 def read_cache_enabled() -> bool:
     """Fast-lane memoization of read-only ops at the pipeline mouth."""
     return env_flag("REPRO_CACHE")
-
-
-def coalesce_enabled() -> bool:
-    """Client-side frame coalescing for chunked Chirp transfers."""
-    return env_flag("REPRO_COALESCE")
 

@@ -60,14 +60,6 @@ requires_single_replica = pytest.mark.skipif(
     reason="asserts single-owner routing counts; skipped at REPRO_REPLICAS>1",
 )
 
-#: For tests whose assertions depend on the exact wire-frame sequence
-#: (fault-draw schedules, replay-cache hit counts) — frame coalescing
-#: legitimately collapses many frames into one and shifts both.
-requires_uncoalesced_wire = pytest.mark.skipif(
-    config.coalesce_enabled(),
-    reason="asserts exact wire-frame accounting; skipped under REPRO_COALESCE",
-)
-
 FRED_DN = "/O=UnivNowhere/CN=Fred"
 HEIDI_DN = "/O=NotreDame/CN=Heidi"
 SERVER_HOST = "server1.nowhere.edu"
@@ -168,7 +160,6 @@ __all__ = [
     "REPLICA_COUNT",
     "requires_perfect_network",
     "requires_single_replica",
-    "requires_uncoalesced_wire",
     "FRED_DN",
     "HEIDI_DN",
     "OUTSIDE_HOST",

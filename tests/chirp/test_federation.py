@@ -37,7 +37,6 @@ from tests.chirp.conftest import (
     REPLICA_COUNT,
     SHARD_COUNT,
     requires_single_replica,
-    requires_uncoalesced_wire,
 )
 from tests.chirp.test_resilience import input_bytes, stage_and_run
 
@@ -204,7 +203,6 @@ def test_same_shard_rename_is_a_plain_rename():
     assert client.get("/d0/b") == b"x"
 
 
-@requires_uncoalesced_wire
 def test_cross_shard_rename_survives_drops_and_a_mid_transfer_restart():
     """The satellite's bar: seeded drops plus a shard restart landing in
     the middle of the transfer; afterwards exactly one copy exists, the

@@ -21,9 +21,11 @@ from repro.chirp import (
     ServerAuth,
 )
 from repro.chirp.client import CHUNK
+from repro.chirp.protocol import request
+from repro.chirp.server import IDEM_CACHE_LIMIT
 from repro.core import Acl, Admission, Rights
 from repro.gsi import CertificateAuthority, CredentialStore, provision_user
-from repro.kernel.errno import Errno
+from repro.kernel.errno import Errno, KernelError
 from repro.kernel.fdtable import OpenFlags
 from repro.kernel.timing import NS_PER_MS, NS_PER_S
 from repro.net import Cluster, FaultPlan
@@ -189,6 +191,27 @@ def test_mkdir_with_lost_response_is_replayed_not_reapplied():
     assert fred.stat("/solo").is_dir
 
 
+def test_replay_window_holds_exactly_the_last_limit_replies():
+    # the cache keeps the last IDEM_CACHE_LIMIT keyed replies, evicted in
+    # first-reply order; a replay does not refresh its key
+    cluster, server, wallet = make_world()
+    fred = connect_fred(cluster, wallet, retry=None)
+
+    def mkdir(key, path):
+        return decode_message(fred.connection.call(request("mkdir", path=path, idem=key)))
+
+    for i in range(IDEM_CACHE_LIMIT):
+        assert mkdir(f"k{i}", f"/d{i}")["ok"]
+    assert mkdir("k0", "/d0")["ok"]  # IDEM_CACHE_LIMIT replies back: replayed
+    assert server.stats.replays == 1
+    assert mkdir("k-new", "/d-new")["ok"]  # evicts k0: the replay did not refresh it
+    assert mkdir("k1", "/d1")["ok"]  # so k1 survived and is replayed
+    assert server.stats.replays == 2
+    # the known gap: a retry after eviction re-executes
+    assert mkdir("k0", "/d0")["errno"] == int(Errno.EEXIST)
+    assert server.stats.replays == 2
+
+
 def test_server_restart_mid_transfer_revives_the_descriptor():
     # ops: auth=1, mkdir=2, open=3, pwrite=4 <- crash lands mid-transfer
     plan = FaultPlan(restart_at_ops=(4,), ports=(CHIRP_PORT,))
@@ -257,24 +280,51 @@ def test_damaged_frames_on_a_live_connection_get_ebadmsg(frame):
     poisons_one_connection_only(frame)
 
 
-def test_driver_descriptor_survives_losing_the_wire_during_its_revival():
-    plan = FaultPlan(ports=(CHIRP_PORT,))
-    cluster, _server, wallet = make_world(plan)
-    fred = connect_fred(cluster, wallet)
-    fred.mkdir("/w")
-    driver = ChirpDriver(cluster.network, LAPTOP, [GlobusAuthenticator(wallet)], retry=RETRY)
-    handle = driver.open(f"/{SERVER}/w/out", OpenFlags.O_WRONLY | OpenFlags.O_CREAT, 0o644)
-    pwrite, dropped = handle.client.pwrite, []
+def pwrite_dies(client, plan, deaths):
+    """Patch ``client.pwrite`` so its next ``deaths`` calls each lose the
+    wire: the drop forces a reconnect, and the retried pwrite then finds
+    its descriptor dead."""
+    pwrite, dropped = client.pwrite, []
 
     def pwrite_on_a_dying_wire(fd, data, offset):
-        if len(dropped) < 2:  # the write, then its reopened descriptor
+        if len(dropped) < deaths:
             dropped.append(fd)
             plan.force("drop")
         return pwrite(fd, data, offset)
 
-    handle.client.pwrite = pwrite_on_a_dying_wire
-    assert driver.pwrite(handle, b"abc", 0) == 3
-    assert len(dropped) == 2 and fred.get("/w/out") == b"abc"
+    client.pwrite = pwrite_on_a_dying_wire
+
+
+def driver_writer(cluster, wallet):
+    driver = ChirpDriver(cluster.network, LAPTOP, [GlobusAuthenticator(wallet)], retry=RETRY)
+    handle = driver.open(f"/{SERVER}/w/out", OpenFlags.O_WRONLY | OpenFlags.O_CREAT, 0o644)
+    return handle.client, lambda: driver.pwrite(handle, b"abc", 0)
+
+
+def put_writer(cluster, wallet):
+    client = connect_fred(cluster, wallet)
+    return client, lambda: client.put(b"abc", "/w/out")
+
+
+@pytest.mark.parametrize("writer", [driver_writer, put_writer], ids=["driver", "put"])
+@pytest.mark.parametrize("deaths", [1, RETRY.max_attempts - 1, RETRY.max_attempts])
+def test_descriptor_survives_losing_the_wire_during_its_revival(writer, deaths):
+    # each death spends one of the op's max_attempts descriptor attempts
+    plan = FaultPlan(ports=(CHIRP_PORT,))
+    cluster, _server, wallet = make_world(plan)
+    fred = connect_fred(cluster, wallet)
+    fred.mkdir("/w")
+    client, write = writer(cluster, wallet)
+    pwrite_dies(client, plan, deaths)
+    if deaths < RETRY.max_attempts:
+        assert write() == 3
+        assert client.stats.transfer_restarts == deaths
+        assert fred.get("/w/out") == b"abc"
+        return
+    with pytest.raises((ChirpError, KernelError)) as excinfo:
+        write()
+    assert excinfo.value.errno is Errno.EBADF
+    assert client.stats.transfer_restarts == RETRY.max_attempts - 1
 
 
 def test_truncated_response_is_transient_and_retried():
