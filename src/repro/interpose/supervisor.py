@@ -169,10 +169,10 @@ class Supervisor:
         process table, ACL cache, pipeline — is rebuilt fresh against
         ``machine``, and the counters start at zero so a forked world's
         metrics never blend into the parent's.  Only *configuration*
-        (owner name, thresholds, signal policy, audit class) carries over;
-        the audit trail itself stays with the parent.  Telemetry comes from
-        the forked machine, which :meth:`Machine.fork` already detached
-        into a fresh trace lineage.
+        (owner name, thresholds, whether the ACL cache is on, signal
+        policy, audit class) carries over; the audit trail itself stays
+        with the parent.  Telemetry comes from the forked machine, which
+        :meth:`Machine.fork` already detached into a fresh trace lineage.
         """
         owner = machine.users.credentials_for(self.owner_cred.username)
         audit = type(self.audit)() if self.audit is not None else None
@@ -181,6 +181,7 @@ class Supervisor:
             owner,
             audit=audit,
             small_io_threshold=self.small_io_threshold,
+            acl_cache=self.policy.cache_enabled,
             signal_policy=self.signal_policy,
             telemetry=getattr(machine, "telemetry", None),
         )

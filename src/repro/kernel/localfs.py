@@ -14,10 +14,17 @@ into the mutable layer (:meth:`LocalFS.writable`); file *bytes* stay shared
 even then, until a data write claims them (:meth:`LocalFS._own_data`).
 Callers therefore never mutate an inode object directly — every mutation
 goes through a ``LocalFS`` method so the copy-on-write step cannot be
-skipped.  That makes :meth:`LocalFS.writable`, :meth:`LocalFS._alloc` and
-:meth:`LocalFS.restore_state` the only doors to a changed namespace, and
-each bumps :attr:`LocalFS.generation`: the path resolver's memo
-(:mod:`repro.kernel.vfs`) is valid only while the generation holds.
+skipped.
+
+:attr:`LocalFS.generation` counts the mutations a path walk can observe:
+directory entries, directory parents, symlink targets, the mode and owner
+bits a traverse check reads, new inodes and world rewinds.  ``link``,
+``unlink``, ``rmdir``, ``rename``, ``set_mode`` and ``set_owner`` bump it,
+as do :meth:`LocalFS._alloc` (so ``create_file``, ``mkdir`` and
+``symlink``) and :meth:`LocalFS.restore_state`.  Data-only
+writes (``write_at``, ``truncate``, ``touch_atime``) do not: they may clone
+an inode, but a walk reaches the clone by its number.  The path resolver's
+memo (:mod:`repro.kernel.vfs`) is valid only while the generation holds.
 """
 
 from __future__ import annotations
@@ -60,8 +67,8 @@ class LocalFS:
         #: them, POSIX-style).  Always the *writable* incarnation; never part
         #: of a snapshot — an unlinked file dies with its world.
         self._orphans: dict[int, Inode] = {}
-        #: bumped on every possible inode or namespace mutation (see the
-        #: module docstring); equal generations mean an unchanged tree
+        #: bumped on every mutation a path walk can observe (see the module
+        #: docstring); equal generations mean every walk answers the same
         self.generation = 0
         root = Inode(ino=1, ftype=FileType.DIR, mode=DEFAULT_DIR_MODE, uid=0, gid=0, nlink=2)
         self._inodes[1] = root
@@ -98,7 +105,6 @@ class LocalFS:
         into the mutable top layer.  Before any snapshot (and on every
         later touch) this is a plain lookup with no copying.
         """
-        self.generation += 1
         ino = node.ino
         if self._inodes.in_top(ino):
             return self._inodes[ino]
@@ -232,6 +238,7 @@ class LocalFS:
             raise err(Errno.EPERM, "hard links to directories are forbidden")
         if name in directory.entries:
             raise err(Errno.EEXIST, name)
+        self.generation += 1
         directory = self.writable(directory)
         target = self.writable(target)
         directory.entries[name] = target.ino
@@ -244,6 +251,7 @@ class LocalFS:
         node = self.lookup(directory, name)
         if node.is_dir:
             raise err(Errno.EISDIR, name)
+        self.generation += 1
         directory = self.writable(directory)
         node = self.writable(node)
         del directory.entries[name]
@@ -262,6 +270,7 @@ class LocalFS:
             raise err(Errno.ENOTDIR, name)
         if node.entries:
             raise err(Errno.ENOTEMPTY, name)
+        self.generation += 1
         directory = self.writable(directory)
         node = self.writable(node)
         del directory.entries[name]
@@ -311,6 +320,7 @@ class LocalFS:
                 self.rmdir(dst_dir, dst_name, now_ns)
             else:
                 self.unlink(dst_dir, dst_name, now_ns)
+        self.generation += 1
         src_dir = self.writable(src_dir)
         dst_dir = self.writable(dst_dir)
         node = self.writable(node)
@@ -336,6 +346,7 @@ class LocalFS:
 
     def set_mode(self, node: Inode, mode: int, now_ns: int = 0) -> Inode:
         """chmod: replace the permission bits."""
+        self.generation += 1
         node = self.writable(node)
         node.mode = mode & 0o7777
         node.ctime_ns = now_ns
@@ -343,6 +354,7 @@ class LocalFS:
 
     def set_owner(self, node: Inode, uid: int, gid: int, now_ns: int = 0) -> Inode:
         """chown: replace owner and group."""
+        self.generation += 1
         node = self.writable(node)
         node.uid, node.gid = uid, gid
         node.ctime_ns = now_ns

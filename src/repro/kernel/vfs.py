@@ -5,7 +5,10 @@ agent reuse the same walker over its own namespace, and lets the ACL layer
 (``repro.core.aclfs``) resolve ``.__acl`` files without duplicating symlink
 handling.  The walker reports :class:`WalkStats` so the syscall layer can
 charge the cost model per component touched — directory depth is what makes
-``stat``-heavy workloads (the paper's ``make`` build) expensive.
+``stat``-heavy workloads (the paper's ``make`` build) expensive.  The
+resolver remembers its walks until :attr:`LocalFS.generation` moves, so a
+path is walked once per namespace change while its stats, and the time
+charged for them, repeat on every resolution (see :class:`VFS`).
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ from .users import Credentials
 MAX_SYMLINKS = 40
 
 PATH_MAX = 4096
+
+#: Most walks :meth:`VFS.resolve` remembers in one namespace generation.
+MEMO_ENTRIES = 4096
 
 
 def split_path(path: str) -> list[str]:
@@ -125,21 +131,24 @@ class Resolution:
 class VFS:
     """Resolver bound to one :class:`LocalFS`.
 
-    :meth:`resolve` remembers its last successful walk.  An op usually
-    resolves the same path twice back to back — the reference monitor as
-    the supervising user, then the kernel for that same user — and the
-    second call returns the first one's outcome without walking again.
-    The memo holds **one** entry, keyed by the absolute path, the walking
-    credentials (when traverse checks run), ``follow`` and
-    :attr:`LocalFS.generation`; any inode mutation anywhere bumps the
-    generation, so a hit returns exactly what a fresh walk would.  Errors
-    are never memoized.
+    :meth:`resolve` remembers its successful walks for as long as
+    :attr:`LocalFS.generation` holds, keyed by the absolute path, the
+    walking credentials (when traverse checks run) and ``follow``.  The
+    generation moves on every mutation a walk can observe, so within one
+    generation a walk's outcome is fixed; data writes (which may CoW-clone
+    an inode) leave it alone, which is why the memo stores inode *numbers*
+    and a hit fetches their live incarnations.  An op's monitor and kernel
+    resolutions and a build's repeated ``stat``s of one path walk once.
+    At most :data:`MEMO_ENTRIES` walks are kept; a full memo starts over.
+    Errors are never memoized.
     """
 
     def __init__(self, fs: LocalFS) -> None:
         self.fs = fs
-        #: (key, outcome) of the last successful walk, or None
-        self._memo: tuple[tuple, tuple] | None = None
+        #: key -> (ino | None, parent ino, name, dir_path, components,
+        #: symlinks) of the successful walks in generation ``_memo_gen``
+        self._memo: dict[tuple, tuple] = {}
+        self._memo_gen = fs.generation
 
     # ------------------------------------------------------------------ #
     # snapshot protocol (see repro.kernel.Snapshotable)
@@ -181,20 +190,40 @@ class VFS:
         if not path:
             raise err(Errno.ENOENT, "empty path")
         full = path if path.startswith("/") else join(cwd, path)
+        fs = self.fs
+        memo = self._memo
+        if self._memo_gen != fs.generation:
+            memo.clear()
+            self._memo_gen = fs.generation
         key = (
             full,
             # who walks matters only when traverse permission is checked
             (cred.uid, cred.gid) if check_traverse and cred is not None else None,
             follow,
-            self.fs.generation,
         )
-        memo = self._memo
-        if memo is not None and memo[0] == key:
-            node, parent, name, dir_path, components, symlinks = memo[1]
-            return Resolution(node, parent, name, dir_path, WalkStats(components, symlinks))
+        hit = memo.get(key)
+        if hit is not None:
+            ino, parent_ino, name, dir_path, components, symlinks = hit
+            inodes = fs._inodes
+            return Resolution(
+                None if ino is None else inodes.get(ino),
+                inodes.get(parent_ino),
+                name,
+                dir_path,
+                WalkStats(components, symlinks),
+            )
         stats = WalkStats()
         node, parent, name, dir_path = self._walk(full, cred, follow, check_traverse, stats, 0)
-        self._memo = (key, (node, parent, name, dir_path, stats.components, stats.symlinks))
+        if len(memo) >= MEMO_ENTRIES:
+            memo.clear()
+        memo[key] = (
+            None if node is None else node.ino,
+            parent.ino,
+            name,
+            dir_path,
+            stats.components,
+            stats.symlinks,
+        )
         return Resolution(inode=node, parent=parent, name=name, dir_path=dir_path, stats=stats)
 
     def _walk(

@@ -9,8 +9,9 @@ process table, counters, and trace lineage).
 import pytest
 
 from repro.core.box import IdentityBox
+from repro.interpose.supervisor import Supervisor
 from repro.kernel import Errno, KernelError
-from tests.helpers import boxed_read_file, boxed_write_file
+from tests.helpers import boxed_read_file, boxed_write_file, run_calls
 
 
 def test_stale_supervisor_refuses_adopt(machine, alice, box):
@@ -72,3 +73,21 @@ def test_forked_box_spawns_fresh_trace_lineage(machine, alice):
     child_traces = {s.trace_id for s in child.telemetry.spans}
     assert child_traces
     assert parent_traces.isdisjoint(child_traces)
+
+
+def test_forked_supervisor_keeps_the_acl_cache_switch(machine, alice):
+    """A cache-less supervisor forks into a cache-less one, so the forked
+    world charges the same simulated time as the world it came from."""
+    sup = Supervisor(machine, alice, acl_cache=False)
+    box = IdentityBox(machine, alice, "Visitor", supervisor=sup)
+    calls = [("mkdir", "d", 0o755)] + [("stat", "d")] * 3
+    child = machine.fork()
+    cbox = box.fork(child)
+    assert cbox.supervisor.policy.cache_enabled is False
+
+    def elapsed(world, b):
+        start = world.clock.now_ns
+        run_calls(calls, machine=world, box=b)
+        return world.clock.now_ns - start
+
+    assert elapsed(child, cbox) == elapsed(machine, box)
