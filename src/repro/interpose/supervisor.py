@@ -111,7 +111,6 @@ class Supervisor:
         self.namespace = Namespace(LocalDriver(machine, self.task))
         #: statistics for reporting
         self.syscalls_handled = 0
-        self.denials = 0
         #: the shared operation pipeline (registry + interceptor chain)
         self.registry = shared_syscall_registry()
         self.pipeline = build_pipeline(
@@ -120,12 +119,20 @@ class Supervisor:
             clock=machine.clock,
             audit_log=audit,
             resolve_identity=lambda op, ctx: ctx.state.identity,
-            on_denial=self._count_denial,
             telemetry=self.telemetry,
         )
 
-    def _count_denial(self, op: Operation) -> None:
-        self.denials += 1
+    @property
+    def denials(self) -> int:
+        """Ops the policy refused (EACCES or EPERM).
+
+        Read off the pipeline's :class:`DenialCounter` rather than counted
+        through an ``on_denial`` callback: a callback bound to the
+        supervisor would make supervisor and pipeline a reference cycle,
+        and a dropped box (with its I/O channel's buffer) would then wait
+        for the next full garbage collection instead of going at once.
+        """
+        return sum(self.pipeline.denial_counter.errnos.values())
 
     # ------------------------------------------------------------------ #
     # box membership

@@ -187,6 +187,18 @@ class Machine:
         table.epoch = self._epoch_token
         return Task(cred=cred, fdtable=table, cwd=cwd)
 
+    def close(self) -> None:
+        """Let a finished world go at once; the machine is unusable after.
+
+        The executor, the tracer and every agent built on the machine
+        hold it, and it holds them, so a dropped machine is cyclic
+        garbage: its file system, file bytes included, would stay resident
+        until the interpreter's next full collection, which comes at no
+        fixed point.  Dropping everything the machine holds breaks those
+        cycles, and reference counting frees the world here.
+        """
+        self.__dict__.clear()
+
     # ------------------------------------------------------------------ #
     # world snapshot / fork / restore
     # ------------------------------------------------------------------ #

@@ -164,27 +164,31 @@ def _run(
     boxed: bool,
     comm: str,
 ) -> tuple[float, int]:
-    """Execute one prepared run; returns (sim seconds, syscalls dispatched)."""
-    if boxed:
-        # the owner grants the visiting identity the workload directory
-        # before the box starts, so the box's monitor reads that ACL on
-        # first use like any ACL already on disk (a one-off writer keeps
-        # no cache)
-        owner = machine.host_task(cred)
-        AclPolicy(machine, owner, cache_enabled=False).write_acl(
-            WORKDIR, Acl.for_owner(BOX_IDENTITY)
-        )
-        box = IdentityBox(machine, cred, BOX_IDENTITY, make_home=False)
+    """Execute one prepared run, then close its machine; returns (sim
+    seconds, syscalls dispatched)."""
+    try:
+        if boxed:
+            # the owner grants the visiting identity the workload directory
+            # before the box starts, so the box's monitor reads that ACL on
+            # first use like any ACL already on disk (a one-off writer keeps
+            # no cache)
+            owner = machine.host_task(cred)
+            AclPolicy(machine, owner, cache_enabled=False).write_acl(
+                WORKDIR, Acl.for_owner(BOX_IDENTITY)
+            )
+            box = IdentityBox(machine, cred, BOX_IDENTITY, make_home=False)
+            start = machine.clock.now_ns
+            box.spawn(factory, cwd=WORKDIR, comm=comm)
+            machine.run_to_completion()
+            elapsed = machine.clock.now_ns - start
+            return elapsed / NS_PER_S, box.supervisor.syscalls_handled
         start = machine.clock.now_ns
-        box.spawn(factory, cwd=WORKDIR, comm=comm)
+        machine.spawn(factory, cred=cred, cwd=WORKDIR, comm=comm)
         machine.run_to_completion()
         elapsed = machine.clock.now_ns - start
-        return elapsed / NS_PER_S, box.supervisor.syscalls_handled
-    start = machine.clock.now_ns
-    machine.spawn(factory, cred=cred, cwd=WORKDIR, comm=comm)
-    machine.run_to_completion()
-    elapsed = machine.clock.now_ns - start
-    return elapsed / NS_PER_S, machine.proc_syscalls
+        return elapsed / NS_PER_S, machine.proc_syscalls
+    finally:
+        machine.close()
 
 
 # --------------------------------------------------------------------- #

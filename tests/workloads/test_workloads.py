@@ -1,8 +1,12 @@
 """Workload models and the measurement runner (Figure 5 scaffolding)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.kernel.timing import CostModel
+from repro.workloads import runner
 from repro.workloads import (
     ALL_APPS,
     AMANDA,
@@ -52,6 +56,31 @@ def test_boxed_run_slower_than_unmodified():
     base, _ = run_app(AMANDA, boxed=False, scale=SCALE)
     boxed, _ = run_app(AMANDA, boxed=True, scale=SCALE)
     assert boxed > base
+
+
+@pytest.mark.parametrize("profile", [AMANDA, MAKE], ids=lambda p: p.name)
+def test_finished_run_frees_its_world_without_the_cycle_collector(monkeypatch, profile):
+    # a dead world kept for the collector holds its file bytes (the boxed
+    # I/O channel's alone are megabytes), so how many pile up would depend
+    # on when the interpreter happens to collect
+    worlds = []
+    prepare = runner._prepare
+
+    def remembering_prepare(*args, **kwargs):
+        machine, cred = prepare(*args, **kwargs)
+        worlds.append(weakref.ref(machine))
+        return machine, cred
+
+    monkeypatch.setattr(runner, "_prepare", remembering_prepare)
+    gc.collect()
+    gc.disable()
+    try:
+        run_app(profile, boxed=False, scale=SCALE)
+        run_app(profile, boxed=True, scale=SCALE)
+        alive = [ref() is not None for ref in worlds]
+    finally:
+        gc.enable()
+    assert alive == [False, False]
 
 
 def test_overhead_roughly_scale_invariant():
