@@ -3,7 +3,7 @@
 Wraps a network connection in the Unix-like protocol: negotiate an
 authentication method, then open/read/write/stat files, manage ACLs, and
 invoke the remote ``exec``.  ``put``/``get`` are the staging conveniences
-Figure 3's workflow uses.
+Figure 3's workflow uses: one ``putfile``/``getfile`` round trip each.
 
 With a :class:`~repro.chirp.retry.RetryPolicy` attached, the client
 survives an unreliable network: every call gets a deadline on the
@@ -11,7 +11,8 @@ simulated clock, transient failures back off exponentially (with seeded
 jitter) and retry, a dead connection is transparently re-established and
 re-authenticated with the original credentials, and mutating path
 operations carry idempotency keys so a retry can never silently apply an
-operation twice.  Without a policy the client is the thin single-shot
+operation twice (a ``put`` included: a transfer that dies mid-flight is
+retried as a whole op).  Without a policy the client is the thin single-shot
 wrapper it always was, except that transport failures surface as clean
 :class:`ChirpError`\\ s rather than leaking kernel-level exceptions.
 """
@@ -41,10 +42,6 @@ from .retry import (
     breaks_connection,
     is_transient,
 )
-
-#: Transfer chunk size for put/get.
-CHUNK = 64 * 1024
-
 
 @dataclass
 class ClientStats:
@@ -422,37 +419,13 @@ class ChirpClient:
     # ------------------------------------------------------------------ #
 
     def put(self, data: bytes, path: str, mode: int = 0o644) -> int:
-        """Stage data onto the server, chunked; survives reconnects.
-
-        The transfer is resumable: a descriptor that dies with its
-        connection mid-stream is revived (:class:`RemoteFile`) without
-        O_TRUNC — chunks already written stay written — and the stream
-        picks up at the same absolute offset.
-        """
-        f = RemoteFile.open(
-            self, path, OpenFlags.O_WRONLY | OpenFlags.O_CREAT | OpenFlags.O_TRUNC, mode
-        )
-        try:
-            return sum(
-                f.call("pwrite", data[off : off + CHUNK], off)
-                for off in range(0, len(data), CHUNK)
-            )
-        finally:
-            f.close()
+        """Stage data onto the server: one keyed ``putfile``, so a retry
+        after a lost reply replays instead of writing again."""
+        return int(self._call("putfile", path=path, data=data, mode=mode)["count"])
 
     def get(self, path: str) -> bytes:
-        """Retrieve a whole remote file, chunked; survives reconnects.
-
-        Resumable like :meth:`put`; an empty ``pread`` proves EOF.
-        """
-        f = RemoteFile.open(self, path, OpenFlags.O_RDONLY)
-        out = bytearray()
-        try:
-            while chunk := f.call("pread", CHUNK, len(out)):
-                out.extend(chunk)
-            return bytes(out)
-        finally:
-            f.close()
+        """Retrieve a whole remote file: one ``getfile``."""
+        return self._call("getfile", path=path)["data"]
 
     def batch(self, frames: list[dict[str, Any]]) -> list[dict[str, Any]]:
         """Send several requests in one coalescing envelope.
@@ -485,11 +458,11 @@ class RemoteFile:
     after a reconnect reports EBADF from the fresh connection.  That
     EBADF is transport weather, not a verdict: the file remembers how it
     was opened, reopens the path with its open flags minus
-    ``O_CREAT|O_TRUNC|O_EXCL`` and reruns the op.  ``pread``/``pwrite`` offsets are absolute, so a revived
-    descriptor continues exactly where the old one died.  A reopened
-    descriptor can die in turn; each op gets ``retry.max_attempts``
-    attempts in all.  ``put``, ``get`` and the Parrot driver's handles
-    all revive through here.
+    ``O_CREAT|O_TRUNC|O_EXCL`` and reruns the op.  ``pread``/``pwrite``
+    offsets are absolute, so a revived descriptor continues exactly where
+    the old one died.  A reopened descriptor can die in turn; each op
+    gets ``retry.max_attempts`` attempts in all.  The Parrot driver's
+    handles revive through here; ``put``/``get`` hold no descriptor.
     """
 
     client: ChirpClient

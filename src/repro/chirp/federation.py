@@ -21,7 +21,7 @@ The three pieces:
   consistency invariant below), resolves each path to its owning shard,
   and exposes the familiar path-level API.  Cross-shard ``rename`` is an
   idempotent two-phase transfer: stage the bytes to a hidden staging
-  name on the destination shard (resumable positioned writes), commit
+  name on the destination shard (one keyed ``putfile``), commit
   with an idempotency-keyed single-shard ``rename``, then clean up with
   an idempotency-keyed ``unlink`` of the source — every step individually
   safe to retry under the fault layer, so the whole protocol is.
@@ -74,7 +74,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 from ..core.acl import ACL_FILE_NAME
 from ..core.telemetry import HandleCache, Telemetry, instrument
 from ..kernel.errno import Errno, KernelError
-from ..kernel.fdtable import OpenFlags
 from ..kernel.vfs import normalize
 from ..net.network import Network
 from .catalog import (
@@ -87,7 +86,7 @@ from .catalog import (
 from .client import ChirpClient
 from .protocol import CHIRP_PORT, FED_XFER_SUFFIX, ChirpError, StatPayload
 from .retry import as_chirp_error, is_unavailable, quorum
-from .server import ChirpServer
+from .server import ChirpServer, write_file
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.acl import Acl
@@ -766,9 +765,9 @@ class FederatedClient:
 
         Phase 1 (stage): read the source — a failover read, any live
         source replica serves — and write it to a hidden staging name on
-        the destination; both are resumable positioned transfers, so a
-        connection death or shard restart mid-stream picks up at the
-        byte where it stopped.  Phase 2 (commit): a single-shard
+        the destination; each is one whole-file RPC (``getfile``, then a
+        keyed ``putfile``), so a connection death or shard restart
+        mid-transfer retries the whole op.  Phase 2 (commit): a single-shard
         ``rename`` of staging → destination, carrying an idempotency
         key, makes the new name appear exactly once; the keyed ``unlink``
         of the source then retires the old name.  A retry of any step
@@ -1056,17 +1055,7 @@ class Federation:
                 continue
             data = donor.read_export_file(path)
             staging = real + FED_XFER_SUFFIX
-            fd = target.fs.open(
-                staging,
-                int(OpenFlags.O_WRONLY | OpenFlags.O_CREAT | OpenFlags.O_TRUNC),
-                entry[1],
-            )
-            try:
-                offset = 0
-                while offset < len(data):
-                    offset += target.fs.pwrite(fd, data[offset : offset + 65536], offset)
-            finally:
-                target.fs.close(fd)
+            write_file(target.fs, staging, data, entry[1])
             target.fs.rename(staging, real)  # two-phase commit
             totals["copied"] += 1
             totals["bytes"] += len(data)

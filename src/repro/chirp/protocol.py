@@ -7,6 +7,12 @@ payload or an ``errno``.  The reproduction adds the paper's one protocol
 extension — "we have added to the Chirp protocol a simple ``exec`` call
 that invokes a remote process" — and an ``aclcheck`` probe used by the
 Parrot driver before running remote executables locally.
+
+Staging moves whole files, as cctools Chirp does: ``getfile`` returns a
+file's bytes and ``putfile`` replaces them, each in one round trip with
+the bytes riding as one out-of-band payload segment.  The descriptor ops
+(``open``/``pread``/``pwrite``/``close``) remain for the Parrot driver,
+whose applications read and write at offsets of their own choosing.
 """
 
 from __future__ import annotations
@@ -39,6 +45,10 @@ BATCH_OP = "batch"
 #: whole with EINVAL.
 BATCH_LIMIT = 64
 
+#: Chunk size the server moves a ``getfile``/``putfile`` body through the
+#: kernel in (positioned I/O, as the descriptor path would issue it).
+CHUNK = 64 * 1024
+
 #: The Unix-like operation set.
 FILE_OPS = frozenset(
     {
@@ -46,6 +56,8 @@ FILE_OPS = frozenset(
         "close",
         "pread",
         "pwrite",
+        "getfile",
+        "putfile",
         "fstat",
         "ftruncate",
         "stat",
@@ -70,8 +82,9 @@ FILE_OPS = frozenset(
 
 ALL_OPS = PRE_AUTH_OPS | FILE_OPS | {BATCH_OP}
 
-#: Requests that may ride inside a batch envelope.
-BATCHABLE_OPS = FILE_OPS
+#: Requests that may ride inside a batch envelope.  Whole-file transfers
+#: may not: a keyed envelope's stored reply would then hold file bytes.
+BATCHABLE_OPS = FILE_OPS - {"getfile", "putfile"}
 
 
 def batch_request(frames: list[dict], **envelope: Any) -> bytes:

@@ -10,13 +10,17 @@ Retrying a mutating operation blindly can apply it twice: the classic
 case is a ``rename`` whose response was lost after the server renamed.
 Non-idempotent *path* operations therefore carry an idempotency key (see
 :data:`IDEMPOTENCY_KEYED_OPS`); the server caches the response frame per
-key and replays it instead of re-executing.  Descriptor operations
-(``open``/``pwrite``/``close``…) do not carry keys: a descriptor dies
-with its connection, so a retried descriptor op after a reconnect fails
-with EBADF and the client revives the descriptor
-(:class:`~repro.chirp.client.RemoteFile`): it reopens the path and reruns
-the op at the same absolute offset, which is idempotent at the file
-level because every chunk I/O is positioned.
+key and replays it instead of re-executing.  ``putfile`` is one of them:
+a whole-file write retried after its reply was lost replays, so it
+cannot land over a write another client made in between.  ``getfile``
+is a read and carries no key, so the replay cache never holds file
+bytes; a failed transfer is simply retried as a whole op.  Descriptor
+operations (``open``/``pwrite``/``close``…) do not carry keys: a
+descriptor dies with its connection, so a retried descriptor op after a
+reconnect fails with EBADF and the Parrot driver's handle revives the
+descriptor (:class:`~repro.chirp.client.RemoteFile`): it reopens the
+path and reruns the op at the same absolute offset, which is idempotent
+at the file level because every chunk I/O is positioned.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ IDEMPOTENCY_KEYED_OPS = frozenset(
         "symlink",
         "link",
         "truncate",
+        "putfile",
         "setacl",
         "exec",
         # the coalescing envelope: any file op (mkdir, rename...) may

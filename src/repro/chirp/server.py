@@ -67,6 +67,7 @@ from .protocol import (
     BATCH_OP,
     BATCHABLE_OPS,
     CHIRP_PORT,
+    CHUNK,
     FED_XFER_SUFFIX,
     StatPayload,
     UnknownOpError,
@@ -169,6 +170,49 @@ def c_pwrite(op: Operation, conn: "_Connection") -> dict[str, Any]:
     n = conn.server.fs.pwrite(
         conn.sup_fd(int(op.args["fd"])), data, int(op.args["offset"])
     )
+    conn.server.stats.bytes_written += n
+    return {"count": n}
+
+
+def read_file(fs: LocalDriver, path: str) -> bytes:
+    """A whole file's bytes: open, positioned reads to EOF, close."""
+    fd = fs.open(path, int(OpenFlags.O_RDONLY), 0)
+    try:
+        out = bytearray()
+        while chunk := fs.pread(fd, CHUNK, len(out)):
+            out.extend(chunk)
+        return bytes(out)
+    finally:
+        fs.close(fd)
+
+
+def write_file(fs: LocalDriver, path: str, data: bytes, mode: int) -> int:
+    """Replace a file's bytes: open with ``O_WRONLY|O_CREAT|O_TRUNC``,
+    positioned writes, close.  Returns the byte count written."""
+    flags = OpenFlags.O_WRONLY | OpenFlags.O_CREAT | OpenFlags.O_TRUNC
+    fd = fs.open(path, int(flags), mode)
+    try:
+        offset = 0
+        while offset < len(data):
+            offset += fs.pwrite(fd, data[offset : offset + CHUNK], offset)
+        return offset
+    finally:
+        fs.close(fd)
+
+
+def c_getfile(op: Operation, conn: "_Connection") -> dict[str, Any]:
+    path = op.path()
+    data = read_file(path.driver, path.sub)
+    conn.server.stats.bytes_read += len(data)
+    return {"data": data}
+
+
+def c_putfile(op: Operation, conn: "_Connection") -> dict[str, Any]:
+    data = op.args["data"]
+    if not isinstance(data, bytes):
+        raise err(Errno.EINVAL, "putfile data must be bytes")
+    path = op.path()
+    n = write_file(path.driver, path.sub, data, int(op.args.get("mode", 0o644)))
     conn.server.stats.bytes_written += n
     return {"count": n}
 
@@ -319,6 +363,8 @@ def build_chirp_registry() -> OpRegistry:
         ("close", c_close),
         ("pread", c_pread),
         ("pwrite", c_pwrite),
+        ("getfile", c_getfile),
+        ("putfile", c_putfile),
         ("fstat", c_fstat),
         ("ftruncate", c_ftruncate),
         ("stat", c_stat),
@@ -526,16 +572,7 @@ class ChirpServer:
 
     def read_export_file(self, vpath: str) -> bytes:
         """Read one exported file's bytes as the owner (repair donor side)."""
-        fd = self.fs.open(self.real_path(vpath), int(OpenFlags.O_RDONLY), 0)
-        try:
-            out = bytearray()
-            while True:
-                chunk = self.fs.pread(fd, 64 * 1024, len(out))
-                if not chunk:
-                    return bytes(out)
-                out.extend(chunk)
-        finally:
-            self.fs.close(fd)
+        return read_file(self.fs, self.real_path(vpath))
 
 
 @dataclass

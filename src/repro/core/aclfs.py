@@ -356,18 +356,22 @@ class AclPolicy:
     def check_remove_dir(
         self, identity: str, path: str, *, cwd: str = "/"
     ) -> AccessDecision:
-        """Authorize ``rmdir``: write in the parent, *or* write in the
-        directory's own ACL.
+        """Authorize ``rmdir``: write in the parent, *or* the reserve right
+        in the parent plus write in the directory's own ACL.
 
         The second arm covers the Figure-3 cleanup: a visitor who created
         a directory through the reserve right holds full rights inside it
-        but nothing in the parent, yet must be able to remove what they
-        created.
+        but only ``v`` in the parent, yet must be able to remove what they
+        created.  Without ``v`` in the parent, write inside a directory
+        (say, one the owner shared) is no right to delete the directory.
         """
         parent_decision = self.check(
             identity, path, "w", cwd=cwd, follow=False, scope="parent"
         )
         if parent_decision.allowed:
+            return parent_decision
+        reserve = self.check(identity, path, "v", cwd=cwd, follow=False, scope="parent")
+        if not reserve.allowed:
             return parent_decision
         own_decision = self.check(identity, path, "w", cwd=cwd, scope="auto")
         return own_decision if own_decision.allowed else parent_decision

@@ -164,6 +164,7 @@ MUTATING_OPS = frozenset(
     {
         "open",
         "pwrite",
+        "putfile",
         "ftruncate",
         "truncate",
         "mkdir",
@@ -207,6 +208,10 @@ OP_PATH_SPECS: dict[str, tuple[PathArg, ...]] = {
         ),
     ),
     "readlink": (PathArg("path", "l", follow=False, guard=GUARD_HIDE),),
+    # whole-file transfers demand what ``open`` demands for their flags:
+    # O_RDONLY needs r, O_WRONLY|O_CREAT|O_TRUNC needs w
+    "getfile": (PathArg("path", "r", guard=GUARD_PROTECT),),
+    "putfile": (PathArg("path", "w", guard=GUARD_PROTECT),),
     "readdir": (PathArg("path", "l"),),
     "chdir": (PathArg("path", "l"),),
     "truncate": (PathArg("path", "w", guard=GUARD_PROTECT),),

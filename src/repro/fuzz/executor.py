@@ -518,9 +518,15 @@ class ChirpExecutor(_TemplateExecutor):
         if op == "get":
             return client.get(rest[0])
         if op == "open_read":
-            fd = client.open(rest[0], 0)
-            client.close_fd(fd)
-            return fd
+            # put/get are whole-file ops; this keeps the descriptor ops
+            # (open, pread, close, and their revival) in the fuzzed set
+            from ..chirp.client import RemoteFile
+
+            f = RemoteFile.open(client, rest[0], OpenFlags.O_RDONLY)
+            try:
+                return f.call("pread", 64, 0)
+            finally:
+                f.close()
         if op == "truncate":
             return client.truncate(rest[0], rest[1])
         if op == "setacl":

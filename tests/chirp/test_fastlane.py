@@ -71,6 +71,25 @@ def test_mutation_between_two_cached_reads_is_visible(monkeypatch):
     assert server.read_cache.invalidations >= 1
 
 
+def test_putfile_between_cached_reads_is_visible(monkeypatch):
+    fastlane_on(monkeypatch)
+    cluster, server, wallet = make_world()
+    fred = connect_fred(cluster, wallet, retry=RETRY)
+    fred.mkdir("/t")
+    fred.put(b"v1", "/t/f")
+    assert fred.stat("/t/f").size == 2
+    assert fred.stat("/t/f").size == 2  # served from the cache
+    assert server.read_cache.hits >= 1
+    fred.put(b"version two", "/t/f")  # one keyed putfile
+    assert fred.stat("/t/f").size == 11  # never the stale size
+    assert fred.get("/t/f") == b"version two"
+    # neither cache ever holds file bytes: getfile is not memoized, and
+    # the keyed putfile reply is a byte count
+    assert all(key[1] != "getfile" for key in server.read_cache._entries)
+    assert server._idem_cache
+    assert not any(b"version two" in reply for reply in server._idem_cache.values())
+
+
 def test_descriptor_write_between_cached_reads_is_visible(monkeypatch):
     fastlane_off(monkeypatch)
     monkeypatch.setenv("REPRO_CACHE", "1")
@@ -271,6 +290,35 @@ def test_batch_refuses_uncoalescable_and_oversized_envelopes():
     assert excinfo.value.errno is Errno.EINVAL
 
 
+@pytest.mark.parametrize(
+    "slot",
+    [
+        {"op": "getfile", "path": "/t/f"},
+        {"op": "putfile", "path": "/t/f", "data": b"overwritten", "mode": 0o644},
+    ],
+    ids=["getfile", "putfile"],
+)
+def test_batch_refuses_whole_file_slots(slot):
+    from repro.chirp.protocol import batch_request
+    from repro.net.rpc import ProtocolError
+
+    cluster, server, wallet = make_world()
+    fred = connect_fred(cluster, wallet, retry=None)
+    fred.mkdir("/t")
+    fred.put(b"abc", "/t/f")
+    results = fred.batch([{"op": "stat", "path": "/t/f"}, slot])
+    assert results[0]["ok"] and results[0]["size"] == 3
+    # a keyed envelope stores its reply: file bytes may not ride in it
+    assert results[1] == {
+        "ok": False,
+        "errno": int(Errno.EINVAL),
+        "error": "frame cannot be coalesced",
+    }
+    assert fred.get("/t/f") == b"abc"  # the refused putfile never ran
+    with pytest.raises(ProtocolError):
+        batch_request([slot])
+
+
 def test_batch_requires_an_authenticated_connection():
     cluster, server, wallet = make_world()
     client = ChirpClient.connect(
@@ -297,18 +345,20 @@ def test_batch_counts_every_inner_frame_as_an_op():
 def test_transfer_survives_faults_and_a_restart(monkeypatch):
     fastlane_on(monkeypatch)
     data = input_bytes(BLAST)  # multi-chunk: CHUNK + 4321 bytes
-    plan = FaultPlan.uniform(
-        seed=20260808, rate=0.10, restart_at_ops=(8,), ports=(CHIRP_PORT,)
-    )
+    plan = FaultPlan.uniform(seed=20260808, rate=0.10, ports=(CHIRP_PORT,))
     cluster, server, wallet = make_world(plan)
     fred = connect_fred(cluster, wallet)
     fred.mkdir("/t")
+    before = fred.stats.retries
+    plan.force("restart")  # the server crashes under the put
     assert fred.put(data, "/t/blob") == len(data)
-    revived = fred.stats.transfer_restarts
+    after_put = fred.stats.retries
+    plan.force("drop")  # and the get's frame dies on the wire
     assert fred.get("/t/blob") == data
     assert plan.stats.total() > 0, "the plan never actually fired"
-    # the seeded plan kills a descriptor on each side of the transfer
-    assert revived >= 1 and fred.stats.transfer_restarts > revived
+    # each transfer is one op, retried whole; no descriptor to revive
+    assert after_put > before and fred.stats.retries > after_put
+    assert fred.stats.transfer_restarts == 0
 
 
 # ---------------------------------------------------------------------- #

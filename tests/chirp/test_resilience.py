@@ -11,6 +11,7 @@ import pytest
 
 from repro.chirp import (
     CHIRP_PORT,
+    CHUNK,
     ChirpClient,
     ChirpDriver,
     ChirpError,
@@ -20,7 +21,6 @@ from repro.chirp import (
     RetryPolicy,
     ServerAuth,
 )
-from repro.chirp.client import CHUNK
 from repro.chirp.protocol import request
 from repro.chirp.server import IDEM_CACHE_LIMIT
 from repro.core import Acl, Admission, Rights
@@ -181,6 +181,28 @@ def test_rename_with_lost_response_is_replayed_not_reapplied():
     assert fred.get("/w/b") == b"payload"
 
 
+def test_putfile_with_lost_response_replays_over_a_later_write():
+    # A's putfile lands, its reply dies, and B's putfile lands before A
+    # retries: the retry must replay A's reply, not write A's bytes again
+    plan = FaultPlan(ports=(CHIRP_PORT,))
+    cluster, server, wallet = make_world(plan)
+    writer_a = connect_fred(cluster, wallet)
+    writer_b = connect_fred(cluster, wallet)
+    writer_a.mkdir("/w")
+    reconnect = writer_a._reconnect
+
+    def b_writes_first():
+        assert writer_b.put(b"from-b", "/w/f") == 6
+        reconnect()
+
+    writer_a._reconnect = b_writes_first
+    plan.force("drop_after")
+    assert writer_a.put(b"from-a", "/w/f") == 6
+    assert server.stats.replays == 1
+    assert writer_a.stats.retries == 1
+    assert writer_a.get("/w/f") == b"from-b"
+
+
 def test_mkdir_with_lost_response_is_replayed_not_reapplied():
     plan = FaultPlan(ports=(CHIRP_PORT,))
     cluster, server, wallet = make_world(plan)
@@ -213,16 +235,28 @@ def test_replay_window_holds_exactly_the_last_limit_replies():
 
 
 def test_server_restart_mid_transfer_revives_the_descriptor():
-    # ops: auth=1, mkdir=2, open=3, pwrite=4 <- crash lands mid-transfer
-    plan = FaultPlan(restart_at_ops=(4,), ports=(CHIRP_PORT,))
+    # ops: auth=1, mkdir=2, putfile=3 <- crash lands on the transfer
+    plan = FaultPlan(restart_at_ops=(3,), ports=(CHIRP_PORT,))
     cluster, _, wallet = make_world(plan)
     fred = connect_fred(cluster, wallet)
     fred.mkdir("/big")
     data = input_bytes(BLAST)
     assert fred.put(data, "/big/blob") == len(data)
-    assert fred.stats.transfer_restarts >= 1  # fd died with the server
+    assert fred.stats.retries == 1  # the whole putfile ran again
     assert fred.stats.reauths >= 1  # new connection, same principal
+    assert fred.stats.transfer_restarts == 0  # a put holds no descriptor
     assert fred.get("/big/blob") == data  # and the bytes are whole
+    # a Parrot descriptor does outlive a crash: the driver's handle is
+    # reopened and its positioned write lands at the same offset
+    driver = ChirpDriver(
+        cluster.network, LAPTOP, [GlobusAuthenticator(wallet)], retry=RETRY
+    )
+    handle = driver.open(f"/{SERVER}/big/blob", OpenFlags.O_WRONLY, 0o644)
+    plan.force("restart")
+    assert driver.pwrite(handle, b"XYZ", 0) == 3
+    assert handle.client.stats.transfer_restarts == 1
+    driver.close(handle)
+    assert fred.get("/big/blob") == b"XYZ" + data[3:]
 
 
 # ---------------------------------------------------------------------- #
@@ -301,12 +335,9 @@ def driver_writer(cluster, wallet):
     return handle.client, lambda: driver.pwrite(handle, b"abc", 0)
 
 
-def put_writer(cluster, wallet):
-    client = connect_fred(cluster, wallet)
-    return client, lambda: client.put(b"abc", "/w/out")
-
-
-@pytest.mark.parametrize("writer", [driver_writer, put_writer], ids=["driver", "put"])
+# only the driver holds descriptors: ``put`` is one keyed putfile, so a
+# lost wire retries it whole (test_server_restart_mid_transfer_...)
+@pytest.mark.parametrize("writer", [driver_writer], ids=["driver"])
 @pytest.mark.parametrize("deaths", [1, RETRY.max_attempts - 1, RETRY.max_attempts])
 def test_descriptor_survives_losing_the_wire_during_its_revival(writer, deaths):
     # each death spends one of the op's max_attempts descriptor attempts

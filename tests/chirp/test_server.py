@@ -203,6 +203,19 @@ def test_rmdir_foreign_directory_denied(fred, heidi):
         heidi.rmdir("/work")
 
 
+def test_write_inside_a_directory_is_no_right_to_remove_it(fred, heidi):
+    # DESIGN §6 finding 5: heidi holds rwl inside /work but only rl at the
+    # root; removing a directory by its own ACL takes the reserve right in
+    # the parent, which fred has and heidi does not
+    fred.mkdir("/work")
+    fred.setacl("/work", f"globus:{HEIDI_DN}", "rwl")
+    with pytest.raises(ChirpError) as info:
+        heidi.rmdir("/work")
+    assert info.value.errno is Errno.EACCES
+    assert fred.stat("/work").is_dir
+    fred.rmdir("/work")
+
+
 def test_mkdir_inherits_when_writer(fred, heidi):
     fred.mkdir("/work")
     fred.setacl("/work", f"globus:{HEIDI_DN}", "rl")

@@ -404,6 +404,25 @@ def test_setacl_through_a_symlink_revokes_for_every_name(machine, alice, vbox):
         assert boxed_read_file(other, path) == -Errno.EACCES
 
 
+def test_write_inside_a_shared_directory_is_no_right_to_remove_it(
+    machine, alice, alice_task
+):
+    # DESIGN §6 finding 5: the visitor holds rwl inside a directory the
+    # owner shared and nothing in its parent, so it may work inside the
+    # directory but not delete the directory itself
+    shared = "/home/alice/shared"
+    machine.kcall_x(alice_task, "mkdir", shared, 0o755)
+    box = IdentityBox(machine, alice, "hostname:laptop.cs.nowhere.edu")
+    box.grant(shared, "hostname:*.nowhere.edu", "rwl")
+    results = run_calls(
+        [("rmdir", shared), ("mkdir", f"{shared}/mine"), ("rmdir", f"{shared}/mine")],
+        machine=machine,
+        box=box,
+    )
+    assert results == [-Errno.EACCES, 0, 0]
+    assert machine.kcall_x(alice_task, "stat", shared).is_dir
+
+
 def test_setacl_bad_rights_is_einval(machine, vbox):
     results = run_calls(
         [("setacl", ".", "Other", "zz")], machine=machine, box=vbox, cwd=vbox.home
