@@ -109,6 +109,11 @@ class Rights:
         return letter in self.flags
 
     def has_all(self, letters: str) -> bool:
+        # flags hold only known letters and never ``v``, so flags covering
+        # ``letters`` is the answer; else the per-letter pass finds the
+        # first unknown letter (RightsError) or missing right (False)
+        if self.flags.issuperset(letters):
+            return True
         return all(self.has(letter) for letter in letters)
 
     @property
@@ -133,7 +138,12 @@ class Rights:
             reserve = None
         else:
             reserve = (self.reserve or frozenset()) | (other.reserve or frozenset())
-        return Rights(flags=self.flags | other.flags, reserve=reserve)
+        # both operands passed validation, so their union needs none
+        merged = object.__new__(Rights)
+        fields = merged.__dict__
+        fields["flags"] = self.flags | other.flags
+        fields["reserve"] = reserve
+        return merged
 
     def __or__(self, other: "Rights") -> "Rights":
         return self.union(other)

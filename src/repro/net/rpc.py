@@ -21,8 +21,9 @@ not each land on a null is a :class:`ProtocolError`.
 
 from __future__ import annotations
 
-import json
 import struct
+from json import JSONDecodeError, JSONDecoder
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any
 
 
@@ -32,50 +33,62 @@ class ProtocolError(ValueError):
 
 _PREFIX = struct.Struct(">II")
 
+#: The scanner ``json.loads`` runs (C where CPython has it), and the
+#: whitespace ``json.loads`` skips around the value.
+_scan = JSONDecoder().scan_once
+_WHITESPACE = " \t\n\r"
 
-def _collect(value: Any, path: list, out: list) -> None:
-    """Append ``(path, payload)`` for every bytes value under ``value``."""
+
+def _encoder(default: Any) -> Any:
+    """CPython's C JSON encoder set up exactly as ``json.dumps(message,
+    separators=(",", ":"), sort_keys=True, default=default)`` sets it up:
+    ASCII escaping, NaN and infinities allowed, and fresh circular-check
+    markers (the C encoder leaves stale ones behind when it raises)."""
+    return c_make_encoder(
+        {}, default, encode_basestring_ascii, None, ":", ",", True, False, True
+    )
+
+
+def _collect(value: Any, path: list, out: list, encode: Any) -> None:
+    """Append ``(path, payload)`` for every bytes value under ``value``;
+    ``encode`` spells a non-string key as the header does."""
     if isinstance(value, bytes):
         out.append((path, value))
     elif isinstance(value, dict):
         for key in sorted(value):
             # a non-string key is named as the header spells it (1 -> "1")
-            step = key if isinstance(key, str) else json.dumps(key)
-            _collect(value[key], [*path, step], out)
+            step = key if isinstance(key, str) else "".join(encode(key, 0))
+            _collect(value[key], [*path, step], out, encode)
     elif isinstance(value, (list, tuple)):
         for index, item in enumerate(value):
-            _collect(item, [*path, index], out)
+            _collect(item, [*path, index], out, encode)
 
 
 def encode_message(message: dict[str, Any]) -> bytes:
     """Serialize a message dict to wire bytes.
 
-    One ``json.dumps`` pass writes the header; its ``default`` hook turns
-    each bytes value into null.  Only when the hook fired does a walk
-    find the payloads' paths.
+    One pass of the C encoder writes the header; its ``default`` hook
+    turns each bytes value into null.  Only when the hook fired does a
+    walk find the payloads' paths.
     """
-    payloads = 0
+    payloads: list[bytes] = []
 
     def nullify(value: Any) -> None:
-        nonlocal payloads
         if isinstance(value, bytes):
-            payloads += 1
+            payloads.append(value)
             return None
         raise ProtocolError(f"cannot encode {type(value).__name__} on the wire")
 
+    encode = _encoder(nullify)
     try:
-        header = json.dumps(
-            message, separators=(",", ":"), sort_keys=True, default=nullify
-        ).encode("utf-8")
-    except (TypeError, ValueError) as exc:
+        header = "".join(encode(message, 0)).encode("utf-8")
+        if not payloads:
+            return _PREFIX.pack(len(header), 0) + header
+        found: list[tuple[list, bytes]] = []
+        _collect(message, [], found, encode)
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ProtocolError(f"unencodable message: {exc}") from exc
-    if not payloads:
-        return _PREFIX.pack(len(header), 0) + header
-    found: list[tuple[list, bytes]] = []
-    _collect(message, [], found)
-    slots = json.dumps(
-        [[path, len(data)] for path, data in found], separators=(",", ":")
-    ).encode("utf-8")
+    slots = "".join(encode([[path, len(data)] for path, data in found], 0)).encode("utf-8")
     return b"".join(
         [_PREFIX.pack(len(header), len(slots)), header, slots]
         + [data for _, data in found]
@@ -100,6 +113,27 @@ def _fill(message: dict[str, Any], path: list, data: bytes) -> None:
     parent[step] = data
 
 
+def _parse(data: bytes) -> Any:
+    """``json.loads(data.decode("utf-8"))`` without its per-call wrappers:
+    the same scanner and the same whitespace rule give the same value or
+    the same error."""
+    text = data.decode("utf-8")
+    start = len(text) - len(text.lstrip(_WHITESPACE))
+    try:
+        value, end = _scan(text, start)
+    except StopIteration as exc:
+        if text.startswith("\ufeff"):
+            raise JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0
+            ) from None
+        raise JSONDecodeError("Expecting value", text, exc.value) from None
+    if end != len(text):
+        rest = text[end:].lstrip(_WHITESPACE)
+        if rest:
+            raise JSONDecodeError("Extra data", text, len(text) - len(rest))
+    return value
+
+
 def decode_message(frame: bytes) -> dict[str, Any]:
     """Parse wire bytes back into a message dict."""
     if len(frame) < _PREFIX.size:
@@ -110,9 +144,9 @@ def decode_message(frame: bytes) -> dict[str, Any]:
     if slots_end > len(frame):
         raise ProtocolError(f"prefix declares {slots_end} bytes, frame has {len(frame)}")
     try:
-        message = json.loads(frame[_PREFIX.size : header_end].decode("utf-8"))
-        slots = json.loads(frame[header_end:slots_end].decode("utf-8")) if slots_len else ()
-    except (ValueError, UnicodeDecodeError) as exc:
+        message = _parse(frame[_PREFIX.size : header_end])
+        slots = _parse(frame[header_end:slots_end]) if slots_len else ()
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"bad frame: {exc}") from exc
     if not isinstance(message, dict):
         raise ProtocolError(f"frame is not a message dict: {type(message).__name__}")

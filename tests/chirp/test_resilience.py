@@ -307,8 +307,9 @@ PWRITE = encode_message({"op": "pwrite", "fd": 3, "offset": 0, "data": b"x" * 64
         forge_frame(b'{"op":"pwrite","data":null}', b'[[["data"],99]]', b"hi"),
         PWRITE[: len(PWRITE) // 2],  # what the truncate fault does
         mangle_frame(PWRITE),  # what the corrupt fault does
+        forge_frame(b"[" * 50_000 + b"]" * 50_000),  # deeper than the recursion limit
     ],
-    ids=["bad-slot-path", "slot-past-the-end", "truncated", "corrupted"],
+    ids=["bad-slot-path", "slot-past-the-end", "truncated", "corrupted", "deeply-nested"],
 )
 def test_damaged_frames_on_a_live_connection_get_ebadmsg(frame):
     poisons_one_connection_only(frame)

@@ -1,8 +1,12 @@
 """Rights strings: parsing, the reserve right, algebra."""
 
+from dataclasses import FrozenInstanceError
+from itertools import combinations, product
+
 import pytest
 
-from repro.core.rights import Rights, RightsError
+from repro.core.rights import RIGHT_LETTERS, Rights, RightsError
+from tests.helpers import oracle_has_all, oracle_union
 
 
 def test_parse_plain_letters():
@@ -122,3 +126,55 @@ def test_programmatic_bad_letters_rejected():
         Rights(flags=frozenset("rq"))
     with pytest.raises(RightsError):
         Rights(flags=frozenset(), reserve=frozenset("z"))
+
+
+# -- the fast algebra against its reference, exhaustively ---------------- #
+
+FLAG_SETS = [
+    frozenset(letters)
+    for size in range(len(RIGHT_LETTERS) + 1)
+    for letters in combinations(RIGHT_LETTERS, size)
+]
+RESERVES = [None, frozenset(), frozenset("r"), frozenset("wl"), frozenset(RIGHT_LETTERS)]
+EVERY_RIGHTS = [Rights(flags=flags, reserve=reserve) for flags in FLAG_SETS for reserve in RESERVES]
+
+
+def test_union_matches_the_validating_constructor_on_every_pair():
+    assert len(EVERY_RIGHTS) == 32 * 5
+    for a, b in product(EVERY_RIGHTS, repeat=2):
+        merged, want = a | b, oracle_union(a, b)
+        assert type(merged) is Rights
+        assert (merged.flags, merged.reserve) == (want.flags, want.reserve)
+        assert merged == want and hash(merged) == hash(want) and str(merged) == str(want)
+
+
+def test_union_result_is_still_frozen():
+    merged = Rights.parse("r") | Rights.parse("w")
+    with pytest.raises(FrozenInstanceError):
+        merged.flags = frozenset("rwlxa")
+
+
+def has_all_outcome(check, rights, letters):
+    try:
+        return check(rights, letters)
+    except RightsError:
+        return RightsError
+
+
+def test_has_all_matches_the_per_letter_pass():
+    # every string up to length 3 over the six letters, and over the six
+    # plus an unknown one: an unknown letter met before a missing right
+    # still raises
+    for alphabet in ("rwlxav", "rwlxavq"):
+        for size in range(4):
+            for letters in map("".join, product(alphabet, repeat=size)):
+                for rights in EVERY_RIGHTS:
+                    assert has_all_outcome(Rights.has_all, rights, letters) == has_all_outcome(
+                        oracle_has_all, rights, letters
+                    ), (rights, letters)
+
+
+def test_has_all_with_an_unknown_letter_raises():
+    for letters in ("q", "rq", "qr", "rwlxaq"):
+        with pytest.raises(RightsError):
+            Rights.full().has_all(letters)

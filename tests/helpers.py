@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import astuple
 from typing import Any
 
 from repro.config import snapshot_fixtures_enabled
 from repro.core.box import IdentityBox
+from repro.core.rights import Rights
 from repro.core.telemetry import Histogram
 from repro.kernel.errno import Errno, KernelError, err
 from repro.kernel.fdtable import OpenFlags
@@ -17,6 +19,7 @@ from repro.kernel.machine import Machine, WorldSnapshot
 from repro.kernel.timing import CostModel
 from repro.kernel.users import Credentials
 from repro.kernel.vfs import MAX_SYMLINKS, WalkStats, split_path
+from repro.net.rpc import _PREFIX, ProtocolError, _fill
 
 __all__ = [
     "KeywordRecorder",
@@ -24,8 +27,12 @@ __all__ = [
     "boxed_write_file",
     "forge_frame",
     "make_machine",
+    "oracle_decode_message",
+    "oracle_encode_message",
+    "oracle_has_all",
     "oracle_normalize",
     "oracle_open_access",
+    "oracle_union",
     "oracle_walk",
     "paths_related",
     "run_calls",
@@ -275,6 +282,101 @@ def oracle_walk(
             stats,
         )
     return current, fs.parent_of(current), "", "/", stats
+
+
+def _oracle_collect(value: Any, path: list, out: list) -> None:
+    """Append ``(path, payload)`` for every bytes value under ``value``."""
+    if isinstance(value, bytes):
+        out.append((path, value))
+    elif isinstance(value, dict):
+        for key in sorted(value):
+            # a non-string key is named as the header spells it (1 -> "1")
+            step = key if isinstance(key, str) else json.dumps(key)
+            _oracle_collect(value[key], [*path, step], out)
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            _oracle_collect(item, [*path, index], out)
+
+
+def oracle_encode_message(message: dict[str, Any]) -> bytes:
+    """The codec's encoder through ``json.dumps``, as first written.
+
+    One ``json.dumps`` pass writes the header; its ``default`` hook turns
+    each bytes value into null.  Only when the hook fired does a walk
+    find the payloads' paths.
+    """
+    payloads = 0
+
+    def nullify(value: Any) -> None:
+        nonlocal payloads
+        if isinstance(value, bytes):
+            payloads += 1
+            return None
+        raise ProtocolError(f"cannot encode {type(value).__name__} on the wire")
+
+    try:
+        header = json.dumps(
+            message, separators=(",", ":"), sort_keys=True, default=nullify
+        ).encode("utf-8")
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"unencodable message: {exc}") from exc
+    if not payloads:
+        return _PREFIX.pack(len(header), 0) + header
+    found: list[tuple[list, bytes]] = []
+    _oracle_collect(message, [], found)
+    slots = json.dumps(
+        [[path, len(data)] for path, data in found], separators=(",", ":")
+    ).encode("utf-8")
+    return b"".join(
+        [_PREFIX.pack(len(header), len(slots)), header, slots]
+        + [data for _, data in found]
+    )
+
+
+def oracle_decode_message(frame: bytes) -> dict[str, Any]:
+    """The codec's decoder through ``json.loads``, as first written."""
+    if len(frame) < _PREFIX.size:
+        raise ProtocolError(f"frame of {len(frame)} bytes has no prefix")
+    header_len, slots_len = _PREFIX.unpack_from(frame)
+    header_end = _PREFIX.size + header_len
+    slots_end = header_end + slots_len
+    if slots_end > len(frame):
+        raise ProtocolError(f"prefix declares {slots_end} bytes, frame has {len(frame)}")
+    try:
+        message = json.loads(frame[_PREFIX.size : header_end].decode("utf-8"))
+        slots = json.loads(frame[header_end:slots_end].decode("utf-8")) if slots_len else ()
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise ProtocolError(f"bad frame: {exc}") from exc
+    if not isinstance(message, dict):
+        raise ProtocolError(f"frame is not a message dict: {type(message).__name__}")
+    if slots_len and not (isinstance(slots, list) and slots):
+        raise ProtocolError("slot section is not a non-empty list")
+    offset = slots_end
+    for slot in slots:
+        path, length = slot if isinstance(slot, list) and len(slot) == 2 else (None, None)
+        if not isinstance(path, list) or type(length) is not int or length < 0:
+            raise ProtocolError(f"malformed slot {slot!r}")
+        _fill(message, path, frame[offset : offset + length])
+        offset += length
+    if offset != len(frame):  # a truncated segment, or trailing bytes
+        raise ProtocolError(
+            f"slots declare {offset - slots_end} payload bytes, frame has {len(frame) - slots_end}"
+        )
+    return message
+
+
+def oracle_union(a: Rights, b: Rights) -> Rights:
+    """``Rights.union`` through the validating constructor."""
+    if a.reserve is None and b.reserve is None:
+        reserve = None
+    else:
+        reserve = (a.reserve or frozenset()) | (b.reserve or frozenset())
+    return Rights(flags=a.flags | b.flags, reserve=reserve)
+
+
+def oracle_has_all(rights: Rights, letters: str) -> bool:
+    """``Rights.has_all`` one letter at a time."""
+    return all(rights.has(letter) for letter in letters)
 
 
 class KeywordRecorder:

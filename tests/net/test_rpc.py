@@ -35,6 +35,37 @@ def test_unencodable_type_raises():
         encode_message({"bad": object()})
 
 
+def nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def test_too_deep_a_message_is_a_protocol_error_both_ways():
+    # deeper than the recursion limit: the codec's own error, never a
+    # RecursionError that would escape the server's framing layer
+    with pytest.raises(ProtocolError):
+        encode_message({"deep": nested(50_000)})
+    with pytest.raises(ProtocolError):
+        decode_message(forge_frame(b'{"deep":' + b"[" * 50_000 + b"]" * 50_000 + b"}"))
+
+
+def test_a_failed_encode_leaves_no_circular_marker_behind():
+    message = {"a": {"inner": 1}, "b": object()}
+    with pytest.raises(ProtocolError):
+        encode_message(message)
+    del message["b"]
+    assert decode_message(encode_message(message)) == message
+
+
+def test_circular_message_raises():
+    message = {"op": "stat"}
+    message["self"] = [message]
+    with pytest.raises(ProtocolError):
+        encode_message(message)
+
+
 def test_bad_frame_raises():
     with pytest.raises(ProtocolError):
         decode_message(b"not json at all {{{")
