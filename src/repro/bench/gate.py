@@ -49,6 +49,18 @@ from typing import Any
 #: >25% worse than baseline fails the gate.
 TOLERANCE = 1.25
 
+#: The higher-is-better rows: ``(section, field)``; a row whose field fell
+#: more than 25% below its baseline fails.
+FLOORS = (
+    ("federation", "ops_per_sec"),
+    ("snapshot", "speedup_x"),
+    ("fuzz", "speedup_x"),
+    ("fastlane", "speedup_x"),
+)
+
+#: Every section the gate reads.
+SECTIONS = ("fig5a", "fig5b", *(section for section, _ in FLOORS), "replication")
+
 
 def _load(path: str) -> dict[str, Any]:
     with open(path, "r", encoding="utf-8") as handle:
@@ -71,28 +83,17 @@ def compare(current: dict[str, Any], baseline: dict[str, Any]) -> list[str]:
                         f"{section}/{name}: {field} is {got!r}, baseline {want!r} "
                         "(simulated, held exactly)"
                     )
-    for count, base_row in sorted(baseline.get("federation", {}).items()):
-        row = current.get("federation", {}).get(count)
-        if row is None:
-            failures.append(f"federation/{count}: missing from current run")
-            continue
-        floor = base_row["ops_per_sec"] / TOLERANCE
-        if row["ops_per_sec"] < floor:
-            failures.append(
-                f"federation/{count}: {row['ops_per_sec']:.0f} ops/s below "
-                f"{floor:.0f} (baseline {base_row['ops_per_sec']:.0f} -25%)"
-            )
-    for section in ("snapshot", "fuzz", "fastlane"):
+    for section, field in FLOORS:
         for name, base_row in sorted(baseline.get(section, {}).items()):
             row = current.get(section, {}).get(name)
             if row is None:
                 failures.append(f"{section}/{name}: missing from current run")
                 continue
-            floor = base_row["speedup_x"] / TOLERANCE
-            if row["speedup_x"] < floor:
+            floor = base_row[field] / TOLERANCE
+            if row[field] < floor:
                 failures.append(
-                    f"{section}/{name}: {row['speedup_x']:.2f}x speedup below "
-                    f"{floor:.2f}x (baseline {base_row['speedup_x']:.2f}x -25%)"
+                    f"{section}/{name}: {field} {row[field]:.2f} below "
+                    f"{floor:.2f} (baseline {base_row[field]:.2f} -25%)"
                 )
     base_avail = baseline.get("replication", {}).get("blackout_availability")
     if base_avail is not None:
@@ -136,18 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     current = _load(options.current)
     baseline = _load(options.baseline)
     failures = compare(current, baseline)
-    checked = sum(
-        len(baseline.get(s, {}))
-        for s in (
-            "fig5a",
-            "fig5b",
-            "federation",
-            "snapshot",
-            "fuzz",
-            "fastlane",
-            "replication",
-        )
-    )
+    checked = sum(len(baseline.get(section, {})) for section in SECTIONS)
     if failures:
         print(f"bench gate: {len(failures)} regression(s) in {checked} series:")
         for failure in failures:

@@ -67,12 +67,12 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from ..core.acl import ACL_FILE_NAME
-from ..core.telemetry import HandleCache, Telemetry, instrument
+from ..core.telemetry import CounterView, HandleCache, Telemetry, instrument
 from ..kernel.errno import Errno, KernelError
 from ..kernel.vfs import normalize
 from ..net.network import Network
@@ -247,26 +247,6 @@ class ShardMap:
         return "\n".join(lines)
 
 
-@dataclass
-class FederationStats:
-    """Routing-layer accounting for one federated client."""
-
-    routed: dict[str, int] = field(default_factory=dict)
-    map_refreshes: int = 0
-    map_rebuilds: int = 0
-    transfers: int = 0
-    transfer_bytes: int = 0
-    #: replication accounting (all zero on a replicas=1 map)
-    quorum_writes: int = 0
-    quorum_failures: int = 0
-    failover_reads: int = 0
-    read_repairs: int = 0
-    missed_writes: int = 0
-
-    def count(self, shard_name: str) -> None:
-        self.routed[shard_name] = self.routed.get(shard_name, 0) + 1
-
-
 class FederatedClient:
     """Path-level Chirp API over a sharded namespace.
 
@@ -296,10 +276,27 @@ class FederatedClient:
         self.authenticators = list(authenticators)
         self.retry = retry
         self.telemetry = telemetry
+        #: the one store of the routing layer's counts (a private registry,
+        #: which its shard sessions never see, when telemetry is None)
+        self.metrics = telemetry if telemetry is not None else Telemetry(network.clock)
         self._counters = HandleCache("counter", "op", "shard")
         self.catalog_host = catalog_host
         self.catalog_port = catalog_port
-        self.stats = FederationStats()
+        metrics = self.metrics
+        #: read-only; the replication fields stay zero on a replicas=1 map
+        self.stats = CounterView(
+            metrics,
+            routed=lambda: metrics.counter_by("fed.ops", "shard"),
+            map_refreshes="fed.map_refreshes",
+            map_rebuilds="fed.map_rebuilds",
+            transfers="fed.transfers",
+            transfer_bytes="fed.transfer_bytes",
+            quorum_writes="repl.quorum_writes",
+            quorum_failures="repl.quorum_failures",
+            failover_reads="repl.failover_reads",
+            read_repairs="repl.read_repairs",
+            missed_writes="repl.missed_writes",
+        )
         self._clients: dict[str, ChirpClient] = {}
         #: per-replica missed-write log: writes a replica was unreachable
         #: for, replayed (in order) before that replica next serves
@@ -352,7 +349,7 @@ class FederatedClient:
         """
         if not self.catalog_host:
             raise ChirpError(Errno.EINVAL, "federated client has no catalog")
-        self.stats.map_refreshes += 1
+        self._inc("fed.map_refreshes")
         version, records = federation_members(
             self.network,
             self.client_host,
@@ -369,7 +366,6 @@ class FederatedClient:
             self.shard_map.vnodes,
             replicas=self.shard_map.replicas,
         )
-        self.stats.map_rebuilds += 1
         keep = set(self.shard_map.names())
         for name in [n for n in self._clients if n not in keep]:
             self._clients.pop(name).close()
@@ -424,13 +420,8 @@ class FederatedClient:
             self._clients[shard.name] = client
         return client
 
-    def _count(self, op: str, shard: ShardInfo) -> None:
-        self.stats.count(shard.name)
-        self._inc("fed.ops", op, shard.name)
-
     def _inc(self, name: str, op: str = "", shard: str = "", value: int = 1) -> None:
-        if self.telemetry is not None:
-            self._counters.get(self.telemetry, name, op, shard).inc(value)
+        self._counters.get(self.metrics, name, op, shard).inc(value)
 
     def _span(self, op: str, **attrs: Any):
         t = self.telemetry
@@ -456,7 +447,7 @@ class FederatedClient:
         """One replica attempt: count it, connect, replay what the
         replica missed while dark, then run the operation."""
         if count:
-            self._count(op, shard)
+            self._inc("fed.ops", op, shard.name)
         client = self._client(shard)
         self._replay_missed(shard, client)
         return call(client)
@@ -479,7 +470,6 @@ class FederatedClient:
                 error = as_chirp_error(exc)
                 if is_unavailable(error) and index + 1 < len(ordered):
                     last = error
-                    self.stats.failover_reads += 1
                     self._inc("repl.failover_reads", op, shard.name)
                     continue
                 raise error from exc
@@ -514,7 +504,6 @@ class FederatedClient:
         if len(definite) < need:
             if not definite:
                 raise downs[0][1]  # replicas=1: surface the original error
-            self.stats.quorum_failures += 1
             self._inc("repl.quorum_failures", op)
             raise ChirpError(
                 Errno.EAGAIN,
@@ -522,7 +511,6 @@ class FederatedClient:
                 " a write quorum needs",
             )
         if len(ordered) > 1:
-            self.stats.quorum_writes += 1
             self._inc("repl.quorum_writes", op)
         error, result = definite[0]
         if error is not None:
@@ -548,14 +536,12 @@ class FederatedClient:
                     raise error from exc
             entries.pop(0)
         del self._missed[shard.name]
-        self.stats.read_repairs += 1
         self._inc("repl.read_repairs", shard=shard.name)
 
     def _log_missed(
         self, shard: ShardInfo, op: str, apply: Callable[[ChirpClient], Any]
     ) -> None:
         self._missed.setdefault(shard.name, []).append((op, apply))
-        self.stats.missed_writes += 1
         self._inc("repl.missed_writes", op, shard.name)
 
     def _delegated(self, op: str, path: str, call: Callable[[ChirpClient], Any]) -> Any:
@@ -665,7 +651,7 @@ class FederatedClient:
             span = self._span("setacl", path=path, fanout=len(self.shard_map.shards))
             try:
                 for shard in self.shard_map.shards:
-                    self._count("setacl", shard)
+                    self._inc("fed.ops", "setacl", shard.name)
                     try:
                         client = self._client(shard)
                         self._replay_missed(shard, client)
@@ -699,7 +685,7 @@ class FederatedClient:
             try:
                 names: set[str] = set()
                 for shard in self.shard_map.shards:
-                    self._count("readdir", shard)
+                    self._inc("fed.ops", "readdir", shard.name)
                     try:
                         client = self._client(shard)
                         self._replay_missed(shard, client)
@@ -708,7 +694,6 @@ class FederatedClient:
                         if self.shard_map.replicas > 1 and is_unavailable(
                             as_chirp_error(exc)
                         ):
-                            self.stats.failover_reads += 1
                             self._inc("repl.failover_reads", "readdir", shard.name)
                             continue
                         raise as_chirp_error(exc) from exc
@@ -777,7 +762,7 @@ class FederatedClient:
         cleanup steps are quorum writes over their replica sets.
         """
         for shard in (*src, *dst):
-            self._count("rename", shard)
+            self._inc("fed.ops", "rename", shard.name)
         span = self._span(
             "rename", shard=dst[0].name, from_shard=src[0].name,
             to_shard=dst[0].name, path=oldpath,
@@ -810,8 +795,6 @@ class FederatedClient:
             self._quorum(  # keyed cleanup
                 "rename", src_order, lambda c: c.unlink(oldpath), count=False
             )
-            self.stats.transfers += 1
-            self.stats.transfer_bytes += len(data)
             self._inc("fed.transfers")
             self._inc("fed.transfer_bytes", value=len(data))
         except ChirpError as exc:
@@ -827,8 +810,8 @@ class FederatedClient:
     # ------------------------------------------------------------------ #
 
     def per_shard_ops(self) -> dict[str, int]:
-        """Client-side routed-op counts per shard (from local stats)."""
-        return dict(sorted(self.stats.routed.items()))
+        """Client-side routed-op counts per shard (from ``fed.ops``)."""
+        return self.stats.routed
 
 
 # --------------------------------------------------------------------- #

@@ -51,7 +51,7 @@ from ..core.pipeline import (
     ReadCache,
     build_pipeline,
 )
-from ..core.telemetry import HandleCache, is_trace_parent
+from ..core.telemetry import CounterView, HandleCache, Telemetry, is_trace_parent
 from .. import config as repro_config
 from ..gsi.cas import AdmissionPolicy, OpenPolicy
 from ..interpose.drivers import LocalDriver
@@ -86,28 +86,6 @@ DEFAULT_EXPORT_SUBDIR = "chirp"
 DEFAULT_EXPORT_ROOT = ""  # sentinel: derive from the owner's home
 
 
-@dataclass
-class ServerStats:
-    connections: int = 0
-    auth_failures: int = 0
-    ops: int = 0
-    execs: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
-    denials: int = 0
-    #: malformed/truncated frames that poisoned their connection
-    protocol_errors: int = 0
-    #: requests shed with EAGAIN by the admission arrival bucket
-    sheds: int = 0
-    #: idempotency-key cache hits (a retry that would have re-applied)
-    replays: int = 0
-    #: fast-lane batch envelopes unpacked (each counts its inner
-    #: requests into ``ops``, so ``ops`` stays comparable either way)
-    batches: int = 0
-    #: inner requests that arrived coalesced inside a batch envelope
-    coalesced: int = 0
-
-
 #: Bound on the idempotency replay cache (responses, not payload data).
 IDEM_CACHE_LIMIT = 1024
 
@@ -124,10 +102,10 @@ def c_auth(op: Operation, conn: "_Connection") -> dict[str, Any]:
     try:
         principal = server.auth.verify(method, payload, conn.peer)
     except AuthenticationFailed as exc:
-        server.stats.auth_failures += 1
+        server._count("chirp.auth_failures")
         raise err(Errno.EACCES, str(exc)) from exc
     if not server.admission.admits(str(principal)):
-        server.stats.auth_failures += 1
+        server._count("chirp.auth_failures")
         raise err(Errno.EACCES, f"{principal} is not admitted by site policy")
     conn.principal = principal
     return {"principal": str(principal)}
@@ -159,7 +137,7 @@ def c_pread(op: Operation, conn: "_Connection") -> dict[str, Any]:
         int(op.args["length"]),
         int(op.args["offset"]),
     )
-    conn.server.stats.bytes_read += len(data)
+    conn.server._count("chirp.bytes_read", value=len(data))
     return {"data": data}
 
 
@@ -170,7 +148,7 @@ def c_pwrite(op: Operation, conn: "_Connection") -> dict[str, Any]:
     n = conn.server.fs.pwrite(
         conn.sup_fd(int(op.args["fd"])), data, int(op.args["offset"])
     )
-    conn.server.stats.bytes_written += n
+    conn.server._count("chirp.bytes_written", value=n)
     return {"count": n}
 
 
@@ -203,7 +181,7 @@ def write_file(fs: LocalDriver, path: str, data: bytes, mode: int) -> int:
 def c_getfile(op: Operation, conn: "_Connection") -> dict[str, Any]:
     path = op.path()
     data = read_file(path.driver, path.sub)
-    conn.server.stats.bytes_read += len(data)
+    conn.server._count("chirp.bytes_read", value=len(data))
     return {"data": data}
 
 
@@ -213,7 +191,7 @@ def c_putfile(op: Operation, conn: "_Connection") -> dict[str, Any]:
         raise err(Errno.EINVAL, "putfile data must be bytes")
     path = op.path()
     n = write_file(path.driver, path.sub, data, int(op.args.get("mode", 0o644)))
-    conn.server.stats.bytes_written += n
+    conn.server._count("chirp.bytes_written", value=n)
     return {"count": n}
 
 
@@ -349,7 +327,7 @@ def c_exec(op: Operation, conn: "_Connection") -> dict[str, Any]:
     )
     proc = box.spawn(exe.sub, args, cwd=cwd.sub, comm=f"exec:{exe.raw}")
     server.machine.run()
-    server.stats.execs += 1
+    server._count("chirp.execs")
     return {"pid": proc.pid, "status": proc.exit_status or 0}
 
 
@@ -434,8 +412,11 @@ class ChirpServer:
             telemetry=self.telemetry,
         )
         self.fs = LocalDriver(machine, self.owner_task)
-        self.stats = ServerStats()
+        #: the one store of the server's counts: its telemetry, else a
+        #: private registry that no pipeline or supervisor sees
+        self.metrics = self.telemetry if self.telemetry is not None else Telemetry(machine.clock)
         self._counters = HandleCache("counter", "op")
+        self._ops = self.metrics.counter("chirp.ops")  # every request, bound once
         self.limits = limits
         self._idem_cache: OrderedDict[str, bytes] = OrderedDict()
         self.registry = build_chirp_registry()
@@ -456,10 +437,31 @@ class ChirpServer:
             clock=machine.clock,
             audit_log=audit,
             resolve_identity=self._resolve_identity,
-            on_denial=self._count_denial,
             limits=limits,
             telemetry=self.telemetry,
             cache=read_cache,
+        )
+        #: read-only: every field reads its counter back from the registry
+        self.stats = CounterView(
+            self.metrics,
+            connections="chirp.connections",
+            auth_failures="chirp.auth_failures",
+            ops="chirp.ops",
+            execs="chirp.execs",
+            bytes_read="chirp.bytes_read",
+            bytes_written="chirp.bytes_written",
+            denials=self.pipeline.denial_counter.total,
+            # malformed/truncated frames that poisoned their connection
+            protocol_errors="chirp.protocol_errors",
+            # requests shed with EAGAIN by the admission arrival bucket
+            sheds="chirp.sheds",
+            # idempotency-key cache hits (a retry that would have re-applied)
+            replays="chirp.replays",
+            # fast-lane batch envelopes unpacked (each counts its inner
+            # requests into ``ops``, so ``ops`` stays comparable either way)
+            batches="fastlane.batches",
+            # inner requests that arrived coalesced inside a batch envelope
+            coalesced="fastlane.coalesced_frames",
         )
         self._ensure_export_root()
 
@@ -470,12 +472,8 @@ class ChirpServer:
             raise err(Errno.EACCES, "authenticate first")
         return str(conn.principal)
 
-    def _count_denial(self, op: Operation) -> None:
-        self.stats.denials += 1
-
     def _count(self, name: str, op: str = "", value: int = 1) -> None:
-        if self.telemetry is not None:
-            self._counters.get(self.telemetry, name, op).inc(value)
+        self._counters.get(self.metrics, name, op).inc(value)
 
     # ------------------------------------------------------------------ #
     # setup
@@ -504,7 +502,7 @@ class ChirpServer:
         self.network.unlisten(self.hostname, self.port)
 
     def _connect(self, peer: Peer) -> "_Connection":
-        self.stats.connections += 1
+        self._count("chirp.connections")
         return _Connection(server=self, peer=peer)
 
     # ------------------------------------------------------------------ #
@@ -608,7 +606,6 @@ class _Connection:
             # graceful degradation: a malformed or truncated frame kills
             # only this connection — its identity state is released right
             # away — and never the accept loop
-            server.stats.protocol_errors += 1
             server._count("chirp.protocol_errors")
             self._poison()
             return error_response(Errno.EBADMSG, f"unparseable frame: {exc}")
@@ -618,7 +615,7 @@ class _Connection:
             # carries its own idem/overload handling and unpacks each
             # inner request through the pipeline
             return self._handle_batch(message)
-        server.stats.ops += 1
+        server._ops.inc()
         # envelope fields ride alongside the op's own arguments and are
         # stripped before binding: the idempotency key and the caller's
         # trace parent (``trace_id/span_id``, minted once per logical
@@ -675,8 +672,6 @@ class _Connection:
             # fast lane exists for; inner frames inherit the answer
             return error_response(Errno.EACCES, "authenticate first")
         identity = str(self.principal)
-        server.stats.batches += 1
-        server.stats.coalesced += len(frames)
         server._count("fastlane.batches")
         server._count("fastlane.coalesced_frames", value=len(frames))
         results = [self._run_frame(sub, identity, trace) for sub in frames]
@@ -700,7 +695,7 @@ class _Connection:
         sub.pop("idem", None)  # envelope-level concerns only
         sub.pop("trace", None)
         op_name = str(sub["op"])
-        server.stats.ops += 1
+        server._ops.inc()
         try:
             op = self._bind(op_name, sub)
             op.identity = identity
@@ -727,13 +722,11 @@ class _Connection:
         if idem is not None:
             cached = server._idem_cache.get(str(idem))
             if cached is not None:
-                server.stats.replays += 1
                 server._count("chirp.replays", op_name)
                 return cached
         if server.limits is not None and not server.limits.arrive():
             # EAGAIN now beats queueing unboundedly; deliberately not
             # cached so the retry is re-admitted
-            server.stats.sheds += 1
             server._count("chirp.sheds", op_name)
             return error_response(Errno.EAGAIN, "server overloaded; retry later")
         return None

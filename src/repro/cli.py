@@ -292,11 +292,6 @@ def _fastlane_drill(trust, wallet) -> dict:
         "quota": server.limits.snapshot()["quota"],
         "batches": server.stats.batches,
         "coalesced_frames": server.stats.coalesced,
-        "cache_hits": telemetry.counter_total("fastlane.cache.hits"),
-        "cache_invalidations": telemetry.counter_total(
-            "fastlane.cache.invalidations"
-        ),
-        "quota_rejections": telemetry.counter_total("fastlane.quota.rejections"),
     }
 
 

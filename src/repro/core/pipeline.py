@@ -9,8 +9,9 @@ when the caller supplies them:
 
 1. [:class:`~repro.core.telemetry.TracingInterceptor`] — the op's span
    and latency histogram, bracketing the whole chain,
-2. :class:`DenialCounter` — maps EACCES/EPERM into the surface's denial
-   statistic (``Supervisor.denials``, ``ServerStats.denials``),
+2. :class:`DenialCounter` — counts each EACCES/EPERM refusal once, into
+   ``pipeline.denials`` (read back by ``Supervisor.denials`` and the
+   Chirp server's ``stats.denials``),
 3. :class:`IdentityGate` — resolves *who* is acting (the box member's
    identity; the connection's principal, refusing unauthenticated calls),
 4. [:class:`Admission`] — the per-identity op budget and circuit
@@ -59,7 +60,7 @@ from .ops import (
     acl_dir_for,
     open_mutates,
 )
-from .telemetry import HandleCache, Telemetry, TracingInterceptor
+from .telemetry import CounterHandle, HandleCache, Telemetry, TracingInterceptor
 
 #: Interceptor signature: ``(op, ctx, proceed) -> result``.  Call
 #: ``proceed()`` to continue down the chain; raise to short-circuit.
@@ -159,30 +160,42 @@ def _hide_acl_file(full: str) -> None:
 
 
 class DenialCounter:
-    """Outermost: turn policy refusals into the surface's denial stat.
+    """Outermost but for tracing: the one place a policy refusal is counted.
 
-    Also keeps a per-errno breakdown (EACCES vs EPERM) so the denial
-    statistic is inspectable without re-deriving it from telemetry;
-    surfaced through :meth:`Pipeline.stats` and ``repro metrics``.
+    Each EACCES or EPERM adds one to ``pipeline.denials{surface,op,errno}``,
+    the acting identity and errno its exemplar; :meth:`snapshot` (the
+    per-errno breakdown) and :meth:`total` read this stage's series back.
     """
 
-    def __init__(self, on_denial: Callable[["Operation"], None] | None) -> None:
-        self.on_denial = on_denial
-        self.errnos: dict[str, int] = {}
+    def __init__(self, telemetry: Telemetry) -> None:
+        self.telemetry = telemetry
+        #: (surface, op, errno) -> its series, bound on the first refusal
+        self._handles: dict[tuple[str, str, str], CounterHandle] = {}
 
     def snapshot(self) -> dict[str, int]:
-        """A detached copy of the per-errno denial counts."""
-        return dict(self.errnos)
+        """The denial counts by errno, detached."""
+        out: dict[str, int] = {}
+        for (_surface, _op, errno), handle in self._handles.items():
+            if handle.value:
+                out[errno] = out.get(errno, 0) + handle.value
+        return out
+
+    def total(self) -> int:
+        return sum(handle.value for handle in self._handles.values())
 
     def __call__(self, op: Operation, ctx: Any, proceed: Callable[[], Any]) -> Any:
         try:
             return proceed()
         except KernelError as exc:
             if exc.errno in (Errno.EACCES, Errno.EPERM):
-                name = exc.errno.name
-                self.errnos[name] = self.errnos.get(name, 0) + 1
-                if self.on_denial:
-                    self.on_denial(op)
+                errno = exc.errno.name
+                key = (op.surface, op.name, errno)
+                handle = self._handles.get(key)
+                if handle is None:
+                    handle = self._handles[key] = self.telemetry.counter(
+                        "pipeline.denials", surface=op.surface, op=op.name, errno=errno
+                    )
+                handle.inc(exemplar={"identity": op.identity or "?", "errno": errno})
             raise
 
 
@@ -213,7 +226,29 @@ def _ancestors(path: str) -> list[str]:
     return out
 
 
-class ReadCache:
+class _Counted:
+    """A stage counting into :attr:`metrics`: its telemetry, which
+    :func:`build_pipeline` may set late, else a private registry."""
+
+    def __init__(self, telemetry: Telemetry | None) -> None:
+        self.telemetry = telemetry
+        self._private = Telemetry()
+        self._counters = HandleCache("counter", "op")
+
+    @property
+    def metrics(self) -> Telemetry:
+        return self.telemetry if self.telemetry is not None else self._private
+
+    def _count(self, name: str, op: str = "", value: int = 1) -> None:
+        self._counters.get(self.metrics, name, op).inc(value)
+
+
+def _counted(name: str) -> property:
+    """A read-only attribute: ``name``'s total in the owner's ``metrics``."""
+    return property(lambda self: self.metrics.counter_total(name))
+
+
+class ReadCache(_Counted):
     """Fast-lane memoization of read-only ops at the pipeline mouth.
 
     Threadbox-style repeated-decision caching: a hit on the key
@@ -260,19 +295,19 @@ class ReadCache:
         telemetry: Telemetry | None = None,
         epoch_source: Callable[[], Any] | None = None,
     ) -> None:
+        super().__init__(telemetry)
         self.cacheable = cacheable
         self.capacity = capacity
-        self.telemetry = telemetry
         self.epoch_source = epoch_source
         self._epoch = epoch_source() if epoch_source is not None else None
         self._entries: "OrderedDict[tuple, Any]" = OrderedDict()
         self._by_path: dict[str, set[tuple]] = {}
         self._below: dict[str, set[str]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        self.flushes = 0
-        self._counters = HandleCache("counter", "op")
+
+    hits = _counted("fastlane.cache.hits")
+    misses = _counted("fastlane.cache.misses")
+    invalidations = _counted("fastlane.cache.invalidations")
+    flushes = _counted("fastlane.cache.flushes")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -286,10 +321,6 @@ class ReadCache:
             "flushes": self.flushes,
             "entries": len(self._entries),
         }
-
-    def _count(self, name: str, op: str = "", value: int = 1) -> None:
-        if self.telemetry is not None:
-            self._counters.get(self.telemetry, name, op).inc(value)
 
     def _key(self, op: Operation) -> tuple | None:
         path_fields = {bound.spec.field for bound in op.paths}
@@ -347,7 +378,6 @@ class ReadCache:
 
     def _dropped(self, dropped: int) -> None:
         if dropped:
-            self.invalidations += dropped
             self._count("fastlane.cache.invalidations", value=dropped)
 
     def invalidate_all(self) -> None:
@@ -356,7 +386,6 @@ class ReadCache:
         self._by_path.clear()
         self._below.clear()
         self._dropped(dropped)
-        self.flushes += 1
         self._count("fastlane.cache.flushes")
 
     def invalidate_paths(self, paths: list[str]) -> None:
@@ -409,12 +438,10 @@ class ReadCache:
             if key is not None:
                 if key in self._entries:
                     self._entries.move_to_end(key)
-                    self.hits += 1
                     self._count("fastlane.cache.hits", name)
                     value = self._entries[key]
                     return dict(value) if isinstance(value, dict) else value
                 result = proceed()
-                self.misses += 1
                 self._count("fastlane.cache.misses", name)
                 if op.scratch.get(CROSSED_SYMLINK):
                     return result
@@ -470,7 +497,7 @@ def _take(record: _Record, rate_per_s: float, burst: int, now_ns: int) -> bool:
     return False
 
 
-class Admission:
+class Admission(_Counted):
     """Grimlock-style admission control: every EAGAIN refusal in one place.
 
     Three rules against the simulated clock, each off until armed:
@@ -508,6 +535,7 @@ class Admission:
         cooldown_ns: int = NS_PER_S,
         telemetry: Telemetry | None = None,
     ) -> None:
+        super().__init__(telemetry)
         self.clock = clock
         self.arrival_rate_per_s = arrival_rate_per_s
         self.arrival_burst = arrival_burst
@@ -515,15 +543,15 @@ class Admission:
         self.burst = burst
         self.threshold = threshold
         self.cooldown_ns = cooldown_ns
-        self.telemetry = telemetry
         self._arrivals = _Record(float(arrival_burst), 0)
         self._records: "OrderedDict[str, _Record]" = OrderedDict()
-        self.admitted = 0
-        self.over_budget = 0
-        self.successes = 0
-        self.failures = 0
-        self.trips = 0
-        self.circuit_rejected = 0
+
+    admitted = _counted("admission.admitted")
+    over_budget = _counted("fastlane.quota.rejections")
+    successes = _counted("admission.successes")
+    failures = _counted("admission.failures")
+    trips = _counted("admission.trips")
+    circuit_rejected = _counted("admission.circuit_rejected")
 
     def __len__(self) -> int:
         return len(self._records)
@@ -599,21 +627,17 @@ class Admission:
         record = self._record(identity, now)
         if self.rate_per_s is not None:
             if not _take(record, self.rate_per_s, self.burst, now):
-                self.over_budget += 1
-                if self.telemetry is not None:
-                    self.telemetry.counter_inc(
-                        "fastlane.quota.rejections", op=op.name
-                    )
+                self._count("fastlane.quota.rejections", op.name)
                 raise err(
                     Errno.EAGAIN,
                     f"per-identity quota exceeded for {identity}; retry later",
                 )
-            self.admitted += 1
+            self._count("admission.admitted")
         if self.threshold is None:
             return proceed()
         if record.open_until is not None:
             if now < record.open_until:
-                self.circuit_rejected += 1
+                self._count("admission.circuit_rejected")
                 raise err(
                     Errno.EAGAIN, f"circuit open for {identity}; degraded service"
                 )
@@ -623,15 +647,15 @@ class Admission:
         try:
             result = proceed()
         except KernelError:
-            self.failures += 1
+            self._count("admission.failures")
             record.failures += 1
             if record.failures >= self.threshold:
                 record.open_until = now + self.cooldown_ns
                 record.failures = 0
-                self.trips += 1
+                self._count("admission.trips")
             raise
         record.failures = 0
-        self.successes += 1
+        self._count("admission.successes")
         return result
 
 
@@ -823,7 +847,6 @@ def build_pipeline(
     clock=None,
     audit_log: AuditLog | None = None,
     resolve_identity: Callable[[Operation, Any], str | None] | None = None,
-    on_denial: Callable[[Operation], None] | None = None,
     limits: Admission | None = None,
     telemetry: Telemetry | None = None,
     cache: ReadCache | None = None,
@@ -838,10 +861,12 @@ def build_pipeline(
     invalidates on its way through.  Both inherit the pipeline's
     clock/telemetry unless they brought their own.  A
     :class:`Telemetry` goes outermost: its span and latency histogram
-    bracket the entire chain, rejections and denials included.
+    bracket the entire chain, rejections and denials included.  Without
+    one the chain opens no spans, and the denial counter counts into a
+    private registry.
     """
     audit = AuditSink(clock, audit_log)
-    denials = DenialCounter(on_denial)
+    denials = DenialCounter(telemetry if telemetry is not None else Telemetry(clock))
     interceptors: list[Interceptor] = [
         denials,
         IdentityGate(resolve_identity),

@@ -3,7 +3,7 @@
 The paper's central quantitative claim is an overhead story (Figure 5),
 so the reproduction needs first-class measurement: not per-benchmark
 timing loops, but one observability layer both entry surfaces feed.
-This module provides it, in three pieces:
+This module provides it, in four pieces:
 
 * :class:`Telemetry` — a metrics registry: labelled counters, gauges,
   and fixed-bucket latency histograms, all stamped from the *simulated*
@@ -14,6 +14,10 @@ This module provides it, in three pieces:
   :meth:`Telemetry.histogram`) and record through the handle with one
   add; each metric name holds a bounded number of label sets, the rest
   folding into one counted overflow series.
+* :class:`CounterView` — the registry is the store of the counts the
+  Chirp layer and the pipeline keep, each event added once; ``stats``
+  and ``snapshot()`` read the counters back, so no copy can drift.  An
+  owner given no registry counts into a private one that opens no spans.
 * :class:`Span` — one timed unit of work in a trace tree.  Spans nest
   through a stack on the owning :class:`Telemetry` (the simulation is
   single-threaded, so stack discipline holds), and a ``trace_id`` can be
@@ -22,10 +26,12 @@ This module provides it, in three pieces:
 * :class:`TracingInterceptor` — the pipeline hookup.  Installed at the
   mouth of :func:`repro.core.pipeline.build_pipeline`, it opens a span
   per operation, observes per-surface/per-op latency into the shared
-  histograms, and counts outcomes (ok / errno, denials).  The acting
-  identity goes on the span, never on a metric label, so the registry
-  does not grow with the number of principals; each denial series keeps
-  the last denied principal and errno as its exemplar.
+  histograms, and counts ops and their outcomes (ok / errno).  The
+  acting identity goes on the span, never on a metric label, so the
+  registry does not grow with the number of principals.  Denials are
+  counted once, by the pipeline's
+  :class:`~repro.core.pipeline.DenialCounter`, whose series keep the
+  last denied principal and errno as their exemplar.
 
 Everything a snapshot returns is a fresh copy: callers may mutate the
 result freely without corrupting live state (see ``Pipeline.stats``).
@@ -38,7 +44,7 @@ import re
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from ..kernel.errno import KernelError
 from ..kernel.timing import NS_PER_US
@@ -337,6 +343,33 @@ class CounterHandle(_Handle):
         return cell.value if cell is not None else 0
 
 
+class CounterView:
+    """Read-only counts, read off a telemetry registry on each access.
+
+    Each keyword field is a counter name (its total across label sets) or
+    a function of no arguments; assigning a field raises.
+    """
+
+    __slots__ = ("_telemetry", "_fields")
+
+    def __init__(self, telemetry: "Telemetry", **fields: "str | Callable[[], Any]") -> None:
+        object.__setattr__(self, "_telemetry", telemetry)
+        object.__setattr__(self, "_fields", fields)
+
+    def __getattr__(self, name: str) -> Any:
+        source = self._fields.get(name)
+        if source is None:
+            raise AttributeError(name)
+        return self._telemetry.counter_total(source) if isinstance(source, str) else source()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{name!r} is read-only: the registry holds the count")
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({inner})"
+
+
 class HistogramHandle(_Handle):
     """A bound histogram: ``observe()`` goes straight to its series.
 
@@ -463,6 +496,15 @@ class Telemetry:
     def counter_total(self, name: str) -> int:
         """Sum of a counter across every label combination."""
         return sum(cell.value for cell in self._counters.get(name, {}).values())
+
+    def counter_by(self, name: str, label: str) -> dict[str, int]:
+        """A counter's totals keyed by one label's value, sorted."""
+        out: dict[str, int] = {}
+        for key, cell in self._counters.get(name, {}).items():
+            value = dict(key).get(label)
+            if value is not None:
+                out[value] = out.get(value, 0) + cell.value
+        return dict(sorted(out.items()))
 
     def gauge_set(self, name: str, value: float, **labels: Any) -> None:
         if self.enabled:
@@ -659,21 +701,16 @@ def instrument(machine) -> Telemetry:
     return telemetry
 
 
-#: Denial errnos, mirrored from the pipeline's DenialCounter semantics.
-_DENIAL_STATUSES = frozenset({"EACCES", "EPERM"})
-
-
 class _OpInstruments:
     """The handles one ``(surface, op)`` records into, bound once."""
 
-    __slots__ = ("span_name", "latency", "ops", "denials", "outcomes", "labels")
+    __slots__ = ("span_name", "latency", "ops", "outcomes", "labels")
 
     def __init__(self, telemetry: Telemetry, surface: str, op: str) -> None:
         self.span_name = f"{surface}:{op}"
         self.labels = {"surface": surface, "op": op}
         self.latency = telemetry.histogram("pipeline.latency_ns", **self.labels)
         self.ops = telemetry.counter("pipeline.ops", **self.labels)
-        self.denials = telemetry.counter("pipeline.denials", **self.labels)
         #: status -> its ``pipeline.outcomes`` handle, bound on first sight
         self.outcomes: dict[str, CounterHandle] = {}
 
@@ -699,7 +736,8 @@ class TracingInterceptor:
     span that spawned them.
 
     Metrics are labelled by surface and op only: the acting identity
-    goes on the span, and a denial leaves it as its series' exemplar.
+    goes on the span.  Denials are the chain's
+    :class:`~repro.core.pipeline.DenialCounter`'s to count.
     """
 
     #: scratch slot surfaces use to hand over a wire trace parent
@@ -736,11 +774,8 @@ class TracingInterceptor:
             status = "error"
             raise
         finally:
-            identity = op.identity or "?"
-            span.identity = identity
+            span.identity = op.identity or "?"
             t.end_span(span, status=status)
             inst.latency.observe(span.duration_ns)
             inst.ops.inc()
             inst.outcome(status).inc()
-            if status in _DENIAL_STATUSES:
-                inst.denials.inc(exemplar={"identity": identity, "errno": status})

@@ -3,7 +3,7 @@
 No new instrumentation sits on the hot path.  The pipeline's
 :class:`~repro.core.telemetry.TracingInterceptor` already counts every
 operation's outcome as a ``pipeline.outcomes{surface,op,status}``
-counter, and the fault layer mirrors every injected fault into a
+counter, and the fault layer counts every injected fault in a
 ``fault.<kind>`` counter (:meth:`~repro.net.faults.FaultPlan.bind_telemetry`).
 This module just projects those counters into a set of *edge strings*:
 

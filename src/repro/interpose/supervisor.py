@@ -124,15 +124,10 @@ class Supervisor:
 
     @property
     def denials(self) -> int:
-        """Ops the policy refused (EACCES or EPERM).
-
-        Read off the pipeline's :class:`DenialCounter` rather than counted
-        through an ``on_denial`` callback: a callback bound to the
-        supervisor would make supervisor and pipeline a reference cycle,
-        and a dropped box (with its I/O channel's buffer) would then wait
-        for the next full garbage collection instead of going at once.
-        """
-        return sum(self.pipeline.denial_counter.errnos.values())
+        """Ops the policy refused (EACCES or EPERM), read off the
+        pipeline's :class:`DenialCounter`, the one place a denial is
+        counted."""
+        return self.pipeline.denial_counter.total()
 
     # ------------------------------------------------------------------ #
     # box membership

@@ -1,7 +1,7 @@
 """Simulated network substrate: hosts, connections, framing, clusters."""
 
 from .cluster import Cluster
-from .faults import ALL_KINDS, Blackout, FaultPlan, FaultStats
+from .faults import ALL_KINDS, Blackout, FaultPlan
 from .network import Connection, ConnectionHandler, Network, Peer, ServiceFactory
 from .rpc import ProtocolError, decode_message, encode_message
 
@@ -12,7 +12,6 @@ __all__ = [
     "Connection",
     "ConnectionHandler",
     "FaultPlan",
-    "FaultStats",
     "Network",
     "Peer",
     "ProtocolError",

@@ -32,6 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from ..core.telemetry import CounterView, Telemetry
 from ..kernel.timing import Clock, NS_PER_MS
 
 #: The injectable fault kinds, in the order they are consulted per call.
@@ -82,14 +83,10 @@ class Blackout:
         )
 
 
-@dataclass
-class FaultStats:
-    """How many faults of each kind a plan has actually injected."""
+class _FaultCounts(CounterView):
+    """A plan's ``stats``: how many faults of each kind it has injected."""
 
-    injected: dict[str, int] = field(default_factory=dict)
-
-    def count(self, kind: str) -> None:
-        self.injected[kind] = self.injected.get(kind, 0) + 1
+    __slots__ = ()
 
     def total(self) -> int:
         return sum(self.injected.values())
@@ -124,15 +121,17 @@ class FaultPlan:
     #: scheduled whole-endpoint outages (see :class:`Blackout`)
     blackouts: tuple[Blackout, ...] = ()
     ports: tuple[int, ...] | None = None
-    stats: FaultStats = field(default_factory=FaultStats)
-    #: optional metrics sink (duck-typed ``counter_inc``): every injected
-    #: fault also lands in a ``fault.<kind>`` counter, so observers (the
-    #: fuzzer's coverage signal, ``repro metrics``) read fault activity
-    #: off telemetry instead of reaching into this module's internals
-    telemetry: object | None = field(default=None, repr=False, compare=False)
+    #: where injected faults are counted, one ``fault.<kind>`` counter per
+    #: kind, so observers (the fuzzer's coverage signal, ``repro
+    #: metrics``) read fault activity off telemetry; ``None`` counts into
+    #: a private registry only :attr:`stats` reads
+    telemetry: Telemetry | None = field(default=None, repr=False, compare=False)
     _forced: list[str] = field(default_factory=list)
     _draws: int = 0
     _ops_seen: int = 0
+
+    def __post_init__(self) -> None:
+        self.bind_telemetry(self.telemetry)
 
     @classmethod
     def uniform(cls, seed: int, rate: float, **overrides) -> "FaultPlan":
@@ -155,15 +154,24 @@ class FaultPlan:
     def applies_to(self, port: int) -> bool:
         return self.ports is None or port in self.ports
 
-    def bind_telemetry(self, telemetry: object | None) -> "FaultPlan":
-        """Mirror every injected fault into ``fault.<kind>`` counters."""
+    def bind_telemetry(self, telemetry: Telemetry | None) -> "FaultPlan":
+        """Count injected faults into ``telemetry`` (a private registry
+        when ``None``) from now on; :attr:`stats`, a read-only view of
+        the ``fault.<kind>`` counters, reads the same registry."""
         self.telemetry = telemetry
+        registry = telemetry if telemetry is not None else Telemetry()
+        counters = {kind: registry.counter(f"fault.{kind}") for kind in ALL_KINDS}
+        self._counters = counters
+        self.stats = _FaultCounts(
+            registry,
+            injected=lambda: {
+                kind: handle.value for kind, handle in counters.items() if handle.value
+            },
+        )
         return self
 
     def _record(self, kind: str) -> None:
-        self.stats.count(kind)
-        if self.telemetry is not None:
-            self.telemetry.counter_inc(f"fault.{kind}")
+        self._counters[kind].inc()
 
     def force(self, *kinds: str) -> None:
         """Queue one-shot faults consumed at the next matching decision.

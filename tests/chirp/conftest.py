@@ -34,7 +34,7 @@ from repro.net import Cluster, FaultPlan
 #: Snapshotted once per session from :mod:`repro.config` — fixtures must
 #: agree with the skip markers built from the same value below.
 FAULT_RATE = config.fault_rate()
-FAULT_SEED = config.fault_seed()
+FAULT_SEED = config.DEFAULT_FAULT_SEED
 #: Shard count for federation-aware tests (CI's federation job sets 8);
 #: single-server tests ignore it, the federation suite sweeps 1 vs this.
 SHARD_COUNT = config.shard_count()

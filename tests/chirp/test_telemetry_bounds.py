@@ -61,8 +61,8 @@ def test_series_count_does_not_grow_with_the_number_of_principals():
     assert not any("identity" in key for key in snap["counters"])
     assert not any("identity" in key for key in snap["histograms"])
     denials = {k: v for k, v in snap["counters"].items() if k.startswith("pipeline.denials")}
-    assert denials == {"pipeline.denials{op=mkdir,surface=chirp}": 10_100}
-    assert snap["exemplars"]["pipeline.denials{op=mkdir,surface=chirp}"] == {
+    assert denials == {"pipeline.denials{errno=EACCES,op=mkdir,surface=chirp}": 10_100}
+    assert snap["exemplars"]["pipeline.denials{errno=EACCES,op=mkdir,surface=chirp}"] == {
         "identity": "unix:b09999",
         "errno": "EACCES",
     }

@@ -9,15 +9,18 @@ pipeline observes a boxed ``open`` syscall *and* a Chirp ``open`` RPC.
 
 import pytest
 
-from repro.chirp import ChirpClient, ChirpError, ChirpServer, HostnameAuthenticator
+from repro.chirp import (
+    ChirpClient, ChirpError, ChirpServer, FederatedClient, HostnameAuthenticator, ShardMap,
+)
 from repro.core import Acl, Rights
 from repro.core.audit import AuditLog
 from repro.core.box import IdentityBox
 from repro.core.ops import OpRegistry, OpSpec
 from repro.core.pipeline import Operation, Pipeline
+from repro.core.telemetry import TracingInterceptor
 from repro.kernel.errno import Errno, KernelError, err
 from repro.kernel.fdtable import OpenFlags
-from repro.net import Cluster
+from repro.net import Cluster, FaultPlan
 from tests.helpers import run_calls
 
 
@@ -133,6 +136,46 @@ def test_unauthenticated_op_counts_as_denial():
         raw.stat("/")
     assert excinfo.value.errno is Errno.EACCES
     assert server.stats.denials >= 1
+
+
+# -- every stats object is a read-only view of the telemetry registry ------- #
+
+
+def test_assigning_any_stats_field_raises():
+    server, _client = _hostname_server()
+    fed = FederatedClient(server.network, "cli", ShardMap("pool", 1, ()), [])
+    for stats, fields in [
+        (server.stats, "connections auth_failures ops execs bytes_read bytes_written"
+         " denials protocol_errors sheds replays batches coalesced"),
+        (fed.stats, "routed map_refreshes map_rebuilds transfers transfer_bytes"
+         " quorum_writes quorum_failures failover_reads read_repairs missed_writes"),
+        (FaultPlan().stats, "injected"),
+    ]:
+        for field in fields.split():
+            with pytest.raises(AttributeError):
+                setattr(stats, field, getattr(stats, field))
+
+
+def _untraced(pipeline) -> bool:
+    return pipeline.telemetry is None and not any(
+        isinstance(stage, TracingInterceptor) for stage in pipeline.interceptors
+    )
+
+
+def test_owners_without_telemetry_add_no_tracing_and_record_no_spans(
+    machine, alice_task, box
+):
+    server, client = _hostname_server()
+    client.put(b"payload", "/f")
+    with pytest.raises(ChirpError):
+        client.setacl("/", "hostname:cli", "rwlxa")  # no 'a' right: denied
+    assert (server.stats.ops, server.stats.denials) == (3, 1)
+    assert _untraced(server.pipeline) and _untraced(server.supervisor.pipeline)
+    assert not server.metrics.spans and not server.pipeline.denial_counter.telemetry.spans
+    machine.write_file(alice_task, "/home/alice/secret", b"s", mode=0o600)
+    run_calls([("open", "/home/alice/secret", OpenFlags.O_RDONLY)], machine=machine, box=box)
+    assert _untraced(box.supervisor.pipeline) and box.supervisor.denials == 1
+    assert not box.supervisor.pipeline.denial_counter.telemetry.spans
 
 
 # -- the unification proof: one interceptor sees both surfaces --------------- #

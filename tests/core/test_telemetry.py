@@ -10,7 +10,7 @@ clock dimension to bare ones.
 import pytest
 
 from repro.core.box import IdentityBox
-from repro.core.pipeline import Admission
+from repro.core.pipeline import Admission, DenialCounter
 from repro.core.telemetry import (
     DEFAULT_BUCKET_EDGES_NS,
     MAX_SERIES_PER_NAME,
@@ -343,27 +343,29 @@ def test_label_sets_past_the_cap_fold_into_one_counted_overflow_series():
     assert t.histogram("lat", op="x").count == 1
 
 
-def _deny(interceptor: TracingInterceptor, identity: str) -> None:
+def _deny(interceptor: TracingInterceptor, denials: DenialCounter, identity: str) -> None:
     op = type("Op", (), {})()
     op.surface, op.name, op.identity, op.scratch = "chirp", "mkdir", identity, {}
 
     def refuse():
         raise err(Errno.EACCES, "not on the ACL")
 
+    # composed as build_pipeline composes them: tracing outermost, then
+    # the denial counter, the one place a denial is counted
     with pytest.raises(KernelError):
-        interceptor(op, None, refuse)
+        interceptor(op, None, lambda: denials(op, None, refuse))
 
 
 def test_ten_thousand_denied_principals_leave_one_series_and_one_exemplar():
     t = Telemetry(Clock())
-    interceptor = TracingInterceptor(t)
+    interceptor, denials = TracingInterceptor(t), DenialCounter(t)
     for i in range(10_000):
-        _deny(interceptor, f"globus:/O=Grid/CN=user{i:05d}")
+        _deny(interceptor, denials, f"globus:/O=Grid/CN=user{i:05d}")
     snap = t.snapshot(spans=0)
     denials = {k: v for k, v in snap["counters"].items() if k.startswith("pipeline.denials")}
-    assert denials == {"pipeline.denials{op=mkdir,surface=chirp}": 10_000}
+    assert denials == {"pipeline.denials{errno=EACCES,op=mkdir,surface=chirp}": 10_000}
     assert snap["exemplars"] == {
-        "pipeline.denials{op=mkdir,surface=chirp}": {
+        "pipeline.denials{errno=EACCES,op=mkdir,surface=chirp}": {
             "identity": "globus:/O=Grid/CN=user09999",
             "errno": "EACCES",
         }

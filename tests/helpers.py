@@ -385,7 +385,9 @@ class KeywordRecorder:
     Every record builds its sorted ``(label, str(value))`` tuple and looks
     the series up by ``(name, labels)``, and the pipeline's latency, op and
     denial series carry the acting identity as a label, exactly as the
-    tracing interceptor recorded them before identity left metric labels.
+    tracing interceptor recorded them before identity left metric labels
+    (denials also carry the errno, as the pipeline's denial counter
+    labels them).
     """
 
     DENIALS = frozenset({"EACCES", "EPERM"})
@@ -414,7 +416,7 @@ class KeywordRecorder:
         self.counter_inc("pipeline.ops", **labels)
         self.counter_inc("pipeline.outcomes", surface=surface, op=op, status=status)
         if status in self.DENIALS:
-            self.counter_inc("pipeline.denials", **labels)
+            self.counter_inc("pipeline.denials", errno=status, **labels)
 
     def counters_without(self, name: str, label: str) -> dict[tuple, int]:
         """``name``'s counters summed over every value of ``label``."""

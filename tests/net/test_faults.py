@@ -245,7 +245,7 @@ def test_cluster_crash_server_without_port_only_breaks_connections():
 
 
 def test_bind_telemetry_mirrors_every_injection_to_counters():
-    """Satellite telemetry: fault.<kind> counters track FaultStats exactly."""
+    """Satellite telemetry: fault.<kind> counters are what stats reads."""
     from repro.core.telemetry import Telemetry
 
     telemetry = Telemetry(None)

@@ -1,7 +1,8 @@
 """Property test: bound telemetry handles against the keyword-label path.
 
 A random stream of pipeline operations ``(surface, op, status, identity,
-latency_ns)`` runs through the real :class:`TracingInterceptor` and
+latency_ns)`` runs through the real :class:`TracingInterceptor` (around the
+:class:`DenialCounter`, as the pipeline composes them) and
 through :class:`tests.helpers.KeywordRecorder`, the registry the handles
 replaced, which still labels the pipeline's series with the identity.
 Once that label is summed away the two agree exactly: every counter,
@@ -12,6 +13,7 @@ program uses (``counter_total``, ``histograms_named``, and the
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.pipeline import DenialCounter
 from repro.core.telemetry import LatencyStats, Telemetry, TracingInterceptor
 from repro.kernel.errno import Errno, err
 from repro.kernel.timing import Clock
@@ -44,7 +46,7 @@ class _Op:
 def _drive(stream) -> tuple[Telemetry, KeywordRecorder]:
     clock = Clock()
     telemetry = Telemetry(clock)
-    interceptor = TracingInterceptor(telemetry)
+    interceptor, denials = TracingInterceptor(telemetry), DenialCounter(telemetry)
     reference = KeywordRecorder()
     latency = {}
     for surface, name, status, identity, latency_ns in stream:
@@ -57,8 +59,10 @@ def _drive(stream) -> tuple[Telemetry, KeywordRecorder]:
                 raise err(Errno[status], "refused")
             return {}
 
+        op = _Op(surface, name, identity)
         try:
-            interceptor(_Op(surface, name, identity), None, proceed)
+            # composed as build_pipeline composes them
+            interceptor(op, None, lambda op=op, proceed=proceed: denials(op, None, proceed))
         except Exception:
             pass
         reference.record_op(surface, name, status, identity or "?", latency_ns)
