@@ -5,7 +5,6 @@ from .reporting import (
     banner,
     bench_scale,
     save_and_print,
-    smoke_mode,
     write_bench_json,
 )
 
@@ -14,6 +13,5 @@ __all__ = [
     "banner",
     "bench_scale",
     "save_and_print",
-    "smoke_mode",
     "write_bench_json",
 ]

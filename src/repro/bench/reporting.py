@@ -26,14 +26,9 @@ REPO_ROOT = os.path.join(os.path.dirname(__file__), "..", "..", "..")
 RESULTS_DIR = os.path.join(REPO_ROOT, "results")
 
 
-def smoke_mode() -> bool:
-    """CI-sized benchmark runs: set ``REPRO_BENCH_SMOKE=1``."""
-    return bench_smoke()
-
-
 def bench_scale(full: Any, smoke: Any) -> Any:
     """Pick the full-run or smoke-run flavor of a benchmark parameter."""
-    return smoke if smoke_mode() else full
+    return smoke if bench_smoke() else full
 
 
 def write_bench_json(name: str, section: str, payload: dict[str, Any]) -> str:

@@ -52,11 +52,13 @@ Writes are **quorum writes** — applied to every replica in placement
 order, succeeding once a strict majority answered definitely; each
 per-shard session mints its own idempotency keys, so retried writes ride
 the existing replay caches.  A replica that was unreachable gets the
-write appended to a client-side *missed-write log*.  Reads are
+write appended to the writing client's *missed-write log*.  Reads are
 **failover reads** — primary first, replica peers on unavailability,
-with catalog-suspected shards demoted to last — and any replica with
-logged missed writes replays them *before* serving (read repair), so a
-failover can never surface a stale read.  Server-side,
+with catalog-suspected shards demoted to last — and a client replays
+its own log onto a replica before its next op there (read repair).
+Any other client can read the replica first, so a quorum write can be
+followed by a stale read (ROADMAP item 1; pinned by
+``test_stale_read_after_a_quorum_write``).  Server-side,
 :meth:`Federation.repair_shard` is the anti-entropy path: a rejoining
 shard pulls what it missed from its replica peers by manifest diff,
 through the same two-phase staging protocol cross-shard renames use,
@@ -72,6 +74,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from ..core.acl import ACL_FILE_NAME
+from ..core.pipeline import ReadCache
 from ..core.telemetry import CounterView, HandleCache, Telemetry, instrument
 from ..kernel.errno import Errno, KernelError
 from ..kernel.vfs import normalize
@@ -1075,6 +1078,7 @@ def deploy_federation(
     weights: "tuple[int, ...] | None" = None,
     host_pattern: str = "shard{i}.{name}",
     replicas: int = 1,
+    read_cache: bool = False,
 ) -> Federation:
     """Stand up a sharded control plane on a cluster.
 
@@ -1082,7 +1086,8 @@ def deploy_federation(
     telemetry-instrumented :class:`ChirpServer` on each under its own
     unprivileged operator, applies the *same* root ACL everywhere (the
     identity-consistency invariant starts here), and registers every
-    shard in the catalog under the federation's name.
+    shard in the catalog under the federation's name.  ``read_cache``
+    gives every shard its own fast-lane :class:`ReadCache`.
     """
     if n_shards < 1:
         raise ValueError("a federation needs at least one shard")
@@ -1106,6 +1111,7 @@ def deploy_federation(
             port=port,
             auth=make_auth(),
             telemetry=telemetry,
+            read_cache=ReadCache() if read_cache else None,
         )
         server.set_root_acl(root_acl)
         server.serve()

@@ -52,7 +52,6 @@ from ..core.pipeline import (
     build_pipeline,
 )
 from ..core.telemetry import CounterView, HandleCache, Telemetry, is_trace_parent
-from .. import config as repro_config
 from ..gsi.cas import AdmissionPolicy, OpenPolicy
 from ..interpose.drivers import LocalDriver
 from ..interpose.supervisor import Supervisor
@@ -420,13 +419,9 @@ class ChirpServer:
         self.limits = limits
         self._idem_cache: OrderedDict[str, bytes] = OrderedDict()
         self.registry = build_chirp_registry()
-        # the fast lane: an explicit cache wins; otherwise the REPRO_CACHE
-        # knob decides, so the CI fastlane leg turns the cache on for
-        # every server the suite builds.  The cache watches
+        # the fast lane, armed only by an explicit cache.  The cache watches
         # the machine's world epoch: a restore() flushes it wholesale —
         # entries must never outlive the world they were read from.
-        if read_cache is None and repro_config.read_cache_enabled():
-            read_cache = ReadCache()
         if read_cache is not None and read_cache.epoch_source is None:
             read_cache.epoch_source = lambda: machine.epoch
             read_cache._epoch = machine.epoch

@@ -73,16 +73,21 @@ def _run_quickstart(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_workflow(_args: argparse.Namespace) -> int:
-    from repro import Cluster
-    from repro.chirp import ChirpClient, ChirpServer, GlobusAuthenticator, ServerAuth
+def _figure3_world(cluster, telemetry=None):
+    """Figure 3's world on ``cluster``: a GSI-authenticated Chirp server
+    on server1 that grants Fred's CA ``rlv(rwlax)`` and runs the ``sim``
+    program, and a client on the laptop.  ``telemetry``, when given, is
+    shared by the server machine and the client, so remote execs make one
+    nested trace.  Returns ``(server, client, trust, wallet)``."""
+    from repro.chirp import ChirpClient, ChirpServer, ServerAuth
     from repro.core import Acl, Rights
     from repro.gsi import CertificateAuthority, CredentialStore, provision_user
     from repro.kernel import OpenFlags
 
-    cluster = Cluster()
     server_machine = cluster.add_machine("server1.nowhere.edu")
     cluster.add_machine("laptop.cs.nowhere.edu")
+    if telemetry is not None:
+        server_machine.telemetry = telemetry
     ca = CertificateAuthority("UnivNowhere CA")
     trust = CredentialStore()
     trust.trust(ca)
@@ -97,7 +102,7 @@ def _run_workflow(_args: argparse.Namespace) -> int:
     server.set_root_acl(acl)
     server.serve()
 
-    def sim(proc, args):
+    def sim(proc, _args):
         yield proc.compute(ms=100)
         fd = yield proc.sys.open("out.dat", OpenFlags.O_WRONLY | OpenFlags.O_CREAT)
         yield proc.sys.write(fd, proc.alloc_bytes(b"results!\n" * 100), 900)
@@ -106,8 +111,18 @@ def _run_workflow(_args: argparse.Namespace) -> int:
 
     server_machine.register_program("sim", sim)
     client = ChirpClient.connect(
-        cluster.network, "laptop.cs.nowhere.edu", "server1.nowhere.edu"
+        cluster.network, "laptop.cs.nowhere.edu", "server1.nowhere.edu",
+        telemetry=telemetry,
     )
+    return server, client, trust, wallet
+
+
+def _run_workflow(_args: argparse.Namespace) -> int:
+    from repro import Cluster
+    from repro.chirp import GlobusAuthenticator
+
+    cluster = Cluster()
+    _server, client, _trust, wallet = _figure3_world(cluster)
     print("authenticated as", client.authenticate([GlobusAuthenticator(wallet)]))
     client.mkdir("/work")
     print("reserved /work with ACL:", client.getacl("/work").strip())
@@ -181,44 +196,14 @@ def _run_metrics(args: argparse.Namespace) -> int:
     import json
 
     from repro import Cluster
-    from repro.chirp import ChirpClient, ChirpServer, GlobusAuthenticator, ServerAuth
-    from repro.core import Acl, Rights, Telemetry
-    from repro.gsi import CertificateAuthority, CredentialStore, provision_user
-    from repro.kernel import OpenFlags
+    from repro.chirp import GlobusAuthenticator
+    from repro.core import Telemetry
 
     cluster = Cluster()
-    server_machine = cluster.add_machine("server1.nowhere.edu")
-    cluster.add_machine("laptop.cs.nowhere.edu")
     # one Telemetry shared by the RPC client and the server's supervisor,
     # so remote execs produce a single nested trace
     telemetry = Telemetry(cluster.clock)
-    server_machine.telemetry = telemetry
-    ca = CertificateAuthority("UnivNowhere CA")
-    trust = CredentialStore()
-    trust.trust(ca)
-    wallet = provision_user(ca, trust, "/O=UnivNowhere/CN=Fred")
-    owner = server_machine.add_user("dthain")
-    server = ChirpServer(
-        server_machine, owner, network=cluster.network,
-        auth=ServerAuth(credential_store=trust),
-    )
-    acl = Acl()
-    acl.set_entry("globus:/O=UnivNowhere/*", Rights.parse("rlv(rwlax)"))
-    server.set_root_acl(acl)
-    server.serve()
-
-    def sim(proc, _sim_args):
-        yield proc.compute(ms=100)
-        fd = yield proc.sys.open("out.dat", OpenFlags.O_WRONLY | OpenFlags.O_CREAT)
-        yield proc.sys.write(fd, proc.alloc_bytes(b"results!\n" * 100), 900)
-        yield proc.sys.close(fd)
-        return 0
-
-    server_machine.register_program("sim", sim)
-    client = ChirpClient.connect(
-        cluster.network, "laptop.cs.nowhere.edu", "server1.nowhere.edu",
-        telemetry=telemetry,
-    )
+    server, client, trust, wallet = _figure3_world(cluster, telemetry)
     client.authenticate([GlobusAuthenticator(wallet)])
     client.mkdir("/work")
     client.put(b"#!repro:sim\n", "/work/sim.exe", mode=0o755)

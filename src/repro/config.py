@@ -1,8 +1,7 @@
 """One home for the reproduction's ``REPRO_*`` environment knobs.
 
-Every runtime switch the test suites, benchmarks, and the fuzzer honor is
-parsed here, once, instead of each conftest re-implementing the same
-``os.environ.get`` dance:
+Every environment variable the test suites and benchmarks honor is parsed
+here, and nowhere else in the package:
 
 ===========================  =================================================
 ``REPRO_FAULT_RATE``         per-kind fault probability on the Chirp port
@@ -16,23 +15,26 @@ parsed here, once, instead of each conftest re-implementing the same
                              mouth (CI's ``test-fastlane`` leg sets ``1``)
 ===========================  =================================================
 
-All readers are *dynamic* — they consult the environment on every call, so
-tests can flip a knob with ``monkeypatch.setenv`` and see the change
-without reimporting anything.  Import-time constants belong to the caller
-(e.g. ``tests/chirp/conftest.py`` snapshots the fault rate once per
-session because fixtures must agree with the skip markers built from it).
+All but ``REPRO_BENCH_SMOKE`` describe a *world*, read together into one
+:class:`WorldSpec`.  The package itself never consults them: a world
+setting reaches it as an argument (``ChirpServer(read_cache=)``,
+``deploy_federation(replicas=, read_cache=)``,
+``runner._prepare(use_snapshots=)``, an installed ``FaultPlan``).  The
+test harness reads one spec and passes its values on, so one process can
+build differently configured worlds side by side.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
 #: The seed for the test suites' fault plans and retry jitter; any fixed
 #: value works, the point is that every consumer agrees on it.
 DEFAULT_FAULT_SEED = 20260805
 
 
-def env_flag(name: str) -> bool:
+def _env_flag(name: str) -> bool:
     """A boolean knob: unset, empty, and ``0`` are off; anything else is on."""
     return os.environ.get(name, "") not in ("", "0")
 
@@ -42,32 +44,29 @@ def _env_number(name: str, default: str, cast) -> float | int:
     return cast(os.environ.get(name, default) or default)
 
 
-def fault_rate() -> float:
-    """Per-kind fault probability injected under the Chirp test suite."""
-    return _env_number("REPRO_FAULT_RATE", "0", float)
+@dataclass(frozen=True)
+class WorldSpec:
+    """How a test world is configured (see the table above); the defaults
+    are the plain world."""
 
+    fault_rate: float = 0.0
+    shards: int = 1
+    replicas: int = 1
+    read_cache: bool = False
+    snapshot_fixtures: bool = False
 
-def shard_count() -> int:
-    """Federation shard count for federation-aware tests."""
-    return _env_number("REPRO_SHARDS", "1", int)
-
-
-def replica_count() -> int:
-    """Replicas per directory prefix (``1`` = today's single-owner mode)."""
-    return max(1, _env_number("REPRO_REPLICAS", "1", int))
-
-
-def snapshot_fixtures_enabled() -> bool:
-    """Whether test fixtures fork machines from warm snapshots."""
-    return env_flag("REPRO_SNAPSHOT_FIXTURES")
+    @classmethod
+    def from_env(cls) -> WorldSpec:
+        """The world the ``REPRO_*`` knobs describe."""
+        return cls(
+            fault_rate=_env_number("REPRO_FAULT_RATE", "0", float),
+            shards=_env_number("REPRO_SHARDS", "1", int),
+            replicas=max(1, _env_number("REPRO_REPLICAS", "1", int)),
+            read_cache=_env_flag("REPRO_CACHE"),
+            snapshot_fixtures=_env_flag("REPRO_SNAPSHOT_FIXTURES"),
+        )
 
 
 def bench_smoke() -> bool:
     """CI-sized benchmark runs: set ``REPRO_BENCH_SMOKE=1``."""
-    return env_flag("REPRO_BENCH_SMOKE")
-
-
-def read_cache_enabled() -> bool:
-    """Fast-lane memoization of read-only ops at the pipeline mouth."""
-    return env_flag("REPRO_CACHE")
-
+    return _env_flag("REPRO_BENCH_SMOKE")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field
 
-from ..config import snapshot_fixtures_enabled
 from ..core.acl import Acl
 from ..core.aclfs import AclPolicy
 from ..core.box import IdentityBox
@@ -100,15 +99,6 @@ class MicrobenchResult:
 _TEMPLATES: dict[tuple, WorldSnapshot] = {}
 
 
-def snapshot_templates_enabled() -> bool:
-    """Whether runs fork prepared machines from warm templates.
-
-    Read dynamically (not at import) so benchmarks and tests can flip
-    the ``REPRO_SNAPSHOT_FIXTURES`` knob per call.
-    """
-    return snapshot_fixtures_enabled()
-
-
 def _prepare_cold(
     profile: AppProfile | None, costs: CostModel | None
 ) -> tuple[Machine, object]:
@@ -134,7 +124,7 @@ def _prepare(
     profile: AppProfile | None,
     costs: CostModel | None,
     *,
-    use_snapshots: bool | None = None,
+    use_snapshots: bool = False,
 ) -> tuple[Machine, object]:
     """A machine prepared for one run — cold-booted or forked from a template.
 
@@ -143,8 +133,6 @@ def _prepare(
     that by construction (and the equivalence is tested), while skipping
     the file-layout setup on every run after a configuration's first.
     """
-    if use_snapshots is None:
-        use_snapshots = snapshot_templates_enabled()
     if not use_snapshots:
         return _prepare_cold(profile, costs)
     key = (profile, astuple(costs or CostModel()))

@@ -1,26 +1,22 @@
 """Shared Chirp test scaffolding: a cluster with one server and full auth.
 
-Setting ``REPRO_FAULT_RATE`` (e.g. ``0.1``) subjects every test that uses
-these fixtures to a seeded uniform fault plan on the Chirp port, and arms
-the shared clients with a retry policy: the whole Chirp suite then doubles
-as a resilience suite.  The seed is fixed, so a faulted run is just as
-deterministic as a clean one.
+A nonzero ``WORLD.fault_rate`` (``REPRO_FAULT_RATE``, e.g. ``0.1``)
+subjects every test that uses these fixtures to a seeded uniform fault
+plan on the Chirp port, and arms the shared clients with a retry policy:
+the whole Chirp suite then doubles as a resilience suite.  The seed is
+fixed, so a faulted run is just as deterministic as a clean one.
 """
 
 import pytest
 
-from repro import config
 from repro.chirp import (
     CHIRP_PORT,
     ChirpClient,
-    ChirpServer,
     GlobusAuthenticator,
-    HostnameAuthenticator,
-    KerberosAuthenticator,
     RetryPolicy,
     ServerAuth,
-    UnixAuthenticator,
 )
+from repro.config import DEFAULT_FAULT_SEED
 from repro.core import Acl, Rights
 from repro.gsi import (
     CertificateAuthority,
@@ -29,18 +25,18 @@ from repro.gsi import (
     provision_user,
 )
 from repro.net import Cluster, FaultPlan
+from tests.helpers import WORLD, make_server
 
-#: Per-kind fault probability injected under every chirp test (CI job 2).
-#: Snapshotted once per session from :mod:`repro.config` — fixtures must
-#: agree with the skip markers built from the same value below.
-FAULT_RATE = config.fault_rate()
-FAULT_SEED = config.DEFAULT_FAULT_SEED
+#: Per-kind fault probability injected under every chirp test (CI's
+#: faulted leg); fixtures and skip markers read the same ``WORLD``.
+FAULT_RATE = WORLD.fault_rate
+FAULT_SEED = DEFAULT_FAULT_SEED
 #: Shard count for federation-aware tests (CI's federation job sets 8);
 #: single-server tests ignore it, the federation suite sweeps 1 vs this.
-SHARD_COUNT = config.shard_count()
+SHARD_COUNT = WORLD.shards
 #: Replicas per directory prefix (CI's test-replicated chaos job sets 3);
 #: 1 is the old single-owner federation and the default everywhere.
-REPLICA_COUNT = config.replica_count()
+REPLICA_COUNT = WORLD.replicas
 #: Generous attempt budget: at rate r each call fails with ~1-(1-r)^4.
 FAULT_RETRY = RetryPolicy(max_attempts=10, seed=FAULT_SEED)
 #: What shared fixtures hand their clients/drivers/sessions.
@@ -114,7 +110,7 @@ def kdc():
 def server(cluster, trust, kdc):
     machine = cluster.machine(SERVER_HOST)
     owner = machine.add_user("dthain")
-    srv = ChirpServer(
+    srv = make_server(
         machine,
         owner,
         network=cluster.network,
@@ -134,8 +130,7 @@ def server(cluster, trust, kdc):
 
 
 def connect(cluster, host=CLIENT_HOST):
-    retry = FAULT_RETRY if FAULT_RATE > 0 else None
-    return ChirpClient.connect(cluster.network, host, SERVER_HOST, retry=retry)
+    return ChirpClient.connect(cluster.network, host, SERVER_HOST, retry=DEFAULT_RETRY)
 
 
 @pytest.fixture
@@ -151,23 +146,3 @@ def heidi(cluster, server, heidi_wallet):
     client.authenticate([GlobusAuthenticator(heidi_wallet)])
     return client
 
-
-__all__ = [
-    "CLIENT_HOST",
-    "DEFAULT_RETRY",
-    "FAULT_RATE",
-    "FAULT_RETRY",
-    "REPLICA_COUNT",
-    "requires_perfect_network",
-    "requires_single_replica",
-    "FRED_DN",
-    "HEIDI_DN",
-    "OUTSIDE_HOST",
-    "SERVER_HOST",
-    "SERVICE_PRINCIPAL",
-    "connect",
-    "GlobusAuthenticator",
-    "HostnameAuthenticator",
-    "KerberosAuthenticator",
-    "UnixAuthenticator",
-]

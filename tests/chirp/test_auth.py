@@ -18,6 +18,7 @@ from tests.chirp.conftest import (
     SERVICE_PRINCIPAL,
     connect,
 )
+from tests.helpers import make_server
 
 
 def test_globus_auth_builds_principal(cluster, server, fred_wallet):
@@ -100,12 +101,12 @@ def test_forged_proxy_rejected(cluster, server, fred_wallet):
 
 
 def test_admission_policy_blocks_principals(cluster, trust, fred_wallet):
-    from repro.chirp import ChirpServer, ServerAuth
+    from repro.chirp import ServerAuth
     from repro.gsi import WildcardPolicy
 
     machine = cluster.machine(SERVER_HOST)
     owner = machine.add_user("op")
-    server = ChirpServer(
+    server = make_server(
         machine,
         owner,
         network=cluster.network,
@@ -124,11 +125,11 @@ def test_admission_policy_blocks_principals(cluster, trust, fred_wallet):
 
 
 def test_method_not_offered_by_server(cluster, trust):
-    from repro.chirp import ChirpClient, ChirpServer, ServerAuth
+    from repro.chirp import ChirpClient, ServerAuth
 
     machine = cluster.machine(SERVER_HOST)
     owner = machine.add_user("op2")
-    server = ChirpServer(
+    server = make_server(
         machine,
         owner,
         network=cluster.network,

@@ -4,7 +4,6 @@ import pytest
 
 from repro.chirp import (
     ChirpDriver,
-    ChirpServer,
     GlobusAuthenticator,
     ServerAuth,
 )
@@ -12,7 +11,7 @@ from repro.core import Acl, IdentityBox, Rights
 from repro.gsi import CertificateAuthority, CredentialStore, provision_user
 from repro.kernel import Errno
 from repro.net import Cluster
-from tests.helpers import boxed_read_file, boxed_write_file, run_calls
+from tests.helpers import boxed_read_file, boxed_write_file, make_server, run_calls
 
 HOST_A = "a.example.edu"
 HOST_B = "b.example.edu"
@@ -32,7 +31,7 @@ def world():
     for host in (HOST_A, HOST_B):
         machine = cluster.machine(host)
         owner = machine.add_user("op")
-        server = ChirpServer(
+        server = make_server(
             machine, owner, network=cluster.network,
             auth=ServerAuth(credential_store=trust),
         )

@@ -11,26 +11,14 @@ retry layer already treats as back-off-and-retry.
 
 import pytest
 
-from repro.chirp import (
-    CHIRP_PORT,
-    ChirpClient,
-    ChirpError,
-    ChirpServer,
-    GlobusAuthenticator,
-    ServerAuth,
-)
-from repro.core import Acl, Admission, Rights
-from repro.gsi import CertificateAuthority, CredentialStore, provision_user
+from repro.chirp import CHIRP_PORT, ChirpClient, ChirpError
+from repro.core import Admission
 from repro.kernel.errno import Errno
 from repro.kernel.fdtable import OpenFlags
-from repro.net import Cluster, FaultPlan
+from repro.net import FaultPlan
 from repro.workloads import AMANDA, BLAST, CMS, HF, IBIS, MAKE
-from tests.chirp.test_federation import (
-    connect_fred as fed_connect,
-)
-from tests.chirp.test_federation import (
-    make_fed_world,
-)
+from tests.chirp.test_federation import connect_fred as fed_connect
+from tests.chirp.test_federation import make_fed_world
 from tests.chirp.test_resilience import (
     FRED_DN,
     RETRY,
@@ -43,23 +31,13 @@ from tests.chirp.test_resilience import (
 PROFILES = [AMANDA, BLAST, CMS, HF, IBIS, MAKE]
 
 
-def fastlane_off(monkeypatch):
-    monkeypatch.delenv("REPRO_CACHE", raising=False)
-
-
-def fastlane_on(monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE", "1")
-
-
 # ---------------------------------------------------------------------- #
 # invalidation races: a mutation between two cached reads
 # ---------------------------------------------------------------------- #
 
 
-def test_mutation_between_two_cached_reads_is_visible(monkeypatch):
-    fastlane_off(monkeypatch)
-    monkeypatch.setenv("REPRO_CACHE", "1")
-    cluster, server, wallet = make_world()
+def test_mutation_between_two_cached_reads_is_visible():
+    cluster, server, wallet = make_world(read_cache=True)
     fred = connect_fred(cluster, wallet, retry=None)
     fred.mkdir("/t")
     fred.put(b"v1", "/t/f")
@@ -71,9 +49,8 @@ def test_mutation_between_two_cached_reads_is_visible(monkeypatch):
     assert server.read_cache.invalidations >= 1
 
 
-def test_putfile_between_cached_reads_is_visible(monkeypatch):
-    fastlane_on(monkeypatch)
-    cluster, server, wallet = make_world()
+def test_putfile_between_cached_reads_is_visible():
+    cluster, server, wallet = make_world(read_cache=True)
     fred = connect_fred(cluster, wallet, retry=RETRY)
     fred.mkdir("/t")
     fred.put(b"v1", "/t/f")
@@ -90,10 +67,8 @@ def test_putfile_between_cached_reads_is_visible(monkeypatch):
     assert not any(b"version two" in reply for reply in server._idem_cache.values())
 
 
-def test_descriptor_write_between_cached_reads_is_visible(monkeypatch):
-    fastlane_off(monkeypatch)
-    monkeypatch.setenv("REPRO_CACHE", "1")
-    cluster, server, wallet = make_world()
+def test_descriptor_write_between_cached_reads_is_visible():
+    cluster, server, wallet = make_world(read_cache=True)
     fred = connect_fred(cluster, wallet, retry=None)
     fred.mkdir("/t")
     fred.put(b"1234", "/t/f")
@@ -107,10 +82,8 @@ def test_descriptor_write_between_cached_reads_is_visible(monkeypatch):
     assert fred.stat("/t/f").size == 8
 
 
-def test_setacl_between_cached_acl_reads_is_visible(monkeypatch):
-    fastlane_off(monkeypatch)
-    monkeypatch.setenv("REPRO_CACHE", "1")
-    cluster, server, wallet = make_world()
+def test_setacl_between_cached_acl_reads_is_visible():
+    cluster, server, wallet = make_world(read_cache=True)
     fred = connect_fred(cluster, wallet, retry=None)
     fred.mkdir("/t")  # fred's own zone: rwlax includes admin
     assert fred.aclcheck("/t", "w") is True
@@ -121,11 +94,9 @@ def test_setacl_between_cached_acl_reads_is_visible(monkeypatch):
     assert server.read_cache.invalidations >= 1
 
 
-def alias_world(monkeypatch):
+def alias_world():
     """A cached server with ``/t/s`` a symlink to ``/t/real``."""
-    fastlane_off(monkeypatch)
-    monkeypatch.setenv("REPRO_CACHE", "1")
-    cluster, server, wallet = make_world()
+    cluster, server, wallet = make_world(read_cache=True)
     fred = connect_fred(cluster, wallet, retry=None)
     fred.mkdir("/t")
     fred.mkdir("/t/real")
@@ -135,8 +106,8 @@ def alias_world(monkeypatch):
     return server, fred
 
 
-def test_put_through_a_symlink_is_visible_by_the_real_name(monkeypatch):
-    server, fred = alias_world(monkeypatch)
+def test_put_through_a_symlink_is_visible_by_the_real_name():
+    server, fred = alias_world()
     assert fred.stat("/t/real/f").size == 10
     assert fred.stat("/t/real/f").size == 10  # memoized
     fred.put(b"y" * 999, "/t/s/f")
@@ -144,8 +115,8 @@ def test_put_through_a_symlink_is_visible_by_the_real_name(monkeypatch):
     assert fred.get("/t/real/f") == b"y" * 999
 
 
-def test_read_through_a_symlink_is_never_memoized(monkeypatch):
-    server, fred = alias_world(monkeypatch)
+def test_read_through_a_symlink_is_never_memoized():
+    server, fred = alias_world()
     entries = len(server.read_cache)
     assert fred.stat("/t/s/f").size == 10
     assert len(server.read_cache) == entries
@@ -153,8 +124,8 @@ def test_read_through_a_symlink_is_never_memoized(monkeypatch):
     assert fred.stat("/t/s/f").size == 999
 
 
-def test_descriptor_opened_through_a_symlink_flushes_on_write(monkeypatch):
-    server, fred = alias_world(monkeypatch)
+def test_descriptor_opened_through_a_symlink_flushes_on_write():
+    server, fred = alias_world()
     fd = fred.open("/t/s/f", OpenFlags.O_WRONLY)
     assert fred.stat("/t/real/f").size == 10
     assert fred.stat("/t/real/f").size == 10  # memoized after the open
@@ -163,8 +134,8 @@ def test_descriptor_opened_through_a_symlink_flushes_on_write(monkeypatch):
     assert fred.stat("/t/real/f").size == 64
 
 
-def test_setacl_through_a_symlink_is_visible_by_the_real_name(monkeypatch):
-    server, fred = alias_world(monkeypatch)
+def test_setacl_through_a_symlink_is_visible_by_the_real_name():
+    server, fred = alias_world()
     fred_id = f"globus:{FRED_DN}"
     assert fred.access("/t/real/d", "w") is True
     assert fred.aclcheck("/t/s/d", "w") is True
@@ -178,10 +149,8 @@ def test_setacl_through_a_symlink_is_visible_by_the_real_name(monkeypatch):
     assert fred.aclcheck("/t/s", "w") is False
 
 
-def test_restore_flushes_the_cache_with_the_world(monkeypatch):
-    fastlane_off(monkeypatch)
-    monkeypatch.setenv("REPRO_CACHE", "1")
-    cluster, server, wallet = make_world()
+def test_restore_flushes_the_cache_with_the_world():
+    cluster, server, wallet = make_world(read_cache=True)
     fred = connect_fred(cluster, wallet, retry=None)
     fred.mkdir("/t")
     fred.put(b"before", "/t/f")
@@ -195,10 +164,8 @@ def test_restore_flushes_the_cache_with_the_world(monkeypatch):
     assert server.read_cache.flushes >= 1
 
 
-def test_fork_does_not_share_cache_entries_with_the_parent(monkeypatch):
-    fastlane_off(monkeypatch)
-    monkeypatch.setenv("REPRO_CACHE", "1")
-    cluster, server, wallet = make_world()
+def test_fork_does_not_share_cache_entries_with_the_parent():
+    cluster, server, wallet = make_world(read_cache=True)
     fred = connect_fred(cluster, wallet, retry=None)
     fred.mkdir("/t")
     fred.put(b"parent", "/t/f")
@@ -215,12 +182,10 @@ def test_fork_does_not_share_cache_entries_with_the_parent(monkeypatch):
     assert child.kcall_x(task, "stat", path).st_size == 28
 
 
-def test_cross_shard_repair_flushes_replica_caches(monkeypatch):
+def test_cross_shard_repair_flushes_replica_caches():
     """Anti-entropy repair writes below the pipeline; the repaired
     replica's memoized verdicts must die with the stale bytes."""
-    fastlane_off(monkeypatch)
-    monkeypatch.setenv("REPRO_CACHE", "1")
-    cluster, federation, wallet = make_fed_world(4, replicas=3)
+    cluster, federation, wallet = make_fed_world(4, replicas=3, read_cache=True)
     client = fed_connect(cluster, federation, wallet)
     client.mkdir("/d0")
     client.put(b"v1", "/d0/f")
@@ -342,11 +307,10 @@ def test_batch_counts_every_inner_frame_as_an_op():
 # ---------------------------------------------------------------------- #
 
 
-def test_transfer_survives_faults_and_a_restart(monkeypatch):
-    fastlane_on(monkeypatch)
+def test_transfer_survives_faults_and_a_restart():
     data = input_bytes(BLAST)  # multi-chunk: CHUNK + 4321 bytes
     plan = FaultPlan.uniform(seed=20260808, rate=0.10, ports=(CHIRP_PORT,))
-    cluster, server, wallet = make_world(plan)
+    cluster, server, wallet = make_world(plan, read_cache=True)
     fred = connect_fred(cluster, wallet)
     fred.mkdir("/t")
     before = fred.stats.retries
@@ -366,43 +330,14 @@ def test_transfer_survives_faults_and_a_restart(monkeypatch):
 # ---------------------------------------------------------------------- #
 
 
-def quota_world(rate="50:4"):
-    cluster = Cluster()
-    cluster.add_machine("server1.nowhere.edu")
-    cluster.add_machine("laptop.cs.nowhere.edu")
-    ca = CertificateAuthority("UnivNowhere CA")
-    trust = CredentialStore()
-    trust.trust(ca)
-    wallet = provision_user(ca, trust, "/O=UnivNowhere/CN=Fred")
-    machine = cluster.machine("server1.nowhere.edu")
-    owner = machine.add_user("dthain")
-    rate_s, _, burst_s = rate.partition(":")
-    server = ChirpServer(
-        machine,
-        owner,
-        network=cluster.network,
-        auth=ServerAuth(credential_store=trust),
-        limits=Admission(rate_per_s=float(rate_s), burst=int(burst_s)),
-    )
-    acl = Acl()
-    acl.set_entry("globus:/O=UnivNowhere/*", Rights.parse("rlv(rwlax)"))
-    server.set_root_acl(acl)
-    server.serve()
-    return cluster, server, wallet
-
-
-def connect(cluster, wallet, retry=None):
-    client = ChirpClient.connect(
-        cluster.network, "laptop.cs.nowhere.edu", "server1.nowhere.edu",
-        retry=retry,
-    )
-    client.authenticate([GlobusAuthenticator(wallet)])
-    return client
+def quota_world():
+    """A server granting each identity 50 ops/s with a burst of 4."""
+    return make_world(limits=Admission(rate_per_s=50.0, burst=4))
 
 
 def test_quota_exhaustion_surfaces_as_eagain():
     cluster, server, wallet = quota_world()
-    fred = connect(cluster, wallet)
+    fred = connect_fred(cluster, wallet, retry=None)
     with pytest.raises(ChirpError) as excinfo:
         for _ in range(64):
             fred.stat("/")
@@ -416,7 +351,7 @@ def test_retrying_client_rides_out_the_quota():
     # time passes, the bucket refills — the op eventually lands.  That
     # loop is the whole contract.
     cluster, server, wallet = quota_world()
-    fred = connect(cluster, wallet, retry=RETRY)
+    fred = connect_fred(cluster, wallet, retry=RETRY)
     for _ in range(32):
         fred.stat("/")
     assert server.limits.over_budget >= 1  # the budget really did bite
@@ -429,31 +364,25 @@ def test_retrying_client_rides_out_the_quota():
 
 
 @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
-def test_every_workload_is_byte_identical_with_the_fast_lane_on(
-    profile, monkeypatch
-):
-    fastlane_off(monkeypatch)
-    cluster, _, wallet = make_world()
+def test_every_workload_is_byte_identical_with_the_fast_lane_on(profile):
+    cluster, _, wallet = make_world(read_cache=False)
     want = stage_and_run(connect_fred(cluster, wallet, retry=None), profile)
     assert want["status"] == 0 and want["size"] == len(input_bytes(profile))
 
-    fastlane_on(monkeypatch)
-    cluster, server, wallet = make_world()
+    cluster, server, wallet = make_world(read_cache=True)
     got = stage_and_run(connect_fred(cluster, wallet, retry=None), profile)
-    assert server.read_cache is not None  # the knob really armed it
+    assert server.read_cache is not None  # the flag really armed it
     assert got == want  # the fast lane must not be observable in results
 
 
-def test_workload_under_faults_with_fast_lane_matches_clean_run(monkeypatch):
-    fastlane_off(monkeypatch)
-    cluster, _, wallet = make_world()
+def test_workload_under_faults_with_fast_lane_matches_clean_run():
+    cluster, _, wallet = make_world(read_cache=False)
     want = stage_and_run(connect_fred(cluster, wallet, retry=None), CMS)
 
-    fastlane_on(monkeypatch)
     plan = FaultPlan.uniform(
         seed=20260808, rate=0.10, restart_at_ops=(8,), ports=(CHIRP_PORT,)
     )
-    cluster, server, wallet = make_world(plan)
+    cluster, server, wallet = make_world(plan, read_cache=True)
     got = stage_and_run(connect_fred(cluster, wallet), CMS)
     assert plan.stats.total() > 0
     assert got == want

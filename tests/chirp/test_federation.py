@@ -13,7 +13,6 @@ import pytest
 from repro.chirp import (
     CHIRP_PORT,
     ChirpError,
-    ChirpServer,
     FED_XFER_SUFFIX,
     FederatedClient,
     GlobusAuthenticator,
@@ -39,6 +38,7 @@ from tests.chirp.conftest import (
     requires_single_replica,
 )
 from tests.chirp.test_resilience import input_bytes, stage_and_run
+from tests.helpers import WORLD, make_server
 
 LAPTOP = "laptop.cs.nowhere.edu"
 FRED_DN = "/O=UnivNowhere/CN=Fred"
@@ -56,7 +56,7 @@ RETRY = RetryPolicy(
 )
 
 
-def make_fed_world(n_shards, plan=None, replicas=REPLICA_COUNT):
+def make_fed_world(n_shards, plan=None, replicas=REPLICA_COUNT, read_cache=WORLD.read_cache):
     """A federation of ``n_shards`` GSI-authenticated servers + a laptop."""
     cluster = Cluster()
     cluster.add_machine(LAPTOP)
@@ -75,6 +75,7 @@ def make_fed_world(n_shards, plan=None, replicas=REPLICA_COUNT):
         make_auth=lambda: ServerAuth(credential_store=trust),
         root_acl=acl,
         replicas=replicas,
+        read_cache=read_cache,
     )
 
     def sim(proc, args):
@@ -296,7 +297,7 @@ def test_a_joining_shard_bumps_the_version_and_rebuilds_the_map():
     trust = CredentialStore()
     machine = cluster.add_machine("late.pool")
     owner = machine.add_user("keeper9")
-    newcomer = ChirpServer(
+    newcomer = make_server(
         machine, owner, network=cluster.network,
         auth=ServerAuth(credential_store=trust),
     )

@@ -20,6 +20,7 @@ from repro.chirp import (
     quorum,
     route_order,
 )
+from repro.chirp.server import read_file
 from repro.kernel.errno import Errno
 from repro.net import FaultPlan
 from repro.workloads import AMANDA, BLAST, CMS, HF, IBIS, MAKE
@@ -274,6 +275,36 @@ def test_close_with_dead_sessions_closes_the_rest_and_never_raises():
     client._clients["zz-exploding"] = ExplodingSession()
     client.close()  # must not raise
     assert client._clients == {} and client._missed == {}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the missed-write log is per client: a returning replica serves "
+    "stale data to every other client (ROADMAP item 1)",
+)
+def test_stale_read_after_a_quorum_write():
+    # explicit world: the same in every CI leg, no fault plan, no cache
+    cluster, federation, wallet = make_fed_world(4, replicas=3, read_cache=False)
+    a = connect_fred(cluster, federation, wallet, retry=RETRY)
+    a.mkdir("/d0")
+    a.put(b"v0", "/d0/f")
+    primary = a.shard_of("/d0")
+    federation.blackout_shard(primary, 0, 10**9)
+    a.put(b"from-a", "/d0/f")  # quorum 2/3: the primary misses it
+    b = connect_fred(cluster, federation, wallet, retry=RETRY)
+    b.put(b"from-b", "/d0/f")  # the last acknowledged write
+    b.close()
+    lift_blackouts(cluster)
+
+    # today a fresh reader gets v0 from the primary: two acknowledged
+    # writes are invisible
+    assert connect_fred(cluster, federation, wallet).get("/d0/f") == b"from-b"
+    a.stat("/d0")  # today A replays its own missed put onto the primary...
+    # ...which then serves from-a while both peers hold from-b
+    assert connect_fred(cluster, federation, wallet).get("/d0/f") == b"from-b"
+    owners = [federation.shards[name].server for name in owners_of(federation, "d0")]
+    assert {read_file(s.fs, s.real_path("/d0/f")) for s in owners} == {b"from-b"}
 
 
 # ---------------------------------------------------------------------- #

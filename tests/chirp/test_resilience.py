@@ -15,7 +15,6 @@ from repro.chirp import (
     ChirpClient,
     ChirpDriver,
     ChirpError,
-    ChirpServer,
     GlobusAuthenticator,
     HostnameAuthenticator,
     RetryPolicy,
@@ -32,7 +31,7 @@ from repro.net import Cluster, FaultPlan
 from repro.net.faults import mangle_frame
 from repro.net.rpc import decode_message, encode_message
 from repro.workloads import AMANDA, BLAST, CMS, HF, IBIS, MAKE
-from tests.helpers import forge_frame
+from tests.helpers import forge_frame, make_server
 
 SERVER = "server1.nowhere.edu"
 LAPTOP = "laptop.cs.nowhere.edu"
@@ -47,8 +46,9 @@ RETRY = RetryPolicy(
 )
 
 
-def make_world(plan=None, limits=None):
-    """A one-server cluster with GSI auth, optionally under a fault plan."""
+def make_world(plan=None, **server_kwargs):
+    """A one-server cluster with GSI auth, optionally under a fault plan;
+    ``server_kwargs`` (``limits=``, ``read_cache=``) go to the server."""
     cluster = Cluster()
     cluster.add_machine(SERVER)
     cluster.add_machine(LAPTOP)
@@ -59,12 +59,12 @@ def make_world(plan=None, limits=None):
 
     machine = cluster.machine(SERVER)
     owner = machine.add_user("dthain")
-    server = ChirpServer(
+    server = make_server(
         machine,
         owner,
         network=cluster.network,
         auth=ServerAuth(credential_store=trust),
-        limits=limits,
+        **server_kwargs,
     )
     acl = Acl()
     acl.set_entry("hostname:*.nowhere.edu", Rights.parse("rlx"))
@@ -416,7 +416,7 @@ def test_circuit_breaker_trips_per_identity_and_half_opens():
     trust.trust(ca)
     wallet = provision_user(ca, trust, FRED_DN)
     machine = cluster.machine(SERVER)
-    server = ChirpServer(
+    server = make_server(
         machine,
         machine.add_user("dthain"),
         network=cluster.network,

@@ -10,11 +10,12 @@ is adopted as a span's parent.
 
 import pytest
 
-from repro.chirp import CHIRP_PORT, ChirpClient, ChirpError, ChirpServer, UnixAuthenticator
+from repro.chirp import CHIRP_PORT, ChirpClient, ChirpError, UnixAuthenticator
 from repro.chirp.protocol import request
 from repro.core import Acl, Rights, instrument
 from repro.net import Cluster
 from repro.net.rpc import decode_message
+from tests.helpers import make_server
 
 SERVER = "server1.nowhere.edu"
 
@@ -26,7 +27,7 @@ def make_world():
     machine = cluster.add_machine(SERVER)
     telemetry = instrument(machine)
     owner = machine.add_user("dthain")
-    server = ChirpServer(machine, owner, network=cluster.network)
+    server = make_server(machine, owner, network=cluster.network)
     acl = Acl()
     acl.set_entry("unix:*", Rights.parse("rl"))
     server.set_root_acl(acl)

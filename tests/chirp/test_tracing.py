@@ -14,7 +14,6 @@ they are independent of the suite-wide ``REPRO_FAULT_RATE`` knob.
 from repro.chirp import (
     CHIRP_PORT,
     ChirpClient,
-    ChirpServer,
     GlobusAuthenticator,
     RetryPolicy,
     ServerAuth,
@@ -24,6 +23,7 @@ from repro.gsi import CertificateAuthority, CredentialStore, provision_user
 from repro.kernel.fdtable import OpenFlags
 from repro.kernel.timing import NS_PER_MS, NS_PER_S
 from repro.net import Cluster, FaultPlan
+from tests.helpers import make_server
 
 SERVER = "server1.nowhere.edu"
 LAPTOP = "laptop.cs.nowhere.edu"
@@ -51,7 +51,7 @@ def make_traced_world(plan=None):
     server_tel = Telemetry(cluster.clock)
     machine.telemetry = server_tel
     owner = machine.add_user("dthain")
-    server = ChirpServer(
+    server = make_server(
         machine,
         owner,
         network=cluster.network,

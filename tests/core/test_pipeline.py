@@ -10,7 +10,7 @@ pipeline observes a boxed ``open`` syscall *and* a Chirp ``open`` RPC.
 import pytest
 
 from repro.chirp import (
-    ChirpClient, ChirpError, ChirpServer, FederatedClient, HostnameAuthenticator, ShardMap,
+    ChirpClient, ChirpError, FederatedClient, HostnameAuthenticator, ShardMap,
 )
 from repro.core import Acl, Rights
 from repro.core.audit import AuditLog
@@ -21,7 +21,7 @@ from repro.core.telemetry import TracingInterceptor
 from repro.kernel.errno import Errno, KernelError, err
 from repro.kernel.fdtable import OpenFlags
 from repro.net import Cluster, FaultPlan
-from tests.helpers import run_calls
+from tests.helpers import make_server, run_calls
 
 
 # -- registry rules ---------------------------------------------------------- #
@@ -109,7 +109,7 @@ def _hostname_server():
     cluster.add_machine("cli")
     machine = cluster.machine("srv")
     owner = machine.add_user("op")
-    server = ChirpServer(machine, owner, network=cluster.network)
+    server = make_server(machine, owner, network=cluster.network)
     acl = Acl()
     acl.set_entry("hostname:cli", Rights.parse("rwl"))
     server.set_root_acl(acl)
@@ -236,7 +236,7 @@ def test_chirp_ops_are_audited_when_log_attached():
     machine = cluster.machine("srv")
     owner = machine.add_user("op")
     audit = AuditLog()
-    server = ChirpServer(machine, owner, network=cluster.network, audit=audit)
+    server = make_server(machine, owner, network=cluster.network, audit=audit)
     acl = Acl()
     acl.set_entry("hostname:cli", Rights.parse("rwl"))
     server.set_root_acl(acl)

@@ -1,4 +1,4 @@
-"""Test utilities: machine construction and syscall scripts in/out of boxes."""
+"""Test utilities: world construction and syscall scripts in/out of boxes."""
 
 from __future__ import annotations
 
@@ -7,8 +7,10 @@ import struct
 from dataclasses import astuple
 from typing import Any
 
-from repro.config import snapshot_fixtures_enabled
+from repro.chirp import ChirpServer
+from repro.config import WorldSpec
 from repro.core.box import IdentityBox
+from repro.core.pipeline import ReadCache
 from repro.core.rights import Rights
 from repro.core.telemetry import Histogram
 from repro.kernel.errno import Errno, KernelError, err
@@ -23,10 +25,12 @@ from repro.net.rpc import _PREFIX, ProtocolError, _fill
 
 __all__ = [
     "KeywordRecorder",
+    "WORLD",
     "boxed_read_file",
     "boxed_write_file",
     "forge_frame",
     "make_machine",
+    "make_server",
     "oracle_decode_message",
     "oracle_encode_message",
     "oracle_has_all",
@@ -36,8 +40,11 @@ __all__ = [
     "oracle_walk",
     "paths_related",
     "run_calls",
-    "snapshot_fixtures_enabled",
 ]
+
+#: The world every test builds unless it asks for another: the CI leg's
+#: ``REPRO_*`` knobs, read once and passed on as arguments.
+WORLD = WorldSpec.from_env()
 
 #: Session-lifetime cache of warm-boot snapshots, one per distinct machine
 #: configuration.  Populated lazily by :func:`make_machine` when snapshot
@@ -55,7 +62,7 @@ def make_machine(
 ) -> Machine:
     """The one place tests construct a Machine.
 
-    Cold-boots a fresh world normally.  Under ``REPRO_SNAPSHOT_FIXTURES=1``
+    Cold-boots a fresh world normally.  Under ``WORLD.snapshot_fixtures``
     it cold-boots each distinct configuration once per session, snapshots
     it, and hands every subsequent caller an O(size-of-diff) fork — the
     behaviour must be indistinguishable, which
@@ -64,7 +71,7 @@ def make_machine(
     ``telemetry`` sink, which binds to machine identity and so never
     shares a template.
     """
-    if fresh or telemetry is not None or not snapshot_fixtures_enabled():
+    if fresh or telemetry is not None or not WORLD.snapshot_fixtures:
         return Machine(costs=costs, hostname=hostname, telemetry=telemetry)
     key = (hostname, None if costs is None else astuple(costs))
     snap = _WARM_SNAPSHOTS.get(key)
@@ -72,6 +79,12 @@ def make_machine(
         snap = Machine(costs=costs, hostname=hostname).snapshot()
         _WARM_SNAPSHOTS[key] = snap
     return Machine(snapshot=snap)
+
+
+def make_server(machine, owner, *, read_cache=WORLD.read_cache, **kwargs) -> ChirpServer:
+    """The one place tests construct a ChirpServer: ``read_cache`` (by
+    default ``WORLD``'s) arms the fast lane with a fresh :class:`ReadCache`."""
+    return ChirpServer(machine, owner, read_cache=ReadCache() if read_cache else None, **kwargs)
 
 
 def run_calls(

@@ -6,7 +6,6 @@ from repro.chirp import (
     CatalogServer,
     ChirpClient,
     ChirpError,
-    ChirpServer,
     GlobusAuthenticator,
     HostnameAuthenticator,
     ServerAuth,
@@ -17,6 +16,7 @@ from repro.core import Acl, Rights
 from repro.gsi import CertificateAuthority, CredentialStore, provision_user
 from repro.kernel import OpenFlags
 from repro.net import Cluster
+from tests.helpers import make_server
 
 SERVER = "server1.nowhere.edu"
 LAPTOP = "laptop.cs.nowhere.edu"
@@ -36,7 +36,7 @@ def world():
 
     server_machine = cluster.machine(SERVER)
     dthain = server_machine.add_user("dthain")
-    server = ChirpServer(
+    server = make_server(
         server_machine,
         dthain,
         network=cluster.network,

@@ -12,7 +12,6 @@ import pytest
 from repro.chirp import (
     ChirpClient,
     ChirpDriver,
-    ChirpServer,
     GlobusAuthenticator,
     ServerAuth,
 )
@@ -20,6 +19,7 @@ from repro.core import Acl, IdentityBox, Rights
 from repro.gsi import CertificateAuthority, CredentialStore, provision_user
 from repro.kernel import OpenFlags
 from repro.net import Cluster
+from tests.helpers import make_server
 
 SITE_A = "storage.nowhere.edu"
 SITE_B = "compute.nd.edu"
@@ -42,7 +42,7 @@ def world():
     for host, operator in ((SITE_A, "keeper_a"), (SITE_B, "keeper_b")):
         machine = cluster.machine(host)
         owner = machine.add_user(operator)
-        server = ChirpServer(
+        server = make_server(
             machine,
             owner,
             network=cluster.network,

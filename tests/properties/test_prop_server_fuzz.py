@@ -8,9 +8,10 @@ hung connection, never state corruption.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.chirp import ChirpServer, ServerAuth
+from repro.chirp import ServerAuth
 from repro.core import Acl, Rights
 from repro.net import Cluster, decode_message, encode_message
+from tests.helpers import make_server
 
 
 def build_server():
@@ -19,7 +20,7 @@ def build_server():
     cluster.add_machine("cli")
     machine = cluster.machine("srv")
     owner = machine.add_user("op")
-    server = ChirpServer(machine, owner, network=cluster.network)
+    server = make_server(machine, owner, network=cluster.network)
     acl = Acl()
     acl.set_entry("hostname:*", Rights.parse("rwlxa"))
     server.set_root_acl(acl)

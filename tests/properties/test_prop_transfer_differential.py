@@ -15,10 +15,11 @@ bytes, modes and ACL files.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.chirp import CHUNK, ChirpClient, ChirpError, ChirpServer, HostnameAuthenticator
+from repro.chirp import CHUNK, ChirpClient, ChirpError, HostnameAuthenticator
 from repro.core import Acl, Rights
 from repro.kernel.fdtable import OpenFlags
 from repro.net import Cluster
+from tests.helpers import make_server
 
 SERVER = "srv.nowhere.edu"
 ADMIN = "alpha.nowhere.edu"  # rwlax everywhere it is named
@@ -67,7 +68,7 @@ def build_world():
     for host in (SERVER, *HOSTS):
         cluster.add_machine(host)
     machine = cluster.machine(SERVER)
-    server = ChirpServer(machine, machine.add_user("owner"), network=cluster.network)
+    server = make_server(machine, machine.add_user("owner"), network=cluster.network)
     root = Acl()
     root.set_entry(f"hostname:{ADMIN}", Rights.parse("rwlax"))
     root.set_entry("hostname:beta.nowhere.edu", Rights.parse("rl"))

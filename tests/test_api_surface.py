@@ -3,6 +3,7 @@
 import pytest
 
 import repro
+from tests.helpers import make_server
 
 
 def test_top_level_exports_resolve():
@@ -66,7 +67,7 @@ def test_proc_context_compute_units():
 
 
 def test_chirp_driver_disconnect_all(cluster_world=None):
-    from repro.chirp import ChirpClient, ChirpDriver, ChirpServer, ServerAuth
+    from repro.chirp import ChirpClient, ChirpDriver, ServerAuth
     from repro.chirp.auth import HostnameAuthenticator
     from repro.net import Cluster
 
@@ -77,7 +78,7 @@ def test_chirp_driver_disconnect_all(cluster_world=None):
     owner = machine.add_user("op")
     from repro.core import Acl, Rights
 
-    server = ChirpServer(machine, owner, network=cluster.network)
+    server = make_server(machine, owner, network=cluster.network)
     acl = Acl()
     acl.set_entry("hostname:*", Rights.parse("rwlxa"))
     server.set_root_acl(acl)

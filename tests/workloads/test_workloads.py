@@ -19,6 +19,7 @@ from repro.workloads import (
     run_app,
     run_microbench,
 )
+from tests.workloads.conftest import prepare_runs
 
 #: Small scale for test speed; overheads are scale-invariant by design.
 SCALE = 0.002
@@ -159,12 +160,10 @@ def test_snapshot_templates_measure_identically(monkeypatch):
     fork of an immutable template must be indistinguishable from a cold
     boot in every reported number.
     """
-    from repro.workloads import runner
-
-    monkeypatch.delenv("REPRO_SNAPSHOT_FIXTURES", raising=False)
+    prepare_runs(monkeypatch, use_snapshots=False)
     cold = measure_app(MAKE, scale=SCALE)
 
-    monkeypatch.setenv("REPRO_SNAPSHOT_FIXTURES", "1")
+    prepare_runs(monkeypatch, use_snapshots=True)
     runner._TEMPLATES.clear()
     first = measure_app(MAKE, scale=SCALE)   # builds the template
     second = measure_app(MAKE, scale=SCALE)  # pure fork path
