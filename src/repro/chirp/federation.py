@@ -101,6 +101,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: handful of shards without making map construction noticeable.
 DEFAULT_VNODES = 64
 
+#: Most prefix placements one :class:`ShardMap` remembers; a full memo
+#: starts over.
+PLACEMENT_MEMO_ENTRIES = 4096
+
 
 def ring_hash(key: str) -> int:
     """A stable 64-bit hash (never the builtin ``hash``: routing must be
@@ -200,11 +204,30 @@ class ShardMap:
             tuple(t[2] for t in tokens),
         )
 
+    @cached_property
+    def _placements(self) -> dict[str, tuple[ShardInfo, ...]]:
+        """Prefix -> replica set, filled by :meth:`replicas_for_prefix`.
+        The map is frozen, so a placement never goes stale; a new map
+        version is a new object and starts empty."""
+        return {}
+
     def replicas_for_prefix(self, prefix: str) -> tuple[ShardInfo, ...]:
         """The ordered replica set owning one prefix: the first
         ``replicas`` *distinct* shards clockwise from the prefix's ring
         point (successor placement).  The first entry is the primary —
-        identical to the single owner a ``replicas=1`` map names."""
+        identical to the single owner a ``replicas=1`` map names.  At
+        most :data:`PLACEMENT_MEMO_ENTRIES` placements are remembered."""
+        memo = self._placements
+        placed = memo.get(prefix)
+        if placed is None:
+            placed = self._place(prefix)
+            if len(memo) >= PLACEMENT_MEMO_ENTRIES:
+                memo.clear()
+            memo[prefix] = placed
+        return placed
+
+    def _place(self, prefix: str) -> tuple[ShardInfo, ...]:
+        """Walk the ring for one prefix (the memo's source of truth)."""
         if not self.shards:
             raise ChirpError(Errno.ENOENT, f"federation {self.federation!r} is empty")
         hashes, owners = self._ring

@@ -103,11 +103,13 @@ def c_auth(op: Operation, conn: "_Connection") -> dict[str, Any]:
     except AuthenticationFailed as exc:
         server._count("chirp.auth_failures")
         raise err(Errno.EACCES, str(exc)) from exc
-    if not server.admission.admits(str(principal)):
+    identity = str(principal)
+    if not server.admission.admits(identity):
         server._count("chirp.auth_failures")
-        raise err(Errno.EACCES, f"{principal} is not admitted by site policy")
+        raise err(Errno.EACCES, f"{identity} is not admitted by site policy")
     conn.principal = principal
-    return {"principal": str(principal)}
+    conn.identity = identity
+    return {"principal": identity}
 
 
 def c_whoami(op: Operation, conn: "_Connection") -> dict[str, Any]:
@@ -463,9 +465,9 @@ class ChirpServer:
     def _resolve_identity(self, op: Operation, conn: "_Connection") -> str | None:
         if op.spec is not None and op.spec.pre_auth:
             return None
-        if conn.principal is None:
+        if conn.identity is None:
             raise err(Errno.EACCES, "authenticate first")
-        return str(conn.principal)
+        return conn.identity
 
     def _count(self, name: str, op: str = "", value: int = 1) -> None:
         self._counters.get(self.metrics, name, op).inc(value)
@@ -575,6 +577,9 @@ class _Connection:
     server: ChirpServer
     peer: Peer
     principal: Principal | None = None
+    #: ``str(principal)``, minted once per authentication: every op's
+    #: identity, span and denial exemplar shares this one string
+    identity: str | None = None
     _fds: dict[int, int] = field(default_factory=dict)
     #: protocol fd → the opened path, so descriptor writes can invalidate
     #: the fast-lane read cache narrowly instead of flushing it
@@ -662,11 +667,11 @@ class _Connection:
             return error_response(
                 Errno.EINVAL, f"batch carries 1..{BATCH_LIMIT} frames"
             )
-        if self.principal is None:
+        identity = self.identity
+        if identity is None:
             # resolved once for the whole envelope — the amortization the
             # fast lane exists for; inner frames inherit the answer
             return error_response(Errno.EACCES, "authenticate first")
-        identity = str(self.principal)
         server._count("fastlane.batches")
         server._count("fastlane.coalesced_frames", value=len(frames))
         results = [self._run_frame(sub, identity, trace) for sub in frames]

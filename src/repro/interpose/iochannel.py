@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..kernel.errno import Errno, err
-from ..kernel.fdtable import OpenFile, OpenFlags
+from ..kernel.fdtable import OpenFlags
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.machine import Machine
@@ -115,7 +115,7 @@ class IOChannel:
         res = self.machine.vfs.resolve(self.path, self.owner_task.cred)
         node = res.require()
         proc.task.fdtable.install(
-            OpenFile(inode=node, flags=OpenFlags.O_RDWR, path=self.path),
+            self.machine.fs.open_file(node, OpenFlags.O_RDWR, self.path),
             fd=CHANNEL_FD,
         )
 

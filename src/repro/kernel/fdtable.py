@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errno import Errno, err
 from .inode import Inode
 from .pipes import Pipe
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .localfs import LocalFS
 
 
 class OpenFlags(enum.IntFlag):
@@ -68,13 +72,17 @@ def can_write(flags: int) -> bool:
 FD_LIMIT = 1024
 
 
-@dataclass
+@dataclass(slots=True)
 class OpenFile:
     """A shared open file description.
 
     Regular files reference an inode; pipe ends reference a
     :class:`~repro.kernel.pipes.Pipe` instead (``inode`` is None and
-    ``pipe_end`` says which side this description holds).
+    ``pipe_end`` says which side this description holds).  A description
+    minted by :meth:`LocalFS.open_file <repro.kernel.localfs.LocalFS.open_file>`
+    holds its inode open there: ``fs`` and ``incarnation`` name the store
+    and the world that counted the hold, and the table releases it when
+    the last descriptor goes.
     """
 
     inode: Inode | None
@@ -84,6 +92,8 @@ class OpenFile:
     refcount: int = 1
     pipe: Pipe | None = None
     pipe_end: str = ""  #: "r" or "w" when this is a pipe end
+    fs: "LocalFS | None" = None  #: the store counting this open, if any
+    incarnation: int = 0  #: ``fs.incarnation`` when the hold was taken
 
     def seek_end(self) -> None:
         if self.inode is not None:
@@ -137,8 +147,11 @@ class FDTable:
     def _drop(self, fd: int) -> None:
         of = self._files.pop(fd)
         of.refcount -= 1
-        if of.refcount == 0 and of.pipe is not None:
-            of.pipe.drop_end(of.pipe_end)
+        if of.refcount == 0:
+            if of.pipe is not None:
+                of.pipe.drop_end(of.pipe_end)
+            elif of.fs is not None:
+                of.fs.release(of)
 
     def close(self, fd: int) -> None:
         if fd not in self._files:
@@ -181,14 +194,18 @@ class FDTable:
 
         Pipe ends are refused (EBUSY): their end-of-stream bookkeeping
         lives on the shared :class:`~repro.kernel.pipes.Pipe`, so a table
-        holding one is not independently restorable.  World-level
-        snapshots never need this — ``Machine.snapshot`` requires
-        quiescence and a fork starts with fresh tables — it exists for
-        host agents that want to rewind their own descriptor state.
+        holding one is not independently restorable.  Descriptions that
+        hold an inode open are refused for the same reason: the open
+        count lives in their :class:`~repro.kernel.localfs.LocalFS`, and
+        a rewound table would revive holds the store already gave back.
+        World-level snapshots never need this — ``Machine.snapshot``
+        requires quiescence and a fork starts with fresh tables.
         """
         for of in self._files.values():
             if of.pipe is not None:
                 raise err(Errno.EBUSY, "cannot snapshot a table holding a pipe end")
+            if of.fs is not None:
+                raise err(Errno.EBUSY, "cannot snapshot a table holding a counted open")
         descs = {id(of): of for of in self._files.values()}
         return (
             dict(self._files),

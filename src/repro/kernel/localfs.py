@@ -25,12 +25,26 @@ as do :meth:`LocalFS._alloc` (so ``create_file``, ``mkdir`` and
 writes (``write_at``, ``truncate``, ``touch_atime``) do not: they may clone
 an inode, but a walk reaches the clone by its number.  The path resolver's
 memo (:mod:`repro.kernel.vfs`) is valid only while the generation holds.
+
+A file lives while a directory entry names it or an open description
+holds it, as on a Unix kernel.  Every inode-backed
+:class:`~repro.kernel.fdtable.OpenFile` is minted by :meth:`LocalFS.open_file`,
+which counts the hold in one dict (``_opens``, inode number -> open
+descriptions); the descriptor table calls :meth:`LocalFS.release` when a
+description's last descriptor goes.  ``unlink`` and ``rmdir`` (and so a
+rename over an existing name) park a dead inode in ``_orphans`` only while
+some description holds it, and the last release drops it, so an unlinked
+file that nothing holds is freed at once.  Holds are fenced by
+:attr:`LocalFS.incarnation`, which every :meth:`LocalFS.restore_state`
+bumps: a description minted before a rewind releases nothing in the
+rewound store, whose inode numbers it may alias.
 """
 
 from __future__ import annotations
 
 from .cow import CowMap
 from .errno import Errno, err
+from .fdtable import OpenFile, OpenFlags
 from .inode import (
     DEFAULT_DIR_MODE,
     DEFAULT_FILE_MODE,
@@ -63,10 +77,18 @@ class LocalFS:
         #: Map of inode number -> parent inode number, maintained for
         #: directories only (files can be multiply linked; directories cannot).
         self._dir_parent: CowMap = CowMap()
-        #: Open-but-unlinked inodes (nlink 0 but a description still holds
-        #: them, POSIX-style).  Always the *writable* incarnation; never part
-        #: of a snapshot — an unlinked file dies with its world.
+        #: inode number -> open descriptions holding it, counted by
+        #: :meth:`open_file` and :meth:`release` in this incarnation
+        self._opens: dict[int, int] = {}
+        #: Open-but-unlinked inodes: nlink 0, but a description in
+        #: ``_opens`` still holds them (POSIX).  Always the *writable*
+        #: incarnation, dropped at the last release; never part of a
+        #: snapshot, because no name reaches them and no other world's
+        #: description holds them.
         self._orphans: dict[int, Inode] = {}
+        #: bumped by every :meth:`restore_state`; a hold is released only
+        #: in the incarnation that took it
+        self.incarnation = 0
         #: bumped on every mutation a path walk can observe (see the module
         #: docstring); equal generations mean every walk answers the same
         self.generation = 0
@@ -115,6 +137,27 @@ class LocalFS:
         clone = stored.clone()
         self._inodes[ino] = clone
         return clone
+
+    def open_file(self, node: Inode, flags: OpenFlags, path: str) -> OpenFile:
+        """Mint an open description of ``node`` that holds it open."""
+        ino = node.ino
+        opens = self._opens
+        opens[ino] = opens.get(ino, 0) + 1
+        return OpenFile(node, flags, path, fs=self, incarnation=self.incarnation)
+
+    def release(self, of: OpenFile) -> None:
+        """Give back the hold of a description whose last descriptor went;
+        an unlinked inode dies with its last hold."""
+        if of.incarnation != self.incarnation:
+            return  # minted before a rewind: its hold went with that world
+        ino = of.inode.ino
+        opens = self._opens
+        left = opens[ino] - 1
+        if left:
+            opens[ino] = left
+        else:
+            del opens[ino]
+            self._orphans.pop(ino, None)
 
     def _own_data(self, node: Inode) -> None:
         """Give a writable inode private file bytes before a data mutation."""
@@ -260,8 +303,9 @@ class LocalFS:
         node.ctime_ns = now_ns
         if node.nlink == 0:
             del self._inodes[node.ino]
-            # POSIX: the file survives as long as a description holds it
-            self._orphans[node.ino] = node
+            if node.ino in self._opens:
+                # POSIX: the file survives as long as a description holds it
+                self._orphans[node.ino] = node
 
     def rmdir(self, directory: Inode, name: str, now_ns: int = 0) -> None:
         """Remove an empty subdirectory."""
@@ -278,7 +322,8 @@ class LocalFS:
         directory.mtime_ns = now_ns
         del self._inodes[node.ino]
         del self._dir_parent[node.ino]
-        self._orphans[node.ino] = node
+        if node.ino in self._opens:
+            self._orphans[node.ino] = node
 
     def rename(
         self,
@@ -419,10 +464,11 @@ class LocalFS:
     # ------------------------------------------------------------------ #
 
     def snapshot_state(self) -> object:
-        """Freeze both CoW stores; O(1).  Orphans (open-but-unlinked
-        inodes) are deliberately not captured: with no link they are
-        unreachable from the namespace, and descriptions holding them
-        belong to the world being snapshotted, not to its forks."""
+        """Freeze both CoW stores; O(1).  Open counts and orphans
+        (open-but-unlinked inodes) are deliberately not captured: with no
+        link an orphan is unreachable from the namespace, and the
+        descriptions holding it belong to the world being snapshotted,
+        not to its forks or rewinds."""
         return (self._inodes.freeze(), self._dir_parent.freeze(), self._next_ino)
 
     def restore_state(self, state: object) -> None:
@@ -431,7 +477,9 @@ class LocalFS:
         self._inodes.restore(inode_layers)
         self._dir_parent.restore(parent_layers)
         self._next_ino = next_ino
+        self._opens = {}
         self._orphans = {}
+        self.incarnation += 1
 
     # ------------------------------------------------------------------ #
     # invariant checks (used by property tests)
@@ -461,3 +509,6 @@ class LocalFS:
                 assert referenced.get(node.ino, 0) == 1, (
                     f"dir inode {node.ino} referenced {referenced.get(node.ino, 0)} times"
                 )
+        for ino in self._orphans:
+            assert ino not in self._inodes, f"orphan {ino} is still linked"
+            assert ino in self._opens, f"orphan {ino} is held by no description"

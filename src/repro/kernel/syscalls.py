@@ -167,7 +167,9 @@ class SyscallExecutor:
                 now,
             )
         self._charge(costs.fd_op_ns, "fd")
-        of = OpenFile(inode=node, flags=flags, path=join(res.dir_path, res.name) if res.name else "/")
+        of = self.machine.fs.open_file(
+            node, flags, join(res.dir_path, res.name) if res.name else "/"
+        )
         if bits & O_APPEND:
             of.seek_end()
         return task.fdtable.install(of)

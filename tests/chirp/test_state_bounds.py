@@ -1,0 +1,68 @@
+"""Bounded state: a server's stores stop growing while its work goes on.
+
+ROADMAP item 5's census.  A client drives one ``ChirpServer`` through a
+churn cycle (putfile, rename over an existing name, putfile + unlink,
+mkdir + rmdir) with one descriptor held open across part of the run,
+and :func:`tests.helpers.state_census` sizes every store reachable from
+the server and the client.  Ten times the work may fill a store to its
+cap, or leave it within 10% of its size after the first 200 cycles;
+anything else grows with the work done, which is a leak however slowly
+it grows.
+
+Out of scope here: the federation's missed-write log (ROADMAP item 1,
+never shrunk by a replica that stays away) and the process table
+(``Machine._procs``, which keeps every reaped process; ROADMAP item 5).
+A single server running no ``exec`` exercises neither.
+"""
+
+from repro.chirp import ChirpError, GlobusAuthenticator
+from repro.chirp.server import IDEM_CACHE_LIMIT
+from repro.kernel.errno import Errno
+from repro.kernel.vfs import MEMO_ENTRIES
+from tests.chirp.conftest import connect
+from tests.helpers import state_census
+
+#: Stores with a fixed cap: reaching it is bounded by construction.
+CAPS = {
+    "ChirpServer._idem_cache": IDEM_CACHE_LIMIT,
+    "VFS._memo": MEMO_ENTRIES,
+}
+
+
+def test_churn_leaves_every_store_bounded(cluster, server, fred_wallet):
+    fred = connect(cluster)
+    fred.authenticate([GlobusAuthenticator(fred_wallet)])
+    fred.mkdir("/w")  # the root grants Fred only the reserve right
+    fred.put(b"held open", "/w/b")
+    held = fred.open("/w/b")
+
+    def cycle() -> None:
+        fred.put(b"x" * 100, "/w/a")
+        fred.rename("/w/a", "/w/b")  # the old /w/b loses its last name
+        fred.put(b"y" * 10, "/w/c")
+        fred.unlink("/w/c")
+        fred.mkdir("/w/d")
+        fred.rmdir("/w/d")
+
+    for i in range(200):
+        if i == 100:
+            try:
+                fred.close_fd(held)
+            except ChirpError as exc:
+                # a fault plan may have dropped the connection, and the
+                # server closed the descriptor with it
+                assert exc.errno is Errno.EBADF
+        cycle()
+    early = state_census(server, fred)
+    for _ in range(1800):
+        cycle()
+    late = state_census(server, fred)
+
+    grown = {
+        key: (early.get(key, 0), size)
+        for key, size in late.items()
+        if size > max(early.get(key, 0) * 1.1, CAPS.get(key, 0))
+    }
+    assert grown == {}, f"stores that grow with the work done: {grown}"
+    # the file the held descriptor kept alive died at its close
+    assert early["LocalFS._orphans"] == late["LocalFS._orphans"] == 0

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import struct
+from collections import deque
 from dataclasses import astuple
 from typing import Any
 
@@ -40,6 +42,7 @@ __all__ = [
     "oracle_walk",
     "paths_related",
     "run_calls",
+    "state_census",
 ]
 
 #: The world every test builds unless it asks for another: the CI leg's
@@ -448,3 +451,53 @@ class KeywordRecorder:
                 kept = tuple(pair for pair in key if pair[0] != label)
                 out.setdefault(kept, Histogram()).merge(hist)
         return out
+
+
+#: Containers whose size :func:`state_census` counts (immutable ones cannot
+#: grow, so tuples, strings and bytes are walked or skipped, never counted).
+_STORES = (dict, list, set, deque, bytearray)
+
+
+def state_census(*roots: Any) -> dict[str, int]:
+    """How much every store reachable from ``roots`` holds, by owner.
+
+    Walks the object graph with :func:`gc.get_referents`, entering only
+    this project's objects and the built-in containers between them.  A
+    container reached through an object's attribute is charged to
+    ``"<class>.<attribute>"`` (``"LocalFS._orphans"``); containers nested
+    inside it, and inside its anonymous elements, are charged to the same
+    key.  Each key sums ``len()`` over every container charged to it, so
+    a store that grows with the work done shows up as a growing number,
+    whichever instance holds it.  Each object is visited once.
+    """
+    census: dict[str, int] = {}
+    seen: set[int] = set()
+    todo: list[tuple[Any, str]] = [(root, type(root).__qualname__) for root in roots]
+    while todo:
+        obj, owner = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, _STORES):
+            census[owner] = census.get(owner, 0) + len(obj)
+            if isinstance(obj, bytearray):
+                continue
+            todo.extend((child, owner) for child in gc.get_referents(obj))
+        elif isinstance(obj, (tuple, frozenset)):
+            todo.extend((child, owner) for child in obj)
+        elif type(obj).__module__.startswith("repro.") and not isinstance(obj, type):
+            cls = type(obj).__qualname__
+            for name, value in _attributes(obj):
+                todo.append((value, f"{cls}.{name}"))
+    return census
+
+
+def _attributes(obj: Any) -> list[tuple[str, Any]]:
+    """An object's instance attributes, from ``__dict__`` and ``__slots__``."""
+    found = list(getattr(obj, "__dict__", {}).items())
+    for klass in type(obj).__mro__:
+        slots = getattr(klass, "__slots__", ())
+        for name in (slots,) if isinstance(slots, str) else slots:
+            if name != "__dict__" and hasattr(obj, name):
+                found.append((name, getattr(obj, name)))
+    return found

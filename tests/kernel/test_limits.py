@@ -1,5 +1,8 @@
 """Resource limits and boundary conditions across the kernel."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.kernel import Errno, KernelError, Machine, OpenFlags
@@ -79,6 +82,33 @@ def test_unlink_open_file_keeps_description_usable(machine, alice_task):
     assert machine.kcall(alice_task, "stat", "ghost") == -Errno.ENOENT
     assert machine.kcall_x(alice_task, "read_bytes", fd, 16) == b"still here"
     machine.kcall_x(alice_task, "close", fd)
+
+
+def test_unlinked_file_is_freed_at_its_last_hold(machine, alice_task):
+    """With no open description an unlinked file is unreachable at once;
+    with one, it lives until that description's last descriptor closes.
+    Reference counting alone frees it: the cycle collector is off."""
+
+    def inode_ref(name):
+        return weakref.ref(machine.vfs.resolve(name, cwd=alice_task.cwd).require())
+
+    machine.write_file(alice_task, "loose", b"bytes")
+    machine.write_file(alice_task, "held", b"bytes")
+    loose, held = inode_ref("loose"), inode_ref("held")
+    fd = machine.kcall_x(alice_task, "open", "held", OpenFlags.O_RDONLY)
+    dup = machine.kcall_x(alice_task, "dup", fd)
+    gc.disable()
+    try:
+        machine.kcall_x(alice_task, "unlink", "loose")
+        machine.kcall_x(alice_task, "unlink", "held")
+        assert loose() is None
+        machine.kcall_x(alice_task, "close", fd)
+        assert held() is not None  # the dup still holds it
+        machine.kcall_x(alice_task, "close", dup)
+        assert held() is None
+    finally:
+        gc.enable()
+    assert machine.fs._orphans == {} and machine.fs._opens == {}
 
 
 def test_scheduler_round_robin_interleaves():

@@ -179,6 +179,15 @@ def test_fdtable_refuses_pipe_ends():
     assert exc.value.errno is Errno.EBUSY
 
 
+def test_fdtable_refuses_counted_opens(machine):
+    """A table rewound on its own would revive holds the store gave back."""
+    task = machine.host_task(machine.users.credentials_for("root"))
+    machine.kcall_x(task, "open", "/etc/passwd", OpenFlags.O_RDONLY)
+    with pytest.raises(KernelError) as exc:
+        task.fdtable.snapshot_state()
+    assert exc.value.errno is Errno.EBUSY
+
+
 def test_pipe_roundtrip_and_busy():
     pipe = Pipe(capacity=16)
     pipe.add_end("r")

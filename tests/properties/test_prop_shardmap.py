@@ -8,8 +8,11 @@ a cached shard map safe: two clients with the same membership agree, and
 a rebuild after a join invalidates only the stolen ranges.
 """
 
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
+from repro.chirp import federation
 from repro.chirp.federation import ShardInfo, ShardMap, path_prefix
 
 #: Small rings keep map construction cheap under many examples; balance
@@ -32,7 +35,7 @@ prefixes = st.text(
 weights = st.integers(min_value=1, max_value=3)
 
 
-def build_map(names, version=1, weight_list=None):
+def build_map(names, version=1, weight_list=None, replicas=1):
     shards = tuple(
         sorted(
             (
@@ -42,7 +45,9 @@ def build_map(names, version=1, weight_list=None):
             key=lambda s: s.name,
         )
     )
-    return ShardMap(federation="pool", version=version, shards=shards, vnodes=VNODES)
+    return ShardMap(
+        federation="pool", version=version, shards=shards, vnodes=VNODES, replicas=replicas
+    )
 
 
 @settings(deadline=None)
@@ -89,3 +94,31 @@ def test_adding_a_shard_only_moves_prefixes_onto_the_newcomer(
 def test_weight_changes_preserve_totality(names, weight, prefix):
     weighted = build_map(names, weight_list={names[0]: weight})
     assert weighted.shard_for_prefix(prefix).name in names
+
+
+@settings(deadline=None)
+@given(
+    shard_names,
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=6),
+    st.lists(prefixes, max_size=40),
+)
+def test_memoized_placement_is_a_fresh_ring_walk(names, replicas, cap, asked):
+    """Every placement a map answers, remembered or not, is the one a
+    newly built map walks its ring to, also once the memo has been full
+    and started over; and the memo never holds more than its cap."""
+    with mock.patch.object(federation, "PLACEMENT_MEMO_ENTRIES", cap):
+        shard_map = build_map(names, replicas=replicas)
+        for prefix in asked + asked:  # the second pass asks remembered prefixes
+            got = shard_map.replicas_for_prefix(prefix)
+            assert got == build_map(names, replicas=replicas)._place(prefix)
+            assert shard_map.replicas_for_prefix(prefix) is got
+            assert len(shard_map._placements) <= cap
+
+
+def test_a_new_map_version_starts_with_an_empty_memo():
+    old = build_map(["a", "b", "c"], version=1)
+    old.replicas_for_prefix("p")
+    new = build_map(["a", "b", "c", "d"], version=2)
+    assert new._placements == {}
+    assert "p" in old._placements
