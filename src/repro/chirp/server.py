@@ -422,11 +422,10 @@ class ChirpServer:
         self._idem_cache: OrderedDict[str, bytes] = OrderedDict()
         self.registry = build_chirp_registry()
         # the fast lane, armed only by an explicit cache.  The cache watches
-        # the machine's world epoch: a restore() flushes it wholesale —
+        # the file system's incarnation: a restore() flushes it wholesale —
         # entries must never outlive the world they were read from.
         if read_cache is not None and read_cache.epoch_source is None:
-            read_cache.epoch_source = lambda: machine.epoch
-            read_cache._epoch = machine.epoch
+            read_cache.epoch_source = lambda: machine.fs.incarnation
         self.read_cache = read_cache
         self.pipeline: Pipeline = build_pipeline(
             self.registry,

@@ -35,7 +35,8 @@ not to the name it is reached by:
   ``rmdir`` or a replacing rename kills it, so the cache holds live
   directories only;
 * a world restore can reuse inode numbers, so the cache empties whenever
-  the machine's world epoch moves.
+  the world moves under the owner's host task (its table's stamp is no
+  longer the file system's :attr:`~repro.kernel.localfs.LocalFS.incarnation`).
 
 Checks take the inode from the resolution they already made; path-only
 callers find it with a resolution that charges nothing, so a hit costs
@@ -110,7 +111,6 @@ class AclPolicy:
         self.cache_enabled = cache_enabled
         #: governing directory's inode number -> its ACL (None: no file)
         self._cache: dict[int, Acl | None] = {}
-        self._epoch = machine.epoch
         #: symlinks followed by every resolution this policy has made; the
         #: reference monitor compares it across an op to tell whether the
         #: op reached anything through an alias
@@ -137,7 +137,9 @@ class AclPolicy:
         (or the cache is off): the read then reports the kernel's answer
         and nothing is cached.
         """
-        cache = self._live_cache() if ino is not None else None
+        cache = self._live_cache()
+        if ino is None:
+            cache = None
         if cache is not None:
             acl = cache.get(ino, _MISSING)
             if acl is not _MISSING:
@@ -163,8 +165,9 @@ class AclPolicy:
         dir_path = normalize(dir_path)
         data = acl.render().encode()
         ino = self._dir_ino(dir_path)  # None when the cache is off
+        cache = self._live_cache()
         if ino is not None:
-            self._live_cache().pop(ino, None)  # a failed write leaves no guess
+            cache.pop(ino, None)  # a failed write leaves no guess
         self.machine.write_file(self.owner_task, join(dir_path, ACL_FILE_NAME), data)
         if ino is not None:
             self._cache[ino] = _parse(data)
@@ -183,20 +186,17 @@ class AclPolicy:
         self._cache.clear()
 
     def _live_cache(self) -> dict[int, Acl | None] | None:
-        """The cache, emptied first if the world was restored under it."""
-        if not self.cache_enabled:
-            return None
-        epoch = self.machine.epoch
-        if epoch != self._epoch:
+        """The cache (None when it is off), emptied first if the world was
+        restored under it; every ``.__acl`` read and write calls it first."""
+        if self.owner_task.fdtable.incarnation is not self.machine.fs.incarnation:
             # a restore rewinds inode allocation, so the same number may
             # now name a different directory; the owner's descriptor table
             # is stamped with the old world, so rereads need a fresh one
             self._cache.clear()
-            self._epoch = epoch
             self.owner_task = self.machine.host_task(
                 self.owner_task.cred, cwd=self.owner_task.cwd
             )
-        return self._cache
+        return self._cache if self.cache_enabled else None
 
     def _dir_ino(self, dir_path: str) -> int | None:
         """Inode number of the directory at ``dir_path``, found without

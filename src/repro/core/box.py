@@ -81,7 +81,7 @@ class IdentityBox:
         taken, so re-running setup is cheap (``mkdir`` returns ``EEXIST``
         and the ACL is only rewritten for a genuinely new home).  The
         supervisor is forked alongside — fresh process table, counters,
-        and trace lineage bound to the child world's epoch.
+        and trace lineage bound to the child world.
         """
         return IdentityBox(
             machine,
@@ -135,8 +135,10 @@ class IdentityBox:
         ``program`` is either a program factory (a Python callable) or the
         path of an executable file, which the *supervising user* chooses to
         run — like the command argument of ``parrot_identity_box``.  The
-        process and all processes it spawns carry :attr:`identity`.
+        process and all processes it spawns carry :attr:`identity`.  A box
+        whose supervisor belongs to an earlier world starts nothing (EBADF).
         """
+        self.machine.check_table(self.owner_task.fdtable)
         if isinstance(program, str):
             content = self.machine.read_file(self.owner_task, program)
             factory = self.machine.parse_executable(content, program)

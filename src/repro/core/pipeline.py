@@ -273,8 +273,10 @@ class ReadCache(_Counted):
       path-less mutation flushes everything;
     * invalidation runs even when the mutation fails, because a handler
       may have partially applied before raising;
-    * a world-epoch change (``Machine.restore``) flushes everything —
-      entries must never outlive the world they were read from;
+    * a change of the value ``epoch_source`` reads (the Chirp server
+      reads the file system's incarnation, which ``Machine.restore``
+      renews) flushes everything — entries must never outlive the world
+      they were read from;
     * errors are never cached, so ENOENT-then-create stays visible;
     * an op that crossed a symlink (:data:`CROSSED_SYMLINK`) reached its
       object under an alias: its result is never stored, and if it is a

@@ -91,9 +91,9 @@ class Supervisor:
     ) -> None:
         self.machine = machine
         self.owner_cred = owner_cred
-        #: world epoch this supervisor was built against; adopting into a
-        #: forked/restored world must go through :meth:`fork` instead
-        self._epoch_token = getattr(machine, "_epoch_token", None)
+        #: the supervisor's own host task; its table's stamp names the world
+        #: this supervisor was built against, and adopting into a forked or
+        #: restored world must go through :meth:`fork` instead
         self.task = machine.host_task(owner_cred)
         self.policy = policy or AclPolicy(machine, self.task, cache_enabled=acl_cache)
         self.audit = audit
@@ -140,8 +140,11 @@ class Supervisor:
         home: str,
         passwd_redirect: str = "",
     ) -> ChildState:
-        """Place a process under this supervisor with a visiting identity."""
-        self._check_epoch()
+        """Place a process under this supervisor with a visiting identity.
+
+        EBADF once the world has moved on from the supervisor's own table.
+        """
+        self.machine.check_table(self.task.fdtable)
         validate_identity(identity)
         state = ChildState(
             pid=proc.pid,
@@ -156,18 +159,10 @@ class Supervisor:
     def state_of(self, proc: "Process") -> ChildState:
         return self.table.get(proc.pid)
 
-    def _check_epoch(self) -> None:
-        token = getattr(self.machine, "_epoch_token", None)
-        if self._epoch_token is not None and self._epoch_token is not token:
-            raise err(
-                Errno.EBADF,
-                "supervisor belongs to a previous world epoch; fork() a new one",
-            )
-
     def fork(self, machine: "Machine") -> "Supervisor":
         """Re-host this supervisor's configuration on a forked world.
 
-        Everything bound to the parent epoch — host task, I/O channel,
+        Everything bound to the parent world — host task, I/O channel,
         process table, ACL cache, pipeline — is rebuilt fresh against
         ``machine``, and the counters start at zero so a forked world's
         metrics never blend into the parent's.  Only *configuration*

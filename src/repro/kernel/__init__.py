@@ -31,7 +31,7 @@ from .process import (
 )
 from .ptrace import TraceSession, Tracer, REGS_WORDS
 from .signals import Signal, can_signal_unix, default_is_fatal
-from .syscalls import KernelErrorFromResult, R_OK, W_OK, X_OK, F_OK, SEEK_CUR, SEEK_END, SEEK_SET, check
+from .syscalls import R_OK, W_OK, X_OK, F_OK, SEEK_CUR, SEEK_END, SEEK_SET
 from .timing import Clock, CostModel, NS_PER_MS, NS_PER_S, NS_PER_US
 from .users import Account, Credentials, NOBODY_NAME, NOBODY_UID, ROOT_UID, UserDB
 from .vfs import VFS, Resolution, WalkStats, basename, dirname, join, normalize, split_path
@@ -73,7 +73,6 @@ __all__ = [
     "F_OK",
     "Inode",
     "KernelError",
-    "KernelErrorFromResult",
     "LocalFS",
     "Machine",
     "NOBODY_NAME",
@@ -119,7 +118,6 @@ __all__ = [
     "access_allowed",
     "basename",
     "can_signal_unix",
-    "check",
     "default_is_fatal",
     "dirname",
     "err",

@@ -80,9 +80,8 @@ class OpenFile:
     :class:`~repro.kernel.pipes.Pipe` instead (``inode`` is None and
     ``pipe_end`` says which side this description holds).  A description
     minted by :meth:`LocalFS.open_file <repro.kernel.localfs.LocalFS.open_file>`
-    holds its inode open there: ``fs`` and ``incarnation`` name the store
-    and the world that counted the hold, and the table releases it when
-    the last descriptor goes.
+    holds its inode open there: ``fs`` names the store that counted the
+    hold, and the table releases it when the last descriptor goes.
     """
 
     inode: Inode | None
@@ -93,7 +92,6 @@ class OpenFile:
     pipe: Pipe | None = None
     pipe_end: str = ""  #: "r" or "w" when this is a pipe end
     fs: "LocalFS | None" = None  #: the store counting this open, if any
-    incarnation: int = 0  #: ``fs.incarnation`` when the hold was taken
 
     def seek_end(self) -> None:
         if self.inode is not None:
@@ -104,18 +102,22 @@ class OpenFile:
 class FDTable:
     """Per-process mapping of descriptor numbers to open file descriptions.
 
-    ``epoch`` is the world-epoch token of the :class:`~repro.kernel.machine.
-    Machine` that created the table.  The syscall layer compares it against
-    the machine's current token: after a ``restore`` (or in a fork), every
-    descriptor table stamped by the previous world fails with ``EBADF``
-    instead of silently aliasing rewound inodes.  ``None`` means unstamped
-    (standalone tables built directly in tests) and is never checked.
+    A table belongs to one process in one world, and ``incarnation`` is
+    the stamp saying which world: the :attr:`LocalFS.incarnation
+    <repro.kernel.localfs.LocalFS.incarnation>` current when the machine
+    built or adopted the table, or when the table took its first counted
+    description.  After a ``restore`` (or in a fork) the stamp is stale:
+    the syscall layer answers ``EBADF`` for every descriptor in the table,
+    ``Machine.spawn`` refuses to adopt it, and closing its descriptions
+    releases nothing in the rewound store, whose inode numbers they may
+    alias.  ``None`` means unstamped, which only a table holding no
+    counted description can be; it is never checked.
     """
 
     _files: dict[int, OpenFile] = field(default_factory=dict)
     _next_fd: int = 3  # 0..2 are reserved for std streams
-    #: world-epoch token (identity-compared; see Machine.restore)
-    epoch: object = None
+    #: the world this table belongs to (identity-compared; see above)
+    incarnation: object = None
 
     def install(self, of: OpenFile, fd: int | None = None) -> int:
         """Install a description at the lowest free fd (or a specific one)."""
@@ -129,6 +131,8 @@ class FDTable:
         else:
             if fd in self._files:
                 self._drop(fd)
+        if of.fs is not None and self.incarnation is None:
+            self.incarnation = of.fs.incarnation
         self._files[fd] = of
         return fd
 
@@ -150,8 +154,8 @@ class FDTable:
         if of.refcount == 0:
             if of.pipe is not None:
                 of.pipe.drop_end(of.pipe_end)
-            elif of.fs is not None:
-                of.fs.release(of)
+            elif of.fs is not None and self.incarnation is of.fs.incarnation:
+                of.fs.release(of)  # a stale table's holds went with its world
 
     def close(self, fd: int) -> None:
         if fd not in self._files:
@@ -179,7 +183,7 @@ class FDTable:
         """Descriptor table for a forked child: same descriptions, shared offsets."""
         child = FDTable()
         child._next_fd = self._next_fd
-        child.epoch = self.epoch
+        child.incarnation = self.incarnation
         for fd, of in self._files.items():
             of.refcount += 1
             child._files[fd] = of
@@ -211,14 +215,14 @@ class FDTable:
             dict(self._files),
             [(of, of.refcount, of.offset) for of in descs.values()],
             self._next_fd,
-            self.epoch,
+            self.incarnation,
         )
 
     def restore_state(self, state: object) -> None:
-        files, descs, next_fd, epoch = state
+        files, descs, next_fd, incarnation = state
         self._files = dict(files)
         self._next_fd = next_fd
-        self.epoch = epoch
+        self.incarnation = incarnation
         for of, refcount, offset in descs:
             of.refcount = refcount
             of.offset = offset

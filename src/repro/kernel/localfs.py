@@ -34,10 +34,15 @@ descriptions); the descriptor table calls :meth:`LocalFS.release` when a
 description's last descriptor goes.  ``unlink`` and ``rmdir`` (and so a
 rename over an existing name) park a dead inode in ``_orphans`` only while
 some description holds it, and the last release drops it, so an unlinked
-file that nothing holds is freed at once.  Holds are fenced by
-:attr:`LocalFS.incarnation`, which every :meth:`LocalFS.restore_state`
-bumps: a description minted before a rewind releases nothing in the
-rewound store, whose inode numbers it may alias.
+file that nothing holds is freed at once.
+
+:attr:`LocalFS.incarnation` names the world this store currently holds:
+a fresh object at construction and at every :meth:`LocalFS.restore_state`,
+so no two worlds, a fork and its parent included, ever share one.  It is
+the machine's one world fence.  Descriptor tables are stamped with it
+(:class:`~repro.kernel.fdtable.FDTable`); a table stamped by an earlier
+incarnation names inode numbers the rewound store may reuse, so it can
+neither reach them (EBADF) nor release a hold in this store.
 """
 
 from __future__ import annotations
@@ -86,9 +91,9 @@ class LocalFS:
         #: snapshot, because no name reaches them and no other world's
         #: description holds them.
         self._orphans: dict[int, Inode] = {}
-        #: bumped by every :meth:`restore_state`; a hold is released only
-        #: in the incarnation that took it
-        self.incarnation = 0
+        #: the world this store holds, renewed by every :meth:`restore_state`
+        #: (identity-compared; see the module docstring)
+        self.incarnation = object()
         #: bumped on every mutation a path walk can observe (see the module
         #: docstring); equal generations mean every walk answers the same
         self.generation = 0
@@ -143,13 +148,13 @@ class LocalFS:
         ino = node.ino
         opens = self._opens
         opens[ino] = opens.get(ino, 0) + 1
-        return OpenFile(node, flags, path, fs=self, incarnation=self.incarnation)
+        return OpenFile(node, flags, path, fs=self)
 
     def release(self, of: OpenFile) -> None:
         """Give back the hold of a description whose last descriptor went;
-        an unlinked inode dies with its last hold."""
-        if of.incarnation != self.incarnation:
-            return  # minted before a rewind: its hold went with that world
+        an unlinked inode dies with its last hold.  Only a table stamped
+        with this incarnation calls it (:meth:`FDTable._drop
+        <repro.kernel.fdtable.FDTable._drop>`)."""
         ino = of.inode.ino
         opens = self._opens
         left = opens[ino] - 1
@@ -479,7 +484,7 @@ class LocalFS:
         self._next_ino = next_ino
         self._opens = {}
         self._orphans = {}
-        self.incarnation += 1
+        self.incarnation = object()
 
     # ------------------------------------------------------------------ #
     # invariant checks (used by property tests)

@@ -18,6 +18,7 @@ Two call surfaces exist:
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Any
@@ -79,21 +80,19 @@ class WorldSnapshot:
     with the source machine and every fork; only divergence is ever
     copied, so taking and instantiating snapshots is O(size-of-diff).
 
-    Not captured: live (runnable/blocked) processes — their generator
-    bodies cannot be cloned, so :meth:`Machine.snapshot` demands a
-    quiescent world — nor open-but-unlinked inodes, host-agent descriptor
-    tables, or anything outside the kernel (live Chirp connections,
-    supervisors, telemetry).  Finished process records are shared by
-    reference: nothing ever resumes them, and pid allocation is monotonic.
+    Not captured: processes — their generator bodies cannot be cloned,
+    so :meth:`Machine.snapshot` demands a quiescent world, whose process
+    table is empty (a reaped process leaves it, and a zombie's parent is
+    alive) — nor open-but-unlinked inodes, host-agent descriptor tables,
+    or anything outside the kernel (live Chirp connections, supervisors,
+    telemetry).
     """
 
     hostname: str
     costs: CostModel
-    epoch: int
     clock: object
     users: object
     fs: object
-    procs: dict[int, Process]
     next_pid: int
     proc_syscalls: int
     programs: dict[str, ProgramFactory]
@@ -131,22 +130,13 @@ class Machine:
         }
         self.trace = TraceSession(self)
         self.programs: dict[str, ProgramFactory] = {}
+        #: pid -> every live or zombie process; a process leaves at reap
         self._procs: dict[int, Process] = {}
-        #: id(task) -> the first process created with that task (threads
-        #: share their creator's); the process keeps the task alive, so
-        #: its id cannot be reused while the entry stands
-        self._task_procs: dict[int, Process] = {}
         self._next_pid = 100
         self._ready: deque[int] = deque()
         self._last_run_pid: int | None = None
         #: total syscalls dispatched by simulated processes (not host agents)
         self.proc_syscalls = 0
-        #: monotone world-version counter; bumps on every restore
-        self.epoch = 0
-        #: identity token stamped onto descriptor tables; compared by the
-        #: syscall layer so stale-world fds fail with EBADF (see ISSUE of
-        #: aliasing in the class docstring of WorldSnapshot)
-        self._epoch_token: object = object()
         if snapshot is not None:
             # fork-from-checkpoint: adopt the shared world state instead
             # of paying the cold bootstrap (mkdirs + passwd writes)
@@ -183,9 +173,20 @@ class Machine:
 
     def host_task(self, cred: Credentials, cwd: str = "/") -> Task:
         """Execution context for a host-level agent (never scheduled)."""
-        table = FDTable()
-        table.epoch = self._epoch_token
+        table = FDTable(incarnation=self.fs.incarnation)
         return Task(cred=cred, fdtable=table, cwd=cwd)
+
+    def check_table(self, table: FDTable) -> None:
+        """EBADF unless ``table`` is unstamped or belongs to this world.
+
+        The world is :attr:`LocalFS.incarnation
+        <repro.kernel.localfs.LocalFS.incarnation>`, the one fence between
+        this machine's worlds: a table stamped before a restore, or in
+        the parent of a fork, names inode numbers this world may reuse.
+        """
+        stamp = table.incarnation
+        if stamp is not None and stamp is not self.fs.incarnation:
+            raise err(Errno.EBADF, "descriptor table from another world")
 
     def close(self) -> None:
         """Let a finished world go at once; the machine is unusable after.
@@ -216,11 +217,9 @@ class Machine:
         return WorldSnapshot(
             hostname=self.hostname,
             costs=self.costs,
-            epoch=self.epoch,
             clock=self.clock.snapshot_state(),
             users=self.users.snapshot_state(),
             fs=self.vfs.snapshot_state(),
-            procs=dict(self._procs),
             next_pid=self._next_pid,
             proc_syscalls=self.proc_syscalls,
             programs=dict(self.programs),
@@ -232,8 +231,10 @@ class Machine:
 
         With no argument, snapshots the current (quiescent) world first.
         The fork gets its own clock (positioned at the snapshot instant),
-        its own epoch token (parent descriptor tables are EBADF there),
-        and — when this machine carries telemetry — a detached telemetry
+        its own :attr:`LocalFS.incarnation
+        <repro.kernel.localfs.LocalFS.incarnation>`, distinct from every
+        other world's (parent descriptor tables are EBADF there), and —
+        when this machine carries telemetry — a detached telemetry
         instance with a fresh trace lineage: the child's spans never nest
         under whatever span the parent world had open.
         """
@@ -255,12 +256,13 @@ class Machine:
         """Rewind this machine to ``snapshot``, in place and O(diff).
 
         The CoW stores swap back to the snapshot's frozen layers; nothing
-        is copied.  The world epoch advances past every epoch seen so
-        far, so descriptor tables stamped before the restore (including
-        ones from abandoned futures of the same snapshot) fail with
-        EBADF rather than aliasing the rewound inodes.  Scheduler state
-        is cleared; telemetry, if attached, keeps accumulating — wipe or
-        replace it explicitly if the rewound world should report fresh.
+        is copied.  The file system takes a new incarnation, distinct from
+        every earlier one, so descriptor tables stamped before the restore
+        (including ones from abandoned futures of the same snapshot) fail
+        with EBADF rather than aliasing the rewound inodes, and no spawn
+        adopts them.  The process table and scheduler state are cleared;
+        telemetry, if attached, keeps accumulating — wipe or replace it
+        explicitly if the rewound world should report fresh.
         """
         self.hostname = snapshot.hostname
         self.costs = snapshot.costs
@@ -268,25 +270,20 @@ class Machine:
         self.users.restore_state(snapshot.users)
         self.vfs.restore_state(snapshot.fs)
         self.programs = dict(snapshot.programs)
-        self._procs = dict(snapshot.procs)
-        self._task_procs = {}
-        for proc in self._procs.values():
-            self._task_procs.setdefault(id(proc.task), proc)
+        self._procs = {}
         self._next_pid = snapshot.next_pid
         self._ready.clear()
         self._last_run_pid = None
         self.proc_syscalls = snapshot.proc_syscalls
-        self.epoch = max(self.epoch, snapshot.epoch) + 1
-        self._epoch_token = object()
 
     # protocol aliases: a Machine is itself Snapshotable
     snapshot_state = snapshot
     restore_state = restore
 
     def _require_quiescent(self) -> None:
-        busy = [p for p in self._procs.values() if not p.inert]
-        if busy or self._ready:
-            names = ", ".join(f"{p.pid}:{p.comm}" for p in busy) or "<ready queue>"
+        if self._procs or self._ready:
+            names = ", ".join(f"{p.pid}:{p.comm}" for p in self._procs.values())
+            names = names or "<ready queue>"
             raise err(
                 Errno.EBUSY,
                 f"snapshot requires a quiescent world (live: {names})",
@@ -367,11 +364,14 @@ class Machine:
         return result
 
     def process_of(self, task: Task) -> Process | None:
-        """Reverse-map a Task to its Process (None for host agents).
+        """The process :meth:`spawn` created with ``task`` (None for host
+        agents, and once nothing holds the reaped process any more).
 
-        A thread shares its creator's task; the creator is the answer.
+        A thread shares its creator's task; the creator is the answer,
+        and each thread holds it (``Process.leader``) while it lives.
         """
-        return self._task_procs.get(id(task))
+        ref = task.process
+        return ref() if ref is not None else None
 
     # ------------------------------------------------------------------ #
     # process lifecycle
@@ -392,14 +392,18 @@ class Machine:
         """Create a process running ``factory`` and enqueue it.
 
         ``fdtable`` lets callers model fork-style descriptor inheritance
-        (``spawn_from_file`` passes the parent's ``fork_copy``).
+        (``spawn_from_file`` passes the parent's ``fork_copy``).  The
+        process adopts only an unstamped table or one of this world: a
+        table from another world is EBADF, before a pid is taken or the
+        clock is charged.
         """
+        fdtable = fdtable if fdtable is not None else FDTable()
+        self.check_table(fdtable)
+        fdtable.incarnation = self.fs.incarnation
         pid = self._next_pid
         self._next_pid += 1
         memory = AddressSpace()
-        table = fdtable or FDTable()
-        table.epoch = self._epoch_token
-        task = Task(cred=cred, fdtable=table, cwd=cwd, memory=memory)
+        task = Task(cred=cred, fdtable=fdtable, cwd=cwd, memory=memory)
         context = ProcContext(pid=pid, memory=memory)
         body = factory(context, args or [])
         proc = Process(
@@ -411,8 +415,8 @@ class Machine:
             tracer=tracer,
             comm=comm,
         )
+        task.process = weakref.ref(proc)
         self._procs[pid] = proc
-        self._task_procs[id(task)] = proc
         if ppid in self._procs:
             self._procs[ppid].children.add(pid)
         self.clock.advance(self.costs.fork_ns + self.costs.exec_ns, "proc")
@@ -443,10 +447,10 @@ class Machine:
             body=body,
             tracer=parent.tracer,
             is_thread=True,
+            leader=parent.leader or parent,
             comm=comm,
         )
         self._procs[pid] = proc
-        self._task_procs.setdefault(id(parent.task), proc)
         parent.children.add(pid)
         # thread creation is much cheaper than fork+exec
         self.clock.advance(self.costs.fork_ns // 4, "proc")
@@ -470,6 +474,7 @@ class Machine:
         if not access_allowed(node, parent_task.cred.uid, parent_task.cred.gid, 1):
             raise err(Errno.EACCES, f"no execute permission on {path}")
         factory = self.parse_executable(bytes(node.data), path)
+        self.check_table(parent_task.fdtable)  # before fork_copy takes refs
         parent = self.process_of(parent_task)
         proc = self.spawn(
             factory,
@@ -506,14 +511,17 @@ class Machine:
                 self.wake_pipe(pipe)  # a dying peer is EOF/EPIPE for the peer
         if proc.tracer is not None:
             proc.tracer.on_process_exit(proc)
-        # orphan our children
+        # orphan our children; init reaps the ones already dead, as it
+        # reaps the rest when they exit
         for cpid in proc.children:
-            child = self._procs.get(cpid)
-            if child:
-                child.ppid = 0
+            child = self._procs[cpid]
+            child.ppid = 0
+            if child.state is ProcessState.ZOMBIE:
+                self._drop(child)
+        proc.children.clear()
         parent = self._procs.get(proc.ppid)
-        if parent is None or parent.state in (ProcessState.ZOMBIE, ProcessState.DEAD):
-            proc.state = ProcessState.DEAD  # auto-reaped
+        if parent is None or not parent.alive:
+            self._drop(proc)  # auto-reaped
             if parent:
                 parent.children.discard(proc.pid)
         elif parent.waiting_for_child:
@@ -523,9 +531,14 @@ class Machine:
             self._ready.append(parent.pid)
 
     def _reap(self, parent: Process, child: Process) -> WaitResult:
-        child.state = ProcessState.DEAD
         parent.children.discard(child.pid)
+        self._drop(child)
         return WaitResult(pid=child.pid, status=child.exit_status or 0)
+
+    def _drop(self, proc: Process) -> None:
+        """Reap ``proc``: it leaves the process table for good."""
+        proc.state = ProcessState.DEAD
+        del self._procs[proc.pid]
 
     def deliver_signal(self, sender_task: Task, pid: int, sig: int) -> int:
         """The ``kill`` syscall body (Unix semantics; boxes add their own rule)."""

@@ -17,8 +17,9 @@ not scheduled or traced.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterator
+from typing import Any, Callable, Generator
 
 from .fdtable import FDTable
 from .memory import AddressSpace
@@ -76,7 +77,11 @@ class Task:
 
     ``memory`` is the address space for simulated processes; host agents
     (supervisor, Chirp server) pass ``None`` and use the byte-oriented
-    syscall variants instead of address-based ones.
+    syscall variants instead of address-based ones.  ``process`` is a weak
+    reference to the process ``Machine.spawn`` created with this task (a
+    thread shares its creator's); host agents have none.  It is weak
+    because the process holds the task: a strong one would make every
+    reaped process cyclic garbage.
     """
 
     cred: Credentials
@@ -84,6 +89,9 @@ class Task:
     cwd: str = "/"
     umask: int = 0o022
     memory: AddressSpace | None = None
+    process: "weakref.ref[Process] | None" = field(
+        default=None, repr=False, compare=False
+    )
 
 
 class SysProxy:
@@ -164,6 +172,9 @@ class Process:
     #: threads share their creator's Task (memory, descriptors, cwd); the
     #: shared state outlives any single thread's exit
     is_thread: bool = False
+    #: a thread's creator, which the shared task answers ``process_of``
+    #: with; held here so it outlives its own reaping while a thread runs
+    leader: "Process | None" = field(default=None, repr=False, compare=False)
     #: name for diagnostics (program path or label)
     comm: str = "?"
 
@@ -172,24 +183,3 @@ class Process:
         state = self.state
         return state is not ProcessState.ZOMBIE and state is not ProcessState.DEAD
 
-    @property
-    def inert(self) -> bool:
-        """True when this record can ride a world snapshot unchanged.
-
-        Generator bodies cannot be copied, so a snapshot requires every
-        process to be finished (zombie or reaped); inert records are
-        shared with forks by reference — nothing ever resumes or mutates
-        them, and pids are allocated monotonically so they cannot clash.
-        """
-        return self.state in (ProcessState.ZOMBIE, ProcessState.DEAD)
-
-
-def iterate_body(body: Body) -> Iterator[Request]:  # pragma: no cover - helper for tests
-    """Drain a body ignoring results (only for trivial test bodies)."""
-    try:
-        req = body.send(None)
-        while True:
-            yield req
-            req = body.send(0)
-    except StopIteration:
-        return

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Protocol
 
-from .memory import WORD_SIZE, words_for
+from .memory import words_for
 from .process import Process, Regs
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -126,6 +126,3 @@ class TraceSession:
         nwords = words_for(len(text) + 1)
         self._charge(nwords, nwords)
         return text
-
-    def word_size(self) -> int:
-        return WORD_SIZE

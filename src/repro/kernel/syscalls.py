@@ -91,20 +91,15 @@ class SyscallExecutor:
         return task.memory
 
     def _fd(self, task: Task, fd: int) -> OpenFile:
-        """Resolve a descriptor, enforcing world-epoch freshness.
+        """Resolve a descriptor of a table of this world.
 
-        A table stamped by a previous world epoch (the parent of a fork,
-        or the state before a restore) names inodes that no longer exist
-        in this world; every descriptor in it is EBADF here, exactly as a
-        stale handle should be.
+        A table stamped by another world (the parent of a fork, or the
+        state before a restore) names inodes that no longer exist in this
+        one; every descriptor in it is EBADF here, exactly as a stale
+        handle should be.
         """
-        self._check_epoch(task)
+        self.machine.check_table(task.fdtable)
         return task.fdtable.get(fd)
-
-    def _check_epoch(self, task: Task) -> None:
-        epoch = task.fdtable.epoch
-        if epoch is not None and epoch is not self.machine._epoch_token:
-            raise err(Errno.EBADF, "descriptor table from a stale world epoch")
 
     # ------------------------------------------------------------------ #
     # identity & process info
@@ -135,6 +130,8 @@ class SyscallExecutor:
     # ------------------------------------------------------------------ #
 
     def do_open(self, task: Task, path: str, flags: int = 0, mode: int = 0o644) -> int:
+        # a table of another world takes no description of this one
+        self.machine.check_table(task.fdtable)
         flags = OpenFlags(flags)
         bits = int(flags)
         readable, writable = can_read(bits), can_write(bits)
@@ -199,7 +196,7 @@ class SyscallExecutor:
 
     def do_dup(self, task: Task, fd: int) -> int:
         self._charge(self.machine.costs.fd_op_ns, "fd")
-        self._check_epoch(task)
+        self.machine.check_table(task.fdtable)
         return task.fdtable.dup(fd)
 
     def _read_common(self, task: Task, fd: int, length: int, offset: int | None) -> bytes:
@@ -499,21 +496,3 @@ class SyscallExecutor:
     def do_ptrace(self, task: Task, *args) -> int:
         raise err(Errno.ENOSYS, "nested ptrace is unimplemented")
 
-
-def check(result):
-    """Raise :class:`KernelError` if ``result`` is a negative errno int.
-
-    Workload bodies use this to turn the Unix return convention back into
-    exceptions where that reads better: ``check((yield proc.sys.open(...)))``.
-    """
-    if isinstance(result, int) and result < 0:
-        raise KernelErrorFromResult(result)
-    return result
-
-
-class KernelErrorFromResult(Exception):
-    """A checked syscall failure, carrying the errno."""
-
-    def __init__(self, result: int) -> None:
-        self.errno = Errno(-result)
-        super().__init__(self.errno.name)

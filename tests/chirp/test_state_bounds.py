@@ -9,10 +9,9 @@ cap, or leave it within 10% of its size after the first 200 cycles;
 anything else grows with the work done, which is a leak however slowly
 it grows.
 
-Out of scope here: the federation's missed-write log (ROADMAP item 1,
-never shrunk by a replica that stays away) and the process table
-(``Machine._procs``, which keeps every reaped process; ROADMAP item 5).
-A single server running no ``exec`` exercises neither.
+Out of scope here: the federation's missed-write log (ROADMAP item 2,
+never shrunk by a replica that stays away), which a single server does
+not exercise.
 """
 
 from repro.chirp import ChirpError, GlobusAuthenticator
@@ -66,3 +65,46 @@ def test_churn_leaves_every_store_bounded(cluster, server, fred_wallet):
     assert grown == {}, f"stores that grow with the work done: {grown}"
     # the file the held descriptor kept alive died at its close
     assert early["LocalFS._orphans"] == late["LocalFS._orphans"] == 0
+
+
+def leaf(proc, args):
+    return 0
+    yield  # a program body is a generator
+
+
+def job(proc, args):
+    yield proc.sys.spawn("leaf.exe", ())
+    yield proc.compute(us=10)  # the leaf exits first: a zombie until we go
+    return 0
+
+
+def test_exec_churn_leaves_no_process_behind(cluster, server, fred_wallet):
+    """Every ``exec`` runs a job that exits with a zombie child.  The
+    process table holds only live processes and zombies, so between execs
+    it is empty, however many have run."""
+    machine = server.machine
+    machine.register_program("job", job)
+    machine.register_program("leaf", leaf)
+    fred = connect(cluster)
+    fred.authenticate([GlobusAuthenticator(fred_wallet)])
+    fred.mkdir("/w")
+    fred.put(b"#!repro:job\n", "/w/job.exe", mode=0o755)
+    fred.put(b"#!repro:leaf\n", "/w/leaf.exe", mode=0o755)
+
+    def execs(count: int) -> None:
+        for _ in range(count):
+            assert fred.exec("/w/job.exe", cwd="/w") == 0
+
+    execs(300)
+    early = state_census(server, fred)
+    execs(2700)
+    late = state_census(server, fred)
+
+    grown = {
+        key: (early.get(key, 0), size)
+        for key, size in late.items()
+        if size > max(early.get(key, 0) * 1.1, CAPS.get(key, 0))
+    }
+    assert grown == {}, f"stores that grow with the work done: {grown}"
+    assert machine.live_processes() == []
+    assert early["Machine._procs"] == late["Machine._procs"] == 0

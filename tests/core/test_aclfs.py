@@ -291,6 +291,18 @@ def test_restore_empties_the_cache(machine, policy, shared):
     assert policy.acl_of(shared).rights_for(FRED).has_all("rwlxa")
 
 
+def test_a_policy_without_cache_reads_and_writes_across_a_restore(
+    machine, alice_task, shared
+):
+    policy = AclPolicy(machine, alice_task, cache_enabled=False)
+    snap = machine.snapshot()
+    policy.write_acl(shared, Acl.for_owner(GEORGE))
+    machine.restore(snap)  # the owner's table now belongs to the old world
+    assert policy.acl_of(shared).rights_for(FRED).has_all("rwlxa")
+    policy.write_acl(shared, Acl.for_owner(GEORGE))
+    assert policy.acl_of(shared).subjects() == [GEORGE]
+
+
 def test_mkdir_rmdir_cycles_keep_the_cache_bounded(machine, box):
     calls = []
     for i in range(5000):

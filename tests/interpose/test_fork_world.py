@@ -27,6 +27,9 @@ def test_stale_supervisor_refuses_adopt(machine, alice, box):
     with pytest.raises(KernelError) as exc:
         box.spawn(body)
     assert exc.value.errno is Errno.EBADF
+    # nothing was started: no unboxed process is left to run
+    assert machine.processes() == []
+    machine.run()
 
 
 def test_forked_box_runs_on_child_world(machine, alice, box):

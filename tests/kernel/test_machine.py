@@ -4,6 +4,7 @@ import pytest
 
 from repro.kernel import (
     Errno,
+    KernelError,
     Machine,
     OpenFlags,
     ProcessState,
@@ -63,19 +64,25 @@ def test_waitpid_reaps_child(machine, alice, alice_task):
         yield proc.compute(us=5)
         return 3
 
+    seen = {}
+
     def parent(proc, args):
         # spawn via file to exercise the full path
         result = yield proc.sys.waitpid()
+        seen["wait"] = result
         return result
 
     # direct spawn-with-ppid: create child as parent's child manually
     parent_proc = machine.spawn(parent, cred=alice, comm="parent")
-    machine.spawn(child, cred=alice, ppid=parent_proc.pid, comm="child")
+    child_proc = machine.spawn(child, cred=alice, ppid=parent_proc.pid, comm="child")
     machine.run_to_completion()
     # parent's body returned the WaitResult; return values aren't exit codes
     # for non-int, so exit status defaults to 0 — inspect instead:
     assert parent_proc.exit_status == 0
-    assert not machine.process(parent_proc.pid).children
+    assert seen["wait"] == WaitResult(pid=child_proc.pid, status=3)
+    # both were reaped (the child by waitpid, the parent by init): a reaped
+    # process leaves the table
+    assert machine.processes() == []
 
 
 def test_waitpid_with_no_children_is_echild(machine, alice):
@@ -325,10 +332,15 @@ def quick(proc, args):
 
 
 def test_process_of_does_not_scan_reaped_processes(machine, alice):
-    for _ in range(2000):
-        machine.spawn(quick, cred=alice)
+    reaped = [machine.spawn(quick, cred=alice) for _ in range(2000)]
     machine.run()
-    assert sum(p.state is ProcessState.DEAD for p in machine.processes()) == 2000
+    # a reaped process leaves the table: its pid no longer names it
+    assert all(p.state is ProcessState.DEAD for p in reaped)
+    assert machine.processes() == []
+    for proc in (reaped[0], reaped[-1]):
+        with pytest.raises(KernelError) as exc:
+            machine.process(proc.pid)
+        assert exc.value.errno is Errno.ESRCH
     machine._procs = NoScanProcs(machine._procs)
     seen = {}
 
@@ -347,6 +359,41 @@ def test_process_of_does_not_scan_reaped_processes(machine, alice):
     # a thread shares its creator's task, so the creator answers for it
     assert seen == {"pid": proc.pid, "ppid": 7, "thread_pid": proc.pid}
     assert machine.process_of(machine.host_task(alice)) is None
+
+
+def test_an_exiting_parent_reaps_its_zombie_children(machine, alice):
+    """A parent that exits without waitpid leaves no zombie behind: init
+    reaps the children already dead, as it reaps the rest at their exit."""
+
+    def parent(proc, args):
+        yield proc.compute(us=10)  # the child exits first and waits for us
+        return 0
+
+    children = []
+    for _ in range(50):
+        proc = machine.spawn(parent, cred=alice)
+        children.append(machine.spawn(quick, cred=alice, ppid=proc.pid))
+    machine.run()
+    assert all(child.state is ProcessState.DEAD for child in children)
+    assert machine.processes() == []
+
+
+def test_a_thread_answers_with_its_reaped_creator(machine, alice):
+    seen = {}
+
+    def thread(proc, args):
+        yield proc.compute(us=10)  # the creator exits and is reaped meanwhile
+        seen["pid"] = yield proc.sys.getpid()
+        return 0
+
+    def creator(proc, args):
+        yield proc.sys.thread(thread)
+        return 0
+
+    pid = machine.spawn(creator, cred=alice).pid  # nothing here holds it
+    machine.run()
+    assert seen == {"pid": pid}
+    assert machine.processes() == []
 
 
 def test_process_of_survives_a_restore(machine, alice):

@@ -137,12 +137,11 @@ def _producer_consumer(machine, alice, *, chunks, chunk_size=1000):
     task = machine.host_task(alice)
     machine.install_program(task, "/home/alice/prod.exe", "producer")
 
-    child_pid = []
+    child = {}
 
     def parent(proc, args):
         rfd, wfd = yield proc.sys.pipe()
-        pid = yield proc.sys.spawn("/home/alice/prod.exe", (str(wfd),))
-        child_pid.append(pid)
+        child["pid"] = yield proc.sys.spawn("/home/alice/prod.exe", (str(wfd),))
         yield proc.sys.close(wfd)  # parent keeps only the read end
         buf = proc.alloc(8192)
         while True:
@@ -151,25 +150,26 @@ def _producer_consumer(machine, alice, *, chunks, chunk_size=1000):
                 break
             received.append(proc.read_buffer(buf, n))
         yield proc.sys.close(rfd)
-        yield proc.sys.waitpid()
+        reaped = yield proc.sys.waitpid()
+        assert reaped.pid == child["pid"]
+        child["status"] = reaped.status
         return 0
 
     pproc = machine.spawn(parent, cred=alice, comm="consumer")
     machine.run_to_completion()
-    cproc = machine.process(child_pid[0])
-    return pproc, cproc, b"".join(received)
+    return pproc, child, b"".join(received)
 
 
 def test_blocking_producer_consumer(machine, alice):
-    pproc, cproc, data = _producer_consumer(machine, alice, chunks=5)
-    assert pproc.exit_status == 0 and cproc.exit_status == 0
+    pproc, child, data = _producer_consumer(machine, alice, chunks=5)
+    assert pproc.exit_status == 0 and child["status"] == 0
     assert len(data) == 5000
     assert data[:3] == b"\x00\x00\x00"
 
 
 def test_consumer_blocks_until_producer_writes(machine, alice):
     """The consumer runs first and must park, not spin or fail."""
-    pproc, cproc, data = _producer_consumer(machine, alice, chunks=1)
+    pproc, _child, data = _producer_consumer(machine, alice, chunks=1)
     assert len(data) == 1000
     assert pproc.state is ProcessState.DEAD
 
@@ -177,7 +177,7 @@ def test_consumer_blocks_until_producer_writes(machine, alice):
 def test_producer_blocks_when_pipe_full(machine, alice):
     """Write volume far beyond capacity forces writer-side parking."""
     chunks = (PIPE_CAPACITY // 1000) + 40
-    pproc, cproc, data = _producer_consumer(machine, alice, chunks=chunks)
+    pproc, _child, data = _producer_consumer(machine, alice, chunks=chunks)
     assert len(data) == chunks * 1000
 
 

@@ -2,8 +2,8 @@
 
 Covers the substrate (:class:`CowMap`), the per-store snapshot protocol,
 and the machine-level composition: ``snapshot`` / ``fork`` / ``restore``,
-quiescence enforcement, epoch-stamped descriptor tables, and open-but-
-unlinked file semantics across the CoW store.
+quiescence enforcement, descriptor tables stamped with the world they
+belong to, and open-but-unlinked file semantics across the CoW store.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.kernel import (
     OpenFlags,
     Pipe,
     Snapshotable,
+    Task,
     UserDB,
     VFS,
     WorldSnapshot,
@@ -291,7 +292,7 @@ def test_snapshot_requires_quiescence(machine):
     with pytest.raises(KernelError) as exc:
         machine.snapshot()
     assert exc.value.errno is Errno.EBUSY
-    machine.run()  # drive it to completion; zombies are inert
+    machine.run()  # drive it to completion; a reaped process leaves the table
     snap = machine.snapshot()
     assert isinstance(snap, WorldSnapshot)
 
@@ -352,15 +353,60 @@ def test_parent_fd_fails_ebadf_on_fork():
 
 
 def test_epoch_increments_on_restore():
+    """Every restore and every fork is a new world: its incarnation is
+    distinct from every earlier one, and a fork leaves its parent's be."""
     machine, _task = _world()
     snap = machine.snapshot()
-    assert machine.epoch == 0
+    seen = [machine.fs.incarnation]
+    for _ in range(2):
+        machine.restore(snap)
+        seen.append(machine.fs.incarnation)
+    current = machine.fs.incarnation
+    forks = [machine.fork(snap), machine.fork(snap), machine.fork()]
+    seen += [fork.fs.incarnation for fork in forks]
+    assert machine.fs.incarnation is current
+    assert len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize("built_by", ["host_task", "hand"])
+def test_a_stale_table_cannot_be_spawned_on(built_by):
+    """A descriptor table belongs to one process in one world.
+
+    Alice's table outlives a restore; root then writes a 0600 file that
+    reuses the inode number her descriptor names.  Her host calls on the
+    old table are EBADF, and so is spawning a process on a copy of it,
+    before any pid is taken or any time charged: the process would
+    otherwise read root's file through her descriptor.  A table built by
+    hand, unstamped, takes its stamp from its first counted open.
+    """
+    machine, _task = _world()
+    alice = machine.users.credentials_for("alice")
+    snap = machine.snapshot()
+    old = machine.host_task(alice) if built_by == "host_task" else Task(cred=alice)
+    fd = machine.kcall_x(old, "open", "/tmp/mine", OpenFlags.O_RDWR | OpenFlags.O_CREAT, 0o644)
+    mine = machine.vfs.resolve("/tmp/mine").require().ino
     machine.restore(snap)
-    assert machine.epoch == 1
-    machine.restore(snap)
-    assert machine.epoch == 2
-    child = machine.fork(snap)
-    assert child.epoch == snap.epoch + 1
+    root = machine.host_task(machine.users.credentials_for("root"))
+    machine.write_file(root, "/root/secret", b"root only", mode=0o600)
+    assert machine.vfs.resolve("/root/secret").require().ino == mine
+    assert machine.kcall(old, "pread_bytes", fd, 64, 0) == -Errno.EBADF
+
+    seen = {}
+
+    def reader(proc, args):
+        seen["read"] = yield proc.sys.pread_bytes(fd, 64, 0)
+        return 0
+
+    before = machine.clock.now_ns
+    with pytest.raises(KernelError) as exc:
+        machine.spawn(reader, cred=alice, fdtable=old.fdtable.fork_copy())
+    assert exc.value.errno is Errno.EBADF
+    machine.run()
+    assert seen == {}
+    assert machine.clock.now_ns == before
+    assert machine.processes() == []
+    # the next process takes the pid the refused one would have taken
+    assert machine.spawn(reader, cred=alice).pid == snap.next_pid
 
 
 def test_restore_then_rerun_processes():

@@ -57,16 +57,16 @@ def test_thread_shares_descriptors(machine, alice, alice_task):
 def test_thread_exit_does_not_close_shared_fds(machine, alice, alice_task):
     machine.write_file(alice_task, "/home/alice/f", b"abcdef")
     results = []
+    seen = {}
 
     def opener_thread(proc, args):
-        fd = yield proc.sys.open("/home/alice/f", OpenFlags.O_RDONLY)
-        proc.scratch["fd"] = fd
+        seen["fd"] = yield proc.sys.open("/home/alice/f", OpenFlags.O_RDONLY)
         return 0  # exits; table must survive
 
     def main(proc, args):
-        tid = yield proc.sys.thread(opener_thread)
-        yield proc.sys.waitpid()
-        fd = machine.process(tid).context.scratch["fd"]
+        yield proc.sys.thread(opener_thread)
+        yield proc.sys.waitpid()  # reaps the thread
+        fd = seen["fd"]
         buf = proc.alloc(8)
         results.append((yield proc.sys.read(fd, buf, 8)))
         yield proc.sys.close(fd)

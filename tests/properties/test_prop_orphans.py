@@ -1,15 +1,17 @@
 """Property test: an unlinked file lives exactly as long as its holds.
 
 ``LocalFS`` keeps a dead inode (nlink 0) in ``_orphans`` only while an
-open description minted by ``LocalFS.open_file`` in the current
-incarnation holds it, and drops it at the last release.  Hypothesis
-interleaves opens, ``dup``, fork-shared descriptor tables, closes,
-process exit, unlink, rename over an existing name, rmdir, writes and
-reads through held descriptors, world snapshots, restores (which leave
-every earlier table stale) and world forks.  After every step:
+open description minted by ``LocalFS.open_file`` holds it through a
+table of the current incarnation, and drops it at the last release.
+Hypothesis interleaves opens, ``dup``, fork-shared descriptor tables,
+closes, process exit, unlink, rename over an existing name, rmdir,
+writes and reads through held descriptors, world snapshots, restores
+(which leave every earlier table stale) and world forks.  A process
+spawned on a stale table must be refused with EBADF.  After every step:
 
-* ``_opens`` counts exactly the live descriptions of this incarnation,
-  and ``_orphans`` is exactly the set of held inodes no name reaches;
+* ``_opens`` counts exactly the live descriptions held by tables stamped
+  with the current incarnation, and ``_orphans`` is exactly the set of
+  held inodes no name reaches;
 * every snapshot still reads as it read when it was taken: a write
   through a held descriptor never lands in a snapshot's frozen inode;
 * a read through a held descriptor returns what was written through
@@ -17,12 +19,15 @@ every earlier table stale) and world forks.  After every step:
 
 A release that never runs, a release that ignores the incarnation fence
 (a stale table torn down after a restore would then drop a hold of the
-rewound world) and an orphan dropped at unlink whatever its holds each
-break one of these; the ``@example`` scripts pin one case of each.
+rewound world), a spawn that adopts a stale table (its process would
+reach the rewound inodes its descriptors alias) and an orphan dropped at
+unlink whatever its holds each break one of these; the ``@example``
+scripts pin one case of each.
 """
 
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.kernel.errno import Errno, KernelError
@@ -131,7 +136,7 @@ class World:
             return task, fd, None
 
     def fresh(self, task) -> bool:
-        return task.fdtable.epoch is self.machine._epoch_token
+        return task.fdtable.incarnation is self.machine.fs.incarnation
 
     def apply(self, step) -> None:
         kind, machine = step[0], self.machine
@@ -171,6 +176,10 @@ class World:
                 machine.spawn(exit_at_once, cred=self.root, fdtable=task.fdtable)
                 machine.run()
             else:
+                # no process adopts a table of another world
+                with pytest.raises(KernelError) as exc:
+                    machine.spawn(exit_at_once, cred=self.root, fdtable=task.fdtable)
+                assert exc.value.errno is Errno.EBADF
                 task.fdtable.close_all()  # a stale agent torn down
         elif kind in ("unlink", "rmdir", "mkdir"):
             self.kcall(kind, *step[1:], *((0o755,) if kind == "mkdir" else ()))
@@ -220,8 +229,9 @@ class World:
         live = {
             id(of): of
             for task in self.holders
+            if self.fresh(task)
             for of in task.fdtable._files.values()
-            if of.fs is fs and of.incarnation == fs.incarnation
+            if of.fs is fs
         }
         held = Counter(of.inode.ino for of in live.values())
         assert fs._opens == dict(held)

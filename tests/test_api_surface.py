@@ -3,6 +3,7 @@
 import pytest
 
 import repro
+from repro.kernel import Errno, KernelError
 from tests.helpers import make_server
 
 
@@ -56,7 +57,11 @@ def test_machine_process_inspection(machine, alice):
     assert machine.process(proc.pid) is proc
     machine.run_to_completion()
     assert proc not in machine.live_processes()
-    assert proc in machine.processes()  # history retained
+    # a reaped process leaves the table: its pid no longer names it
+    assert proc not in machine.processes()
+    with pytest.raises(KernelError) as exc:
+        machine.process(proc.pid)
+    assert exc.value.errno is Errno.ESRCH
 
 
 def test_proc_context_compute_units():
