@@ -56,7 +56,7 @@ from ..gsi.cas import AdmissionPolicy, OpenPolicy
 from ..interpose.drivers import LocalDriver
 from ..interpose.supervisor import Supervisor
 from ..kernel.errno import Errno, KernelError, err
-from ..kernel.fdtable import OpenFlags
+from ..kernel.fdtable import O_RDONLY, O_WRONLY_CREAT_TRUNC
 from ..kernel.vfs import join, normalize
 from ..net.network import Network, Peer
 from ..net.rpc import ProtocolError
@@ -118,26 +118,24 @@ def c_whoami(op: Operation, conn: "_Connection") -> dict[str, Any]:
 
 def c_open(op: Operation, conn: "_Connection") -> dict[str, Any]:
     path = op.path()
-    flags = OpenFlags(int(op.args.get("flags", 0)))
+    flags = int(op.args.get("flags", 0))
     mode = int(op.args.get("mode", 0o644))
-    sup_fd = path.driver.open(path.sub, int(flags), mode)
+    sup_fd = path.driver.open(path.sub, flags, mode)
     # a descriptor opened through a symlink gets no path: the fast lane
     # then flushes on its writes instead of invalidating the alias
     hint = None if op.scratch.get(CROSSED_SYMLINK) else path.sub
-    return {"fd": conn.install_fd(sup_fd, hint)}
+    return {"fd": conn.install_fd(path.driver, sup_fd, hint)}
 
 
 def c_close(op: Operation, conn: "_Connection") -> dict[str, Any]:
-    conn.server.fs.close(conn.pop_fd(int(op.args["fd"])))
+    fs, sup_fd = conn.pop_fd(int(op.args["fd"]))
+    fs.close(sup_fd)
     return {}
 
 
 def c_pread(op: Operation, conn: "_Connection") -> dict[str, Any]:
-    data = conn.server.fs.pread(
-        conn.sup_fd(int(op.args["fd"])),
-        int(op.args["length"]),
-        int(op.args["offset"]),
-    )
+    fs, sup_fd = conn.sup_fd(int(op.args["fd"]))
+    data = fs.pread(sup_fd, int(op.args["length"]), int(op.args["offset"]))
     conn.server._count("chirp.bytes_read", value=len(data))
     return {"data": data}
 
@@ -146,16 +144,15 @@ def c_pwrite(op: Operation, conn: "_Connection") -> dict[str, Any]:
     data = op.args["data"]
     if not isinstance(data, bytes):
         raise err(Errno.EINVAL, "pwrite data must be bytes")
-    n = conn.server.fs.pwrite(
-        conn.sup_fd(int(op.args["fd"])), data, int(op.args["offset"])
-    )
+    fs, sup_fd = conn.sup_fd(int(op.args["fd"]))
+    n = fs.pwrite(sup_fd, data, int(op.args["offset"]))
     conn.server._count("chirp.bytes_written", value=n)
     return {"count": n}
 
 
 def read_file(fs: LocalDriver, path: str) -> bytes:
     """A whole file's bytes: open, positioned reads to EOF, close."""
-    fd = fs.open(path, int(OpenFlags.O_RDONLY), 0)
+    fd = fs.open(path, O_RDONLY, 0)
     try:
         out = bytearray()
         while chunk := fs.pread(fd, CHUNK, len(out)):
@@ -168,8 +165,7 @@ def read_file(fs: LocalDriver, path: str) -> bytes:
 def write_file(fs: LocalDriver, path: str, data: bytes, mode: int) -> int:
     """Replace a file's bytes: open with ``O_WRONLY|O_CREAT|O_TRUNC``,
     positioned writes, close.  Returns the byte count written."""
-    flags = OpenFlags.O_WRONLY | OpenFlags.O_CREAT | OpenFlags.O_TRUNC
-    fd = fs.open(path, int(flags), mode)
+    fd = fs.open(path, O_WRONLY_CREAT_TRUNC, mode)
     try:
         offset = 0
         while offset < len(data):
@@ -197,12 +193,14 @@ def c_putfile(op: Operation, conn: "_Connection") -> dict[str, Any]:
 
 
 def c_fstat(op: Operation, conn: "_Connection") -> dict[str, Any]:
-    st = conn.server.fs.fstat(conn.sup_fd(int(op.args["fd"])))
+    fs, sup_fd = conn.sup_fd(int(op.args["fd"]))
+    st = fs.fstat(sup_fd)
     return StatPayload.from_stat(st).to_fields()
 
 
 def c_ftruncate(op: Operation, conn: "_Connection") -> dict[str, Any]:
-    conn.server.fs.ftruncate(conn.sup_fd(int(op.args["fd"])), int(op.args["length"]))
+    fs, sup_fd = conn.sup_fd(int(op.args["fd"]))
+    fs.ftruncate(sup_fd, int(op.args["length"]))
     return {}
 
 
@@ -461,6 +459,28 @@ class ChirpServer:
         )
         self._ensure_export_root()
 
+    def rehost(self) -> None:
+        """Follow the machine into the world a restore rewound it to.
+
+        The owner's host task, the driver over it and the supervisor are
+        bound to the world they were built in, whose descriptors are
+        EBADF in any other; they are rebuilt against the current one, as
+        :meth:`Supervisor.fork` rebuilds a supervisor for a forked world.
+        Nothing is re-stamped: a descriptor opened before the restore
+        stays with its old driver and stays EBADF.  Configuration,
+        policy, audit log and telemetry carry over.
+        """
+        machine = self.machine
+        self.owner_task = machine.host_task(self.owner_cred)
+        self.fs = LocalDriver(machine, self.owner_task)
+        self.supervisor = Supervisor(
+            machine,
+            self.owner_cred,
+            policy=self.policy,
+            audit=self.supervisor.audit,
+            telemetry=self.telemetry,
+        )
+
     def _resolve_identity(self, op: Operation, conn: "_Connection") -> str | None:
         if op.spec is not None and op.spec.pre_auth:
             return None
@@ -579,7 +599,8 @@ class _Connection:
     #: ``str(principal)``, minted once per authentication: every op's
     #: identity, span and denial exemplar shares this one string
     identity: str | None = None
-    _fds: dict[int, int] = field(default_factory=dict)
+    #: protocol fd -> (the driver that opened it, its descriptor there)
+    _fds: dict[int, tuple[LocalDriver, int]] = field(default_factory=dict)
     #: protocol fd → the opened path, so descriptor writes can invalidate
     #: the fast-lane read cache narrowly instead of flushing it
     _fd_paths: dict[int, str] = field(default_factory=dict)
@@ -593,6 +614,8 @@ class _Connection:
 
     def handle(self, frame: bytes) -> bytes:
         server = self.server
+        if server.owner_task.fdtable.incarnation is not server.machine.fs.incarnation:
+            server.rehost()  # the machine was restored under the server
         if self._poisoned:
             return error_response(Errno.EPIPE, "connection poisoned by bad frame")
         try:
@@ -759,8 +782,8 @@ class _Connection:
         if self._released:
             return
         self._released = True
-        for sup_fd in self._fds.values():
-            self.server.machine.kcall(self.server.owner_task, "close", sup_fd)
+        for fs, sup_fd in self._fds.values():
+            self.server.machine.kcall(fs.task, "close", sup_fd)
         self._fds.clear()
         self._fd_paths.clear()
 
@@ -806,22 +829,22 @@ class _Connection:
     # protocol descriptor table
     # ------------------------------------------------------------------ #
 
-    def install_fd(self, sup_fd: int, path: str | None = None) -> int:
+    def install_fd(self, fs: LocalDriver, sup_fd: int, path: str | None = None) -> int:
         fd = self._next_fd
         self._next_fd += 1
-        self._fds[fd] = sup_fd
+        self._fds[fd] = (fs, sup_fd)
         if path is not None:
             self._fd_paths[fd] = path
         return fd
 
-    def sup_fd(self, fd: int) -> int:
+    def sup_fd(self, fd: int) -> tuple[LocalDriver, int]:
         if fd not in self._fds:
             raise err(Errno.EBADF, f"chirp fd {fd}")
         return self._fds[fd]
 
-    def pop_fd(self, fd: int) -> int:
-        sup_fd = self._fds.pop(fd, None)
-        if sup_fd is None:
+    def pop_fd(self, fd: int) -> tuple[LocalDriver, int]:
+        entry = self._fds.pop(fd, None)
+        if entry is None:
             raise err(Errno.EBADF, f"chirp fd {fd}")
         self._fd_paths.pop(fd, None)
-        return sup_fd
+        return entry

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from ...core.ops import OP_PATH_SPECS, OpSpec
 from ...kernel.errno import Errno, err
-from ...kernel.fdtable import OpenFlags, can_read, can_write
+from ...kernel.fdtable import O_RDONLY, O_WRONLY, can_read, can_write
 from ..drivers import NATIVE, NativePassthrough
 from ..iochannel import CHANNEL_FD
 from ..table import VirtualFD
@@ -87,18 +87,18 @@ def h_pipe(op: "Operation", ctx: "SyscallContext") -> None:
     state = ctx.state
     pipe = Pipe()
     r_of = OpenFile(
-        inode=None, flags=OpenFlags.O_RDONLY, path="pipe:[r]", pipe=pipe, pipe_end="r"
+        inode=None, flags=O_RDONLY, path="pipe:[r]", pipe=pipe, pipe_end="r"
     )
     w_of = OpenFile(
-        inode=None, flags=OpenFlags.O_WRONLY, path="pipe:[w]", pipe=pipe, pipe_end="w"
+        inode=None, flags=O_WRONLY, path="pipe:[w]", pipe=pipe, pipe_end="w"
     )
     pipe.add_end("r")
     pipe.add_end("w")
     read_v = state.install(
-        VirtualFD(driver=NATIVE, handle=0, path="pipe:[r]", flags=int(OpenFlags.O_RDONLY))
+        VirtualFD(driver=NATIVE, handle=0, path="pipe:[r]", flags=O_RDONLY)
     )
     write_v = state.install(
-        VirtualFD(driver=NATIVE, handle=0, path="pipe:[w]", flags=int(OpenFlags.O_WRONLY))
+        VirtualFD(driver=NATIVE, handle=0, path="pipe:[w]", flags=O_WRONLY)
     )
     ctx.proc.task.fdtable.install(r_of, fd=read_v)
     ctx.proc.task.fdtable.install(w_of, fd=write_v)

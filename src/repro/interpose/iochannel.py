@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..kernel.errno import Errno, err
-from ..kernel.fdtable import OpenFlags
+from ..kernel.fdtable import O_RDWR
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.machine import Machine
@@ -51,7 +51,7 @@ class IOChannel:
         self.size = size
         self.path = _next_channel_name()
         machine.write_file(owner_task, self.path, b"", mode=0o600)
-        self.fd = machine.kcall_x(owner_task, "open", self.path, OpenFlags.O_RDWR)
+        self.fd = machine.kcall_x(owner_task, "open", self.path, O_RDWR)
         self._next_off = 0
         #: bytes moved through the channel, for reporting
         self.bytes_staged = 0
@@ -115,7 +115,7 @@ class IOChannel:
         res = self.machine.vfs.resolve(self.path, self.owner_task.cred)
         node = res.require()
         proc.task.fdtable.install(
-            self.machine.fs.open_file(node, OpenFlags.O_RDWR, self.path),
+            self.machine.fs.open_file(node, O_RDWR, self.path),
             fd=CHANNEL_FD,
         )
 

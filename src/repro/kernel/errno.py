@@ -53,6 +53,12 @@ class Errno(enum.IntEnum):
     ECONNREFUSED = 111  #: Connection refused
 
 
+#: value -> member, for turning a ``-errno`` result back into its member
+#: with one dict lookup: ``Errno(value)`` runs the enum class's call
+#: machinery, several times the cost on the kernel-call failure path.
+_ERRNO_OF: dict[int, Errno] = {member.value: member for member in Errno}
+
+
 class KernelError(Exception):
     """A syscall failure carrying an :class:`Errno`.
 
@@ -61,8 +67,10 @@ class KernelError(Exception):
     """
 
     def __init__(self, errno: Errno, message: str = "") -> None:
-        self.errno = Errno(errno)
-        detail = f"{self.errno.name}" + (f": {message}" if message else "")
+        # a member is kept as it is; anything else goes through the enum,
+        # which raises ValueError for a value it does not define
+        self.errno = errno if errno.__class__ is Errno else Errno(errno)
+        detail = self.errno._name_ + (f": {message}" if message else "")
         super().__init__(detail)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

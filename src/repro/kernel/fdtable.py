@@ -48,14 +48,23 @@ class OpenFlags(enum.IntFlag):
 
 
 # Plain-int twins of the flags, for bit tests on the open and descriptor
-# paths: an ``OpenFlags`` operand makes ``&`` build a new enum member, and
-# those paths ask on every call.
+# paths and for the flag sets callers open with on every op: an
+# ``OpenFlags`` operand makes ``&`` and ``|`` build a new enum member, and
+# on CPython 3.11 even naming a member through the class runs the enum
+# metaclass's ``__getattr__`` hook.
 O_ACCMODE = 0o3
+O_RDONLY = int(OpenFlags.O_RDONLY)
+O_WRONLY = int(OpenFlags.O_WRONLY)
+O_RDWR = int(OpenFlags.O_RDWR)
 O_CREAT = int(OpenFlags.O_CREAT)
 O_EXCL = int(OpenFlags.O_EXCL)
 O_TRUNC = int(OpenFlags.O_TRUNC)
 O_APPEND = int(OpenFlags.O_APPEND)
 O_DIRECTORY = int(OpenFlags.O_DIRECTORY)
+#: open for writing, creating the file if absent
+O_WRONLY_CREAT = O_WRONLY | O_CREAT
+#: ``creat(2)``: open for writing, creating or emptying the file
+O_WRONLY_CREAT_TRUNC = O_WRONLY | O_CREAT | O_TRUNC
 
 
 def can_read(flags: int) -> bool:
@@ -85,7 +94,7 @@ class OpenFile:
     """
 
     inode: Inode | None
-    flags: OpenFlags
+    flags: int  #: ``open(2)`` flag bits (see :class:`OpenFlags`)
     path: str  #: resolved path at open time (used for ACL audit records)
     offset: int = 0
     refcount: int = 1

@@ -49,8 +49,11 @@ from __future__ import annotations
 
 from .cow import CowMap
 from .errno import Errno, err
-from .fdtable import OpenFile, OpenFlags
+from .fdtable import OpenFile
 from .inode import (
+    _DIR,
+    _FILE,
+    _SYMLINK,
     DEFAULT_DIR_MODE,
     DEFAULT_FILE_MODE,
     FileType,
@@ -143,7 +146,7 @@ class LocalFS:
         self._inodes[ino] = clone
         return clone
 
-    def open_file(self, node: Inode, flags: OpenFlags, path: str) -> OpenFile:
+    def open_file(self, node: Inode, flags: int, path: str) -> OpenFile:
         """Mint an open description of ``node`` that holds it open."""
         ino = node.ino
         opens = self._opens
@@ -226,7 +229,7 @@ class LocalFS:
         if name in directory.entries:
             raise err(Errno.EEXIST, name)
         directory = self.writable(directory)
-        node = self._alloc(FileType.FILE, mode, uid, gid, now_ns)
+        node = self._alloc(_FILE, mode, uid, gid, now_ns)
         directory.entries[name] = node.ino
         directory.mtime_ns = now_ns
         return node
@@ -247,7 +250,7 @@ class LocalFS:
         if name in directory.entries:
             raise err(Errno.EEXIST, name)
         directory = self.writable(directory)
-        node = self._alloc(FileType.DIR, mode, uid, gid, now_ns)
+        node = self._alloc(_DIR, mode, uid, gid, now_ns)
         node.nlink = 2  # "." plus the entry in the parent
         directory.entries[name] = node.ino
         directory.nlink += 1  # the child's ".."
@@ -271,7 +274,7 @@ class LocalFS:
         if name in directory.entries:
             raise err(Errno.EEXIST, name)
         directory = self.writable(directory)
-        node = self._alloc(FileType.SYMLINK, 0o777, uid, gid, now_ns)
+        node = self._alloc(_SYMLINK, 0o777, uid, gid, now_ns)
         node.symlink_target = target
         directory.entries[name] = node.ino
         directory.mtime_ns = now_ns

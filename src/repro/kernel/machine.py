@@ -23,19 +23,23 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
-from .errno import Errno, KernelError, err
-from .fdtable import FDTable
+from .errno import _ERRNO_OF, Errno, KernelError, err
+from .fdtable import O_RDONLY, O_WRONLY_CREAT_TRUNC, FDTable
 from .localfs import LocalFS
 from .memory import AddressSpace
 from .pipes import Pipe, WouldBlock
 from .process import (
+    _BLOCKED,
+    _COMPUTE,
+    _DEAD,
+    _READY,
+    _RUNNING,
+    _ZOMBIE,
     ProcContext,
     Process,
-    ProcessState,
     ProgramFactory,
     Regs,
     Request,
-    RequestKind,
     Task,
 )
 from .ptrace import TraceSession, Tracer
@@ -306,18 +310,14 @@ class Machine:
     # ------------------------------------------------------------------ #
 
     def write_file(self, task: Task, path: str, data: bytes, mode: int = 0o644) -> None:
-        from .fdtable import OpenFlags
-
-        fd = self.kcall_x(task, "open", path, OpenFlags.O_WRONLY | OpenFlags.O_CREAT | OpenFlags.O_TRUNC, mode)
+        fd = self.kcall_x(task, "open", path, O_WRONLY_CREAT_TRUNC, mode)
         try:
             self.kcall_x(task, "write_bytes", fd, data)
         finally:
             self.kcall_x(task, "close", fd)
 
     def read_file(self, task: Task, path: str) -> bytes:
-        from .fdtable import OpenFlags
-
-        fd = self.kcall_x(task, "open", path, OpenFlags.O_RDONLY)
+        fd = self.kcall_x(task, "open", path, O_RDONLY)
         try:
             out = bytearray()
             while True:
@@ -360,7 +360,7 @@ class Machine:
         """Like :meth:`kcall` but raises :class:`KernelError` on failure."""
         result = self.kcall(task, name, *args)
         if isinstance(result, int) and result < 0:
-            raise KernelError(Errno(-result), f"{name}{args!r}")
+            raise KernelError(_ERRNO_OF.get(-result, -result), f"{name}{args!r}")
         return result
 
     def process_of(self, task: Task) -> Process | None:
@@ -502,7 +502,7 @@ class Machine:
 
     def _do_exit(self, proc: Process, status: int) -> None:
         proc.exit_status = status
-        proc.state = ProcessState.ZOMBIE
+        proc.state = _ZOMBIE
         if not proc.is_thread:
             # threads share the table; only a process teardown closes it
             touched_pipes = proc.task.fdtable.pipes()
@@ -516,7 +516,7 @@ class Machine:
         for cpid in proc.children:
             child = self._procs[cpid]
             child.ppid = 0
-            if child.state is ProcessState.ZOMBIE:
+            if child.state is _ZOMBIE:
                 self._drop(child)
         proc.children.clear()
         parent = self._procs.get(proc.ppid)
@@ -527,7 +527,7 @@ class Machine:
         elif parent.waiting_for_child:
             parent.waiting_for_child = False
             parent.pending_result = self._reap(parent, proc)
-            parent.state = ProcessState.READY
+            parent.state = _READY
             self._ready.append(parent.pid)
 
     def _reap(self, parent: Process, child: Process) -> WaitResult:
@@ -537,7 +537,7 @@ class Machine:
 
     def _drop(self, proc: Process) -> None:
         """Reap ``proc``: it leaves the process table for good."""
-        proc.state = ProcessState.DEAD
+        proc.state = _DEAD
         del self._procs[proc.pid]
 
     def deliver_signal(self, sender_task: Task, pid: int, sig: int) -> int:
@@ -555,10 +555,10 @@ class Machine:
 
     def _terminate(self, proc: Process, signal: Signal) -> None:
         """Kill a process from outside (fatal signal)."""
-        if proc.state is ProcessState.READY and proc.pid in self._ready:
+        if proc.state is _READY and proc.pid in self._ready:
             self._ready.remove(proc.pid)
         proc.body.close()
-        proc.state = ProcessState.RUNNING  # so _do_exit's transitions are uniform
+        proc.state = _RUNNING  # so _do_exit's transitions are uniform
         self._do_exit(proc, SIGNAL_EXIT_BASE + int(signal))
 
     # ------------------------------------------------------------------ #
@@ -577,7 +577,7 @@ class Machine:
     def run_to_completion(self, max_steps: int = 10_000_000) -> None:
         """Run and assert that nothing is left blocked (deadlock check)."""
         self.run(max_steps)
-        stuck = [p for p in self._procs.values() if p.state is ProcessState.BLOCKED]
+        stuck = [p for p in self._procs.values() if p.state is _BLOCKED]
         if stuck:
             names = ", ".join(f"{p.pid}:{p.comm}" for p in stuck)
             raise RuntimeError(f"deadlock: processes still blocked: {names}")
@@ -585,7 +585,7 @@ class Machine:
     def _step(self) -> None:
         pid = self._ready.popleft()
         proc = self._procs.get(pid)
-        if proc is None or not proc.alive or proc.state is not ProcessState.READY:
+        if proc is None or not proc.alive or proc.state is not _READY:
             return
         if self._last_run_pid is not None and self._last_run_pid != pid:
             self.clock.advance(
@@ -595,14 +595,14 @@ class Machine:
         if proc.pending_retry is not None:
             # woken from a pipe wait: re-attempt the parked call without
             # resuming the body (it is still suspended at the same yield)
-            proc.state = ProcessState.RUNNING
+            proc.state = _RUNNING
             if proc.regs is not None and proc.tracer is not None:
                 self._resume_traced_native(proc)
             else:
                 request, proc.pending_retry = proc.pending_retry, None
                 self._handle_request(proc, request)
             return
-        proc.state = ProcessState.RUNNING
+        proc.state = _RUNNING
         result, proc.pending_result = proc.pending_result, None
         try:
             request = proc.body.send(result)
@@ -618,10 +618,10 @@ class Machine:
         self._handle_request(proc, request)
 
     def _handle_request(self, proc: Process, request: Request) -> None:
-        if request.kind is RequestKind.COMPUTE:
+        if request.kind is _COMPUTE:
             self.clock.advance(request.compute_ns, "compute")
             proc.pending_result = 0
-            proc.state = ProcessState.READY
+            proc.state = _READY
             self._ready.append(proc.pid)
             return
         name, args = request.name, request.args
@@ -664,7 +664,7 @@ class Machine:
         if not proc.alive:
             return  # the call terminated the caller (e.g. kill(self))
         proc.pending_result = result
-        proc.state = ProcessState.READY
+        proc.state = _READY
         self._ready.append(proc.pid)
 
     def _latency(self, telemetry, name: str, mode: str):
@@ -680,20 +680,20 @@ class Machine:
         zombies = [
             self._procs[cpid]
             for cpid in sorted(proc.children)
-            if self._procs[cpid].state is ProcessState.ZOMBIE
+            if self._procs[cpid].state is _ZOMBIE
         ]
         if zombies:
             proc.pending_result = self._reap(proc, zombies[0])
-            proc.state = ProcessState.READY
+            proc.state = _READY
             self._ready.append(proc.pid)
             return
         if not proc.children:
             proc.pending_result = -int(Errno.ECHILD)
-            proc.state = ProcessState.READY
+            proc.state = _READY
             self._ready.append(proc.pid)
             return
         proc.waiting_for_child = True
-        proc.state = ProcessState.BLOCKED
+        proc.state = _BLOCKED
 
     # ------------------------------------------------------------------ #
     # pipe blocking: park, wake, retry
@@ -702,7 +702,7 @@ class Machine:
     def _park(self, proc: Process, request: Request, wb: WouldBlock) -> None:
         """Block ``proc`` until the pipe it hit turns over."""
         proc.pending_retry = request
-        proc.state = ProcessState.BLOCKED
+        proc.state = _BLOCKED
         wb.pipe.park(proc.pid, wb.mode)
 
     def wake_pipe(self, pipe: Pipe) -> None:
@@ -711,10 +711,10 @@ class Machine:
             proc = self._procs.get(pid)
             if (
                 proc is not None
-                and proc.state is ProcessState.BLOCKED
+                and proc.state is _BLOCKED
                 and proc.pending_retry is not None
             ):
-                proc.state = ProcessState.READY
+                proc.state = _READY
                 self._ready.append(pid)
 
     # ------------------------------------------------------------------ #
@@ -785,7 +785,7 @@ class Machine:
         if result is PARKED or not proc.alive:
             return
         proc.pending_result = result
-        proc.state = ProcessState.READY
+        proc.state = _READY
         self._ready.append(proc.pid)
 
     # ------------------------------------------------------------------ #

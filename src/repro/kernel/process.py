@@ -44,6 +44,18 @@ class RequestKind(enum.Enum):
     COMPUTE = "compute"
 
 
+# The members bound once for the scheduler and the request builders: a
+# lookup through the class costs ~10x a global on CPython 3.11 (DESIGN.md
+# §12, host-time conventions).
+_READY = ProcessState.READY
+_RUNNING = ProcessState.RUNNING
+_BLOCKED = ProcessState.BLOCKED
+_ZOMBIE = ProcessState.ZOMBIE
+_DEAD = ProcessState.DEAD
+_SYSCALL = RequestKind.SYSCALL
+_COMPUTE = RequestKind.COMPUTE
+
+
 @dataclass
 class Request:
     """What a process body yields to the kernel."""
@@ -105,7 +117,7 @@ class SysProxy:
 
     def __getattr__(self, name: str):
         def build(*args: Any) -> Request:
-            return Request(RequestKind.SYSCALL, name=name, args=args)
+            return Request(_SYSCALL, name=name, args=args)
 
         build.__name__ = name
         # cached on the instance: later lookups of the name skip __getattr__
@@ -143,7 +155,7 @@ class ProcContext:
     def compute(ns: int = 0, us: int = 0, ms: int = 0, s: int = 0) -> Request:
         """Build a compute-burst request (burns simulated CPU time)."""
         total = ns + us * 1_000 + ms * 1_000_000 + s * 1_000_000_000
-        return Request(RequestKind.COMPUTE, compute_ns=total)
+        return Request(_COMPUTE, compute_ns=total)
 
 
 @dataclass
@@ -155,7 +167,7 @@ class Process:
     task: Task
     context: ProcContext
     body: Body
-    state: ProcessState = ProcessState.READY
+    state: ProcessState = _READY
     exit_status: int | None = None
     #: result to deliver at next resume
     pending_result: Any = None
@@ -181,5 +193,5 @@ class Process:
     @property
     def alive(self) -> bool:
         state = self.state
-        return state is not ProcessState.ZOMBIE and state is not ProcessState.DEAD
+        return state is not _ZOMBIE and state is not _DEAD
 

@@ -29,9 +29,10 @@ from .fdtable import (
     O_CREAT,
     O_DIRECTORY,
     O_EXCL,
+    O_RDONLY,
     O_TRUNC,
+    O_WRONLY,
     OpenFile,
-    OpenFlags,
     can_read,
     can_write,
 )
@@ -132,7 +133,6 @@ class SyscallExecutor:
     def do_open(self, task: Task, path: str, flags: int = 0, mode: int = 0o644) -> int:
         # a table of another world takes no description of this one
         self.machine.check_table(task.fdtable)
-        flags = OpenFlags(flags)
         bits = int(flags)
         readable, writable = can_read(bits), can_write(bits)
         res = self._resolve(task, path)
@@ -165,7 +165,7 @@ class SyscallExecutor:
             )
         self._charge(costs.fd_op_ns, "fd")
         of = self.machine.fs.open_file(
-            node, flags, join(res.dir_path, res.name) if res.name else "/"
+            node, bits, join(res.dir_path, res.name) if res.name else "/"
         )
         if bits & O_APPEND:
             of.seek_end()
@@ -184,10 +184,10 @@ class SyscallExecutor:
         """Create a pipe; returns ``(read_fd, write_fd)``."""
         pipe = Pipe()
         read_of = OpenFile(
-            inode=None, flags=OpenFlags.O_RDONLY, path="pipe:[r]", pipe=pipe, pipe_end="r"
+            inode=None, flags=O_RDONLY, path="pipe:[r]", pipe=pipe, pipe_end="r"
         )
         write_of = OpenFile(
-            inode=None, flags=OpenFlags.O_WRONLY, path="pipe:[w]", pipe=pipe, pipe_end="w"
+            inode=None, flags=O_WRONLY, path="pipe:[w]", pipe=pipe, pipe_end="w"
         )
         pipe.add_end("r")
         pipe.add_end("w")
@@ -201,7 +201,7 @@ class SyscallExecutor:
 
     def _read_common(self, task: Task, fd: int, length: int, offset: int | None) -> bytes:
         of = self._fd(task, fd)
-        if not of.flags.readable:
+        if not can_read(of.flags):
             raise err(Errno.EBADF, f"fd {fd} not open for reading")
         costs = self.machine.costs
         if of.pipe is not None:
@@ -221,7 +221,7 @@ class SyscallExecutor:
 
     def _write_common(self, task: Task, fd: int, data: bytes, offset: int | None) -> int:
         of = self._fd(task, fd)
-        if not of.flags.writable:
+        if not can_write(of.flags):
             raise err(Errno.EBADF, f"fd {fd} not open for writing")
         costs = self.machine.costs
         now = self.machine.clock.now_ns
@@ -234,7 +234,7 @@ class SyscallExecutor:
             self._charge(costs.io_base_ns + costs.copy_cost(n), "io")
             self.machine.wake_pipe(of.pipe)  # new data wakes readers
             return n
-        if int(of.flags) & O_APPEND and offset is None:
+        if of.flags & O_APPEND and offset is None:
             of.offset = self.machine.fs.current(of.inode).size
         pos = of.offset if offset is None else offset
         n = self.machine.fs.write_at(of.inode, pos, data, now)
@@ -313,7 +313,7 @@ class SyscallExecutor:
         of = self._fd(task, fd)
         if of.pipe is not None:
             raise err(Errno.EINVAL, "cannot truncate a pipe")
-        if not of.flags.writable:
+        if not can_write(of.flags):
             raise err(Errno.EBADF, f"fd {fd} not open for writing")
         of.inode = self.machine.fs.truncate(of.inode, length, self.machine.clock.now_ns)
         self._charge(self.machine.costs.inode_op_ns, "io")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errno import Errno, err
-from .inode import FileType, Inode, access_allowed
+from .inode import _DIR, _SYMLINK, Inode, access_allowed
 from .localfs import LocalFS
 from .users import Credentials
 
@@ -92,7 +92,7 @@ def basename(path: str) -> str:
     return norm.rsplit("/", 1)[-1]
 
 
-@dataclass
+@dataclass(slots=True)
 class WalkStats:
     """Work performed during one resolution, for cost accounting."""
 
@@ -100,7 +100,7 @@ class WalkStats:
     symlinks: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Resolution:
     """Outcome of resolving a path.
 
@@ -224,7 +224,7 @@ class VFS:
             stats.components,
             stats.symlinks,
         )
-        return Resolution(inode=node, parent=parent, name=name, dir_path=dir_path, stats=stats)
+        return Resolution(node, parent, name, dir_path, stats)
 
     def _walk(
         self,
@@ -251,7 +251,7 @@ class VFS:
             component = components[i]
             is_last = i == len(components) - 1
             stats.components += 1
-            if current.ftype is not FileType.DIR:
+            if current.ftype is not _DIR:
                 raise err(Errno.ENOTDIR, "/" + "/".join(current_path))
             if check and not access_allowed(current, cred.uid, cred.gid, 1):
                 raise err(Errno.EACCES, "/" + "/".join(current_path))
@@ -272,7 +272,7 @@ class VFS:
             child = inodes.get(ino)
             if child is None:
                 raise err(Errno.EIO, f"dangling inode {ino}")
-            if child.ftype is FileType.SYMLINK and (follow or not is_last):
+            if child.ftype is _SYMLINK and (follow or not is_last):
                 stats.symlinks += 1
                 if stats.symlinks > MAX_SYMLINKS:
                     raise err(Errno.ELOOP, path)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..kernel.fdtable import OpenFlags
+from ..kernel.fdtable import O_RDONLY, O_WRONLY_CREAT
 from ..kernel.process import Body, ProcContext
 
 #: Large-block transfer size used throughout the evaluation (Fig. 5a).
@@ -101,7 +101,7 @@ def workload_unit(
     for i in range(profile.stats):
         yield proc.sys.stat(f"{META_PREFIX}{(unit_index + i) % META_FILES}")
     for _ in range(profile.openclose):
-        fd = yield proc.sys.open(INPUT_FILE, OpenFlags.O_RDONLY)
+        fd = yield proc.sys.open(INPUT_FILE, O_RDONLY)
         yield proc.sys.close(fd)
     for _ in range(profile.small_reads):
         yield proc.sys.pread(in_fd, buf, TINY, 0)
@@ -113,10 +113,8 @@ def app_body(profile: AppProfile, scale: float, child_program: str = "") -> obje
     """Build the top-level program factory for an application run."""
 
     def factory(proc: ProcContext, args: list[str]) -> Body:
-        in_fd = yield proc.sys.open(INPUT_FILE, OpenFlags.O_RDONLY)
-        out_fd = yield proc.sys.open(
-            OUTPUT_FILE, OpenFlags.O_WRONLY | OpenFlags.O_CREAT
-        )
+        in_fd = yield proc.sys.open(INPUT_FILE, O_RDONLY)
+        out_fd = yield proc.sys.open(OUTPUT_FILE, O_WRONLY_CREAT)
         buf = proc.alloc(BLOCK)
         iters = profile.scaled_iters(scale)
         spawns = profile.scaled_spawns(scale)
@@ -142,10 +140,8 @@ def child_body(profile: AppProfile) -> object:
     """Program factory for a spawned child (a compilation step)."""
 
     def factory(proc: ProcContext, args: list[str]) -> Body:
-        in_fd = yield proc.sys.open(INPUT_FILE, OpenFlags.O_RDONLY)
-        out_fd = yield proc.sys.open(
-            OUTPUT_FILE + ".o", OpenFlags.O_WRONLY | OpenFlags.O_CREAT
-        )
+        in_fd = yield proc.sys.open(INPUT_FILE, O_RDONLY)
+        out_fd = yield proc.sys.open(OUTPUT_FILE + ".o", O_WRONLY_CREAT)
         buf = proc.alloc(BLOCK)
         for unit in range(profile.child_units):
             yield from workload_unit(proc, profile, in_fd, out_fd, buf, unit)

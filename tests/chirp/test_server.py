@@ -336,6 +336,34 @@ def test_connection_close_releases_fds(fred, server):
     assert len(server.owner_task.fdtable) < open_before
 
 
+@requires_perfect_network  # raw descriptors die with their connection
+def test_server_serves_the_world_a_restore_rewinds_to(fred, server):
+    fred.mkdir("/t")
+    fred.put(b"before", "/t/f")
+    snap = server.machine.snapshot()
+    fred.put(b"after the snapshot", "/t/f")
+    fred.put(b"gone", "/t/g")
+    stale = fred.open("/t/f", OpenFlags.O_RDONLY)
+    server.machine.restore(snap)
+    # the rewound world: /t/g never existed and /t/f holds its old bytes
+    assert fred.readdir("/t") == ["f"]
+    assert fred.get("/t/f") == b"before"
+    fd = fred.open("/t/f", OpenFlags.O_RDONLY)
+    assert fred.pread(fd, 64, 0) == b"before"
+    # a descriptor of the old world names nothing here, even where its
+    # number is taken by a descriptor of this one
+    with pytest.raises(ChirpError) as info:
+        fred.pread(stale, 64, 0)
+    assert info.value.errno is Errno.EBADF
+    with pytest.raises(ChirpError) as info:
+        fred.close_fd(stale)
+    assert info.value.errno is Errno.EBADF
+    assert fred.put(b"new future", "/t/g") == 10
+    assert fred.get("/t/g") == b"new future"
+    assert fred.pread(fd, 64, 0) == b"before"
+    fred.close_fd(fd)
+
+
 def test_malformed_op_is_error(cluster, server, fred):
     # straight to the server's side of the connection: a raw exchange
     # has no retry layer to ride out an injected network fault
