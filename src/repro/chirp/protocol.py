@@ -18,10 +18,14 @@ whose applications read and write at offsets of their own choosing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from stat import S_IFDIR, S_IFLNK, S_IFREG
 from typing import Any
 
 from ..kernel.errno import Errno
 from ..net.rpc import ProtocolError, decode_message, encode_message
+
+#: File-type bits of a mode (``stat.S_IFMT`` as a mask), for :func:`stat_fields`.
+_S_IFMT = 0o170000
 
 #: Default TCP port of a Chirp server (as in the real implementation).
 CHIRP_PORT = 9094
@@ -152,7 +156,13 @@ def parse_response(frame: bytes) -> dict[str, Any]:
 
 @dataclass(frozen=True)
 class StatPayload:
-    """Flattened stat result as carried on the wire."""
+    """Flattened stat result as carried on the wire.
+
+    ``from_stat`` and ``from_fields`` fill the fields in directly, not
+    through the frozen dataclass's ``__init__`` (DESIGN.md §12); the
+    record is the same frozen one
+    (``tests/properties/test_prop_stat_payload.py``).
+    """
 
     size: int
     is_dir: bool
@@ -166,15 +176,9 @@ class StatPayload:
 
     @classmethod
     def from_stat(cls, st) -> "StatPayload":
-        return cls(
-            size=st.st_size,
-            is_dir=st.is_dir,
-            is_file=st.is_file,
-            is_symlink=st.is_symlink,
-            nlink=st.st_nlink,
-            mtime_ns=st.st_mtime_ns,
-            mode=st.st_mode & 0o7777,
-        )
+        payload = object.__new__(cls)
+        payload.__dict__.update(stat_fields(st))
+        return payload
 
     def to_fields(self) -> dict[str, Any]:
         return {
@@ -189,12 +193,30 @@ class StatPayload:
 
     @classmethod
     def from_fields(cls, fields: dict[str, Any]) -> "StatPayload":
-        return cls(
-            size=int(fields["size"]),
-            is_dir=bool(fields["is_dir"]),
-            is_file=bool(fields["is_file"]),
-            is_symlink=bool(fields["is_symlink"]),
-            nlink=int(fields["nlink"]),
-            mtime_ns=int(fields["mtime_ns"]),
-            mode=int(fields.get("mode", 0o644)),
-        )
+        payload = object.__new__(cls)
+        out = payload.__dict__
+        out["size"] = int(fields["size"])
+        out["is_dir"] = bool(fields["is_dir"])
+        out["is_file"] = bool(fields["is_file"])
+        out["is_symlink"] = bool(fields["is_symlink"])
+        out["nlink"] = int(fields["nlink"])
+        out["mtime_ns"] = int(fields["mtime_ns"])
+        out["mode"] = int(fields.get("mode", 0o644))
+        return payload
+
+
+def stat_fields(st) -> dict[str, Any]:
+    """The wire fields of a ``StatResult``: what
+    ``StatPayload.from_stat(st).to_fields()`` gives, without the record
+    (the server's stat replies are built here)."""
+    mode = st.st_mode
+    kind = mode & _S_IFMT
+    return {
+        "size": st.st_size,
+        "is_dir": kind == S_IFDIR,
+        "is_file": kind == S_IFREG,
+        "is_symlink": kind == S_IFLNK,
+        "nlink": st.st_nlink,
+        "mtime_ns": st.st_mtime_ns,
+        "mode": mode & 0o7777,
+    }

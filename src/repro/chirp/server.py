@@ -68,11 +68,11 @@ from .protocol import (
     CHIRP_PORT,
     CHUNK,
     FED_XFER_SUFFIX,
-    StatPayload,
     UnknownOpError,
     error_response,
     ok_response,
     parse_request,
+    stat_fields,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -87,6 +87,11 @@ DEFAULT_EXPORT_ROOT = ""  # sentinel: derive from the owner's home
 
 #: Bound on the idempotency replay cache (responses, not payload data).
 IDEM_CACHE_LIMIT = 1024
+
+#: Request fields that name a path, a subject or rights letters besides
+#: the ops' path arguments: anything but a string there is EINVAL, never
+#: its ``str()`` (a ``null`` subject must not become the subject "None").
+STRING_FIELDS = ("target", "subject", "rights", "letters")
 
 
 # ---------------------------------------------------------------------- #
@@ -194,8 +199,7 @@ def c_putfile(op: Operation, conn: "_Connection") -> dict[str, Any]:
 
 def c_fstat(op: Operation, conn: "_Connection") -> dict[str, Any]:
     fs, sup_fd = conn.sup_fd(int(op.args["fd"]))
-    st = fs.fstat(sup_fd)
-    return StatPayload.from_stat(st).to_fields()
+    return stat_fields(fs.fstat(sup_fd))
 
 
 def c_ftruncate(op: Operation, conn: "_Connection") -> dict[str, Any]:
@@ -206,12 +210,12 @@ def c_ftruncate(op: Operation, conn: "_Connection") -> dict[str, Any]:
 
 def c_stat(op: Operation, conn: "_Connection") -> dict[str, Any]:
     path = op.path()
-    return StatPayload.from_stat(path.driver.stat(path.sub)).to_fields()
+    return stat_fields(path.driver.stat(path.sub))
 
 
 def c_lstat(op: Operation, conn: "_Connection") -> dict[str, Any]:
     path = op.path()
-    return StatPayload.from_stat(path.driver.lstat(path.sub)).to_fields()
+    return stat_fields(path.driver.lstat(path.sub))
 
 
 def c_access(op: Operation, conn: "_Connection") -> dict[str, Any]:
@@ -267,7 +271,7 @@ def c_symlink(op: Operation, conn: "_Connection") -> dict[str, Any]:
     link = op.path()
     # store the target as a *protocol* path translated to a real one,
     # so the link resolves inside the export namespace
-    target_real = conn.server.real_path(str(op.args["target"]))
+    target_real = conn.server.real_path(op.args["target"])
     link.driver.symlink(target_real, link.sub)
     return {}
 
@@ -295,8 +299,8 @@ def c_setacl(op: Operation, conn: "_Connection") -> dict[str, Any]:
     rights = apply_setacl(
         conn.server.policy,
         acl_dir,
-        str(op.args["subject"]),
-        str(op.args["rights"]),
+        op.args["subject"],
+        op.args["rights"],
     )
     conn.server.pipeline.audit.emit(
         op.identity, "setacl", acl_dir, True, f"{op.args['subject']} {rights}"
@@ -307,7 +311,7 @@ def c_setacl(op: Operation, conn: "_Connection") -> dict[str, Any]:
 def c_aclcheck(op: Operation, conn: "_Connection") -> dict[str, Any]:
     path = op.path()
     decision = conn.server.policy.check(
-        op.identity, path.sub, str(op.args["letters"])
+        op.identity, path.sub, op.args["letters"]
     )
     return {"allowed": decision.allowed}
 
@@ -526,13 +530,17 @@ class ChirpServer:
     # ------------------------------------------------------------------ #
 
     def real_path(self, vpath: str) -> str:
-        """Translate a protocol path to a machine path, escape-proof.
+        """Translate a protocol path to a machine path, escape-proof."""
+        return self._translate(vpath)[1]
+
+    def _translate(self, vpath: str) -> tuple[str, str]:
+        """A protocol path as ``(normalized, machine path)``.
 
         ``normalize`` resolves ``..`` lexically *before* prefixing, so a
         hostile ``/../../etc/passwd`` lands back inside the export root.
         """
         norm = normalize(vpath if vpath.startswith("/") else "/" + vpath)
-        return self.export_root if norm == "/" else self.export_root + norm
+        return norm, self.export_root if norm == "/" else self.export_root + norm
 
     def virtual_path(self, real: str) -> str:
         """The inverse of :meth:`real_path`, for export-relative state
@@ -795,27 +803,28 @@ class _Connection:
         basenames either way), ``sub`` the translated machine path the
         policy and driver see.
         """
-        spec = self.server.registry.get(op_name)
+        server = self.server
+        spec = server.registry.get(op_name)
         args = {k: v for k, v in message.items() if k != "op"}
+        for name in STRING_FIELDS:
+            if name in args and not isinstance(args[name], str):
+                raise err(Errno.EINVAL, f"{op_name} {name} must be a string")
         op = Operation(name=op_name, surface="chirp", args=args)
         for path_spec in spec.paths:
             if path_spec.field in args:
-                raw = str(args[path_spec.field])
+                raw = args[path_spec.field]
             elif path_spec.default is not None:
                 raw = path_spec.default
             else:
                 raise KeyError(path_spec.field)
+            if not isinstance(raw, str):
+                raise err(Errno.EINVAL, f"{op_name} {path_spec.field} must be a string")
+            full, sub = server._translate(raw)  # one normalization, both views
             op.paths.append(
-                BoundPath(
-                    spec=path_spec,
-                    raw=raw,
-                    full=normalize(raw if raw.startswith("/") else "/" + raw),
-                    sub=self.server.real_path(raw),
-                    driver=self.server.fs,
-                )
+                BoundPath(spec=path_spec, raw=raw, full=full, sub=sub, driver=server.fs)
             )
         if (
-            self.server.read_cache is not None
+            server.read_cache is not None
             and op_name in ("pwrite", "ftruncate")
             and "fd" in args
         ):

@@ -11,6 +11,18 @@ An identity's effective rights are the union over all matching entries —
 Fred above holds ``rwlax`` (both lines match him).  The rights of an
 identity nobody listed is empty, which is what denies the visiting user
 access to the supervising user's files in Figure 2.
+
+Evaluation runs on a compiled form of the entries, built on first use and
+dropped by every ``set_entry``/``remove_entry``.  Its tables are keyed by
+subject, one entry each, so they never grow without bound.  The compiled
+form also memoizes what it has answered, and each memo dies with it:
+
+* the rights of identities already asked about, at most
+  :data:`RIGHTS_MEMO_ENTRIES` of them (the memo starts over when full).
+  An identity is validated on every miss, and a string that fails is
+  never stored, so it fails on every call;
+* the rendered ``.__acl`` text, once an evaluation has compiled the ACL
+  (an ACL that is only written out is rendered, not compiled).
 """
 
 from __future__ import annotations
@@ -51,9 +63,37 @@ class AclEntry:
 #: Shared result for identities no entry covers (Rights is immutable).
 _NO_RIGHTS = Rights.none()
 
-#: An ACL compiled for evaluation: exact subject -> union of its rights,
-#: plus ``(regex match, rights)`` for each wildcard subject.
-_Compiled = tuple[dict[str, Rights], list[tuple[Callable, Rights]]]
+#: Bound on the identities one compiled ACL remembers the rights of.  A
+#: directory's ACL is asked about by every principal that touches it, so
+#: the memo starts over when full rather than grow with the principals.
+RIGHTS_MEMO_ENTRIES = 16
+
+
+class _Compiled:
+    """An ACL compiled for evaluation, with what it has answered.
+
+    ``exact`` maps each exact subject to the union of its rights, and
+    ``wildcards`` holds ``(regex match, rights)`` per wildcard subject.
+    ``memo`` maps validated identities to their rights and ``text`` is
+    the rendered file text, once asked for.
+    """
+
+    __slots__ = ("exact", "wildcards", "memo", "text")
+
+    def __init__(self, entries: list[AclEntry]) -> None:
+        exact: dict[str, Rights] = {}
+        wildcards: list[tuple[Callable, Rights]] = []
+        for entry in entries:
+            if is_pattern(entry.subject):
+                wildcards.append((compile_pattern(entry.subject).match, entry.rights))
+            elif entry.subject in exact:
+                exact[entry.subject] = exact[entry.subject] | entry.rights
+            else:
+                exact[entry.subject] = entry.rights
+        self.exact = exact
+        self.wildcards = wildcards
+        self.memo: dict[str, Rights] = {}
+        self.text: str | None = None
 
 
 @dataclass
@@ -62,32 +102,31 @@ class Acl:
 
     entries: list[AclEntry] = field(default_factory=list)
     #: ``entries`` compiled, built on first use and dropped by every
-    #: mutation.  Keyed by subject, never by the identities asked about.
+    #: mutation, memos included.  Its tables are keyed by subject; only
+    #: its bounded rights memo is keyed by the identities asked about.
     _compiled: _Compiled | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- evaluation ------------------------------------------------------ #
 
     def _compile(self) -> _Compiled:
-        exact: dict[str, Rights] = {}
-        wildcards: list[tuple[Callable, Rights]] = []
-        for entry in self.entries:
-            if is_pattern(entry.subject):
-                wildcards.append((compile_pattern(entry.subject).match, entry.rights))
-            elif entry.subject in exact:
-                exact[entry.subject] = exact[entry.subject] | entry.rights
-            else:
-                exact[entry.subject] = entry.rights
-        self._compiled = (exact, wildcards)
+        self._compiled = _Compiled(self.entries)
         return self._compiled
 
     def rights_for(self, identity: str) -> Rights:
         """Effective rights of ``identity``: union of matching entries."""
-        validate_identity(identity)
-        exact, wildcards = self._compiled or self._compile()
-        effective = exact.get(identity, _NO_RIGHTS)
-        for match, rights in wildcards:
+        compiled = self._compiled or self._compile()
+        memo = compiled.memo
+        effective = memo.get(identity)
+        if effective is not None:
+            return effective
+        validate_identity(identity)  # a failing string is never stored
+        effective = compiled.exact.get(identity, _NO_RIGHTS)
+        for match, rights in compiled.wildcards:
             if match(identity) is not None:
                 effective = effective | rights
+        if len(memo) >= RIGHTS_MEMO_ENTRIES:
+            memo.clear()
+        memo[identity] = effective
         return effective
 
     def allows(self, identity: str, letters: str) -> bool:
@@ -117,7 +156,13 @@ class Acl:
 
     def render(self) -> str:
         """Serialize to ``.__acl`` file text (one entry per line)."""
-        return "".join(entry.render() + "\n" for entry in self.entries)
+        compiled = self._compiled
+        if compiled is not None and compiled.text is not None:
+            return compiled.text
+        text = "".join(entry.render() + "\n" for entry in self.entries)
+        if compiled is not None:  # an ACL only written out is not compiled
+            compiled.text = text
+        return text
 
     @classmethod
     def parse(cls, text: str) -> "Acl":

@@ -72,7 +72,7 @@ Interceptor = Callable[["Operation", Any, Callable[[], Any]], Any]
 CROSSED_SYMLINK = "crossed_symlink"
 
 
-@dataclass
+@dataclass(slots=True)
 class BoundPath:
     """One path argument after surface-specific resolution.
 
@@ -89,7 +89,7 @@ class BoundPath:
     check_acl: bool = True
 
 
-@dataclass
+@dataclass(slots=True)
 class Operation:
     """One operation in flight, surface-agnostic."""
 

@@ -51,6 +51,21 @@ R_OK, W_OK, X_OK, F_OK = 4, 2, 1, 0
 SEEK_SET, SEEK_CUR, SEEK_END = 0, 1, 2
 
 
+def _pipe_stat(task: Task, pipe: Pipe) -> StatResult:
+    """What ``fstat`` reports for a pipe end: a FIFO the caller owns."""
+    return StatResult(
+        st_ino=0,
+        st_mode=stat_mod.S_IFIFO | 0o600,
+        st_nlink=1,
+        st_uid=task.cred.uid,
+        st_gid=task.cred.gid,
+        st_size=len(pipe.buffer),
+        st_atime_ns=0,
+        st_mtime_ns=0,
+        st_ctime_ns=0,
+    )
+
+
 class SyscallExecutor:
     """Implements the syscall table against one :class:`Machine`."""
 
@@ -296,17 +311,7 @@ class SyscallExecutor:
         self._charge(self.machine.costs.inode_op_ns, "vfs")
         of = self._fd(task, fd)
         if of.pipe is not None:
-            return StatResult(
-                st_ino=0,
-                st_mode=stat_mod.S_IFIFO | 0o600,
-                st_nlink=1,
-                st_uid=task.cred.uid,
-                st_gid=task.cred.gid,
-                st_size=len(of.pipe.buffer),
-                st_atime_ns=0,
-                st_mtime_ns=0,
-                st_ctime_ns=0,
-            )
+            return _pipe_stat(task, of.pipe)
         return stat_of(self.machine.fs.current(of.inode))
 
     def do_ftruncate(self, task: Task, fd: int, length: int) -> int:

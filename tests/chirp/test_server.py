@@ -5,6 +5,7 @@ import pytest
 from repro.chirp import ChirpError
 from repro.core.acl import ACL_FILE_NAME
 from repro.kernel import Errno, OpenFlags
+from repro.net.rpc import decode_message, encode_message
 from tests.chirp.conftest import (
     FRED_DN,
     HEIDI_DN,
@@ -372,6 +373,40 @@ def test_malformed_op_is_error(cluster, server, fred):
 
     decoded = decode_message(reply)
     assert decoded["ok"] is False
+
+
+NON_STRING_FIELDS = [
+    {"op": "stat", "path": None},
+    {"op": "getfile", "path": 7},
+    {"op": "rename", "oldpath": "/None/f", "newpath": None},
+    {"op": "exec", "path": "/None/f", "cwd": None},
+    {"op": "symlink", "target": None, "linkpath": "/None/l"},
+    {"op": "setacl", "path": "/None", "subject": None, "rights": "rl"},
+    {"op": "setacl", "path": "/None", "subject": "globus:x", "rights": None},
+    {"op": "access", "path": "/None/f", "letters": None},
+    {"op": "aclcheck", "path": "/None", "letters": ["r"]},
+]
+
+
+@pytest.mark.parametrize(
+    "message", NON_STRING_FIELDS, ids=[f"{m['op']}-{i}" for i, m in enumerate(NON_STRING_FIELDS)]
+)
+def test_a_non_string_name_field_is_einval(fred, message):
+    """A path, target, subject, rights or letters field that is not a
+    string is refused, never read as its ``str()``: a ``null`` path would
+    name ``/None`` and a ``null`` subject would add an ACL line for
+    "None"."""
+    fred.mkdir("/None")  # the object ``str(None)`` names
+    fred.put(b"decoy", "/None/f")
+    acl = fred.getacl("/None")
+    # straight to the server's side of the connection, as a peer that
+    # does not go through the client library would send it
+    reply = decode_message(fred.connection.handler.handle(encode_message(message)))
+    assert reply["ok"] is False and reply["errno"] == int(Errno.EINVAL), reply
+    (slot,) = fred.batch([message])
+    assert slot["ok"] is False and slot["errno"] == int(Errno.EINVAL), slot
+    assert fred.getacl("/None") == acl
+    assert fred.readdir("/None") == ["f"]
 
 
 @requires_perfect_network  # asserts exact op/connection counters

@@ -9,6 +9,10 @@ cap, or leave it within 10% of its size after the first 200 cycles;
 anything else grows with the work done, which is a leak however slowly
 it grows.
 
+A second census churns principals instead of files: every session is a
+never-seen identity, and each directory's compiled ACL remembers the
+rights of at most ``RIGHTS_MEMO_ENTRIES`` of them.
+
 Out of scope here: the federation's missed-write log (ROADMAP item 2,
 never shrunk by a replica that stays away), which a single server does
 not exercise.
@@ -16,6 +20,8 @@ not exercise.
 
 from repro.chirp import ChirpError, GlobusAuthenticator
 from repro.chirp.server import IDEM_CACHE_LIMIT
+from repro.core.acl import RIGHTS_MEMO_ENTRIES, Acl
+from repro.gsi import provision_user
 from repro.kernel.errno import Errno
 from repro.kernel.vfs import MEMO_ENTRIES
 from tests.chirp.conftest import connect
@@ -108,3 +114,56 @@ def test_exec_churn_leaves_no_process_behind(cluster, server, fred_wallet):
     assert grown == {}, f"stores that grow with the work done: {grown}"
     assert machine.live_processes() == []
     assert early["Machine._procs"] == late["Machine._procs"] == 0
+
+
+def rights_memos(server) -> dict[int, int]:
+    """Size of the rights memo of every compiled ACL the policy holds,
+    by directory inode."""
+    return {
+        ino: len(acl._compiled.memo)
+        for ino, acl in server.policy._cache.items()
+        if isinstance(acl, Acl) and acl._compiled is not None
+    }
+
+
+def test_principal_churn_leaves_every_rights_memo_within_its_cap(
+    cluster, server, ca, trust, fred_wallet
+):
+    """Each session is a new principal that is checked against two ACLs
+    (the export root's and ``/shared``'s).  After 200 and after 2,000 of
+    them, no rights memo holds more than its cap, though each ACL was
+    asked about every principal: a full memo starts over."""
+    fred = connect(cluster)
+    fred.authenticate([GlobusAuthenticator(fred_wallet)])
+    fred.mkdir("/shared")  # through the reserve right: fred alone holds it
+    fred.setacl("/shared", "globus:/O=UnivNowhere/*", "rl")
+    fred.put(b"hot", "/shared/f")
+    minted = 0
+
+    def sessions(count: int) -> None:
+        nonlocal minted
+        for _ in range(count):
+            minted += 1
+            wallet = provision_user(ca, trust, f"/O=UnivNowhere/CN=p{minted:05d}")
+            client = connect(cluster)
+            client.authenticate([GlobusAuthenticator(wallet)])
+            assert not client.access("/", "l")  # the root grants only v(...)
+            assert client.access("/shared", "l")
+            assert client.get("/shared/f") == b"hot"
+            client.close()
+
+    sessions(200)
+    early, early_census = rights_memos(server), state_census(server, fred)
+    sessions(1800)
+    late, late_census = rights_memos(server), state_census(server, fred)
+    assert len(early) == len(late) == 2  # the root's ACL and /shared's
+    for memos in (early, late):
+        assert all(1 <= size <= RIGHTS_MEMO_ENTRIES for size in memos.values()), memos
+    grown = {
+        key: (early_census.get(key, 0), size)
+        for key, size in late_census.items()
+        if size > max(early_census.get(key, 0) * 1.1, CAPS.get(key, 0))
+    }
+    # the offline certificate ceremony registers each new user there
+    assert grown.pop("CredentialStore._known_users") == (201, 2001)
+    assert grown == {}, f"stores that grow with the principals: {grown}"

@@ -1,26 +1,36 @@
-"""The per-syscall host path names no enum member through its class.
+"""The per-op host path avoids two costs that look free.
 
 On CPython 3.11 the enum metaclass defines ``__getattr__``, so every
 ``FileType.DIR`` or ``OpenFlags.O_RDONLY`` costs about 150-180 ns, against
 about 20 ns for a module global, and ``OpenFlags(x)`` or ``a | b`` between
-flag members runs the enum's Python-level machinery.  The functions below
-run on every trapped call, so they use the aliases each enum's own module
-binds once (``inode._DIR``, ``process._READY``, ``fdtable.O_RDONLY``...;
-see DESIGN.md, "Host-time conventions").  This test reads their source: it
-fails on an attribute load of a member of a guarded enum outside a
-``raise`` statement (a raise is a cold error path), on any ``OpenFlags(...)``
-call, and on any ``|`` with a flag member as an operand.
+flag members runs the enum's Python-level machinery.  A frozen
+dataclass's ``__init__`` pays ``object.__setattr__`` per field: 4-5 µs
+for a seven-field ``StatPayload``.  The functions below run on every
+trapped call or every Chirp request, so they use the aliases each enum's
+own module binds once (``inode._DIR``, ``process._READY``,
+``fdtable.O_RDONLY``...) and build no frozen record through its
+constructor (see DESIGN.md, "Host-time conventions").  This test reads
+their source: it fails on an attribute load of a member of a guarded enum
+outside a ``raise`` statement (a raise is a cold error path), on any
+``OpenFlags(...)`` call, on any ``|`` with a flag member as an operand,
+and on any call of a name that the function's globals bind to a frozen
+dataclass.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import inspect
 import textwrap
 
 import pytest
 
 from repro.chirp import server as chirp_server
+from repro.chirp.protocol import StatPayload
+from repro.core.acl import Acl
+from repro.core.aclfs import AclPolicy
+from repro.core.pipeline import ReferenceMonitor
 from repro.interpose.drivers import LocalDriver
 from repro.interpose.handlers import files, metadata
 from repro.interpose.supervisor import Supervisor
@@ -104,7 +114,22 @@ HOT = [
     ],
     ("chirp.server.read_file", chirp_server.read_file),
     ("chirp.server.write_file", chirp_server.write_file),
-    ("chirp.server.c_open", chirp_server.c_open),
+    *[
+        (f"chirp.server.{name}", getattr(chirp_server, name))
+        for name in (
+            "c_open",
+            "c_stat",
+            "c_lstat",
+            "c_fstat",
+            "c_access",
+            "c_getacl",
+            "c_readdir",
+        )
+    ],
+    *_methods(chirp_server._Connection, "_bind"),
+    *_methods(Acl, "rights_for", "render"),
+    *_methods(AclPolicy, "check"),
+    *_methods(ReferenceMonitor, "_check_path"),
     ("workloads.base.workload_unit", base.workload_unit),
     ("workloads.base.app_body", base.app_body),
     ("workloads.base.child_body", base.child_body),
@@ -141,8 +166,27 @@ def _is_flag(node: ast.expr, env: dict) -> bool:
     return lookup is not None and lookup.startswith("OpenFlags.")
 
 
+def _frozen_record(node: ast.expr, env: dict) -> str | None:
+    """The class's name when ``node`` names a frozen dataclass through
+    the function's globals (``StatPayload`` or ``protocol.StatPayload``)."""
+    if isinstance(node, ast.Name):
+        obj = env.get(node.id)
+    elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        obj = getattr(env.get(node.value.id), node.attr, None)
+    else:
+        return None
+    if (
+        isinstance(obj, type)
+        and dataclasses.is_dataclass(obj)
+        and obj.__dataclass_params__.frozen
+    ):
+        return obj.__name__
+    return None
+
+
 def violations(fn) -> list[str]:
-    """Every enum lookup, ``OpenFlags(...)`` call and flag ``|`` in ``fn``."""
+    """Every enum lookup, ``OpenFlags(...)`` call, flag ``|`` and frozen
+    dataclass construction in ``fn``."""
     tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
     env = fn.__globals__
     raised: set[int] = set()
@@ -161,6 +205,8 @@ def violations(fn) -> list[str]:
             and node.func.id == "OpenFlags"
         ):
             found.append(f"line {line}: OpenFlags(...)")
+        elif isinstance(node, ast.Call) and (record := _frozen_record(node.func, env)):
+            found.append(f"line {line}: {record}(...)")
         elif (
             isinstance(node, ast.BinOp)
             and isinstance(node.op, ast.BitOr)
@@ -172,6 +218,7 @@ def violations(fn) -> list[str]:
 
 @pytest.mark.parametrize("name,obj", HOT, ids=[name for name, _ in HOT])
 def test_hot_function_binds_enum_members_once(name, obj):
+    """Both rules: no enum member through its class, no frozen record."""
     assert violations(_function(obj)) == []
 
 
@@ -183,6 +230,8 @@ def test_the_guard_sees_what_it_forbids():
             return OpenFlags(flags) | OpenFlags.O_TRUNC
         if flags is PLANTED_FLAG | 1:
             raise KeyError(OpenFlags.O_EXCL, kind)  # a raise is a cold path
+        payload = StatPayload.from_fields({})  # a classmethod is no constructor
+        return StatPayload(size=0, **payload.to_fields()), Acl(), inode.StatResult(0)
 
     assert violations(planted) == [
         "line 2: FileType.DIR",
@@ -191,6 +240,8 @@ def test_the_guard_sees_what_it_forbids():
         "line 5: OpenFlags.O_TRUNC",
         "line 5: | between flag members",
         "line 6: | between flag members",
+        "line 9: StatPayload(...)",
+        "line 9: StatResult(...)",
     ]
 
 
