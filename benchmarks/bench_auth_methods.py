@@ -23,7 +23,6 @@ from repro.chirp import (
     HostnameAuthenticator,
     KerberosAuthenticator,
     ServerAuth,
-    UnixAuthenticator,
 )
 from repro.gsi import (
     CertificateAuthority,

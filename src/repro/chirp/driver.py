@@ -102,10 +102,6 @@ class ChirpDriver(Driver):
 
     # ------------------------------------------------------------------ #
 
-    def mount_federation(self, name: str, federation: "FederatedClient") -> None:
-        """Expose a sharded namespace as ``/chirp/<name>/...``."""
-        self.federations[name] = federation
-
     def _split(self, sub: str) -> tuple[ChirpClient, str]:
         parts = [p for p in sub.split("/") if p]
         if not parts:

@@ -59,7 +59,7 @@ from ..kernel.errno import Errno, KernelError, err
 from ..kernel.fdtable import O_RDONLY, O_WRONLY_CREAT_TRUNC
 from ..kernel.vfs import join, normalize
 from ..net.network import Network, Peer
-from ..net.rpc import ProtocolError
+from ..net.rpc import ProtocolError, encode_message
 from .auth import AuthenticationFailed, ServerAuth
 from .protocol import (
     BATCH_LIMIT,
@@ -88,10 +88,25 @@ DEFAULT_EXPORT_ROOT = ""  # sentinel: derive from the owner's home
 #: Bound on the idempotency replay cache (responses, not payload data).
 IDEM_CACHE_LIMIT = 1024
 
-#: Request fields that name a path, a subject or rights letters besides
-#: the ops' path arguments: anything but a string there is EINVAL, never
-#: its ``str()`` (a ``null`` subject must not become the subject "None").
-STRING_FIELDS = ("target", "subject", "rights", "letters")
+#: Request fields besides the ops' path arguments, and the type each must
+#: decode to.  Anything else there is EINVAL, never coerced: a ``null``
+#: subject must not become the subject "None", a ``true`` length must not
+#: read one byte.  The check is ``type(v) is t``, so a bool is no int;
+#: ``args`` must also hold only strings.
+FIELD_TYPES: dict[str, type] = {
+    "target": str,
+    "subject": str,
+    "rights": str,
+    "letters": str,
+    "method": str,
+    "fd": int,
+    "flags": int,
+    "mode": int,
+    "length": int,
+    "offset": int,
+    "data": bytes,
+    "args": list,
+}
 
 
 # ---------------------------------------------------------------------- #
@@ -101,7 +116,7 @@ STRING_FIELDS = ("target", "subject", "rights", "letters")
 
 def c_auth(op: Operation, conn: "_Connection") -> dict[str, Any]:
     server = conn.server
-    method = str(op.args.get("method", ""))
+    method = op.args.get("method", "")
     payload = op.args.get("payload") or {}
     try:
         principal = server.auth.verify(method, payload, conn.peer)
@@ -123,9 +138,7 @@ def c_whoami(op: Operation, conn: "_Connection") -> dict[str, Any]:
 
 def c_open(op: Operation, conn: "_Connection") -> dict[str, Any]:
     path = op.path()
-    flags = int(op.args.get("flags", 0))
-    mode = int(op.args.get("mode", 0o644))
-    sup_fd = path.driver.open(path.sub, flags, mode)
+    sup_fd = path.driver.open(path.sub, op.args.get("flags", 0), op.args.get("mode", 0o644))
     # a descriptor opened through a symlink gets no path: the fast lane
     # then flushes on its writes instead of invalidating the alias
     hint = None if op.scratch.get(CROSSED_SYMLINK) else path.sub
@@ -133,24 +146,21 @@ def c_open(op: Operation, conn: "_Connection") -> dict[str, Any]:
 
 
 def c_close(op: Operation, conn: "_Connection") -> dict[str, Any]:
-    fs, sup_fd = conn.pop_fd(int(op.args["fd"]))
+    fs, sup_fd = conn.pop_fd(op.args["fd"])
     fs.close(sup_fd)
     return {}
 
 
 def c_pread(op: Operation, conn: "_Connection") -> dict[str, Any]:
-    fs, sup_fd = conn.sup_fd(int(op.args["fd"]))
-    data = fs.pread(sup_fd, int(op.args["length"]), int(op.args["offset"]))
+    fs, sup_fd = conn.sup_fd(op.args["fd"])
+    data = fs.pread(sup_fd, op.args["length"], op.args["offset"])
     conn.server._count("chirp.bytes_read", value=len(data))
     return {"data": data}
 
 
 def c_pwrite(op: Operation, conn: "_Connection") -> dict[str, Any]:
-    data = op.args["data"]
-    if not isinstance(data, bytes):
-        raise err(Errno.EINVAL, "pwrite data must be bytes")
-    fs, sup_fd = conn.sup_fd(int(op.args["fd"]))
-    n = fs.pwrite(sup_fd, data, int(op.args["offset"]))
+    fs, sup_fd = conn.sup_fd(op.args["fd"])
+    n = fs.pwrite(sup_fd, op.args["data"], op.args["offset"])
     conn.server._count("chirp.bytes_written", value=n)
     return {"count": n}
 
@@ -188,23 +198,20 @@ def c_getfile(op: Operation, conn: "_Connection") -> dict[str, Any]:
 
 
 def c_putfile(op: Operation, conn: "_Connection") -> dict[str, Any]:
-    data = op.args["data"]
-    if not isinstance(data, bytes):
-        raise err(Errno.EINVAL, "putfile data must be bytes")
     path = op.path()
-    n = write_file(path.driver, path.sub, data, int(op.args.get("mode", 0o644)))
+    n = write_file(path.driver, path.sub, op.args["data"], op.args.get("mode", 0o644))
     conn.server._count("chirp.bytes_written", value=n)
     return {"count": n}
 
 
 def c_fstat(op: Operation, conn: "_Connection") -> dict[str, Any]:
-    fs, sup_fd = conn.sup_fd(int(op.args["fd"]))
+    fs, sup_fd = conn.sup_fd(op.args["fd"])
     return stat_fields(fs.fstat(sup_fd))
 
 
 def c_ftruncate(op: Operation, conn: "_Connection") -> dict[str, Any]:
-    fs, sup_fd = conn.sup_fd(int(op.args["fd"]))
-    fs.ftruncate(sup_fd, int(op.args["length"]))
+    fs, sup_fd = conn.sup_fd(op.args["fd"])
+    fs.ftruncate(sup_fd, op.args["length"])
     return {}
 
 
@@ -237,7 +244,7 @@ def c_readlink(op: Operation, conn: "_Connection") -> dict[str, Any]:
 
 def c_mkdir(op: Operation, conn: "_Connection") -> dict[str, Any]:
     path = op.path()
-    path.driver.mkdir(path.sub, int(op.args.get("mode", 0o755)))
+    path.driver.mkdir(path.sub, op.args.get("mode", 0o755))
     conn.server.policy.apply_mkdir(path.sub, op.scratch["mkdir_acl"])
     conn.server.pipeline.audit.emit(
         op.identity, "mkdir", path.sub, True, "acl-installed"
@@ -284,7 +291,7 @@ def c_link(op: Operation, conn: "_Connection") -> dict[str, Any]:
 
 def c_truncate(op: Operation, conn: "_Connection") -> dict[str, Any]:
     path = op.path()
-    path.driver.truncate(path.sub, int(op.args["length"]))
+    path.driver.truncate(path.sub, op.args["length"])
     return {}
 
 
@@ -320,7 +327,6 @@ def c_exec(op: Operation, conn: "_Connection") -> dict[str, Any]:
     """Remote execution in an identity box (the paper's protocol extension)."""
     server = conn.server
     exe, cwd = op.path(0), op.path(1)
-    args = [str(a) for a in op.args.get("args", [])]
     box = IdentityBox(
         server.machine,
         server.owner_cred,
@@ -328,7 +334,7 @@ def c_exec(op: Operation, conn: "_Connection") -> dict[str, Any]:
         supervisor=server.supervisor,
         make_home=False,
     )
-    proc = box.spawn(exe.sub, args, cwd=cwd.sub, comm=f"exec:{exe.raw}")
+    proc = box.spawn(exe.sub, op.args.get("args", []), cwd=cwd.sub, comm=f"exec:{exe.raw}")
     server.machine.run()
     server._count("chirp.execs")
     return {"pid": proc.pid, "status": proc.exit_status or 0}
@@ -518,9 +524,6 @@ class ChirpServer:
         """Start accepting connections."""
         self.network.listen(self.hostname, self.port, self._connect)
 
-    def shutdown(self) -> None:
-        self.network.unlisten(self.hostname, self.port)
-
     def _connect(self, peer: Peer) -> "_Connection":
         self._count("chirp.connections")
         return _Connection(server=self, peer=peer)
@@ -655,20 +658,7 @@ class _Connection:
         refusal = self._replay_or_shed(idem, op_name)
         if refusal is not None:
             return refusal
-        try:
-            op = self._bind(op_name, message)
-            if trace:
-                op.scratch["trace_parent"] = trace
-            payload = self.server.pipeline.run(op, self)
-            response = ok_response(**(payload or {}))
-        except KernelError as exc:
-            response = error_response(exc.errno, str(exc))
-        except ProtocolError as exc:
-            response = error_response(Errno.EINVAL, str(exc))
-        except (KeyError, TypeError, ValueError) as exc:
-            response = error_response(
-                Errno.EINVAL, f"malformed {op_name!r} request: {exc}"
-            )
+        response = encode_message(self._outcome(op_name, message, None, trace))
         if idem is not None:
             self._remember(str(idem), response)
         return response
@@ -724,15 +714,26 @@ class _Connection:
         sub = dict(sub)
         sub.pop("idem", None)  # envelope-level concerns only
         sub.pop("trace", None)
-        op_name = str(sub["op"])
         server._ops.inc()
+        return self._outcome(str(sub["op"]), sub, identity, trace)
+
+    def _outcome(
+        self, op_name: str, message: dict[str, Any], identity: str | None, trace: str
+    ) -> dict[str, Any]:
+        """Run one request through the pipeline; its reply as a dict.
+
+        A single request and a batch slot both answer through here, so a
+        failure maps to the same errno and text either way.  ``identity``
+        is the batch envelope's, resolved once for all its slots.
+        """
         try:
-            op = self._bind(op_name, sub)
-            op.identity = identity
+            op = self._bind(op_name, message)
+            if identity is not None:
+                op.identity = identity
             if trace:
                 op.scratch["trace_parent"] = trace
-            payload = server.pipeline.run(op, self) or {}
-            return {"ok": True, **payload}
+            payload = self.server.pipeline.run(op, self)
+            return {"ok": True, **(payload or {})}
         except KernelError as exc:
             return {"ok": False, "errno": int(exc.errno), "error": str(exc)}
         except ProtocolError as exc:
@@ -806,9 +807,14 @@ class _Connection:
         server = self.server
         spec = server.registry.get(op_name)
         args = {k: v for k, v in message.items() if k != "op"}
-        for name in STRING_FIELDS:
-            if name in args and not isinstance(args[name], str):
-                raise err(Errno.EINVAL, f"{op_name} {name} must be a string")
+        for name, value in args.items():
+            kind = FIELD_TYPES.get(name)
+            if kind is not None and (
+                type(value) is not kind
+                or kind is list and any(type(a) is not str for a in value)
+            ):
+                noun = "a list of str" if kind is list else kind.__name__
+                raise err(Errno.EINVAL, f"{op_name} {name} must be {noun}")
         op = Operation(name=op_name, surface="chirp", args=args)
         for path_spec in spec.paths:
             if path_spec.field in args:
@@ -831,7 +837,7 @@ class _Connection:
             # descriptor-addressed mutations carry no path for the fast
             # lane to invalidate by; hint it with the path the fd was
             # opened on (an unknown fd degrades to a full flush)
-            op.scratch["fastlane_paths"] = [self._fd_paths.get(int(args["fd"]))]
+            op.scratch["fastlane_paths"] = [self._fd_paths.get(args["fd"])]
         return op
 
     # ------------------------------------------------------------------ #

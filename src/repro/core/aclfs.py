@@ -231,13 +231,6 @@ class AclPolicy:
         res.require()
         return res
 
-    def rights_in(self, identity: str, dir_path: str) -> Rights:
-        """Visitor's rights within ``dir_path`` per its ACL (no fallback)."""
-        acl = self.acl_of(dir_path)
-        if acl is None:
-            return Rights.none()
-        return acl.rights_for(identity)
-
     def _resolve(self, path: str, cwd: str, follow: bool) -> Resolution:
         """Resolve as the supervising user (who implements every action)."""
         res = self._walk(path, cwd, follow)

@@ -16,10 +16,9 @@ logout/return round-trip, and counts manual root interventions.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ...kernel.errno import Errno, KernelError
-from ...kernel.fdtable import OpenFlags
+from ...kernel.errno import KernelError
 from ...kernel.machine import Machine
 from ...kernel.users import Credentials
 from ...kernel.vfs import join
@@ -145,15 +144,3 @@ class MappingMethod(abc.ABC):
 
     def on_logout(self, session: SiteSession) -> None:
         """Hook for methods that tear down accounts at logout."""
-
-    # -- helpers ----------------------------------------------------------- #
-
-    def _read_denied(self, cred: Credentials, path: str) -> bool:
-        """True if ``cred`` cannot read ``path`` (used by scenario probes)."""
-        machine = self.site.machine
-        task = machine.host_task(cred)
-        result = machine.kcall(task, "open", path, OpenFlags.O_RDONLY)
-        if isinstance(result, int) and result < 0:
-            return Errno(-result) in (Errno.EACCES, Errno.EPERM, Errno.ENOENT)
-        machine.kcall(task, "close", result)
-        return False

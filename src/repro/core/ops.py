@@ -25,7 +25,7 @@ from ..kernel.errno import Errno, KernelError, err
 from ..kernel.fdtable import O_CREAT, O_TRUNC, can_read, can_write
 from ..kernel.syscalls import R_OK, W_OK, X_OK
 from ..kernel.vfs import join
-from .acl import ACL_FILE_NAME
+from .acl import ACL_FILE_NAME, AclError
 from .rights import Rights, RightsError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -33,14 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .pipeline import BoundPath, Operation
 
 
-class _Required:
-    """Sentinel marking an argument with no default."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "REQUIRED"
-
-
-REQUIRED = _Required()
+#: Sentinel marking an argument with no default.
+REQUIRED = object()
 
 #: ACL-file guard modes (see :class:`repro.core.pipeline.AclFileGuard`).
 GUARD_NONE = "none"
@@ -97,12 +91,6 @@ class OpRegistry:
 
     def get(self, name: str) -> OpSpec:
         return self._ops[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._ops
-
-    def names(self) -> list[str]:
-        return sorted(self._ops)
 
 
 # ---------------------------------------------------------------------- #
@@ -308,6 +296,9 @@ def apply_setacl(
     acl = policy.acl_of(acl_dir)
     if acl is None:
         raise err(Errno.EACCES, f"{acl_dir} has no ACL to administer")
-    acl.set_entry(subject, rights)
+    try:
+        acl.set_entry(subject, rights)
+    except AclError as exc:  # a subject with whitespace in it
+        raise err(Errno.EINVAL, str(exc)) from exc
     policy.write_acl(acl_dir, acl)
     return rights

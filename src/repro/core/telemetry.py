@@ -211,15 +211,6 @@ class LatencyStats:
             p99_us=merged.percentile(99) / NS_PER_US,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "count": self.count,
-            "mean_us": round(self.mean_us, 4),
-            "p50_us": round(self.p50_us, 4),
-            "p90_us": round(self.p90_us, 4),
-            "p99_us": round(self.p99_us, 4),
-        }
-
 
 @dataclass(slots=True)
 class Span:
@@ -510,10 +501,6 @@ class Telemetry:
         if self.enabled:
             self._series(self._gauges, name, _label_key(labels), _Cell).value = value
 
-    def gauge(self, name: str, **labels: Any) -> float:
-        cell = self._series(self._gauges, name, _label_key(labels))
-        return cell.value if cell is not None else 0.0
-
     # ------------------------------------------------------------------ #
     # histograms
     # ------------------------------------------------------------------ #
@@ -587,13 +574,6 @@ class Telemetry:
                 stack.pop()
             stack.pop()
         self.spans.append(span)
-
-    def current_span(self) -> Span | None:
-        return self._stack[-1] if self._stack else None
-
-    def new_trace_parent(self, name: str, **attrs: Any) -> Span | None:
-        """Start a root-capable span destined for wire propagation."""
-        return self.start_span(name, **attrs)
 
     def spans_named(self, name: str) -> list[Span]:
         return [s for s in self.spans if s.name == name]

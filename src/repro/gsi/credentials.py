@@ -29,10 +29,6 @@ class ProxyCredential:
     depth: int
     signature: str  #: HMAC by the holder's proxy secret chain
 
-    @property
-    def subject(self) -> str:
-        return self.certificate.subject
-
 
 @dataclass
 class UserCredentials:

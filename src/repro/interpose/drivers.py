@@ -16,7 +16,7 @@ supervisor's ACL policy; remote drivers enforce ACLs server-side instead
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..kernel.errno import Errno, err
 from ..kernel.inode import StatResult
@@ -26,12 +26,24 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.process import Task
 
 
-class Driver:
-    """Interface every namespace driver implements.
+#: Every operation a driver may implement (``fetch_executable`` reads a
+#: program file so the supervisor can spawn it locally).  A driver that
+#: lacks one answers ENOSYS for it.
+DRIVER_OPS = (
+    "open", "close", "read", "write", "pread", "pwrite", "lseek", "dup",
+    "ftruncate", "fstat", "stat", "lstat", "readlink", "readdir", "mkdir",
+    "rmdir", "unlink", "rename", "symlink", "link", "truncate", "getacl",
+    "setacl", "fetch_executable",
+)
 
-    Handles returned by :meth:`open` are driver-private; the supervisor
+
+class Driver:
+    """Interface every namespace driver implements: the ops in
+    :data:`DRIVER_OPS`.
+
+    Handles returned by ``open`` are driver-private; the supervisor
     stores them in its virtual descriptor table and passes them back.
-    All methods raise :class:`~repro.kernel.errno.KernelError` on failure.
+    All ops raise :class:`~repro.kernel.errno.KernelError` on failure.
     """
 
     #: Whether the supervisor must run its own ACL policy for this driver's
@@ -40,78 +52,22 @@ class Driver:
 
     name = "abstract"
 
-    def open(self, path: str, flags: int, mode: int) -> Any:
-        raise err(Errno.ENOSYS, f"{self.name}: open")
 
-    def close(self, handle: Any) -> None:
-        raise err(Errno.ENOSYS, f"{self.name}: close")
+def _unsupported(op: str) -> Callable[..., Any]:
+    """The fallback for a declared op that a driver does not define."""
 
-    def read(self, handle: Any, length: int) -> bytes:
-        raise err(Errno.ENOSYS, f"{self.name}: read")
+    def unsupported(self: Driver, *args: Any) -> Any:
+        raise err(Errno.ENOSYS, f"{self.name}: {op}")
 
-    def write(self, handle: Any, data: bytes) -> int:
-        raise err(Errno.ENOSYS, f"{self.name}: write")
+    unsupported.__name__, unsupported.__qualname__ = op, f"Driver.{op}"
+    return unsupported
 
-    def pread(self, handle: Any, length: int, offset: int) -> bytes:
-        raise err(Errno.ENOSYS, f"{self.name}: pread")
 
-    def pwrite(self, handle: Any, data: bytes, offset: int) -> int:
-        raise err(Errno.ENOSYS, f"{self.name}: pwrite")
-
-    def lseek(self, handle: Any, offset: int, whence: int) -> int:
-        raise err(Errno.ENOSYS, f"{self.name}: lseek")
-
-    def dup(self, handle: Any) -> Any:
-        raise err(Errno.ENOSYS, f"{self.name}: dup")
-
-    def ftruncate(self, handle: Any, length: int) -> None:
-        raise err(Errno.ENOSYS, f"{self.name}: ftruncate")
-
-    def fstat(self, handle: Any) -> StatResult:
-        raise err(Errno.ENOSYS, f"{self.name}: fstat")
-
-    def stat(self, path: str) -> StatResult:
-        raise err(Errno.ENOSYS, f"{self.name}: stat")
-
-    def lstat(self, path: str) -> StatResult:
-        raise err(Errno.ENOSYS, f"{self.name}: lstat")
-
-    def readlink(self, path: str) -> str:
-        raise err(Errno.ENOSYS, f"{self.name}: readlink")
-
-    def readdir(self, path: str) -> list[str]:
-        raise err(Errno.ENOSYS, f"{self.name}: readdir")
-
-    def mkdir(self, path: str, mode: int) -> None:
-        raise err(Errno.ENOSYS, f"{self.name}: mkdir")
-
-    def rmdir(self, path: str) -> None:
-        raise err(Errno.ENOSYS, f"{self.name}: rmdir")
-
-    def unlink(self, path: str) -> None:
-        raise err(Errno.ENOSYS, f"{self.name}: unlink")
-
-    def rename(self, oldpath: str, newpath: str) -> None:
-        raise err(Errno.ENOSYS, f"{self.name}: rename")
-
-    def symlink(self, target: str, linkpath: str) -> None:
-        raise err(Errno.ENOSYS, f"{self.name}: symlink")
-
-    def link(self, oldpath: str, newpath: str) -> None:
-        raise err(Errno.ENOSYS, f"{self.name}: link")
-
-    def truncate(self, path: str, length: int) -> None:
-        raise err(Errno.ENOSYS, f"{self.name}: truncate")
-
-    def getacl(self, path: str) -> str:
-        raise err(Errno.ENOSYS, f"{self.name}: getacl")
-
-    def setacl(self, path: str, subject: str, rights: str) -> None:
-        raise err(Errno.ENOSYS, f"{self.name}: setacl")
-
-    def fetch_executable(self, path: str) -> bytes:
-        """Read a program file so the supervisor can spawn it locally."""
-        raise err(Errno.ENOSYS, f"{self.name}: fetch_executable")
+# Real methods on the base class, not a ``__getattr__`` hook: a class with
+# one loses CPython's specialized attribute loads on every instance, and
+# the local driver's ops are on the per-syscall path.
+for _op in DRIVER_OPS:
+    setattr(Driver, _op, _unsupported(_op))
 
 
 class NativePassthrough(Driver):

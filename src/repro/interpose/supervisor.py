@@ -156,9 +156,6 @@ class Supervisor:
         self.channel.attach_child(proc)
         return state
 
-    def state_of(self, proc: "Process") -> ChildState:
-        return self.table.get(proc.pid)
-
     def fork(self, machine: "Machine") -> "Supervisor":
         """Re-host this supervisor's configuration on a forked world.
 

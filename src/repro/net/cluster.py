@@ -37,10 +37,6 @@ class Cluster:
         self.network.add_host(hostname)
         return machine
 
-    def add_machines(self, *hostnames: str) -> list[Machine]:
-        """Provision several hosts at once (federations need fleets)."""
-        return [self.add_machine(hostname) for hostname in hostnames]
-
     def machine(self, hostname: str) -> Machine:
         return self.machines[hostname]
 

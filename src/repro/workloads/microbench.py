@@ -96,12 +96,3 @@ MICROBENCHES: tuple[MicrobenchSpec, ...] = (
 )
 
 MICROBENCH_BY_NAME = {spec.name: spec for spec in MICROBENCHES}
-
-#: How many loop iterations account for the open/close + alloc preamble.
-PREAMBLE_CALLS = 2
-
-
-def accounted_iterations(iterations: int) -> int:
-    """Iterations to divide elapsed time by (preamble amortized away by
-    using enough iterations; callers should use >= 1000)."""
-    return iterations

@@ -85,7 +85,6 @@ def test_operations_require_authentication(cluster, server):
 
 
 def test_forged_proxy_rejected(cluster, server, fred_wallet):
-    import dataclasses
 
     client = connect(cluster)
     auth = GlobusAuthenticator(fred_wallet)

@@ -1,11 +1,15 @@
 """The /chirp Parrot driver: boxed processes reaching remote storage."""
 
+import stat
+
 import pytest
 
 from repro.chirp import ChirpDriver
 from repro.chirp.auth import GlobusAuthenticator
 from repro.core.box import IdentityBox
 from repro.kernel import Errno, OpenFlags
+from repro.kernel.inode import StatResult
+from repro.kernel.syscalls import SEEK_CUR, SEEK_END, SEEK_SET
 from tests.chirp.conftest import (
     CLIENT_HOST,
     DEFAULT_RETRY,
@@ -143,3 +147,180 @@ def test_connections_cached_per_server(cluster, client_box, fred, server):
     for name in ("a", "b", "c"):
         boxed_write_file(client_box, chirp_path(f"/c/{name}"), b"1")
     assert server.stats.connections == before + 1  # one cached connection
+
+
+# ---------------------------------------------------------------------- #
+# differential: each ChirpDriver op against LocalDriver on the same tree
+# ---------------------------------------------------------------------- #
+
+#: placeholders: the tree's directory, the base of a symlink target in
+#: the driver's own namespace, and the descriptor the last ``open`` gave
+D, T, FD = "<dir>", "<target>", "<fd>"
+
+RDWR = OpenFlags.O_RDWR
+
+#: op -> the calls one boxed program makes after the tree is set up
+DIFFERENTIAL_CASES = {
+    "lseek": [
+        ("open", f"{D}/f", RDWR),
+        ("lseek", FD, 3, SEEK_SET),
+        ("lseek", FD, 2, SEEK_CUR),
+        ("read", FD, 3),
+        ("lseek", FD, -1, SEEK_END),
+        ("read", FD, 4),
+        ("lseek", FD, -100, SEEK_CUR),  # negative result: EINVAL
+        ("lseek", FD, 0, 7),  # no such whence: EINVAL
+        ("lseek", FD, 0, SEEK_CUR),  # a refused seek left the offset alone
+        ("close", FD),
+    ],
+    "pread": [
+        ("open", f"{D}/f", OpenFlags.O_RDONLY),
+        ("pread", FD, 5, 6),
+        ("pread", FD, 5, 100),  # past EOF: empty
+        ("pread", FD, 64, 0),
+        ("close", FD),
+    ],
+    "ftruncate": [
+        ("open", f"{D}/f", RDWR),
+        ("ftruncate", FD, 5),
+        ("fstat", FD),
+        ("pread", FD, 64, 0),
+        ("ftruncate", FD, 20),  # grows with zeros
+        ("pread", FD, 64, 0),
+        ("close", FD),
+        ("open", f"{D}/f", OpenFlags.O_RDONLY),
+        ("ftruncate", FD, 0),  # not open for writing: EBADF
+        ("close", FD),
+    ],
+    "fstat": [
+        ("open", f"{D}/f", OpenFlags.O_RDONLY),
+        ("fstat", FD),
+        ("close", FD),
+        ("open", f"{D}/sub", OpenFlags.O_RDONLY),
+        ("fstat", FD),
+        ("close", FD),
+    ],
+    "lstat": [
+        ("lstat", f"{D}/l"),
+        ("lstat", f"{D}/f"),
+        ("lstat", f"{D}/sub"),
+        ("lstat", f"{D}/missing"),
+    ],
+    "readlink": [
+        ("readlink", f"{D}/l"),
+        ("readlink", f"{D}/f"),  # not a symlink: EINVAL
+        ("readlink", f"{D}/missing"),
+    ],
+    "rmdir": [
+        ("rmdir", f"{D}/sub"),
+        ("rmdir", f"{D}/sub"),
+        ("rmdir", f"{D}/f"),
+        ("rmdir", D),  # not empty
+        ("readdir", D),
+    ],
+    "unlink": [
+        ("unlink", f"{D}/f"),
+        ("unlink", f"{D}/f"),
+        ("unlink", f"{D}/sub"),
+        ("unlink", f"{D}/l"),  # the link, not its target
+        ("readdir", D),
+    ],
+    "symlink": [
+        ("symlink", f"{T}/f", f"{D}/l2"),
+        ("symlink", f"{T}/f", f"{D}/l2"),  # exists
+        ("symlink", f"{T}/f", f"{D}/missing/l3"),
+        ("lstat", f"{D}/l2"),
+        ("readlink", f"{D}/l2"),
+        ("stat", f"{D}/l2"),  # follows to f
+    ],
+    "truncate": [
+        ("truncate", f"{D}/f", 4),
+        ("stat", f"{D}/f"),
+        ("truncate", f"{D}/f", 12),
+        ("stat", f"{D}/f"),
+        ("truncate", f"{D}/sub", 0),
+        ("truncate", f"{D}/missing", 0),
+    ],
+    "setacl": [
+        ("setacl", D, "globus:/O=Elsewhere/CN=Ann", "rl"),
+        ("setacl", D, "globus:/O=Elsewhere/CN=Ann", "rq"),  # no such right
+        ("setacl", D, "not a subject", "rl"),
+        ("setacl", f"{D}/missing", "globus:/O=Elsewhere/CN=Ann", "rl"),
+        ("setacl", D, "globus:/O=Elsewhere/CN=Ann", "-"),
+    ],
+}
+
+
+def run_script(box, calls, base, target_base):
+    """Run ``calls`` as one boxed program; read results are bytes."""
+    results = []
+
+    def fill(arg, fd):
+        if arg == FD:
+            return fd
+        if isinstance(arg, str):
+            return arg.replace(D, base).replace(T, target_base)
+        return arg
+
+    def body(proc, args):
+        fd = None
+        for name, *cargs in calls:
+            cargs = [fill(a, fd) for a in cargs]
+            if name in ("read", "pread"):
+                buf = proc.alloc(64)
+                n = yield getattr(proc.sys, name)(cargs[0], buf, *cargs[1:])
+                result = proc.read_buffer(buf, n) if isinstance(n, int) and n >= 0 else n
+            else:
+                result = yield getattr(proc.sys, name)(*cargs)
+            if name == "open":
+                fd = result
+            results.append(result)
+        return 0
+
+    box.spawn(body, comm="differential")
+    box.machine.run()
+    return results
+
+
+def comparable(result, base):
+    """What both drivers must agree on: a remote stat fakes mode bits,
+    owner and inode (the server's user space is hidden), so a stat
+    compares by file type, size and link count.  A symlink's size is its
+    target's length, and the two targets differ by their base."""
+    if isinstance(result, StatResult):
+        size = result.st_size - len(base) if stat.S_ISLNK(result.st_mode) else result.st_size
+        return (stat.S_IFMT(result.st_mode), size, result.st_nlink)
+    if isinstance(result, str):
+        return result.replace(base, D)
+    if isinstance(result, list):
+        return sorted(result)
+    return result
+
+
+SETUP = [
+    ("mkdir", D),
+    ("mkdir", f"{D}/sub"),
+    ("symlink", f"{T}/f", f"{D}/l"),
+]
+
+
+@pytest.mark.parametrize("op", sorted(DIFFERENTIAL_CASES))
+def test_chirp_driver_ops_match_the_local_driver(cluster, client_box, server, op):
+    """A boxed program gets the same results and errnos from a tree on a
+    Chirp server (``ChirpDriver``) as from the same tree on its own
+    machine (``LocalDriver``, under the box's local ACL policy)."""
+    local_dir = f"{client_box.home}/diff"
+    remote_dir = chirp_path("/diff")
+    views = []
+    for base, target_base, readlink_base in [
+        (local_dir, local_dir, local_dir),
+        # a remote symlink target is a protocol path, and readlink
+        # answers the server's own path for it
+        (remote_dir, "/diff", server.real_path("/diff")),
+    ]:
+        assert run_script(client_box, SETUP, base, target_base) == [0, 0, 0]
+        assert boxed_write_file(client_box, f"{base}/f", b"hello world") == 11
+        results = run_script(client_box, DIFFERENTIAL_CASES[op], base, target_base)
+        views.append([comparable(r, readlink_base) for r in results])
+    local, remote = views
+    assert remote == local

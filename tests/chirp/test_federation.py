@@ -12,6 +12,7 @@ import pytest
 
 from repro.chirp import (
     CHIRP_PORT,
+    ChirpClient,
     ChirpError,
     FED_XFER_SUFFIX,
     FederatedClient,
@@ -390,3 +391,78 @@ def test_per_shard_op_counters_account_for_routed_work():
         if name == "fed.ops"
     }
     assert counted == set(routed)
+
+
+def test_per_shard_busy_time_is_spent_only_where_ops_were_served():
+    cluster, federation, wallet = make_fed_world(MANY)
+    client = connect_fred(cluster, federation, wallet)
+    client.mkdir("/busy")
+    client.put(b"x" * 100, "/busy/f")
+    busy = federation.per_shard_busy_ns()
+    served = federation.per_shard_op_counts()
+    assert set(busy) == set(served) == set(federation.shards)
+    assert all((busy[name] > 0) == (served[name] > 0) for name in busy)
+    assert sum(busy.values()) > 0
+
+
+#: (FederatedClient method, arguments) on the tree ``fed_outcomes`` builds;
+#: each must answer what a plain ChirpClient answers on one server
+FEDERATED_READS_AND_WRITES = [
+    ("lstat", ("/dd/l",)),
+    ("lstat", ("/dd/f",)),
+    ("lstat", ("/dd/missing",)),
+    ("access", ("/dd/f",)),
+    ("access", ("/dd/f", "w")),
+    ("access", ("/dd/missing",)),
+    ("readlink", ("/dd/l",)),
+    ("readlink", ("/dd/f",)),
+    ("getacl", ("/dd",)),
+    ("getacl", ("/dd/missing",)),
+    ("aclcheck", ("/dd", "w")),
+    ("aclcheck", ("/dd", "v")),
+    ("link", ("/dd/f", "/dd/hard")),
+    ("link", ("/dd/f", "/dd/hard")),  # exists
+    ("lstat", ("/dd/hard",)),
+    ("truncate", ("/dd/f", 2)),
+    ("get", ("/dd/hard",)),  # one inode: the link sees the truncation
+    ("truncate", ("/dd/missing", 0)),
+    ("rmdir", ("/dd/sub",)),
+    ("rmdir", ("/dd/sub",)),
+    ("rmdir", ("/dd",)),  # not empty
+    ("readdir", ("/dd",)),
+]
+
+
+def fed_outcomes(client, export_suffix):
+    """Build the tree, then each call's result, or its errno."""
+    client.mkdir("/dd")
+    client.mkdir("/dd/sub")
+    client.put(b"hello", "/dd/f")
+    client.symlink("/dd/f", "/dd/l")
+    out = []
+    for name, args in FEDERATED_READS_AND_WRITES:
+        try:
+            result = getattr(client, name)(*args)
+        except ChirpError as exc:
+            out.append(exc.errno)
+            continue
+        if hasattr(result, "is_symlink"):
+            # mtimes follow each world's clock; the rest must agree
+            result = (result.size, result.is_dir, result.is_symlink, result.nlink)
+        elif name == "readlink":
+            # the server answers its own path: strip its export root
+            result = result.split(export_suffix, 1)[1]
+        out.append(result)
+    return out
+
+
+def test_federated_client_ops_match_a_plain_chirp_client():
+    cluster, federation, wallet = make_fed_world(MANY)
+    federated = connect_fred(cluster, federation, wallet)
+    one_cluster, one, one_wallet = make_fed_world(1, replicas=1)
+    plain, _shard = connect_fred(one_cluster, one, one_wallet).client_for("/")
+    assert type(plain) is ChirpClient
+    got = fed_outcomes(federated, "/chirp")
+    want = fed_outcomes(plain, "/chirp")
+    assert got == want
+    assert Errno.ENOENT in want and Errno.EEXIST in want and Errno.ENOTEMPTY in want

@@ -375,6 +375,9 @@ def test_malformed_op_is_error(cluster, server, fred):
     assert decoded["ok"] is False
 
 
+#: stands for a descriptor the test opens on ``/None/f`` first
+OPEN_FD = "<open fd>"
+
 NON_STRING_FIELDS = [
     {"op": "stat", "path": None},
     {"op": "getfile", "path": 7},
@@ -385,6 +388,18 @@ NON_STRING_FIELDS = [
     {"op": "setacl", "path": "/None", "subject": "globus:x", "rights": None},
     {"op": "access", "path": "/None/f", "letters": None},
     {"op": "aclcheck", "path": "/None", "letters": ["r"]},
+    # numeric, bytes and list fields are checked against their types,
+    # never coerced: a bool is no int, a float is no int, a str no bytes
+    {"op": "open", "path": "/None/f", "flags": "0"},
+    {"op": "pread", "fd": OPEN_FD, "length": True, "offset": 0.9},
+    {"op": "pread", "fd": "3", "length": 4, "offset": 0},
+    {"op": "pwrite", "fd": OPEN_FD, "data": "text", "offset": 0},
+    {"op": "putfile", "path": "/None/g", "data": b"x", "mode": "493"},
+    {"op": "mkdir", "path": "/None/d", "mode": 493.7},
+    {"op": "truncate", "path": "/None/f", "length": "2"},
+    {"op": "exec", "path": "/None/f", "cwd": "/None", "args": "abc"},
+    {"op": "exec", "path": "/None/f", "cwd": "/None", "args": [None, 1]},
+    {"op": "auth", "method": 7, "payload": {}},
 ]
 
 
@@ -395,10 +410,13 @@ def test_a_non_string_name_field_is_einval(fred, message):
     """A path, target, subject, rights or letters field that is not a
     string is refused, never read as its ``str()``: a ``null`` path would
     name ``/None`` and a ``null`` subject would add an ACL line for
-    "None"."""
+    "None".  So is a number, payload or argument list of the wrong type,
+    never read as its ``int()`` or ``str()``."""
     fred.mkdir("/None")  # the object ``str(None)`` names
     fred.put(b"decoy", "/None/f")
     acl = fred.getacl("/None")
+    fd = fred.open("/None/f", OpenFlags.O_RDWR)
+    message = {k: fd if v == OPEN_FD else v for k, v in message.items()}
     # straight to the server's side of the connection, as a peer that
     # does not go through the client library would send it
     reply = decode_message(fred.connection.handler.handle(encode_message(message)))
@@ -407,6 +425,7 @@ def test_a_non_string_name_field_is_einval(fred, message):
     assert slot["ok"] is False and slot["errno"] == int(Errno.EINVAL), slot
     assert fred.getacl("/None") == acl
     assert fred.readdir("/None") == ["f"]
+    assert fred.get("/None/f") == b"decoy"
 
 
 @requires_perfect_network  # asserts exact op/connection counters

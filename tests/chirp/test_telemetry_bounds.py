@@ -10,7 +10,7 @@ is adopted as a span's parent.
 
 import pytest
 
-from repro.chirp import CHIRP_PORT, ChirpClient, ChirpError, UnixAuthenticator
+from repro.chirp import ChirpClient, ChirpError, UnixAuthenticator
 from repro.chirp.protocol import request
 from repro.core import Acl, Rights, instrument
 from repro.net import Cluster

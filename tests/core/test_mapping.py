@@ -197,3 +197,10 @@ def test_render_table_layout():
     text = render_table([report])
     assert "Account Type" in text
     assert "Single" in text
+
+
+def test_a_method_without_an_administration_procedure_refuses_one(site):
+    method = SingleAccount(site)
+    with pytest.raises(NeedsAdministrator):
+        method.administer(FRED)
+    assert site.manual_admin_actions == 0

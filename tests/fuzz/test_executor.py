@@ -205,3 +205,17 @@ def test_chirp_survivor_check_passes_on_seed(chirp_executor):
     scenario = seed_scenario("chirp")
     result = chirp_executor.execute(scenario)
     assert chirp_executor.check_survivor(scenario, result) == ""
+
+
+def test_chirp_exec_runs_the_staged_program_in_a_box(chirp_executor):
+    scenario = Scenario(
+        surface="chirp",
+        identity="/O=UnivNowhere/CN=Fred",
+        grants=[["globus:/O=UnivNowhere/CN=Fred", "rwlx"]],
+        ops=[["put_exe", "/sim.exe"], ["exec", "/sim.exe"], ["get", "/out.dat"]],
+    )
+    result = chirp_executor.execute(scenario)
+    assert result.verdict == "ok"
+    outputs = dict((op, out) for op, *out in result.transcript[2:])
+    assert outputs["exec"] == [0]
+    assert outputs["get"][0][:2] == ["bytes", len(b"simulated\n")]

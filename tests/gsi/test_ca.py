@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.gsi.ca import Certificate, CertificateAuthority, CertificateError
+from repro.gsi.ca import CertificateAuthority, CertificateError
 
 SUBJECT = "/O=UnivNowhere/CN=Fred"
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.interpose.drivers import Driver, LocalDriver, Namespace
+from repro.interpose.drivers import DRIVER_OPS, NATIVE, Driver, LocalDriver, Namespace
 from repro.kernel.errno import Errno, KernelError
 
 
@@ -107,3 +107,24 @@ def test_abstract_driver_everything_enosys():
         with pytest.raises(KernelError) as info:
             getattr(driver, method)(*args)
         assert info.value.errno is Errno.ENOSYS
+
+
+@pytest.mark.parametrize("op", DRIVER_OPS)
+def test_a_driver_that_lacks_an_op_answers_enosys(op):
+    with pytest.raises(KernelError) as exc:
+        getattr(NATIVE, op)("/x", 0, 0)
+    assert exc.value.errno is Errno.ENOSYS
+    assert str(exc.value) == f"ENOSYS: native: {op}"
+
+
+def test_only_the_ops_a_driver_lacks_fall_back(local):
+    assert local.stat("/").is_dir
+    with pytest.raises(KernelError) as exc:
+        local.getacl("/")  # the local driver leaves ACLs to the policy
+    assert str(exc.value) == "ENOSYS: local: getacl"
+
+
+def test_a_name_that_is_no_driver_op_is_an_attribute_error(local):
+    with pytest.raises(AttributeError):
+        NATIVE.chmod
+    assert not hasattr(local, "opne")

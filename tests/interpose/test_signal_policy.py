@@ -1,6 +1,5 @@
 """Signal policies: the §3 rule and the Figure-6 hierarchical extension."""
 
-import pytest
 
 from repro.core.box import IdentityBox
 from repro.interpose.signal_policy import (

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.box import IdentityBox
 from repro.interpose.strace import SyscallTrace, TraceRecord
-from repro.kernel import Errno, OpenFlags
+from repro.kernel import Errno
 from tests.helpers import boxed_read_file, boxed_write_file
 
 

@@ -353,6 +353,32 @@ def test_getpid_passthrough(machine, vbox):
     assert proc.context.scratch["pid"] == proc.pid
 
 
+def test_getppid_passes_through_boxed_as_unboxed(machine, alice, vbox):
+    """A spawned child's ``getppid`` names the process that spawned it,
+    in a box exactly as outside one."""
+    seen = []
+
+    def child(proc, args):
+        seen.append((yield proc.sys.getppid()))
+        return 0
+
+    def parent(proc, args):
+        seen.append((yield proc.sys.getpid()))
+        yield proc.sys.spawn(f"{vbox.home}/child.exe", ())
+        yield proc.sys.waitpid()
+        return 0
+
+    machine.register_program("child", child)
+    machine.install_program(vbox.owner_task, f"{vbox.home}/child.exe", "child")
+    vbox.spawn(parent)
+    machine.run()
+    machine.spawn(parent, cred=alice)
+    machine.run()
+    boxed_parent, boxed_child, plain_parent, plain_child = seen
+    assert boxed_child == boxed_parent and plain_child == plain_parent
+    assert boxed_parent != plain_parent
+
+
 def test_getuid_is_supervisor_uid(machine, alice, vbox):
     results = run_calls([("getuid",)], machine=machine, box=vbox)
     assert results == [alice.uid]

@@ -45,3 +45,7 @@ def test_negative_return_convention_roundtrip():
     # the dispatcher encodes errors as -errno; decoding must invert it
     for errno in (Errno.EPERM, Errno.ENOENT, Errno.ELOOP):
         assert Errno(-(-int(errno))) is errno
+
+
+def test_kernel_error_repr_names_the_errno_and_the_message():
+    assert repr(err(Errno.ENOENT, "/x")) == "KernelError(ENOENT, 'ENOENT: /x')"

@@ -8,8 +8,8 @@ import pytest
 from repro.kernel import Errno, KernelError, Machine, OpenFlags
 from repro.kernel.fdtable import FD_LIMIT, FDTable, OpenFile
 from repro.kernel.inode import FileType, Inode
-from repro.kernel.localfs import LocalFS, NAME_MAX
-from repro.kernel.vfs import PATH_MAX, VFS
+from repro.kernel.localfs import NAME_MAX
+from repro.kernel.vfs import PATH_MAX
 
 
 def make_of():

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.kernel.errno import Errno, KernelError
-from repro.kernel.inode import FileType
 from repro.kernel.localfs import LocalFS, check_name
 
 

@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.kernel import (
-    Errno,
-    KernelError,
-    Machine,
-    OpenFlags,
-    ProcessState,
-    Signal,
-    WaitResult,
-)
+from repro.kernel import Errno, KernelError, Machine, ProcessState, Signal, WaitResult
 from tests.helpers import run_calls
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel import Errno, Machine, ProcessState
+from repro.kernel import Errno, ProcessState
 from repro.kernel.pipes import PIPE_CAPACITY, Pipe, WouldBlock
 
 

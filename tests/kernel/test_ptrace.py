@@ -216,3 +216,26 @@ def test_string_peek_cost_scales_with_length(machine, alice):
     machine.spawn(body, cred=alice, tracer=tracer)
     machine.run_to_completion()
     assert costs[1] > costs[0]
+
+
+def test_poke_regs_replaces_the_call_for_one_trap(machine, alice):
+    """PTRACE_SETREGS: the stopped call becomes the poked one, and the
+    poke costs one trap plus the whole register set."""
+    results = []
+
+    class Poker(RecordingTracer):
+        def on_syscall_entry(self, proc):
+            self.machine.trace.poke_regs(proc, Regs(name="getpid", args=()))
+
+        def on_syscall_exit(self, proc):
+            pass
+
+    def body(proc, args):
+        results.append((yield proc.sys.getuid()))
+        return 0
+
+    proc = spawn_traced(machine, alice, Poker(machine), body)
+    machine.run()
+    assert results == [proc.pid]
+    per_poke = machine.costs.syscall_trap_ns + machine.costs.peekpoke_cost(REGS_WORDS)
+    assert machine.clock.snapshot()["trace"] == per_poke

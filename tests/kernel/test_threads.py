@@ -1,9 +1,8 @@
 """Threads: shared Task, own pid, §6's multi-threading claim."""
 
-import pytest
 
 from repro.core.box import IdentityBox
-from repro.kernel import Errno, OpenFlags, ProcessState, WaitResult
+from repro.kernel import Errno, OpenFlags, WaitResult
 
 
 def test_thread_shares_memory(machine, alice):

@@ -8,7 +8,6 @@ hung connection, never state corruption.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.chirp import ServerAuth
 from repro.core import Acl, Rights
 from repro.net import Cluster, decode_message, encode_message
 from tests.helpers import make_server

@@ -72,7 +72,7 @@ def test_proc_context_compute_units():
 
 
 def test_chirp_driver_disconnect_all(cluster_world=None):
-    from repro.chirp import ChirpClient, ChirpDriver, ServerAuth
+    from repro.chirp import ChirpDriver
     from repro.chirp.auth import HostnameAuthenticator
     from repro.net import Cluster
 

@@ -1,10 +1,11 @@
 """The benchmark reporting helpers."""
 
+import json
 import os
 
 import pytest
 
-from repro.bench.reporting import Table, banner, save_and_print
+from repro.bench.reporting import Table, banner, bench_scale, save_and_print, write_bench_json
 
 
 def test_table_renders_aligned_columns():
@@ -49,3 +50,21 @@ def test_save_and_print_writes_file(capsys, tmp_path, monkeypatch):
     with open(path, encoding="utf-8") as handle:
         assert handle.read() == "the contents\n"
     assert os.path.dirname(path) == str(tmp_path)
+
+
+def test_bench_scale_picks_the_smoke_value_under_the_smoke_flag(monkeypatch):
+    monkeypatch.setenv("REPRO_BENCH_SMOKE", "1")
+    assert bench_scale(full=100, smoke=10) == 10
+    monkeypatch.setenv("REPRO_BENCH_SMOKE", "")
+    assert bench_scale(full=100, smoke=10) == 100
+
+
+def test_write_bench_json_merges_sections(tmp_path, monkeypatch):
+    import repro.bench.reporting as reporting
+
+    monkeypatch.setattr(reporting, "REPO_ROOT", str(tmp_path))
+    write_bench_json("unit", "a", {"x": 1})
+    path = write_bench_json("unit", "b", {"y": 2})
+    assert path == os.path.join(str(tmp_path), "BENCH_unit.json")
+    with open(path, encoding="utf-8") as handle:
+        assert json.load(handle) == {"a": {"x": 1}, "b": {"y": 2}}

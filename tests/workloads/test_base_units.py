@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel import Machine, OpenFlags
+from repro.kernel import OpenFlags
 from repro.kernel.vfs import join
 from repro.workloads.base import (
     AppProfile,

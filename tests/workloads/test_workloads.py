@@ -172,3 +172,10 @@ def test_snapshot_templates_measure_identically(monkeypatch):
         assert warm.boxed_s == cold.boxed_s
         assert warm.base_syscalls == cold.base_syscalls
         assert warm.boxed_syscalls == cold.boxed_syscalls
+
+
+def test_app_rates_are_syscalls_per_simulated_second():
+    result = runner.AppResult("x", base_s=2.0, boxed_s=4.0, base_syscalls=100, boxed_syscalls=100)
+    assert (result.base_ops_per_sec, result.boxed_ops_per_sec) == (50.0, 25.0)
+    idle = runner.AppResult("idle", base_s=0.0, boxed_s=0.0, base_syscalls=0, boxed_syscalls=0)
+    assert (idle.base_ops_per_sec, idle.boxed_ops_per_sec) == (0.0, 0.0)
