@@ -77,7 +77,7 @@ from ..core.acl import ACL_FILE_NAME
 from ..core.pipeline import ReadCache
 from ..core.telemetry import CounterView, HandleCache, Telemetry, instrument
 from ..kernel.errno import Errno, KernelError
-from ..kernel.vfs import normalize
+from ..kernel.vfs import dirname, join, normalize
 from ..net.network import Network
 from .catalog import (
     CATALOG_PORT,
@@ -730,7 +730,9 @@ class FederatedClient:
         return sorted(n for n in names if not n.endswith(FED_XFER_SUFFIX))
 
     def symlink(self, target: str, linkpath: str) -> None:
-        if self.replica_names(target) != self.replica_names(linkpath):
+        # a relative target names a path beside the link, as servers resolve it
+        where = target if target.startswith("/") else join(dirname(linkpath), target)
+        if self.replica_names(where) != self.replica_names(linkpath):
             raise ChirpError(
                 Errno.EXDEV, "symlink target on a different shard would dangle"
             )

@@ -57,7 +57,7 @@ from ..interpose.drivers import LocalDriver
 from ..interpose.supervisor import Supervisor
 from ..kernel.errno import Errno, KernelError, err
 from ..kernel.fdtable import O_RDONLY, O_WRONLY_CREAT_TRUNC
-from ..kernel.vfs import join, normalize
+from ..kernel.vfs import dirname, join, normalize
 from ..net.network import Network, Peer
 from ..net.rpc import ProtocolError, encode_message
 from .auth import AuthenticationFailed, ServerAuth
@@ -239,7 +239,7 @@ def c_readdir(op: Operation, conn: "_Connection") -> dict[str, Any]:
 
 def c_readlink(op: Operation, conn: "_Connection") -> dict[str, Any]:
     path = op.path()
-    return {"target": path.driver.readlink(path.sub)}
+    return {"target": conn.server.virtual_path(path.driver.readlink(path.sub))}
 
 
 def c_mkdir(op: Operation, conn: "_Connection") -> dict[str, Any]:
@@ -276,10 +276,12 @@ def c_rename(op: Operation, conn: "_Connection") -> dict[str, Any]:
 
 def c_symlink(op: Operation, conn: "_Connection") -> dict[str, Any]:
     link = op.path()
-    # store the target as a *protocol* path translated to a real one,
-    # so the link resolves inside the export namespace
-    target_real = conn.server.real_path(op.args["target"])
-    link.driver.symlink(target_real, link.sub)
+    target = op.args["target"]
+    if not target.startswith("/"):  # relative to the link's directory
+        target = join(dirname(link.full), target)
+    # stored as the machine path of a protocol path (".." resolved
+    # lexically, never above the export root): it resolves inside the export
+    link.driver.symlink(conn.server.real_path(target), link.sub)
     return {}
 
 
@@ -429,6 +431,8 @@ class ChirpServer:
         self.limits = limits
         self._idem_cache: OrderedDict[str, bytes] = OrderedDict()
         self.registry = build_chirp_registry()
+        #: op name -> (its spec, whether it writes through a descriptor)
+        self._bind_plans = {s.name: (s, s.name in ("pwrite", "ftruncate")) for s in self.registry}
         # the fast lane, armed only by an explicit cache.  The cache watches
         # the file system's incarnation: a restore() flushes it wholesale —
         # entries must never outlive the world they were read from.
@@ -547,9 +551,9 @@ class ChirpServer:
 
     def virtual_path(self, real: str) -> str:
         """The inverse of :meth:`real_path`, for export-relative state
-        (symlink targets are stored as machine paths; replication must
-        compare and copy them export-relative, since every shard's
-        export root is a different owner's home)."""
+        (symlink targets are stored as machine paths; ``readlink`` answers
+        them export-relative, and replication must compare and copy them
+        so, since every shard's export root is a different owner's home)."""
         if real == self.export_root:
             return "/"
         if real.startswith(self.export_root + "/"):
@@ -799,15 +803,16 @@ class _Connection:
     def _bind(self, op_name: str, message: dict[str, Any]) -> Operation:
         """Bind a decoded request into a pipeline operation.
 
-        The protocol namespace is rooted at the export root: ``full`` is
-        the client-visible absolute path (ACL-file shielding works on
-        basenames either way), ``sub`` the translated machine path the
-        policy and driver see.
+        The request's fields but ``op`` are its ``op.args``.  The protocol
+        namespace is rooted at the export root: ``full`` is the
+        client-visible absolute path (ACL-file shielding works on basenames
+        either way), ``sub`` the translated machine path the policy and
+        driver see.
         """
         server = self.server
-        spec = server.registry.get(op_name)
-        args = {k: v for k, v in message.items() if k != "op"}
-        for name, value in args.items():
+        spec, fd_mutation = server._bind_plans[op_name]
+        message.pop("op", None)
+        for name, value in message.items():
             kind = FIELD_TYPES.get(name)
             if kind is not None and (
                 type(value) is not kind
@@ -815,10 +820,10 @@ class _Connection:
             ):
                 noun = "a list of str" if kind is list else kind.__name__
                 raise err(Errno.EINVAL, f"{op_name} {name} must be {noun}")
-        op = Operation(name=op_name, surface="chirp", args=args)
+        paths = []
         for path_spec in spec.paths:
-            if path_spec.field in args:
-                raw = args[path_spec.field]
+            if path_spec.field in message:
+                raw = message[path_spec.field]
             elif path_spec.default is not None:
                 raw = path_spec.default
             else:
@@ -826,19 +831,14 @@ class _Connection:
             if not isinstance(raw, str):
                 raise err(Errno.EINVAL, f"{op_name} {path_spec.field} must be a string")
             full, sub = server._translate(raw)  # one normalization, both views
-            op.paths.append(
-                BoundPath(spec=path_spec, raw=raw, full=full, sub=sub, driver=server.fs)
-            )
-        if (
-            server.read_cache is not None
-            and op_name in ("pwrite", "ftruncate")
-            and "fd" in args
-        ):
-            # descriptor-addressed mutations carry no path for the fast
-            # lane to invalidate by; hint it with the path the fd was
+            paths.append(BoundPath(path_spec, raw, full, sub, server.fs))
+        scratch = {}
+        if fd_mutation and server.read_cache is not None and "fd" in message:
+            # a descriptor-addressed mutation carries no path for the fast
+            # lane to invalidate by: hint it with the path the fd was
             # opened on (an unknown fd degrades to a full flush)
-            op.scratch["fastlane_paths"] = [self._fd_paths.get(args["fd"])]
-        return op
+            scratch["fastlane_paths"] = [self._fd_paths.get(message["fd"])]
+        return Operation(op_name, "chirp", message, None, "/", paths, scratch, spec)
 
     # ------------------------------------------------------------------ #
     # protocol descriptor table

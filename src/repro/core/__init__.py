@@ -15,16 +15,13 @@ from .identity import (
 )
 from .ops import CACHEABLE_OPS, MUTATING_OPS, OP_PATH_SPECS, OpRegistry, OpSpec, PathArg
 from .pipeline import (
-    AclFileGuard,
     Admission,
     AuditSink,
     BoundPath,
     DenialCounter,
-    IdentityGate,
     Operation,
     Pipeline,
     ReadCache,
-    ReferenceMonitor,
     build_pipeline,
 )
 from .passwd import (
@@ -51,7 +48,6 @@ __all__ = [
     "Acl",
     "AclEntry",
     "AclError",
-    "AclFileGuard",
     "AclPolicy",
     "Admission",
     "AuditLog",
@@ -64,7 +60,6 @@ __all__ = [
     "Histogram",
     "IdentityBox",
     "IdentityError",
-    "IdentityGate",
     "KNOWN_METHODS",
     "LatencyStats",
     "MUTATING_OPS",
@@ -77,7 +72,6 @@ __all__ = [
     "Principal",
     "RIGHT_LETTERS",
     "ReadCache",
-    "ReferenceMonitor",
     "Rights",
     "RightsError",
     "Span",

@@ -36,12 +36,12 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Sentinel marking an argument with no default.
 REQUIRED = object()
 
-#: ACL-file guard modes (see :class:`repro.core.pipeline.AclFileGuard`).
+#: ACL-file guard modes (see :class:`repro.core.pipeline.Enforcement`).
 GUARD_NONE = "none"
 GUARD_PROTECT = "protect"  # mutating ops: EACCES, "managed via setacl"
 GUARD_HIDE = "hide"  # read-only probes: the ACL file does not exist
 
-#: Reference-monitor check modes (see ``ReferenceMonitor``).
+#: Reference-monitor check modes (see ``Enforcement._check_path``).
 CHECK_LETTERS = "letters"
 CHECK_MKDIR = "mkdir"
 CHECK_RMDIR = "rmdir"
@@ -91,6 +91,9 @@ class OpRegistry:
 
     def get(self, name: str) -> OpSpec:
         return self._ops[name]
+
+    def __iter__(self):
+        return iter(self._ops.values())
 
 
 # ---------------------------------------------------------------------- #

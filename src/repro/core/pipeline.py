@@ -2,32 +2,34 @@
 
 Every guarded operation — a syscall trapped inside an identity box (§3,
 Figure 4a) or a Chirp RPC from an authenticated principal (§4) — flows
-through one :class:`Pipeline`: an ordered chain of interceptors ending at
-the operation's registered handler.  :func:`build_pipeline` composes the
-standard chain, outermost first; the bracketed stages are present only
-when the caller supplies them:
+through one :class:`Pipeline` to the operation's registered handler.
+:func:`build_pipeline` composes the standard stages once, into one
+:class:`Enforcement`, in this order; the bracketed stages are present
+only when the caller supplies them:
 
 1. [:class:`~repro.core.telemetry.TracingInterceptor`] — the op's span
    and latency histogram, bracketing the whole chain,
-2. :class:`DenialCounter` — counts each EACCES/EPERM refusal once, into
-   ``pipeline.denials`` (read back by ``Supervisor.denials`` and the
-   Chirp server's ``stats.denials``),
-3. :class:`IdentityGate` — resolves *who* is acting (the box member's
+2. denial counting — each EACCES/EPERM refusal counted once, into
+   ``pipeline.denials`` by the :class:`DenialCounter` (read back by
+   ``Supervisor.denials`` and the Chirp server's ``stats.denials``),
+3. the identity gate — resolves *who* is acting (the box member's
    identity; the connection's principal, refusing unauthenticated calls),
 4. [:class:`Admission`] — the per-identity op budget and circuit
    breaker, refusing with EAGAIN before any policy work is spent,
 5. [:class:`ReadCache`] — memoized results of read-only ops, invalidated
    by the mutations passing through,
-6. :class:`AclFileGuard` — shields the per-directory ACL file, which is
+6. the ACL-file guard — shields the per-directory ACL file, which is
    reachable only through getacl/setacl,
-7. :class:`ReferenceMonitor` — the paper's ACL check, consulting the
+7. the reference monitor — the paper's ACL check, consulting the
    directory ACL for the letters each :class:`~repro.core.ops.PathArg`
    declares, with the mkdir/rmdir/hard-link special rules, feeding the
    audit log,
 8. the handler, which only implements the action.
 
-A cross-cutting feature inserts one interceptor here instead of patching
-~40 handler methods.
+Stages 2, 3, 6 and 7 are straight-line steps of :class:`Enforcement`,
+not a frame and a ``proceed`` each.  Tracing, admission and the cache
+take the interceptor protocol ``(op, ctx, proceed)``, as do interceptors
+added from outside, which run before the composed stages.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .ops import (
     CHECK_MKDIR,
     CHECK_NONE,
     CHECK_RMDIR,
-    GUARD_HIDE,
+    GUARD_NONE,
     GUARD_PROTECT,
     MUTATING_OPS,
     OpRegistry,
@@ -65,6 +67,9 @@ from .telemetry import CounterHandle, HandleCache, Telemetry, TracingInterceptor
 #: Interceptor signature: ``(op, ctx, proceed) -> result``.  Call
 #: ``proceed()`` to continue down the chain; raise to short-circuit.
 Interceptor = Callable[["Operation", Any, Callable[[], Any]], Any]
+
+#: The refusals :class:`DenialCounter` counts: a policy said no.
+_DENIALS = frozenset({Errno.EACCES, Errno.EPERM})
 
 #: ``op.scratch`` flag the reference monitor sets when any resolution the
 #: op made followed a symlink: the op then reached an object under a name
@@ -138,34 +143,15 @@ class AuditSink:
 
 
 # ---------------------------------------------------------------------- #
-# ACL-file shielding (the only module that knows how)
-# ---------------------------------------------------------------------- #
-
-
-def _protect_acl_file(full: str) -> None:
-    """ACL files are only reachable through getacl/setacl."""
-    if basename(full) == ACL_FILE_NAME:
-        raise err(Errno.EACCES, "ACL files are managed via setacl")
-
-
-def _hide_acl_file(full: str) -> None:
-    """For read-only probes the ACL file simply does not exist."""
-    if basename(full) == ACL_FILE_NAME:
-        raise err(Errno.ENOENT, full)
-
-
-# ---------------------------------------------------------------------- #
-# the standard interceptors
+# the standard stages
 # ---------------------------------------------------------------------- #
 
 
 class DenialCounter:
-    """Outermost but for tracing: the one place a policy refusal is counted.
-
-    Each EACCES or EPERM adds one to ``pipeline.denials{surface,op,errno}``,
-    the acting identity and errno its exemplar; :meth:`snapshot` (the
-    per-errno breakdown) and :meth:`total` read this stage's series back.
-    """
+    """The one place a policy refusal is counted: :meth:`count` adds one
+    to ``pipeline.denials{surface,op,errno}``, the acting identity and
+    errno its exemplar; :meth:`snapshot` (the per-errno breakdown) and
+    :meth:`total` read these series back."""
 
     def __init__(self, telemetry: Telemetry) -> None:
         self.telemetry = telemetry
@@ -183,34 +169,16 @@ class DenialCounter:
     def total(self) -> int:
         return sum(handle.value for handle in self._handles.values())
 
-    def __call__(self, op: Operation, ctx: Any, proceed: Callable[[], Any]) -> Any:
-        try:
-            return proceed()
-        except KernelError as exc:
-            if exc.errno in (Errno.EACCES, Errno.EPERM):
-                errno = exc.errno.name
-                key = (op.surface, op.name, errno)
-                handle = self._handles.get(key)
-                if handle is None:
-                    handle = self._handles[key] = self.telemetry.counter(
-                        "pipeline.denials", surface=op.surface, op=op.name, errno=errno
-                    )
-                handle.inc(exemplar={"identity": op.identity or "?", "errno": errno})
-            raise
-
-
-class IdentityGate:
-    """Resolve the acting identity before any policy decision."""
-
-    def __init__(
-        self, resolve: Callable[["Operation", Any], str | None] | None
-    ) -> None:
-        self.resolve = resolve
-
-    def __call__(self, op: Operation, ctx: Any, proceed: Callable[[], Any]) -> Any:
-        if op.identity is None and self.resolve is not None:
-            op.identity = self.resolve(op, ctx)
-        return proceed()
+    def count(self, op: Operation, errno: Errno) -> None:
+        """Count one refusal of ``op`` with ``errno`` (EACCES or EPERM)."""
+        name = errno.name
+        key = (op.surface, op.name, name)
+        handle = self._handles.get(key)
+        if handle is None:
+            handle = self._handles[key] = self.telemetry.counter(
+                "pipeline.denials", surface=op.surface, op=op.name, errno=name
+            )
+        handle.inc(exemplar={"identity": op.identity or "?", "errno": name})
 
 
 def _ancestors(path: str) -> list[str]:
@@ -246,6 +214,12 @@ class _Counted:
 def _counted(name: str) -> property:
     """A read-only attribute: ``name``'s total in the owner's ``metrics``."""
     return property(lambda self: self.metrics.counter_total(name))
+
+
+#: Most results a :class:`ReadCache` holds by default.  Entries are keyed
+#: by identity, so a principal seen once keeps its entries until this many
+#: newer ones push them out, least recently used first.
+READ_CACHE_ENTRIES = 4096
 
 
 class ReadCache(_Counted):
@@ -293,7 +267,7 @@ class ReadCache(_Counted):
         self,
         cacheable: frozenset[str] = CACHEABLE_OPS,
         *,
-        capacity: int = 4096,
+        capacity: int = READ_CACHE_ENTRIES,
         telemetry: Telemetry | None = None,
         epoch_source: Callable[[], Any] | None = None,
     ) -> None:
@@ -661,38 +635,86 @@ class Admission(_Counted):
         return result
 
 
-class AclFileGuard:
-    """Apply each path's declared ACL-file shielding mode."""
+class _Proceed:
+    """The rest of the composed chain for one op: the zero-argument
+    ``proceed`` of :class:`Admission` and :class:`ReadCache`."""
 
-    def __call__(self, op: Operation, ctx: Any, proceed: Callable[[], Any]) -> Any:
-        for bound in op.paths:
-            if bound.spec.guard == GUARD_PROTECT:
-                _protect_acl_file(bound.full)
-            elif bound.spec.guard == GUARD_HIDE:
-                _hide_acl_file(bound.full)
-        return proceed()
+    __slots__ = ("step", "op", "ctx")
+
+    def __init__(self, step: Callable[["Operation", Any], Any], op: Operation, ctx: Any) -> None:
+        self.step = step
+        self.op = op
+        self.ctx = ctx
+
+    def __call__(self) -> Any:
+        return self.step(self.op, self.ctx)
 
 
-class ReferenceMonitor:
-    """The paper's ACL reference monitor, shared by both surfaces.
+class Enforcement:
+    """The standard stages, composed once per pipeline.
 
-    Runs the check each :class:`PathArg` declares, audits the decision,
-    and raises EACCES on refusal — the handler below never runs.  Paths
-    whose driver enforces ACLs server-side (``check_acl`` false) are
-    skipped, as are cross-driver pairs after the EXDEV refusal.
-
-    Sets :data:`CROSSED_SYMLINK` in ``op.scratch`` when a resolution of
-    the policy's followed a symlink — the checks' own, before the handler
-    runs, and any the handler makes through the policy.
+    :meth:`run` counts the EACCES/EPERM refusals leaving it, resolves the
+    acting identity and passes the op through the :class:`Admission` and
+    :class:`ReadCache` present to :meth:`_checked`: the ACL-file guard,
+    the paper's reference monitor, the handler.  The monitor runs the
+    check each :class:`PathArg` declares, audits it and refuses with
+    EACCES; it skips paths whose driver enforces ACLs itself
+    (``check_acl`` false), refuses cross-driver pairs with EXDEV, and sets
+    :data:`CROSSED_SYMLINK` when a resolution of the policy's (its own or
+    the handler's) followed a symlink.  Stages are looked up per op, so a
+    method a tracer replaces on a stage's class takes effect at once.
     """
 
-    def __init__(self, policy: AclPolicy, audit: AuditSink) -> None:
+    def __init__(
+        self,
+        policy: AclPolicy,
+        audit: AuditSink,
+        denials: DenialCounter,
+        resolve: Callable[["Operation", Any], str | None] | None = None,
+        limits: Admission | None = None,
+        cache: ReadCache | None = None,
+    ) -> None:
         self.policy = policy
         self.audit = audit
+        self.denials = denials
+        self.resolve = resolve
+        self.limits = limits
+        self.cache = cache
 
-    def __call__(self, op: Operation, ctx: Any, proceed: Callable[[], Any]) -> Any:
-        if len(op.paths) == 2:
-            first, second = op.paths
+    def run(self, op: Operation, ctx: Any) -> Any:
+        """Denial counting around the identity gate and everything below."""
+        try:
+            if op.identity is None and self.resolve is not None:
+                op.identity = self.resolve(op, ctx)
+            if self.limits is not None:
+                return self.limits(op, ctx, _Proceed(self._admitted, op, ctx))
+            if self.cache is not None:
+                return self.cache(op, ctx, _Proceed(self._checked, op, ctx))
+            return self._checked(op, ctx)
+        except KernelError as exc:
+            if exc.errno in _DENIALS:
+                self.denials.count(op, exc.errno)
+            raise
+
+    def _admitted(self, op: Operation, ctx: Any) -> Any:
+        """What runs once :class:`Admission` lets ``op`` through."""
+        if self.cache is not None:
+            return self.cache(op, ctx, _Proceed(self._checked, op, ctx))
+        return self._checked(op, ctx)
+
+    def _checked(self, op: Operation, ctx: Any) -> Any:
+        """The ACL-file guard, the reference monitor, then the handler."""
+        paths = op.paths
+        for bound in paths:
+            guard = bound.spec.guard
+            if guard != GUARD_NONE and basename(bound.full) == ACL_FILE_NAME:
+                # ACL files are reachable only through getacl/setacl; to
+                # a read-only probe they do not exist
+                if guard == GUARD_PROTECT:
+                    raise err(Errno.EACCES, "ACL files are managed via setacl")
+                raise err(Errno.ENOENT, bound.full)
+        if len(paths) == 2:
+            first, second = paths
             if (
                 first.driver is not None
                 and second.driver is not None
@@ -702,13 +724,12 @@ class ReferenceMonitor:
         policy = self.policy
         walked = policy.symlinks_walked
         try:
-            for bound in op.paths:
-                if not bound.check_acl or bound.spec.check == CHECK_NONE:
-                    continue
-                self._check_path(op, bound)
+            for bound in paths:
+                if bound.check_acl and bound.spec.check != CHECK_NONE:
+                    self._check_path(op, bound)
             if policy.symlinks_walked != walked:
                 op.scratch[CROSSED_SYMLINK] = True
-            return proceed()
+            return op.spec.handler(op, ctx)
         finally:
             if policy.symlinks_walked != walked:
                 op.scratch[CROSSED_SYMLINK] = True
@@ -779,8 +800,14 @@ class ReferenceMonitor:
 # ---------------------------------------------------------------------- #
 
 
+def _handle(op: Operation, ctx: Any) -> Any:
+    """The innermost step of a pipeline built without the standard stages."""
+    return op.spec.handler(op, ctx)
+
+
 class Pipeline:
-    """An ordered interceptor chain in front of an operation registry."""
+    """Interceptors and the composed standard stages in front of an
+    operation registry."""
 
     def __init__(
         self,
@@ -789,16 +816,18 @@ class Pipeline:
         audit: AuditSink | None = None,
         limits: Admission | None = None,
         telemetry: Telemetry | None = None,
-        denial_counter: DenialCounter | None = None,
         cache: ReadCache | None = None,
+        enforcement: Enforcement | None = None,
     ) -> None:
         self.registry = registry
         self.interceptors: list[Interceptor] = list(interceptors or [])
         self.audit = audit or AuditSink()
         self.limits = limits
         self.telemetry = telemetry
-        self.denial_counter = denial_counter
         self.cache = cache
+        self.denial_counter = enforcement.denials if enforcement is not None else None
+        #: the step below the interceptors: the standard stages, else the handler
+        self._inner = enforcement.run if enforcement is not None else _handle
 
     def stats(self) -> dict[str, Any]:
         """Cross-cutting pipeline state: circuit health, denials, telemetry.
@@ -825,21 +854,30 @@ class Pipeline:
         return out
 
     def add_interceptor(self, interceptor: Interceptor, index: int | None = None) -> None:
-        """Insert an interceptor (outermost by default, i.e. index 0)."""
+        """Insert an interceptor (outermost by default, i.e. index 0).
+
+        Every interceptor runs before the standard stages, so ``op.identity``
+        is whatever the surface bound: the identity gate has not run yet.
+        """
         if index is None:
             index = 0
         self.interceptors.insert(index, interceptor)
 
     def run(self, op: Operation, ctx: Any) -> Any:
         """Send ``op`` down the chain to its handler; returns its result."""
-        spec = self.registry.get(op.name)
-        op.spec = spec
-        # each interceptor's ``proceed`` is the rest of the chain, bound
-        # from the handler outwards
-        proceed = partial(spec.handler, op, ctx)
-        for interceptor in reversed(self.interceptors):
+        op.spec = self.registry.get(op.name)
+        if self.interceptors:
+            return self._intercepted(op, ctx)
+        return self._inner(op, ctx)
+
+    def _intercepted(self, op: Operation, ctx: Any) -> Any:
+        """Run the interceptors in order, each ``proceed`` the rest of the
+        chain, bound from the innermost step outwards."""
+        interceptors = self.interceptors
+        proceed = partial(self._inner, op, ctx)
+        for interceptor in reversed(interceptors[1:]):
             proceed = partial(interceptor, op, ctx, proceed)
-        return proceed()
+        return interceptors[0](op, ctx, proceed)
 
 
 def build_pipeline(
@@ -855,43 +893,33 @@ def build_pipeline(
 ) -> Pipeline:
     """Compose the standard enforcement chain over ``registry``.
 
-    An :class:`Admission` passed as ``limits`` slots in right after
-    identity resolution, so an identity over budget or with an open
-    circuit is refused before any policy work is spent on it.  A
-    :class:`ReadCache` goes just inside it: a hit answers before the
-    ACL-file guard and the reference monitor run, a mutating op
-    invalidates on its way through.  Both inherit the pipeline's
-    clock/telemetry unless they brought their own.  A
-    :class:`Telemetry` goes outermost: its span and latency histogram
-    bracket the entire chain, rejections and denials included.  Without
-    one the chain opens no spans, and the denial counter counts into a
-    private registry.
+    An :class:`Admission` passed as ``limits`` runs right after identity
+    resolution, so an identity over budget or with an open circuit is
+    refused before any policy work is spent on it.  A :class:`ReadCache`
+    goes just inside it: a hit answers before the ACL-file guard and the
+    reference monitor run, a mutating op invalidates on its way through.
+    Both inherit the pipeline's clock/telemetry unless they brought their
+    own.  A :class:`Telemetry` adds a
+    :class:`~repro.core.telemetry.TracingInterceptor` outermost: its span
+    and latency histogram bracket the entire chain, rejections and
+    denials included.  Without one the chain opens no spans, and the
+    denial counter counts into a private registry.
     """
     audit = AuditSink(clock, audit_log)
     denials = DenialCounter(telemetry if telemetry is not None else Telemetry(clock))
-    interceptors: list[Interceptor] = [
-        denials,
-        IdentityGate(resolve_identity),
-    ]
     if limits is not None:
         if limits.clock is None:
             limits.clock = clock
         if limits.telemetry is None:
             limits.telemetry = telemetry
-        interceptors.append(limits)
-    if cache is not None:
-        if cache.telemetry is None:
-            cache.telemetry = telemetry
-        interceptors.append(cache)
-    interceptors += [AclFileGuard(), ReferenceMonitor(policy, audit)]
-    if telemetry is not None:
-        interceptors.insert(0, TracingInterceptor(telemetry))
+    if cache is not None and cache.telemetry is None:
+        cache.telemetry = telemetry
     return Pipeline(
         registry,
-        interceptors=interceptors,
+        [TracingInterceptor(telemetry)] if telemetry is not None else None,
         audit=audit,
         limits=limits,
         telemetry=telemetry,
-        denial_counter=denials,
         cache=cache,
+        enforcement=Enforcement(policy, audit, denials, resolve_identity, limits, cache),
     )

@@ -158,6 +158,23 @@ def h_pread(op: "Operation", ctx: "SyscallContext") -> None:
 # ---------------------------------------------------------------------- #
 
 
+def _complete_channel_write(proc: "Process", state: "ChildState") -> None:
+    """Exit-stop half of a write staged in the I/O channel: the child's
+    rewritten ``pwrite`` put its bytes there; read them back and write
+    them to the file (at ``offset``, or at the descriptor's position)."""
+    sup, vfd, off, offset = state.channel_write
+    state.channel_write = None
+    written = proc.regs.retval
+    if not isinstance(written, int) or written < 0:
+        return  # channel write failed; pass the error through
+    data = sup.channel.read_back_mapped(off, written)
+    if offset is None:
+        n = vfd.driver.write(vfd.handle, data)
+    else:
+        n = vfd.driver.pwrite(vfd.handle, data, offset)
+    sup.machine.trace.set_result(proc, n)
+
+
 def h_write(op: "Operation", ctx: "SyscallContext") -> None:
     sup, proc, state = ctx.sup, ctx.proc, ctx.state
     fd, addr, length = op.args["fd"], op.args["addr"], op.args["length"]
@@ -174,16 +191,8 @@ def h_write(op: "Operation", ctx: "SyscallContext") -> None:
         return
     off = sup.channel.alloc(length)
     sup.machine.trace.rewrite(proc, "pwrite", (CHANNEL_FD, addr, length, off))
-
-    def complete(proc2: "Process", state2: "ChildState") -> None:
-        written = proc2.regs.retval
-        if not isinstance(written, int) or written < 0:
-            return  # channel write failed; pass the error through
-        data = sup.channel.read_back_mapped(off, written)
-        n = vfd.driver.write(vfd.handle, data)
-        sup.machine.trace.set_result(proc2, n)
-
-    state.exit_action = complete
+    state.channel_write = (sup, vfd, off, None)
+    state.exit_action = _complete_channel_write
 
 
 def h_pwrite(op: "Operation", ctx: "SyscallContext") -> None:
@@ -202,16 +211,8 @@ def h_pwrite(op: "Operation", ctx: "SyscallContext") -> None:
         return
     off = sup.channel.alloc(length)
     sup.machine.trace.rewrite(proc, "pwrite", (CHANNEL_FD, addr, length, off))
-
-    def complete(proc2: "Process", state2: "ChildState") -> None:
-        written = proc2.regs.retval
-        if not isinstance(written, int) or written < 0:
-            return
-        data = sup.channel.read_back_mapped(off, written)
-        n = vfd.driver.pwrite(vfd.handle, data, offset)
-        sup.machine.trace.set_result(proc2, n)
-
-    state.exit_action = complete
+    state.channel_write = (sup, vfd, off, offset)
+    state.exit_action = _complete_channel_write
 
 
 # ---------------------------------------------------------------------- #

@@ -59,19 +59,26 @@ if TYPE_CHECKING:  # pragma: no cover
 #: ones go through the I/O channel (§5).  Tunable for the ablation bench.
 DEFAULT_SMALL_IO_THRESHOLD = 32
 
-#: One registry shared by every supervisor: the syscall op table is fixed
-#: at import time and never mutated after construction, so rebuilding its
-#: ~40 OpSpecs per supervisor is pure waste — and fork-heavy loops (the
-#: snapshot fuzzer re-hosts a supervisor per forked world) feel it.
-_SHARED_REGISTRY = None
+#: One registry shared by every supervisor, with its binding plans: the
+#: syscall op table is fixed at import time and never mutated after
+#: construction, so rebuilding its ~40 OpSpecs per supervisor is pure
+#: waste — and fork-heavy loops (the snapshot fuzzer re-hosts a
+#: supervisor per forked world) feel it.
+_SHARED_TABLES = None
 
 
-def shared_syscall_registry():
-    """The lazily built, process-wide syscall :class:`OpRegistry`."""
-    global _SHARED_REGISTRY
-    if _SHARED_REGISTRY is None:
-        _SHARED_REGISTRY = build_syscall_registry()
-    return _SHARED_REGISTRY
+def _shared_tables():
+    """The lazily built, process-wide syscall :class:`OpRegistry`, and per
+    syscall ``name -> (spec, argument names, their defaults)``."""
+    global _SHARED_TABLES
+    if _SHARED_TABLES is None:
+        registry = build_syscall_registry()
+        plans = {
+            name: (registry.get(name), tuple(a for a, _ in sig), tuple(d for _, d in sig))
+            for name, sig in SYSCALL_SIGNATURES.items()
+        }
+        _SHARED_TABLES = registry, plans
+    return _SHARED_TABLES
 
 
 class Supervisor:
@@ -112,7 +119,7 @@ class Supervisor:
         #: statistics for reporting
         self.syscalls_handled = 0
         #: the shared operation pipeline (registry + interceptor chain)
-        self.registry = shared_syscall_registry()
+        self.registry, self._plans = _shared_tables()
         self.pipeline = build_pipeline(
             self.registry,
             policy=self.policy,
@@ -194,7 +201,7 @@ class Supervisor:
         regs = self.machine.trace.peek_regs(proc)
         state.current_call = (regs.name, regs.args)
         self.syscalls_handled += 1
-        ctx = SyscallContext(sup=self, proc=proc, state=state, regs=regs)
+        ctx = SyscallContext(self, proc, state, regs)
         try:
             op = self._bind(proc, state, regs)
             self.pipeline.run(op, ctx)
@@ -247,40 +254,32 @@ class Supervisor:
 
     def _bind(self, proc: "Process", state: ChildState, regs: "Regs") -> Operation:
         """Decode registers into an :class:`Operation` with bound paths."""
-        try:
-            spec = self.registry.get(regs.name)
-        except KeyError:
-            raise err(
-                Errno.ENOSYS, f"boxed syscall {regs.name!r} unimplemented"
-            ) from None
-        args: dict[str, Any] = {}
-        for i, (arg_name, default) in enumerate(SYSCALL_SIGNATURES.get(regs.name, ())):
-            if i < len(regs.args):
-                args[arg_name] = regs.args[i]
-            elif default is REQUIRED:
-                raise err(Errno.EFAULT, f"{regs.name} missing argument {arg_name!r}")
-            else:
-                args[arg_name] = default
-        op = Operation(
-            name=regs.name, surface="syscall", args=args, cwd=proc.task.cwd
-        )
+        name = regs.name
+        plan = self._plans.get(name)
+        if plan is None:
+            raise err(Errno.ENOSYS, f"boxed syscall {name!r} unimplemented")
+        spec, names, defaults = plan
+        values = regs.args
+        if len(values) < len(names):
+            missing = defaults[len(values):]
+            if REQUIRED in missing:
+                arg = names[len(values) + missing.index(REQUIRED)]
+                raise err(Errno.EFAULT, f"{name} missing argument {arg!r}")
+            values = (*values, *missing)
+        args = dict(zip(names, values))
+        paths = []
         for path_spec in spec.paths:
             text = self._peek_path(proc, args[path_spec.field])
-            full = self._abspath(proc, text)
-            if path_spec.passwd_redirect:
-                full = self._passwd_redirect(state, full)
-            driver, sub = self._route(full)
-            op.paths.append(
-                BoundPath(
-                    spec=path_spec,
-                    raw=text,
-                    full=full,
-                    sub=sub,
-                    driver=driver,
-                    check_acl=driver.requires_local_acl,
-                )
+            if not text:
+                raise err(Errno.ENOENT, "empty path")
+            full = normalize(text if text.startswith("/") else join(proc.task.cwd, text))
+            if path_spec.passwd_redirect and state.passwd_redirect and full == "/etc/passwd":
+                full = state.passwd_redirect  # Figure 2: reads see the private copy
+            driver, sub = self.namespace.route(full)
+            paths.append(
+                BoundPath(path_spec, text, full, sub, driver, driver.requires_local_acl)
             )
-        return op
+        return Operation(name, "syscall", args, None, proc.task.cwd, paths, {}, spec)
 
     # ------------------------------------------------------------------ #
     # helpers used by the binder and the registered handlers
@@ -297,18 +296,3 @@ class Supervisor:
             raise err(Errno.EFAULT, f"bad path argument {path!r}")
         return self.machine.trace.peek_string_cost(proc, path)
 
-    def _abspath(self, proc: "Process", path: str) -> str:
-        if not path:
-            raise err(Errno.ENOENT, "empty path")
-        if path.startswith("/"):
-            return normalize(path)
-        return normalize(join(proc.task.cwd, path))
-
-    def _route(self, full: str) -> tuple[Driver, str]:
-        return self.namespace.route(full)
-
-    def _passwd_redirect(self, state: ChildState, full: str) -> str:
-        """Figure 2's trick: /etc/passwd reads see the private copy."""
-        if state.passwd_redirect and full == "/etc/passwd":
-            return state.passwd_redirect
-        return full

@@ -52,6 +52,9 @@ class ChildState:
     exit_action: Callable[["Process", "ChildState"], None] | None = None
     #: value to poke into the return register at the exit stop
     exit_value: Any = NO_RESULT
+    #: ``(supervisor, vfd, channel offset, file offset or None)`` of a write
+    #: staged through the I/O channel, for its exit-stop completion
+    channel_write: tuple | None = None
     #: the call as originally attempted (before nullify/rewrite), kept so
     #: strace-style recording reports what the *child* asked for
     current_call: tuple | None = None

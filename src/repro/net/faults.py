@@ -129,6 +129,9 @@ class FaultPlan:
     _forced: list[str] = field(default_factory=list)
     _draws: int = 0
     _ops_seen: int = 0
+    #: kind -> its ``fault.<kind>`` counter; both bound by :meth:`bind_telemetry`
+    _counters: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    stats: _FaultCounts | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.bind_telemetry(self.telemetry)

@@ -282,16 +282,19 @@ def run_script(box, calls, base, target_base):
     return results
 
 
-def comparable(result, base):
+def comparable(result, target_base, stored_base):
     """What both drivers must agree on: a remote stat fakes mode bits,
     owner and inode (the server's user space is hidden), so a stat
-    compares by file type, size and link count.  A symlink's size is its
-    target's length, and the two targets differ by their base."""
+    compares by file type, size and link count.  A symlink's size is the
+    length of the target as stored, which differs by its base.  A string
+    (a readlink answer) must be the target the script named, in full."""
     if isinstance(result, StatResult):
-        size = result.st_size - len(base) if stat.S_ISLNK(result.st_mode) else result.st_size
+        size = result.st_size
+        if stat.S_ISLNK(result.st_mode):
+            size -= len(stored_base)
         return (stat.S_IFMT(result.st_mode), size, result.st_nlink)
     if isinstance(result, str):
-        return result.replace(base, D)
+        return result.replace(target_base, T, 1) if result.startswith(target_base) else result
     if isinstance(result, list):
         return sorted(result)
     return result
@@ -312,15 +315,15 @@ def test_chirp_driver_ops_match_the_local_driver(cluster, client_box, server, op
     local_dir = f"{client_box.home}/diff"
     remote_dir = chirp_path("/diff")
     views = []
-    for base, target_base, readlink_base in [
+    for base, target_base, stored_base in [
         (local_dir, local_dir, local_dir),
-        # a remote symlink target is a protocol path, and readlink
-        # answers the server's own path for it
+        # a remote symlink target is a protocol path, which readlink
+        # answers; the server stores it as its own machine path
         (remote_dir, "/diff", server.real_path("/diff")),
     ]:
         assert run_script(client_box, SETUP, base, target_base) == [0, 0, 0]
         assert boxed_write_file(client_box, f"{base}/f", b"hello world") == 11
         results = run_script(client_box, DIFFERENTIAL_CASES[op], base, target_base)
-        views.append([comparable(r, readlink_base) for r in results])
+        views.append([comparable(r, target_base, stored_base) for r in results])
     local, remote = views
     assert remote == local

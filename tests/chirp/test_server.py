@@ -84,6 +84,51 @@ def test_symlink_readlink(fred):
     assert fred.get("/w/link") == b"t"
 
 
+def test_relative_symlink_resolves_beside_the_link(fred, server):
+    fred.mkdir("/w")
+    fred.mkdir("/w/d")
+    fred.put(b"beside the link", "/w/d/f")
+    fred.put(b"one level up", "/w/f")
+    fred.symlink("f", "/w/d/l")
+    assert fred.get("/w/d/l") == b"beside the link"
+    assert fred.readlink("/w/d/l") == "/w/d/f"
+    fred.mkdir("/w/d/sub")
+    fred.symlink("../f", "/w/d/sub/up")
+    assert fred.get("/w/d/sub/up") == b"beside the link"
+    assert fred.readlink("/w/d/sub/up") == "/w/d/f"
+
+
+def test_symlink_target_cannot_climb_out_of_the_export(fred, server):
+    # the machine's real /etc/passwd exists; a ".." chain in a relative
+    # target stops at the export root, where no etc/ exists
+    fred.mkdir("/d")
+    fred.symlink("../../../../../../etc/passwd", "/d/esc")
+    assert fred.readlink("/d/esc") == "/etc/passwd"
+    with pytest.raises(ChirpError) as info:
+        fred.get("/d/esc")
+    assert info.value.errno is Errno.ENOENT
+    stored = server.fs.readlink(server.real_path("/d/esc"))
+    assert stored == server.export_root + "/etc/passwd"
+
+
+def test_no_reply_names_the_export_root(fred, server):
+    fred.mkdir("/d")
+    fred.put(b"t", "/d/f")
+    fred.symlink("/d/f", "/d/absolute")
+    fred.symlink("f", "/d/relative")
+    fred.symlink("..", "/d/parent")
+    replies = [
+        fred.readlink("/d/absolute"),
+        fred.readlink("/d/relative"),
+        fred.readlink("/d/parent"),
+        fred.lstat("/d/absolute"),
+        fred.readdir("/d"),
+        fred.getacl("/d"),
+    ]
+    assert replies[:3] == ["/d/f", "/d/f", "/"]
+    assert all(server.export_root not in repr(reply) for reply in replies)
+
+
 def test_bad_fd_is_ebadf(fred):
     with pytest.raises(ChirpError) as info:
         fred.pread(123, 1, 0)

@@ -21,16 +21,22 @@ not exercise.
 from repro.chirp import ChirpError, GlobusAuthenticator
 from repro.chirp.server import IDEM_CACHE_LIMIT
 from repro.core.acl import RIGHTS_MEMO_ENTRIES, Acl
+from repro.core.pipeline import READ_CACHE_ENTRIES
 from repro.gsi import provision_user
 from repro.kernel.errno import Errno
 from repro.kernel.vfs import MEMO_ENTRIES
 from tests.chirp.conftest import connect
 from tests.helpers import state_census
 
-#: Stores with a fixed cap: reaching it is bounded by construction.
+#: Stores with a fixed cap: reaching it is bounded by construction.  The
+#: read cache (armed when the suite runs with ``REPRO_CACHE=1``) keys its
+#: entries by identity, so new principals fill it up to its capacity,
+#: one path index entry per cached key.
 CAPS = {
     "ChirpServer._idem_cache": IDEM_CACHE_LIMIT,
     "VFS._memo": MEMO_ENTRIES,
+    "ReadCache._entries": READ_CACHE_ENTRIES,
+    "ReadCache._by_path": READ_CACHE_ENTRIES,
 }
 
 

@@ -16,6 +16,7 @@ from repro.core.ops import CACHEABLE_OPS, OpRegistry, OpSpec, PathArg
 from repro.core.pipeline import (
     ADMISSION_RECORDS,
     CROSSED_SYMLINK,
+    READ_CACHE_ENTRIES,
     Admission,
     BoundPath,
     Operation,
@@ -128,6 +129,25 @@ def test_lru_eviction_respects_capacity():
     assert len(cache) == 2
     run_cached(cache, read_op("stat", "/b"), lambda: {"v": 2})
     assert cache.misses == 4  # /b was re-fetched
+
+
+def test_one_shot_principals_past_capacity_leave_every_index_within_the_cap():
+    """Entries are keyed by identity, so each new principal's reads are new
+    entries: far past capacity, the least recently used are evicted and
+    the path indexes shrink with them."""
+    cap = 64
+    cache = ReadCache(capacity=cap)
+    assert ReadCache().capacity == READ_CACHE_ENTRIES
+    for n in range(1000):
+        identity = f"globus:/O=Grid/CN=once{n:04d}"
+        for sub in ("/shared", "/shared/f", f"/home/u{n % 40}"):
+            run_cached(cache, read_op("stat", sub, identity=identity), lambda: {})
+        assert len(cache._entries) <= cap
+        assert len(cache._by_path) <= cap and len(cache._below) <= cap
+    indexed = {key for keys in cache._by_path.values() for key in keys}
+    assert indexed == set(cache._entries) and len(cache._entries) == cap
+    assert set(cache._below) == {"", "/home", "/shared"}
+    assert cache.misses == 3000 and cache.hits == 0
 
 
 # -- invalidation ------------------------------------------------------------ #

@@ -7,6 +7,8 @@ unification: a single counting interceptor added to each surface's
 pipeline observes a boxed ``open`` syscall *and* a Chirp ``open`` RPC.
 """
 
+import sys
+
 import pytest
 
 from repro.chirp import (
@@ -15,8 +17,8 @@ from repro.chirp import (
 from repro.core import Acl, Rights
 from repro.core.audit import AuditLog
 from repro.core.box import IdentityBox
-from repro.core.ops import OpRegistry, OpSpec
-from repro.core.pipeline import Operation, Pipeline
+from repro.core.ops import OpRegistry, OpSpec, PathArg
+from repro.core.pipeline import BoundPath, Operation, Pipeline, build_pipeline
 from repro.core.telemetry import TracingInterceptor
 from repro.kernel.errno import Errno, KernelError, err
 from repro.kernel.fdtable import OpenFlags
@@ -84,6 +86,35 @@ def test_denying_interceptor_short_circuits_before_handler():
         pipeline.run(Operation(name="write", surface="test"), ctx=None)
     assert excinfo.value.errno is Errno.EACCES
     assert ran == []  # the handler never executed
+
+
+def _frames_below_run() -> int:
+    """Python frames between the caller's caller and ``Pipeline.run``."""
+    frame, depth = sys._getframe(2), 0
+    while frame.f_code is not Pipeline.run.__code__:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_the_standard_chain_puts_two_frames_between_run_and_the_handler(box):
+    """Denial counting, the identity gate, the ACL-file guard and the
+    reference monitor are steps of one composed stage, not a frame each."""
+    depths = []
+    spec = PathArg("path", "l")
+    registry = OpRegistry()
+    for name, paths in (("probe", ()), ("probe_path", (spec,))):
+        registry.register(
+            OpSpec(name, lambda op, ctx: depths.append(_frames_below_run()), paths=paths)
+        )
+    pipeline = build_pipeline(
+        registry, policy=box.supervisor.policy, resolve_identity=lambda op, ctx: "Visitor"
+    )
+    pipeline.run(Operation(name="probe", surface="test"), ctx=None)
+    home = box.home  # the visitor's own: its ACL grants the visitor "l"
+    op = Operation(name="probe_path", surface="test")
+    op.paths = [BoundPath(spec=spec, raw=home, full=home, sub=home)]
+    pipeline.run(op, ctx=None)
+    assert depths == [2, 2]
 
 
 # -- counter semantics match the pre-refactor surfaces ----------------------- #

@@ -10,7 +10,7 @@ clock dimension to bare ones.
 import pytest
 
 from repro.core.box import IdentityBox
-from repro.core.pipeline import Admission, DenialCounter
+from repro.core.pipeline import Admission
 from repro.core.telemetry import (
     DEFAULT_BUCKET_EDGES_NS,
     MAX_SERIES_PER_NAME,
@@ -26,7 +26,7 @@ from repro.core.telemetry import (
 from repro.kernel.errno import Errno, KernelError, err
 from repro.kernel.machine import Machine
 from repro.kernel.timing import Clock
-from tests.helpers import run_calls
+from tests.helpers import denial_stage, pathless_op, run_calls
 
 
 # -- bucket edges ------------------------------------------------------------- #
@@ -343,24 +343,20 @@ def test_label_sets_past_the_cap_fold_into_one_counted_overflow_series():
     assert t.histogram("lat", op="x").count == 1
 
 
-def _deny(interceptor: TracingInterceptor, denials: DenialCounter, identity: str) -> None:
-    op = type("Op", (), {})()
-    op.surface, op.name, op.identity, op.scratch = "chirp", "mkdir", identity, {}
-
-    def refuse():
-        raise err(Errno.EACCES, "not on the ACL")
-
-    # composed as build_pipeline composes them: tracing outermost, then
-    # the denial counter, the one place a denial is counted
-    with pytest.raises(KernelError):
-        interceptor(op, None, lambda: denials(op, None, refuse))
+def _refuse(op, ctx):
+    raise err(Errno.EACCES, "not on the ACL")
 
 
 def test_ten_thousand_denied_principals_leave_one_series_and_one_exemplar():
     t = Telemetry(Clock())
-    interceptor, denials = TracingInterceptor(t), DenialCounter(t)
+    # composed as build_pipeline composes them: tracing outermost, then
+    # the standard stages, whose denial counter is the one place a
+    # denial is counted
+    interceptor, stage = TracingInterceptor(t), denial_stage(t)
     for i in range(10_000):
-        _deny(interceptor, denials, f"globus:/O=Grid/CN=user{i:05d}")
+        op = pathless_op("chirp", "mkdir", f"globus:/O=Grid/CN=user{i:05d}", _refuse)
+        with pytest.raises(KernelError):
+            interceptor(op, None, lambda: stage.run(op, None))
     snap = t.snapshot(spans=0)
     denials = {k: v for k, v in snap["counters"].items() if k.startswith("pipeline.denials")}
     assert denials == {"pipeline.denials{errno=EACCES,op=mkdir,surface=chirp}": 10_000}

@@ -12,7 +12,8 @@ from typing import Any
 from repro.chirp import ChirpServer
 from repro.config import WorldSpec
 from repro.core.box import IdentityBox
-from repro.core.pipeline import ReadCache
+from repro.core.ops import OpSpec
+from repro.core.pipeline import AuditSink, DenialCounter, Enforcement, Operation, ReadCache
 from repro.core.rights import Rights
 from repro.core.telemetry import Histogram
 from repro.kernel.errno import Errno, KernelError, err
@@ -30,6 +31,8 @@ __all__ = [
     "WORLD",
     "boxed_read_file",
     "boxed_write_file",
+    "denial_stage",
+    "pathless_op",
     "forge_frame",
     "make_machine",
     "make_server",
@@ -393,6 +396,25 @@ def oracle_union(a: Rights, b: Rights) -> Rights:
 def oracle_has_all(rights: Rights, letters: str) -> bool:
     """``Rights.has_all`` one letter at a time."""
     return all(rights.has(letter) for letter in letters)
+
+
+class _PathlessPolicy:
+    """Stands in for an ``AclPolicy`` under ops with no path argument, of
+    which the reference monitor reads only how many symlinks it walked."""
+
+    symlinks_walked = 0
+
+
+def denial_stage(telemetry) -> Enforcement:
+    """The composed standard stages, counting denials into ``telemetry``,
+    for ops built by :func:`pathless_op`: what an op's outcome meets
+    between tracing and its handler."""
+    return Enforcement(_PathlessPolicy(), AuditSink(), DenialCounter(telemetry))
+
+
+def pathless_op(surface: str, name: str, identity: str | None, handler) -> Operation:
+    """An op with no path argument whose handler is ``handler``."""
+    return Operation(name, surface, {}, identity, "/", [], {}, OpSpec(name, handler))
 
 
 class KeywordRecorder:

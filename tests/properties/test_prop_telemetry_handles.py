@@ -2,7 +2,7 @@
 
 A random stream of pipeline operations ``(surface, op, status, identity,
 latency_ns)`` runs through the real :class:`TracingInterceptor` (around the
-:class:`DenialCounter`, as the pipeline composes them) and
+standard stages' denial counting, as the pipeline composes them) and
 through :class:`tests.helpers.KeywordRecorder`, the registry the handles
 replaced, which still labels the pipeline's series with the identity.
 Once that label is summed away the two agree exactly: every counter,
@@ -13,11 +13,10 @@ program uses (``counter_total``, ``histograms_named``, and the
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.pipeline import DenialCounter
 from repro.core.telemetry import LatencyStats, Telemetry, TracingInterceptor
 from repro.kernel.errno import Errno, err
 from repro.kernel.timing import Clock
-from tests.helpers import KeywordRecorder
+from tests.helpers import KeywordRecorder, denial_stage, pathless_op
 
 SURFACES = ("syscall", "chirp")
 OPS = ("open", "stat", "unlink", "getacl")
@@ -37,21 +36,15 @@ events = st.lists(
 )
 
 
-class _Op:
-    def __init__(self, surface: str, name: str, identity: str) -> None:
-        self.surface, self.name, self.identity = surface, name, identity or None
-        self.scratch: dict = {}
-
-
 def _drive(stream) -> tuple[Telemetry, KeywordRecorder]:
     clock = Clock()
     telemetry = Telemetry(clock)
-    interceptor, denials = TracingInterceptor(telemetry), DenialCounter(telemetry)
+    interceptor, stage = TracingInterceptor(telemetry), denial_stage(telemetry)
     reference = KeywordRecorder()
     latency = {}
     for surface, name, status, identity, latency_ns in stream:
 
-        def proceed(status=status, latency_ns=latency_ns):
+        def handler(op, ctx, status=status, latency_ns=latency_ns):
             clock.advance(latency_ns, "test")
             if status == "error":
                 raise RuntimeError("not a kernel error")
@@ -59,10 +52,10 @@ def _drive(stream) -> tuple[Telemetry, KeywordRecorder]:
                 raise err(Errno[status], "refused")
             return {}
 
-        op = _Op(surface, name, identity)
+        op = pathless_op(surface, name, identity or None, handler)
         try:
             # composed as build_pipeline composes them
-            interceptor(op, None, lambda op=op, proceed=proceed: denials(op, None, proceed))
+            interceptor(op, None, lambda op=op: stage.run(op, None))
         except Exception:
             pass
         reference.record_op(surface, name, status, identity or "?", latency_ns)
