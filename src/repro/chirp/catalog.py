@@ -25,6 +25,11 @@ the likely-dead shard without moving any data (the record stays on the
 ring, so placement is stable).  A heartbeat from a suspect — or from a
 shard that went silent past the horizon without a sweep noticing —
 clears the suspicion with exactly one more version bump.
+
+A **mark** (the ``mark`` op) says a shard missed a replicated write; it
+bumps the version, views carry it, and routing skips the shard.  No
+heartbeat, eviction or re-registration clears it: only a rejoin does,
+after anti-entropy repaired the shard.  At most one mark per shard name.
 """
 
 from __future__ import annotations
@@ -65,9 +70,11 @@ class CatalogRecord:
     #: stamped by the *catalog* when rendering views — a server never
     #: advertises itself suspect; missed heartbeats do
     suspect: bool = False
+    #: stamped by the catalog too: the shard missed a write
+    marked: bool = False
 
     def to_fields(self) -> dict[str, Any]:
-        return {
+        fields = {
             "name": self.name,
             "hostname": self.hostname,
             "port": self.port,
@@ -77,6 +84,9 @@ class CatalogRecord:
             "weight": self.weight,
             "suspect": self.suspect,
         }
+        if self.marked:  # an unmarked record keeps its old wire size
+            fields["marked"] = True
+        return fields
 
     @classmethod
     def from_fields(cls, fields: dict[str, Any]) -> "CatalogRecord":
@@ -89,6 +99,7 @@ class CatalogRecord:
             federation=str(fields.get("federation", "")),
             weight=int(fields.get("weight", 1)),
             suspect=bool(fields.get("suspect", False)),
+            marked=bool(fields.get("marked", False)),
         )
 
     def membership_key(self) -> tuple:
@@ -119,6 +130,8 @@ class CatalogServer:
         self._fed_versions: dict[str, int] = {}
         #: names whose heartbeats stopped (failure detector's verdict)
         self._suspects: set[str] = set()
+        #: names that missed a write (kept across eviction and heartbeats)
+        self.marked: set[str] = set()
         #: eviction accounting (ghost entries reaped by staleness)
         self.evictions: int = 0
         #: suspicion accounting (records demoted by missed heartbeats)
@@ -213,11 +226,22 @@ class CatalogServer:
                 self._bump(record.federation)
         return expired
 
+    def mark(self, names: list[str], marked: bool = True) -> None:
+        """Set or clear each named shard's mark; each change bumps its
+        federation's version (a name with no record keeps the mark)."""
+        for name in names:
+            if (name in self.marked) != marked:
+                self.marked ^= {name}  # the state differs, so a toggle sets it
+                record = self._records.get(name)
+                self._bump(record.federation if record else "")
+
     def fresh_records(self) -> list[CatalogRecord]:
         self.sweep()
         return sorted(
             (
-                replace(r, suspect=True) if r.name in self._suspects else r
+                replace(r, suspect=r.name in self._suspects, marked=r.name in self.marked)
+                if r.name in self._suspects or r.name in self.marked
+                else r
                 for r in self._records.values()
             ),
             key=lambda r: r.name,
@@ -247,6 +271,11 @@ class _CatalogConnection:
             if op == "remove":
                 removed = self.catalog.remove(str(message["name"]))
                 return encode_message({"ok": True, "removed": removed})
+            if op == "mark":
+                self.catalog.mark(
+                    [str(n) for n in message["names"]], bool(message["marked"])
+                )
+                return encode_message({"ok": True})
             if op == "list":
                 return encode_message(
                     {
@@ -325,6 +354,19 @@ def advertise(
         catalog_port,
         {"op": "update", "record": record.to_fields()},
     )
+
+
+def mark_shards(
+    network: Network,
+    from_host: str,
+    names: list[str],
+    catalog_host: str,
+    catalog_port: int = CATALOG_PORT,
+    marked: bool = True,
+) -> None:
+    """Report shards that missed a write (``marked=False``: repaired)."""
+    message = {"op": "mark", "names": list(names), "marked": marked}
+    _catalog_call(network, from_host, catalog_host, catalog_port, message)
 
 
 def list_servers(

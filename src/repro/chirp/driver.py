@@ -62,7 +62,7 @@ def _wrap(call):
         try:
             return call(*args, **kwargs)
         except ChirpError as exc:
-            raise KernelError(exc.errno, str(exc)) from exc
+            raise KernelError(exc.errno, exc.detail) from exc
 
     return wrapped
 

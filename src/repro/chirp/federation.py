@@ -48,21 +48,17 @@ shards.  ``fed.ops{op=,shard=}`` counters give per-shard op counts.
 prefix is owned by the first *k* distinct shards clockwise from its ring
 point (successor placement): adding or losing a shard still only shifts
 ring ranges, and ``k = 1`` is exactly the old single-owner federation.
-Writes are **quorum writes** — applied to every replica in placement
-order, succeeding once a strict majority answered definitely; each
-per-shard session mints its own idempotency keys, so retried writes ride
-the existing replay caches.  A replica that was unreachable gets the
-write appended to the writing client's *missed-write log*.  Reads are
-**failover reads** — primary first, replica peers on unavailability,
-with catalog-suspected shards demoted to last — and a client replays
-its own log onto a replica before its next op there (read repair).
-Any other client can read the replica first, so a quorum write can be
-followed by a stale read (ROADMAP item 1; pinned by
-``test_stale_read_after_a_quorum_write``).  Server-side,
-:meth:`Federation.repair_shard` is the anti-entropy path: a rejoining
-shard pulls what it missed from its replica peers by manifest diff,
-through the same two-phase staging protocol cross-shard renames use,
-before it re-advertises.  ``repl.*`` counters account for all of it.
+Writes are **quorum writes** — applied to every routable replica,
+succeeding once a strict majority of the *full* replica set answered
+definitely; each per-shard session mints its own idempotency keys, so
+retried writes ride the existing replay caches.  Reads are **failover
+reads** — primary first, replica peers on unavailability, suspects last.
+A replica a write could not reach is reported to the catalog before the
+write answers (EAGAIN if the report fails); the catalog *marks* it, and
+no map that carries the mark routes to it.  The one repair is
+:meth:`Federation.rejoin_shard`: anti-entropy from *unmarked* peers by
+manifest diff, through the staging protocol renames use, and only then
+is the mark cleared.  ``repl.*`` counters account for all of it.
 """
 
 from __future__ import annotations
@@ -85,6 +81,7 @@ from .catalog import (
     CatalogServer,
     advertise,
     federation_members,
+    mark_shards,
 )
 from .client import ChirpClient
 from .protocol import CHIRP_PORT, FED_XFER_SUFFIX, ChirpError, StatPayload
@@ -134,6 +131,9 @@ class ShardInfo:
     #: the catalog's failure detector flagged this shard (missed
     #: heartbeats): still placed on the ring, demoted in routing order
     suspect: bool = False
+    #: the shard missed a write: still placed on the ring (placement is
+    #: stable), but routed to by nothing until a rejoin repairs it
+    marked: bool = False
 
     @classmethod
     def from_record(cls, record: CatalogRecord) -> "ShardInfo":
@@ -143,15 +143,17 @@ class ShardInfo:
             port=record.port,
             weight=max(1, record.weight),
             suspect=record.suspect,
+            marked=record.marked,
         )
 
 
 def route_order(replicas: tuple[ShardInfo, ...]) -> tuple[ShardInfo, ...]:
-    """Attempt order over a replica set: placement order, but shards the
-    catalog suspects are demoted to last (stable within each class) —
-    clients route around a likely-dead shard without moving any data."""
-    return tuple(s for s in replicas if not s.suspect) + tuple(
-        s for s in replicas if s.suspect
+    """Attempt order over a replica set: placement order without the
+    shards the catalog marked, and with the shards it suspects demoted to
+    last (stable within each class) — clients route around a stale or
+    likely-dead shard without moving any data."""
+    return tuple(s for s in replicas if not (s.suspect or s.marked)) + tuple(
+        s for s in replicas if s.suspect and not s.marked
     )
 
 
@@ -249,6 +251,13 @@ class ShardMap:
         """The replica set owning ``path`` (its whole top-level directory)."""
         return self.replicas_for_prefix(path_prefix(path))
 
+    def route_for(self, path: str) -> tuple[ShardInfo, ...]:
+        """``path``'s attempt order; EAGAIN when every replica is marked."""
+        route = route_order(self.replicas_for(path))
+        if not route:
+            raise ChirpError(Errno.EAGAIN, f"every replica of {path!r} is marked")
+        return route
+
     def shard_for_prefix(self, prefix: str) -> ShardInfo:
         return self.replicas_for_prefix(prefix)[0]
 
@@ -269,6 +278,7 @@ class ShardMap:
                 f"  {shard.name}  host={shard.hostname}:{shard.port}  "
                 f"weight={shard.weight}"
                 + ("  SUSPECT" if shard.suspect else "")
+                + ("  MARKED" if shard.marked else "")
             )
         return "\n".join(lines)
 
@@ -320,13 +330,9 @@ class FederatedClient:
             quorum_writes="repl.quorum_writes",
             quorum_failures="repl.quorum_failures",
             failover_reads="repl.failover_reads",
-            read_repairs="repl.read_repairs",
-            missed_writes="repl.missed_writes",
+            marks="repl.marks",
         )
         self._clients: dict[str, ChirpClient] = {}
-        #: per-replica missed-write log: writes a replica was unreachable
-        #: for, replayed (in order) before that replica next serves
-        self._missed: dict[str, list[tuple[str, Callable[[ChirpClient], Any]]]] = {}
 
     # ------------------------------------------------------------------ #
     # construction and the shard-map cache
@@ -395,8 +401,6 @@ class FederatedClient:
         keep = set(self.shard_map.names())
         for name in [n for n in self._clients if n not in keep]:
             self._clients.pop(name).close()
-        for name in [n for n in self._missed if n not in keep]:
-            del self._missed[name]  # a departed shard's log is moot
         self._inc("fed.map_rebuilds")
         return True
 
@@ -412,7 +416,6 @@ class FederatedClient:
             except Exception:  # noqa: BLE001 - dead session, nothing to save
                 pass
         self._clients.clear()
-        self._missed.clear()
 
     # ------------------------------------------------------------------ #
     # routing
@@ -460,7 +463,7 @@ class FederatedClient:
             self.telemetry.end_span(span, status=status)
 
     # ------------------------------------------------------------------ #
-    # replicated delegation: failover reads, quorum writes, read repair
+    # replicated delegation: failover reads, quorum writes, marks
     # ------------------------------------------------------------------ #
 
     def _attempt(
@@ -470,13 +473,10 @@ class FederatedClient:
         call: Callable[[ChirpClient], Any],
         count: bool = True,
     ) -> Any:
-        """One replica attempt: count it, connect, replay what the
-        replica missed while dark, then run the operation."""
+        """One replica attempt: count it, connect, run the operation."""
         if count:
             self._inc("fed.ops", op, shard.name)
-        client = self._client(shard)
-        self._replay_missed(shard, client)
-        return call(client)
+        return call(self._client(shard))
 
     def _failover(
         self,
@@ -508,12 +508,13 @@ class FederatedClient:
         call: Callable[[ChirpClient], Any],
         count: bool = True,
     ) -> Any:
-        """A write: apply to every replica, demand a strict majority of
-        definite answers, and log the write for replicas that were
-        unreachable so they converge later.  The verdict — result or
-        error — is the first definite outcome in attempt order (replicas
-        are deterministic, so definite outcomes agree)."""
-        need = quorum(len(ordered))
+        """A write: apply to every routable replica and demand a strict
+        majority of the full replica set in definite answers.  Replicas
+        unreachable while another answered are marked (:meth:`_mark`)
+        before the write answers.  The verdict — result or error — is
+        the first definite outcome in attempt order (replicas are
+        deterministic, so definite outcomes agree)."""
+        need = quorum(min(self.shard_map.replicas, len(self.shard_map.shards)))
         definite: list[tuple[ChirpError | None, Any]] = []
         downs: list[tuple[ShardInfo, ChirpError]] = []
         for shard in ordered:
@@ -525,11 +526,11 @@ class FederatedClient:
                     downs.append((shard, error))
                 else:
                     definite.append((error, None))
-        for shard, _error in downs:
-            self._log_missed(shard, op, call)
+        if not definite:
+            raise downs[0][1]  # nothing answered: surface the original error
+        if downs:
+            self._mark(op, [shard for shard, _error in downs])
         if len(definite) < need:
-            if not definite:
-                raise downs[0][1]  # replicas=1: surface the original error
             self._inc("repl.quorum_failures", op)
             raise ChirpError(
                 Errno.EAGAIN,
@@ -543,36 +544,54 @@ class FederatedClient:
             raise error
         return result
 
-    def _replay_missed(self, shard: ShardInfo, client: ChirpClient) -> None:
-        """Read repair: re-apply, in order, every write this replica
-        missed while unreachable.  Unavailability propagates (the
-        replica is still dark; the caller fails over); a definite error
-        means the state is already there — typically because anti-entropy
-        repair ran first — and counts as converged."""
-        entries = self._missed.get(shard.name)
-        if not entries:
-            return
-        while entries:
-            _op, apply = entries[0]
-            try:
-                apply(client)
-            except (ChirpError, KernelError) as exc:
-                error = as_chirp_error(exc)
-                if is_unavailable(error):
-                    raise error from exc
-            entries.pop(0)
-        del self._missed[shard.name]
-        self._inc("repl.read_repairs", shard=shard.name)
+    def _mark(self, op: str, shards: list[ShardInfo]) -> None:
+        """Report replicas that missed a write to the catalog and refresh
+        the map.  An undelivered report fails the write with EAGAIN:
+        acknowledging it would leave a stale replica that routing trusts."""
+        names = [shard.name for shard in shards]
+        try:
+            if not self.catalog_host:
+                raise ChirpError(Errno.EINVAL, "federated client has no catalog")
+            mark_shards(self.network, self.client_host, names, self.catalog_host,
+                        self.catalog_port)
+            self.refresh_map()
+        except (ChirpError, KernelError, RuntimeError) as exc:
+            raise ChirpError(
+                Errno.EAGAIN, f"{op}: could not report that {names} missed it: {exc}"
+            ) from exc
+        for name in names:
+            self._inc("repl.marks", op, name)
 
-    def _log_missed(
-        self, shard: ShardInfo, op: str, apply: Callable[[ChirpClient], Any]
-    ) -> None:
-        self._missed.setdefault(shard.name, []).append((op, apply))
-        self._inc("repl.missed_writes", op, shard.name)
+    def _fan_out(
+        self, op: str, path: str, call: Callable[[ChirpClient], Any]
+    ) -> tuple[list[Any], list[ShardInfo]]:
+        """A root op on every unmarked shard: the answers, and the shards
+        that were unreachable — skipped only on a replicated map (peers
+        cover their prefixes) while some shard answers."""
+        span = self._span(op, path=path, fanout=len(self.shard_map.shards))
+        results: list[Any] = []
+        downs: list[tuple[ShardInfo, ChirpError]] = []
+        try:
+            for shard in self.shard_map.shards:
+                if shard.marked:
+                    continue
+                self._inc("fed.ops", op, shard.name)
+                try:
+                    results.append(call(self._client(shard)))
+                except (ChirpError, KernelError) as exc:
+                    error = as_chirp_error(exc)
+                    if self.shard_map.replicas == 1 or not is_unavailable(error):
+                        raise error from exc
+                    downs.append((shard, error))
+            if downs and not results:
+                raise downs[0][1]
+        finally:
+            self._end(span)
+        return results, [shard for shard, _error in downs]
 
     def _delegated(self, op: str, path: str, call: Callable[[ChirpClient], Any]) -> Any:
         """Route a read: primary first, replica peers on unavailability."""
-        ordered = route_order(self.shard_map.replicas_for(path))
+        ordered = self.shard_map.route_for(path)
         span = self._span(op, shard=ordered[0].name, path=path)
         status = "ok"
         try:
@@ -585,7 +604,7 @@ class FederatedClient:
 
     def _mutating(self, op: str, path: str, call: Callable[[ChirpClient], Any]) -> Any:
         """Route a write: quorum across the path's replica set."""
-        ordered = route_order(self.shard_map.replicas_for(path))
+        ordered = self.shard_map.route_for(path)
         span = self._span(op, shard=ordered[0].name, path=path)
         status = "ok"
         try:
@@ -671,30 +690,14 @@ class FederatedClient:
     def setacl(self, path: str, subject: str, rights: str) -> None:
         """Set an ACL entry; on the root this fans out to every shard so
         the namespace-wide policy surface cannot drift apart.  On a
-        replicated map an unreachable shard gets the root entry logged
-        as a missed write rather than failing the whole fan-out."""
+        replicated map an unreachable shard is marked rather than failing
+        the whole fan-out; its rejoin copies the root ACL."""
         if path_prefix(path) == "":
-            span = self._span("setacl", path=path, fanout=len(self.shard_map.shards))
-            try:
-                for shard in self.shard_map.shards:
-                    self._inc("fed.ops", "setacl", shard.name)
-                    try:
-                        client = self._client(shard)
-                        self._replay_missed(shard, client)
-                        client.setacl(path, subject, rights)
-                    except (ChirpError, KernelError) as exc:
-                        if self.shard_map.replicas > 1 and is_unavailable(
-                            as_chirp_error(exc)
-                        ):
-                            self._log_missed(
-                                shard,
-                                "setacl",
-                                lambda c: c.setacl(path, subject, rights),
-                            )
-                            continue
-                        raise as_chirp_error(exc) from exc
-            finally:
-                self._end(span)
+            _done, downs = self._fan_out(
+                "setacl", path, lambda c: c.setacl(path, subject, rights)
+            )
+            if downs:
+                self._mark("setacl", downs)
             return
         self._mutating("setacl", path, lambda c: c.setacl(path, subject, rights))
 
@@ -707,24 +710,10 @@ class FederatedClient:
         is still listed by its replica peers.
         """
         if path_prefix(path) == "":
-            span = self._span("readdir", path=path, fanout=len(self.shard_map.shards))
-            try:
-                names: set[str] = set()
-                for shard in self.shard_map.shards:
-                    self._inc("fed.ops", "readdir", shard.name)
-                    try:
-                        client = self._client(shard)
-                        self._replay_missed(shard, client)
-                        names.update(client.readdir(path))
-                    except (ChirpError, KernelError) as exc:
-                        if self.shard_map.replicas > 1 and is_unavailable(
-                            as_chirp_error(exc)
-                        ):
-                            self._inc("repl.failover_reads", "readdir", shard.name)
-                            continue
-                        raise as_chirp_error(exc) from exc
-            finally:
-                self._end(span)
+            listings, downs = self._fan_out("readdir", path, lambda c: c.readdir(path))
+            for shard in downs:
+                self._inc("repl.failover_reads", "readdir", shard.name)
+            names = set().union(*listings)
         else:
             names = set(self._delegated("readdir", path, lambda c: c.readdir(path)))
         return sorted(n for n in names if not n.endswith(FED_XFER_SUFFIX))
@@ -787,7 +776,8 @@ class FederatedClient:
         replays from the shard's idempotency cache rather than
         re-applying, so the transfer can neither lose the file nor
         duplicate it.  On replicated maps the staging, commit, and
-        cleanup steps are quorum writes over their replica sets.
+        cleanup steps are quorum writes over their replica sets, each
+        routed through the map as it stands (a step may mark a replica).
         """
         for shard in (*src, *dst):
             self._inc("fed.ops", "rename", shard.name)
@@ -795,34 +785,17 @@ class FederatedClient:
             "rename", shard=dst[0].name, from_shard=src[0].name,
             to_shard=dst[0].name, path=oldpath,
         )
+
+        def step(run, path: str, call: Callable[[ChirpClient], Any]) -> Any:
+            return run("rename", self.shard_map.route_for(path), call, count=False)
+
         try:
-            src_order = route_order(src)
-            dst_order = route_order(dst)
-            mode = (
-                self._failover(
-                    "rename", src_order, lambda c: c.stat(oldpath), count=False
-                ).mode
-                or 0o644
-            )
-            data = self._failover(
-                "rename", src_order, lambda c: c.get(oldpath), count=False
-            )
+            mode = step(self._failover, oldpath, lambda c: c.stat(oldpath)).mode or 0o644
+            data = step(self._failover, oldpath, lambda c: c.get(oldpath))
             staging = newpath + FED_XFER_SUFFIX
-            self._quorum(
-                "rename",
-                dst_order,
-                lambda c: c.put(data, staging, mode=mode),
-                count=False,
-            )
-            self._quorum(  # keyed commit
-                "rename",
-                dst_order,
-                lambda c: c.rename(staging, newpath),
-                count=False,
-            )
-            self._quorum(  # keyed cleanup
-                "rename", src_order, lambda c: c.unlink(oldpath), count=False
-            )
+            step(self._quorum, newpath, lambda c: c.put(data, staging, mode=mode))
+            step(self._quorum, newpath, lambda c: c.rename(staging, newpath))  # keyed commit
+            step(self._quorum, oldpath, lambda c: c.unlink(oldpath))  # keyed cleanup
             self._inc("fed.transfers")
             self._inc("fed.transfer_bytes", value=len(data))
         except ChirpError as exc:
@@ -902,36 +875,27 @@ class Federation:
 
     def advertise_all(self, from_host: str | None = None) -> None:
         """One heartbeat round: every shard re-reports to the catalog."""
-        for deployment in self.shards.values():
-            server = deployment.server
-            advertise(
-                self.cluster.network,
-                from_host or server.hostname,
-                server,
-                self.catalog_host,
-                catalog_port=self.catalog.port,
-                federation=self.name,
-                weight=deployment.weight,
-            )
+        for name in self.shards:
+            self._advertise(name, from_host)
+
+    def _advertise(self, shard_name: str, from_host: str | None = None) -> None:
+        deployment = self.shards[shard_name]
+        server = deployment.server
+        advertise(
+            self.cluster.network, from_host or server.hostname, server,
+            self.catalog_host, catalog_port=self.catalog.port,
+            federation=self.name, weight=deployment.weight,
+        )
 
     def restart_shard(self, shard_name: str) -> None:
         """Crash one shard's service and bring it straight back: live
         connections break, the port keeps listening again, and the shard
         re-registers with the catalog (the re-registration path a
         restarted server must have)."""
-        deployment = self.shards[shard_name]
-        server = deployment.server
+        server = self.shards[shard_name].server
         self.cluster.crash_server(server.hostname, server.port)
         server.serve()
-        advertise(
-            self.cluster.network,
-            server.hostname,
-            server,
-            self.catalog_host,
-            catalog_port=self.catalog.port,
-            federation=self.name,
-            weight=deployment.weight,
-        )
+        self._advertise(shard_name)
 
     # ------------------------------------------------------------------ #
     # replication ops: blackout drills and anti-entropy repair
@@ -964,18 +928,16 @@ class Federation:
         )
 
     def repair_shard(self, shard_name: str) -> dict[str, int]:
-        """Anti-entropy: converge a rejoining shard's export with its
-        replica peers.
+        """Anti-entropy: converge a shard's export with its replica peers.
 
-        For every top-level prefix the shard replicates, the first
-        *other* replica in placement order is the donor; the donor's
-        export manifest is authoritative.  Files that differ (by mode,
-        size, or content digest) are staged under the hidden transfer
-        suffix and committed with a rename — the same two-phase protocol
-        cross-shard renames use, so a crash mid-repair is invisible —
-        and entries the donor no longer has are removed (a missed
-        ``unlink``/``rename`` shows up as surplus).  The shared root ACL
-        file converges from the first live peer.
+        A donor is never a marked shard: the shared root ACL file comes
+        from the first unmarked peer, each prefix the shard replicates
+        from the first unmarked other owner in placement order, and that
+        donor's manifest is authoritative.  Differing files are staged
+        under the hidden transfer suffix and committed with a rename (the
+        protocol cross-shard renames use, so a crash mid-repair is
+        invisible); entries the donor lacks are removed.  EAGAIN, before
+        anything is copied, when a part has peers but no unmarked one.
         """
         placement = self.placement()
         target = self.shards[shard_name]
@@ -990,26 +952,27 @@ class Federation:
                 manifests[name] = self.shards[name].server.export_manifest()
             return manifests[name]
 
-        # the shared root ACL: every shard carries it, any live peer is
-        # an authoritative donor
-        self._sync_subtree(
-            peers[0], shard_name, "/" + ACL_FILE_NAME, manifest_of, totals
-        )
+        def donor(part: str, others: list[str]) -> str:
+            for name in others:
+                if name not in self.catalog.marked:
+                    return name
+            raise ChirpError(Errno.EAGAIN, f"no unmarked donor of {part!r} for {shard_name}")
+
+        plan = [("/" + ACL_FILE_NAME, donor(ACL_FILE_NAME, peers))]
         prefixes: set[str] = set()
-        for peer in peers:
-            for path in manifest_of(peer):
+        for name in (shard_name, *peers):
+            for path in manifest_of(name):
                 prefix = path.split("/", 2)[1]
                 if prefix != ACL_FILE_NAME:
                     prefixes.add(prefix)
         for prefix in sorted(prefixes):
             owners = [s.name for s in placement.replicas_for_prefix(prefix)]
-            if shard_name not in owners:
-                continue
-            donors = [n for n in owners if n != shard_name]
-            if not donors:
-                continue
-            totals["prefixes"] += 1
-            self._sync_subtree(donors[0], shard_name, "/" + prefix, manifest_of, totals)
+            others = [n for n in owners if n != shard_name]
+            if shard_name in owners and others:
+                plan.append(("/" + prefix, donor(prefix, others)))
+        totals["prefixes"] = len(plan) - 1
+        for vroot, name in plan:
+            self._sync_subtree(name, shard_name, vroot, manifest_of, totals)
         target.server.policy.invalidate_all()  # repaired ACL bytes win
         if target.server.read_cache is not None:
             # repair wrote through target.fs, below the pipeline: the
@@ -1072,19 +1035,14 @@ class Federation:
             totals["bytes"] += len(data)
 
     def rejoin_shard(self, shard_name: str) -> dict[str, int]:
-        """A dark shard coming back: pull missed state from replica
-        peers *first*, then re-advertise — clients never get routed to
-        an unrepaired replica."""
+        """Repair a shard from unmarked peers *first*, then re-advertise
+        and clear its mark: the only way a mark clears.  When repair
+        raises (EAGAIN: no unmarked donor) the mark stays."""
         totals = self.repair_shard(shard_name)
-        deployment = self.shards[shard_name]
-        advertise(
-            self.cluster.network,
-            deployment.server.hostname,
-            deployment.server,
-            self.catalog_host,
-            catalog_port=self.catalog.port,
-            federation=self.name,
-            weight=deployment.weight,
+        self._advertise(shard_name)
+        mark_shards(
+            self.cluster.network, self.shards[shard_name].server.hostname,
+            [shard_name], self.catalog_host, self.catalog.port, marked=False,
         )
         return totals
 
@@ -1123,7 +1081,14 @@ def deploy_federation(
         catalog.serve()
     elif not catalog_host:
         catalog_host = catalog.hostname
-    shards: dict[str, ShardDeployment] = {}
+    federation = Federation(
+        name=name,
+        cluster=cluster,
+        catalog=catalog,
+        catalog_host=catalog_host,
+        shards={},
+        replicas=max(1, replicas),
+    )
     for i in range(n_shards):
         hostname = host_pattern.format(i=i, name=name)
         machine = cluster.add_machine(hostname)
@@ -1140,24 +1105,9 @@ def deploy_federation(
         )
         server.set_root_acl(root_acl)
         server.serve()
-        weight = weights[i] if weights is not None else 1
-        advertise(
-            cluster.network,
-            hostname,
-            server,
-            catalog_host,
-            catalog_port=catalog.port,
-            federation=name,
-            weight=weight,
+        shard_name = f"{hostname}:{port}"
+        federation.shards[shard_name] = ShardDeployment(
+            server=server, telemetry=telemetry, weight=weights[i] if weights is not None else 1
         )
-        shards[f"{hostname}:{port}"] = ShardDeployment(
-            server=server, telemetry=telemetry, weight=weight
-        )
-    return Federation(
-        name=name,
-        cluster=cluster,
-        catalog=catalog,
-        catalog_host=catalog_host,
-        shards=shards,
-        replicas=max(1, replicas),
-    )
+        federation._advertise(shard_name)
+    return federation

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from stat import S_IFDIR, S_IFLNK, S_IFREG
 from typing import Any
 
-from ..kernel.errno import Errno
+from ..kernel.errno import Errno, KernelError
 from ..net.rpc import ProtocolError, decode_message, encode_message
 
 #: File-type bits of a mode (``stat.S_IFMT`` as a mask), for :func:`stat_fields`.
@@ -106,6 +106,8 @@ class ChirpError(Exception):
     def __init__(self, errno: Errno, message: str = "") -> None:
         self.errno = Errno(errno)
         super().__init__(f"{self.errno.name}" + (f": {message}" if message else ""))
+
+    detail = KernelError.detail  # the text without the errno name
 
 
 def request(op: str, **fields: Any) -> bytes:

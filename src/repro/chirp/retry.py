@@ -47,8 +47,9 @@ TRANSIENT_ERRNOS = frozenset(
 
 #: Errnos that, after the retry budget is exhausted, mean the *replica* is
 #: unreachable — dead, dark, or partitioned — rather than answering at all.
-#: The replicated routing layer fails over (reads) or logs a missed write
-#: (quorum writes) on these; everything else is the server's answer.
+#: The replicated routing layer fails over (reads) or marks the replica
+#: as having missed the write (quorum writes) on these; everything else is
+#: the server's answer.
 UNAVAILABLE_ERRNOS = frozenset(
     {
         Errno.EPIPE,
@@ -157,7 +158,7 @@ def as_chirp_error(exc: BaseException) -> ChirpError:
     if isinstance(exc, ChirpError):
         return exc
     if isinstance(exc, KernelError):
-        return ChirpError(exc.errno, str(exc))
+        return ChirpError(exc.errno, exc.detail)
     if isinstance(exc, ProtocolError):
         return ChirpError(Errno.EBADMSG, str(exc))
     raise exc  # pragma: no cover - programming error, not a wire failure

@@ -739,7 +739,7 @@ class _Connection:
             payload = self.server.pipeline.run(op, self)
             return {"ok": True, **(payload or {})}
         except KernelError as exc:
-            return {"ok": False, "errno": int(exc.errno), "error": str(exc)}
+            return {"ok": False, "errno": int(exc.errno), "error": exc.detail}
         except ProtocolError as exc:
             return {"ok": False, "errno": int(Errno.EINVAL), "error": str(exc)}
         except (KeyError, TypeError, ValueError) as exc:

@@ -283,9 +283,8 @@ def _fastlane_drill(trust, wallet) -> dict:
 def _replication_drill(trust, wallet) -> dict:
     """A replicated federation losing and regaining one replica, so the
     metrics snapshot's ``replication`` section reports live ``repl.*``
-    numbers: a quorum write past a dark shard, a failover read, the
-    missed-write replay when the shard returns, and the anti-entropy
-    repair a rejoin runs."""
+    numbers: a quorum write past a dark shard that marks it, a failover
+    read, and the anti-entropy repair whose rejoin clears the mark."""
     from repro import Cluster
     from repro.chirp import (
         FederatedClient,
@@ -323,19 +322,17 @@ def _replication_drill(trust, wallet) -> dict:
     client.put(b"replicated payload\n", "/data/f")
     victim = client.shard_of("/data")
     federation.blackout_shard(victim, 0, 10**9)
-    client.put(b"written while dark\n", "/data/g")  # quorum write, 2 of 3
-    client.get("/data/g")  # failover read off a live replica
+    client.get("/data/f")  # failover read off a live replica
+    client.put(b"written while dark\n", "/data/g")  # 2 of 3: marks the victim
     cluster.network.faults.blackouts = ()  # the outage lifts
-    client.get("/data/g")  # the revived replica replays what it missed
     client.close()
-    federation.rejoin_shard(victim)  # anti-entropy repair, then re-advertise
+    federation.rejoin_shard(victim)  # anti-entropy repair, then the mark clears
     shard_tel = federation.shards[victim].telemetry
     return {
         "quorum_writes": telemetry.counter_total("repl.quorum_writes"),
         "quorum_failures": telemetry.counter_total("repl.quorum_failures"),
         "failover_reads": telemetry.counter_total("repl.failover_reads"),
-        "read_repairs": telemetry.counter_total("repl.read_repairs"),
-        "missed_writes": telemetry.counter_total("repl.missed_writes"),
+        "marks": telemetry.counter_total("repl.marks"),
         "repairs": shard_tel.counter_total("repl.repairs"),
         "repair_files": shard_tel.counter_total("repl.repair_files"),
         "repair_bytes": shard_tel.counter_total("repl.repair_bytes"),

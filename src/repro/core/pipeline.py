@@ -764,7 +764,7 @@ class Enforcement:
                 )
             if not decision.allowed:
                 raise err(
-                    Errno.EACCES, f"{op.identity} lacks {letters!r} on {bound.sub}"
+                    Errno.EACCES, f"{op.identity} lacks {letters!r} on {bound.full}"
                 )
         elif spec.check == CHECK_MKDIR:
             _res, new_acl = self.policy.plan_mkdir(op.identity, bound.sub, cwd=op.cwd)
@@ -776,7 +776,7 @@ class Enforcement:
                     op.identity, "check:rmdir", bound.sub, decision.allowed, decision.reason
                 )
             if not decision.allowed:
-                raise err(Errno.EACCES, f"{op.identity} may not rmdir {bound.sub}")
+                raise err(Errno.EACCES, f"{op.identity} may not rmdir {bound.full}")
         elif spec.check == CHECK_HARDLINK:
             other = op.path(1)
             self.policy.check_hard_link(op.identity, bound.sub, other.sub, cwd=op.cwd)

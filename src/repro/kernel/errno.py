@@ -70,8 +70,12 @@ class KernelError(Exception):
         # a member is kept as it is; anything else goes through the enum,
         # which raises ValueError for a value it does not define
         self.errno = errno if errno.__class__ is Errno else Errno(errno)
-        detail = self.errno._name_ + (f": {message}" if message else "")
-        super().__init__(detail)
+        super().__init__(self.errno._name_ + (f": {message}" if message else ""))
+
+    @property
+    def detail(self) -> str:
+        """The text without the errno name, for a reply that carries both."""
+        return self.args[0][len(self.errno._name_) + 2 :]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KernelError({self.errno.name}, {self.args[0]!r})"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chirp import CatalogRecord, CatalogServer, advertise, list_servers
+from repro.chirp import CatalogRecord, CatalogServer, advertise, list_servers, mark_shards
 from tests.chirp.conftest import CLIENT_HOST, SERVER_HOST
 
 CATALOG_HOST = "catalog.nowhere.edu"
@@ -228,3 +228,38 @@ def test_eviction_still_wins_past_the_ttl_and_clears_suspicion(cluster, watchful
     assert watchful._suspects == set()
     watchful.update(_member("s1"))  # re-registration is a plain join
     assert watchful.federation_version("pool") == 3
+
+
+# ---------------------------------------------------------------------- #
+# marks: a shard that missed a write stays marked until a rejoin clears it
+# ---------------------------------------------------------------------- #
+
+
+def test_a_mark_bumps_once_and_survives_heartbeats_revival_and_eviction(
+    cluster, server, watchful
+):
+    advertise(cluster.network, SERVER_HOST, server, watchful.hostname, federation="pool")
+    name = f"{SERVER_HOST}:{server.port}"
+    mark_shards(cluster.network, CLIENT_HOST, [name], watchful.hostname)
+    assert watchful.federation_version("pool") == 2  # join + mark
+    mark_shards(cluster.network, CLIENT_HOST, [name], watchful.hostname)
+    assert watchful.federation_version("pool") == 2  # already marked: no bump
+    assert [r.marked for r in watchful.federation_view("pool")[1]] == [True]
+    # a heartbeat, over the wire or straight into the catalog, keeps it
+    advertise(cluster.network, SERVER_HOST, server, watchful.hostname, federation="pool")
+    watchful.update(watchful.fresh_records()[0])
+    assert watchful.federation_version("pool") == 2
+    # so do suspicion, revival and eviction followed by re-registration
+    cluster.clock.advance(21 * NS)
+    advertise(cluster.network, SERVER_HOST, server, watchful.hostname, federation="pool")
+    cluster.clock.advance(61 * NS)
+    assert watchful.federation_view("pool")[1] == []
+    advertise(cluster.network, SERVER_HOST, server, watchful.hostname, federation="pool")
+    assert name in watchful.marked
+    assert [r.marked for r in list_servers(cluster.network, CLIENT_HOST, watchful.hostname)] == [True]
+    # clearing is the same op: one more bump, then the record is plain
+    version = watchful.federation_version("pool")
+    mark_shards(cluster.network, CLIENT_HOST, [name], watchful.hostname, marked=False)
+    assert watchful.federation_version("pool") == version + 1
+    assert name not in watchful.marked
+    assert not any(r.marked for r in watchful.fresh_records())

@@ -1,11 +1,13 @@
 """Replicated federation: quorum writes, shard failover, anti-entropy repair.
 
-The acceptance bar (ISSUE 9): every workload profile is byte-identical at
+The acceptance bar: every workload profile is byte-identical at
 ``REPRO_REPLICAS=3`` vs one replica — *including* a run where one replica
 is blacked out mid-flight and rejoins (repaired) before the end, under a
 seeded 10% fault plan.  Around that sweep: placement unit-tests, failover
-reads, missed-write replay (read repair), quorum arithmetic, tolerant
-teardown, suspect demotion, and the server-side repair path.
+reads, quorum arithmetic, tolerant teardown, suspect demotion, and the
+one repair mechanism: a replica that misses a write is marked in the
+catalog, routed around by every client that refreshed its map, and
+repaired only by a rejoin that copies from unmarked peers.
 """
 
 import pytest
@@ -14,19 +16,23 @@ from repro.chirp import (
     CHIRP_PORT,
     CatalogRecord,
     ChirpError,
+    FederatedClient,
+    GlobusAuthenticator,
     ShardInfo,
     ShardMap,
     advertise,
     quorum,
     route_order,
 )
-from repro.chirp.server import read_file
+from repro.chirp.server import read_file, write_file
+from repro.core.acl import ACL_FILE_NAME
 from repro.kernel.errno import Errno
 from repro.net import FaultPlan
 from repro.workloads import AMANDA, BLAST, CMS, HF, IBIS, MAKE
 from tests.chirp.conftest import FAULT_RATE, FAULT_SEED
 from tests.chirp.test_federation import (
     FED,
+    LAPTOP,
     MANY,
     RETRY,
     connect_fred,
@@ -119,6 +125,19 @@ def test_route_order_demotes_suspects_but_keeps_placement_order():
     assert route_order((b, c, a)) == (b, c, a)
 
 
+def test_route_order_drops_marked_replicas_and_an_all_marked_route_is_eagain():
+    a, b, c = (
+        ShardInfo(name="a", hostname="a", marked=True),
+        ShardInfo(name="b", hostname="b", suspect=True, marked=True),
+        ShardInfo(name="c", hostname="c", suspect=True),
+    )
+    assert route_order((a, b, c)) == (c,)
+    records = [CatalogRecord(name="a", hostname="a", port=CHIRP_PORT, owner="k", marked=True)]
+    with pytest.raises(ChirpError) as info:
+        ShardMap.from_records("pool", 1, records).route_for("/d0")
+    assert info.value.errno is Errno.EAGAIN
+
+
 # ---------------------------------------------------------------------- #
 # the acceptance sweep: k=3 vs k=1, with a replica dying mid-run
 # ---------------------------------------------------------------------- #
@@ -161,7 +180,7 @@ def test_every_workload_is_byte_identical_with_a_replica_dying_mid_run(profile, 
 
 
 # ---------------------------------------------------------------------- #
-# failover reads and read repair
+# failover reads, and marks on the replicas that miss a write
 # ---------------------------------------------------------------------- #
 
 
@@ -180,30 +199,40 @@ def test_failover_read_serves_from_a_replica_while_the_primary_is_dark():
     assert client.stats.routed[victim] >= 1  # the primary was tried first
 
 
-def test_a_dark_replica_misses_writes_and_replays_them_before_serving():
+def test_a_replica_that_misses_a_write_is_marked_and_serves_again_after_its_rejoin():
     cluster, federation, wallet = replicated_world()
     client = connect_fred(cluster, federation, wallet, retry=RETRY)
     client.mkdir("/d0")
     victim = client.shard_of("/d0")
     federation.blackout_shard(victim, 0, 10**9)
     payload = b"written while one replica was dark"
-    client.put(payload, "/d0/f")  # quorum 2/3: succeeds, victim misses it
+    client.put(payload, "/d0/f")  # quorum 2/3: succeeds, the victim is marked
     assert client.stats.quorum_writes >= 1
-    assert client.stats.missed_writes >= 1
-    assert victim in client._missed
+    assert client.stats.marks == 1
+    assert victim in federation.catalog.marked
+    # the writer refreshed its map: the mark is in it
+    assert [s.name for s in client.shard_map.shards if s.marked] == [victim]
 
     lift_blackouts(cluster)
-    # the next op that touches the victim replays its missed writes first
+    served = client.stats.routed[victim]
     assert client.get("/d0/f") == payload
-    assert client.stats.read_repairs == 1
-    assert victim not in client._missed
-    # and the bytes really are on the victim now, not just its peers
+    assert client.put(b"after", "/d0/g") == 5
+    assert client.stats.routed[victim] == served  # routed around, not replayed onto
     raw, shard = client.client_for("/d0")
     assert shard == victim
-    assert raw.get("/d0/f") == payload
+    with pytest.raises(ChirpError) as info:
+        raw.stat("/d0/f")  # the victim still lacks the write
+    assert info.value.errno is Errno.ENOENT
+
+    federation.rejoin_shard(victim)
+    assert victim not in federation.catalog.marked
+    assert client.refresh_map() is True  # clearing the mark bumped the version
+    assert raw.get("/d0/f") == payload and raw.get("/d0/g") == b"after"
+    assert client.get("/d0/f") == payload
+    assert client.stats.routed[victim] == served + 1  # the primary serves again
 
 
-def test_missed_writes_replay_in_order_when_the_next_write_arrives():
+def test_a_rejoin_applies_a_missed_mkdir_before_the_put_inside_it():
     cluster, federation, wallet = replicated_world()
     client = connect_fred(cluster, federation, wallet, retry=RETRY)
     victim = client.shard_of("/d0")
@@ -212,9 +241,11 @@ def test_missed_writes_replay_in_order_when_the_next_write_arrives():
     client.put(b"x", "/d0/f")
     lift_blackouts(cluster)
 
-    client.put(b"y", "/d0/g")  # write path must replay before applying
-    assert client.stats.read_repairs == 1
+    client.put(b"y", "/d0/g")  # the marked victim is skipped, not caught up
     raw, _shard = client.client_for("/d0")
+    with pytest.raises(ChirpError):
+        raw.readdir("/d0")
+    federation.rejoin_shard(victim)  # the repair creates /d0 before its files
     assert sorted(raw.readdir("/d0")) == ["f", "g"]
 
 
@@ -229,7 +260,9 @@ def test_quorum_write_fails_with_eagain_when_a_majority_is_dark():
         client.mkdir("/q")
     assert info.value.errno is Errno.EAGAIN
     assert client.stats.quorum_failures == 1
-    assert client.stats.missed_writes == 2  # both dark peers owe the mkdir
+    # the primary applied the mkdir, so both dark peers are marked
+    assert client.stats.marks == 2
+    assert [name in federation.catalog.marked for name in owners] == [False, True, True]
 
 
 def test_a_definite_error_outvotes_nothing_reads_stay_exact():
@@ -253,9 +286,10 @@ def test_root_readdir_and_setacl_tolerate_one_dark_shard():
     # the union listing still covers every prefix: replica peers list
     # everything the dark shard owns
     assert client.readdir("/") == sorted(f"d{i}" for i in range(8))
-    # root policy administration logs the dark shard instead of failing
+    # root policy administration marks the dark shard instead of failing
     client.setacl("/", "globus:/O=NotreDame/*", "rl")
-    assert victim in client._missed
+    assert victim in federation.catalog.marked
+    assert client.stats.marks == 1
 
 
 def test_close_with_dead_sessions_closes_the_rest_and_never_raises():
@@ -274,15 +308,9 @@ def test_close_with_dead_sessions_closes_the_rest_and_never_raises():
 
     client._clients["zz-exploding"] = ExplodingSession()
     client.close()  # must not raise
-    assert client._clients == {} and client._missed == {}
+    assert client._clients == {}
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the missed-write log is per client: a returning replica serves "
-    "stale data to every other client (ROADMAP item 1)",
-)
 def test_stale_read_after_a_quorum_write():
     # explicit world: the same in every CI leg, no fault plan, no cache
     cluster, federation, wallet = make_fed_world(4, replicas=3, read_cache=False)
@@ -297,14 +325,108 @@ def test_stale_read_after_a_quorum_write():
     b.close()
     lift_blackouts(cluster)
 
-    # today a fresh reader gets v0 from the primary: two acknowledged
-    # writes are invisible
     assert connect_fred(cluster, federation, wallet).get("/d0/f") == b"from-b"
-    a.stat("/d0")  # today A replays its own missed put onto the primary...
-    # ...which then serves from-a while both peers hold from-b
+    a.stat("/d0")
     assert connect_fred(cluster, federation, wallet).get("/d0/f") == b"from-b"
+    federation.rejoin_shard(primary)
     owners = [federation.shards[name].server for name in owners_of(federation, "d0")]
     assert {read_file(s.fs, s.real_path("/d0/f")) for s in owners} == {b"from-b"}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a client whose shard map was cached before a mark still reads the "
+    "marked replica once its outage lifts, until it refreshes; closing that "
+    "window needs a server-side fence",
+)
+def test_a_map_cached_before_the_mark_still_reads_the_unrepaired_replica():
+    cluster, federation, wallet = make_fed_world(4, replicas=3, read_cache=False)
+    a = connect_fred(cluster, federation, wallet, retry=RETRY)
+    a.mkdir("/d0")
+    a.put(b"v0", "/d0/f")
+    reader = connect_fred(cluster, federation, wallet)  # its map predates the mark
+    federation.blackout_shard(a.shard_of("/d0"), 0, 10**9)
+    a.put(b"v1", "/d0/f")  # marks the primary
+    lift_blackouts(cluster)
+    assert reader.get("/d0/f") == b"v1"
+
+
+def test_a_write_whose_mark_cannot_be_reported_answers_eagain():
+    cluster, federation, wallet = replicated_world()
+    client = connect_fred(cluster, federation, wallet, retry=RETRY)
+    client.mkdir("/d0")
+    victim = client.shard_of("/d0")
+    federation.blackout_shard(victim, 0, 10**9)
+    # no catalog to report to
+    blind = FederatedClient(
+        cluster.network, LAPTOP, client.shard_map, [GlobusAuthenticator(wallet)]
+    )
+    with pytest.raises(ChirpError) as info:
+        blind.put(b"x", "/d0/f")
+    assert info.value.errno is Errno.EAGAIN
+    # a catalog that cannot be reached
+    cluster.crash_server(federation.catalog_host, federation.catalog.port)
+    with pytest.raises(ChirpError) as info:
+        client.put(b"x", "/d0/f")
+    assert info.value.errno is Errno.EAGAIN
+    assert victim not in federation.catalog.marked
+    assert client.stats.marks == blind.stats.marks == 0
+
+
+def plant_stale(federation, names, acl_bytes):
+    """Give each named shard an old root ACL and, where it holds /d0, an
+    old /d0/f, straight through its file system."""
+    for name in names:
+        server = federation.shards[name].server
+        write_file(server.fs, server.real_path("/" + ACL_FILE_NAME), acl_bytes, 0o644)
+        if name in owners_of(federation, "d0"):
+            write_file(server.fs, server.real_path("/d0/f"), b"stale", 0o644)
+
+
+def shard_file(federation, name, path):
+    server = federation.shards[name].server
+    return read_file(server.fs, server.real_path(path))
+
+
+def test_repair_copies_neither_a_prefix_nor_the_root_acl_from_a_marked_peer():
+    cluster, federation, wallet = replicated_world()
+    client = connect_fred(cluster, federation, wallet)
+    client.mkdir("/d0")
+    victim, _stale, donor = owners_of(federation, "d0")
+    old_acl = shard_file(federation, victim, "/" + ACL_FILE_NAME)
+    client.put(b"current", "/d0/f")
+    client.setacl("/", "globus:/O=NotreDame/*", "rl")
+    current_acl = shard_file(federation, donor, "/" + ACL_FILE_NAME)
+    # every shard but the donor holds old bytes, and all but it are marked
+    marked = [name for name in federation.shards if name != donor]
+    plant_stale(federation, marked, old_acl)
+    federation.catalog.mark(marked)
+
+    federation.rejoin_shard(victim)
+    assert shard_file(federation, victim, "/d0/f") == b"current"
+    assert shard_file(federation, victim, "/" + ACL_FILE_NAME) == current_acl
+    assert [n for n in marked if n in federation.catalog.marked] == [
+        n for n in marked if n != victim
+    ]
+
+
+def test_a_rejoin_without_an_unmarked_donor_is_eagain_and_keeps_the_mark():
+    cluster, federation, wallet = replicated_world()
+    client = connect_fred(cluster, federation, wallet)
+    client.mkdir("/d0")
+    client.put(b"current", "/d0/f")
+    victim, *peers = owners_of(federation, "d0")
+    plant_stale(federation, [victim], shard_file(federation, victim, "/" + ACL_FILE_NAME))
+    federation.catalog.mark([victim, *peers])
+    with pytest.raises(ChirpError) as info:
+        federation.rejoin_shard(victim)
+    assert info.value.errno is Errno.EAGAIN
+    assert victim in federation.catalog.marked
+    assert shard_file(federation, victim, "/d0/f") == b"stale"  # nothing copied
+    with pytest.raises(ChirpError) as info:
+        connect_fred(cluster, federation, wallet).get("/d0/f")
+    assert info.value.errno is Errno.EAGAIN  # no replica of /d0 is routable
 
 
 # ---------------------------------------------------------------------- #
@@ -348,9 +470,9 @@ def test_rejoin_repairs_a_dark_shard_from_its_replica_peers():
     client.put(b"doomed", "/d0/tmp")
     victim = client.shard_of("/d0")
     federation.blackout_shard(victim, 0, 10**9)
-    # mutations the victim sleeps through — then the client goes away,
-    # taking its missed-write log with it: only server-side anti-entropy
-    # can converge the victim now
+    # mutations the victim sleeps through (the first marks it); the
+    # client then goes away, and only server-side anti-entropy converges
+    # the victim
     client.put(b"new bytes", "/d0/late")
     client.mkdir("/d0/sub")
     client.put(b"nested", "/d0/sub/deep")

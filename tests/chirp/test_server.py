@@ -129,6 +129,24 @@ def test_no_reply_names_the_export_root(fred, server):
     assert all(server.export_root not in repr(reply) for reply in replies)
 
 
+def test_error_replies_name_the_errno_once_and_denials_no_machine_path(fred, heidi, server):
+    fred.mkdir("/d")
+    fred.mkdir("/d/sub")
+    with pytest.raises(ChirpError) as put:
+        heidi.put(b"x", "/d/g")
+    with pytest.raises(ChirpError) as rmdir:
+        heidi.rmdir("/d/sub")
+    with pytest.raises(ChirpError) as get:
+        fred.get("/d/nope")
+    for info, errno in ((put, Errno.EACCES), (rmdir, Errno.EACCES), (get, Errno.ENOENT)):
+        assert info.value.errno is errno
+        assert str(info.value).count(errno.name) == 1, str(info.value)
+    # the denials name the path as the caller gave it
+    assert str(put.value).endswith("lacks 'w' on /d/g")
+    assert str(rmdir.value).endswith("may not rmdir /d/sub")
+    assert server.export_root not in str(put.value) + str(rmdir.value)
+
+
 def test_bad_fd_is_ebadf(fred):
     with pytest.raises(ChirpError) as info:
         fred.pread(123, 1, 0)

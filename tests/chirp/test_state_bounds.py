@@ -13,10 +13,15 @@ A second census churns principals instead of files: every session is a
 never-seen identity, and each directory's compiled ACL remembers the
 rights of at most ``RIGHTS_MEMO_ENTRIES`` of them.
 
-Out of scope here: the federation's missed-write log (ROADMAP item 2,
-never shrunk by a replica that stays away), which a single server does
-not exercise.
+A third census covers a replicated federation with one replica dark:
+its client, the deployment and the catalog hold the same state after a
+blackout ten times as long, because a replica that misses a write costs
+one catalog mark, not a log of the writes.
 """
+
+import gc
+import tracemalloc
+from collections import deque
 
 from repro.chirp import ChirpError, GlobusAuthenticator
 from repro.chirp.server import IDEM_CACHE_LIMIT
@@ -26,6 +31,7 @@ from repro.gsi import provision_user
 from repro.kernel.errno import Errno
 from repro.kernel.vfs import MEMO_ENTRIES
 from tests.chirp.conftest import connect
+from tests.chirp.test_federation import RETRY, connect_fred, make_fed_world
 from tests.helpers import state_census
 
 #: Stores with a fixed cap: reaching it is bounded by construction.  The
@@ -173,3 +179,38 @@ def test_principal_churn_leaves_every_rights_memo_within_its_cap(
     # the offline certificate ceremony registers each new user there
     assert grown.pop("CredentialStore._known_users") == (201, 2001)
     assert grown == {}, f"stores that grow with the principals: {grown}"
+
+
+def dark_replica_run(missed: int) -> tuple[dict[str, int], int]:
+    """A 3-replica federation whose primary for ``/d0`` is dark while
+    ``missed`` distinct 64 KiB puts land on its peers: the census of the
+    client, the deployment and the catalog, and the bytes the run left
+    allocated, counted from before the world was built."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cluster, federation, wallet = make_fed_world(4, replicas=3, read_cache=False)
+        for shard in federation.shards.values():
+            # a ring the warm-up fills, as it fills its 20,000-span default
+            # only after ~10,000 puts: either way its cap bounds it
+            shard.telemetry.spans = deque(maxlen=256)
+        client = connect_fred(cluster, federation, wallet, retry=RETRY)
+        client.mkdir("/d0")
+        for i in range(IDEM_CACHE_LIMIT):  # fill every replay cache first
+            client.put(b"warm", f"/d0/f{i % 4}")
+        federation.blackout_shard(client.shard_of("/d0"), 0, 10**9)
+        for i in range(missed):
+            client.put(bytes([i % 251]) * 65536, f"/d0/f{i % 4}")
+        assert client.stats.marks == 1
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return state_census(client, federation, federation.catalog), retained
+
+
+def test_a_dark_replica_costs_the_same_state_at_ten_times_the_blackout():
+    short, short_bytes = dark_replica_run(80)
+    long, long_bytes = dark_replica_run(800)
+    assert long == short
+    assert abs(long_bytes - short_bytes) <= 0.1 * short_bytes, (short_bytes, long_bytes)

@@ -179,7 +179,7 @@ def test_assigning_any_stats_field_raises():
         (server.stats, "connections auth_failures ops execs bytes_read bytes_written"
          " denials protocol_errors sheds replays batches coalesced"),
         (fed.stats, "routed map_refreshes map_rebuilds transfers transfer_bytes"
-         " quorum_writes quorum_failures failover_reads read_repairs missed_writes"),
+         " quorum_writes quorum_failures failover_reads marks"),
         (FaultPlan().stats, "injected"),
     ]:
         for field in fields.split():
