@@ -26,10 +26,12 @@ ring, so placement is stable).  A heartbeat from a suspect — or from a
 shard that went silent past the horizon without a sweep noticing —
 clears the suspicion with exactly one more version bump.
 
-A **mark** (the ``mark`` op) says a shard missed a replicated write; it
-bumps the version, views carry it, and routing skips the shard.  No
-heartbeat, eviction or re-registration clears it: only a rejoin does,
-after anti-entropy repaired the shard.  At most one mark per shard name.
+A **mark** (the ``mark`` op) says a shard missed a replicated write
+under one prefix (``""``: the root ACL); a call that changes marks bumps
+the version once, views carry them, and routing skips the shard for that
+prefix.  No heartbeat, eviction or re-registration clears a mark: only a
+rejoin does, after anti-entropy repaired the prefix.  At most one mark
+per (shard name, prefix).
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ class CatalogRecord:
     #: stamped by the *catalog* when rendering views — a server never
     #: advertises itself suspect; missed heartbeats do
     suspect: bool = False
-    #: stamped by the catalog too: the shard missed a write
-    marked: bool = False
+    #: stamped by the catalog too: the prefixes the shard missed a write
+    #: under, sorted ("" is the root ACL)
+    marked: tuple[str, ...] = ()
 
     def to_fields(self) -> dict[str, Any]:
         fields = {
@@ -85,7 +88,7 @@ class CatalogRecord:
             "suspect": self.suspect,
         }
         if self.marked:  # an unmarked record keeps its old wire size
-            fields["marked"] = True
+            fields["marked"] = list(self.marked)
         return fields
 
     @classmethod
@@ -99,7 +102,7 @@ class CatalogRecord:
             federation=str(fields.get("federation", "")),
             weight=int(fields.get("weight", 1)),
             suspect=bool(fields.get("suspect", False)),
-            marked=bool(fields.get("marked", False)),
+            marked=tuple(str(p) for p in fields.get("marked", ())),
         )
 
     def membership_key(self) -> tuple:
@@ -130,8 +133,9 @@ class CatalogServer:
         self._fed_versions: dict[str, int] = {}
         #: names whose heartbeats stopped (failure detector's verdict)
         self._suspects: set[str] = set()
-        #: names that missed a write (kept across eviction and heartbeats)
-        self.marked: set[str] = set()
+        #: name -> the prefixes it missed a write under, sorted (kept
+        #: across eviction and heartbeats)
+        self.marked: dict[str, tuple[str, ...]] = {}
         #: eviction accounting (ghost entries reaped by staleness)
         self.evictions: int = 0
         #: suspicion accounting (records demoted by missed heartbeats)
@@ -226,20 +230,27 @@ class CatalogServer:
                 self._bump(record.federation)
         return expired
 
-    def mark(self, names: list[str], marked: bool = True) -> None:
-        """Set or clear each named shard's mark; each change bumps its
-        federation's version (a name with no record keeps the mark)."""
-        for name in names:
-            if (name in self.marked) != marked:
-                self.marked ^= {name}  # the state differs, so a toggle sets it
-                record = self._records.get(name)
-                self._bump(record.federation if record else "")
+    def mark(self, federation: str, marks: list[tuple[str, str]], marked: bool = True) -> int:
+        """Set or clear (shard name, prefix) marks; a call that changes any
+        bumps the federation's version once.  Returns how many changed (a
+        name with no record keeps its marks)."""
+        changed = 0
+        for name, prefix in marks:
+            prefixes = set(self.marked.pop(name, ()))
+            if (prefix in prefixes) != marked:
+                prefixes ^= {prefix}  # the state differs, so a toggle sets it
+                changed += 1
+            if prefixes:
+                self.marked[name] = tuple(sorted(prefixes))
+        if changed:
+            self._bump(federation)
+        return changed
 
     def fresh_records(self) -> list[CatalogRecord]:
         self.sweep()
         return sorted(
             (
-                replace(r, suspect=r.name in self._suspects, marked=r.name in self.marked)
+                replace(r, suspect=r.name in self._suspects, marked=self.marked.get(r.name, ()))
                 if r.name in self._suspects or r.name in self.marked
                 else r
                 for r in self._records.values()
@@ -272,10 +283,11 @@ class _CatalogConnection:
                 removed = self.catalog.remove(str(message["name"]))
                 return encode_message({"ok": True, "removed": removed})
             if op == "mark":
-                self.catalog.mark(
-                    [str(n) for n in message["names"]], bool(message["marked"])
-                )
-                return encode_message({"ok": True})
+                federation = str(message["federation"])
+                marks = [(str(name), str(prefix)) for name, prefix in message["marks"]]
+                changed = self.catalog.mark(federation, marks, bool(message["marked"]))
+                version = self.catalog.federation_version(federation)
+                return encode_message({"ok": True, "changed": changed, "version": version})
             if op == "list":
                 return encode_message(
                     {
@@ -359,14 +371,18 @@ def advertise(
 def mark_shards(
     network: Network,
     from_host: str,
-    names: list[str],
+    federation: str,
+    marks: list[tuple[str, str]],
     catalog_host: str,
     catalog_port: int = CATALOG_PORT,
     marked: bool = True,
-) -> None:
-    """Report shards that missed a write (``marked=False``: repaired)."""
-    message = {"op": "mark", "names": list(names), "marked": marked}
-    _catalog_call(network, from_host, catalog_host, catalog_port, message)
+) -> tuple[int, int]:
+    """Report (shard name, prefix) pairs whose write the shard missed
+    (``marked=False``: repaired).  Returns the federation's version after
+    the report and how many marks it changed."""
+    message = {"op": "mark", "federation": federation, "marks": marks, "marked": marked}
+    reply = _catalog_call(network, from_host, catalog_host, catalog_port, message)
+    return int(reply["version"]), int(reply["changed"])
 
 
 def list_servers(

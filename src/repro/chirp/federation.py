@@ -53,12 +53,15 @@ succeeding once a strict majority of the *full* replica set answered
 definitely; each per-shard session mints its own idempotency keys, so
 retried writes ride the existing replay caches.  Reads are **failover
 reads** — primary first, replica peers on unavailability, suspects last.
-A replica a write could not reach is reported to the catalog before the
-write answers (EAGAIN if the report fails); the catalog *marks* it, and
-no map that carries the mark routes to it.  The one repair is
-:meth:`Federation.rejoin_shard`: anti-entropy from *unmarked* peers by
-manifest diff, through the staging protocol renames use, and only then
-is the mark cleared.  ``repl.*`` counters account for all of it.
+Every owner a write did not reach — unreachable, or skipped by routing
+because it is marked — is reported to the catalog under the write's
+prefix before the write answers (EAGAIN if the report fails); the
+catalog *marks* (shard, prefix), and no map that carries the mark routes
+that prefix to the shard.  The one repair is
+:meth:`Federation.rejoin_shard`: anti-entropy, prefix by prefix, from
+owners *not marked* for the prefix, by manifest diff, through the
+staging protocol renames use; only the marks it repaired are cleared.
+``repl.*`` counters account for all of it.
 """
 
 from __future__ import annotations
@@ -131,9 +134,11 @@ class ShardInfo:
     #: the catalog's failure detector flagged this shard (missed
     #: heartbeats): still placed on the ring, demoted in routing order
     suspect: bool = False
-    #: the shard missed a write: still placed on the ring (placement is
-    #: stable), but routed to by nothing until a rejoin repairs it
-    marked: bool = False
+    #: prefixes the shard missed a write under: still placed on the ring
+    #: (placement is stable), but routed none of them until a rejoin
+    #: repairs them; "" is the root ACL, which every top-level entry
+    #: inherits, so it takes the shard out of every route
+    marked: frozenset[str] = frozenset()
 
     @classmethod
     def from_record(cls, record: CatalogRecord) -> "ShardInfo":
@@ -143,18 +148,18 @@ class ShardInfo:
             port=record.port,
             weight=max(1, record.weight),
             suspect=record.suspect,
-            marked=record.marked,
+            marked=frozenset(record.marked),
         )
 
 
-def route_order(replicas: tuple[ShardInfo, ...]) -> tuple[ShardInfo, ...]:
-    """Attempt order over a replica set: placement order without the
-    shards the catalog marked, and with the shards it suspects demoted to
-    last (stable within each class) — clients route around a stale or
-    likely-dead shard without moving any data."""
-    return tuple(s for s in replicas if not (s.suspect or s.marked)) + tuple(
-        s for s in replicas if s.suspect and not s.marked
-    )
+def route_order(replicas: tuple[ShardInfo, ...], prefix: str = "") -> tuple[ShardInfo, ...]:
+    """Attempt order over one prefix's replica set: placement order
+    without the shards marked for the prefix or for the root ACL, and
+    with the shards the catalog suspects demoted to last (stable within
+    each class) — clients route around a stale or likely-dead shard
+    without moving any data."""
+    live = tuple(s for s in replicas if not s.marked & {prefix, ""})
+    return tuple(s for s in live if not s.suspect) + tuple(s for s in live if s.suspect)
 
 
 @dataclass(frozen=True)
@@ -207,26 +212,33 @@ class ShardMap:
         )
 
     @cached_property
-    def _placements(self) -> dict[str, tuple[ShardInfo, ...]]:
-        """Prefix -> replica set, filled by :meth:`replicas_for_prefix`.
-        The map is frozen, so a placement never goes stale; a new map
-        version is a new object and starts empty."""
+    def _placements(self) -> dict[str, tuple[tuple[ShardInfo, ...], ...]]:
+        """Prefix -> (owners, attempt order, owners routing skips), filled
+        by :meth:`placed`.  The map is frozen, so none of them goes stale;
+        a new map version is a new object and starts empty."""
         return {}
 
-    def replicas_for_prefix(self, prefix: str) -> tuple[ShardInfo, ...]:
-        """The ordered replica set owning one prefix: the first
-        ``replicas`` *distinct* shards clockwise from the prefix's ring
-        point (successor placement).  The first entry is the primary —
-        identical to the single owner a ``replicas=1`` map names.  At
-        most :data:`PLACEMENT_MEMO_ENTRIES` placements are remembered."""
+    def placed(self, prefix: str) -> tuple[tuple[ShardInfo, ...], ...]:
+        """One prefix's owners — the first ``replicas`` *distinct* shards
+        clockwise from its ring point (successor placement), the primary
+        first, identical to the single owner a ``replicas=1`` map names —
+        its attempt order (:func:`route_order`) and the owners that order
+        skips, computed once per map.  At most
+        :data:`PLACEMENT_MEMO_ENTRIES` prefixes are remembered."""
         memo = self._placements
         placed = memo.get(prefix)
         if placed is None:
-            placed = self._place(prefix)
+            owners = self._place(prefix)
+            route = route_order(owners, prefix)
+            placed = (owners, route, tuple(s for s in owners if s not in route))
             if len(memo) >= PLACEMENT_MEMO_ENTRIES:
                 memo.clear()
             memo[prefix] = placed
         return placed
+
+    def replicas_for_prefix(self, prefix: str) -> tuple[ShardInfo, ...]:
+        """The ordered replica set owning one prefix (:meth:`placed`)."""
+        return self.placed(prefix)[0]
 
     def _place(self, prefix: str) -> tuple[ShardInfo, ...]:
         """Walk the ring for one prefix (the memo's source of truth)."""
@@ -251,12 +263,15 @@ class ShardMap:
         """The replica set owning ``path`` (its whole top-level directory)."""
         return self.replicas_for_prefix(path_prefix(path))
 
-    def route_for(self, path: str) -> tuple[ShardInfo, ...]:
-        """``path``'s attempt order; EAGAIN when every replica is marked."""
-        route = route_order(self.replicas_for(path))
+    def route_for_prefix(
+        self, prefix: str
+    ) -> tuple[tuple[ShardInfo, ...], tuple[ShardInfo, ...]]:
+        """One prefix's attempt order and the marked owners it skips;
+        EAGAIN when it skips them all."""
+        _owners, route, skipped = self.placed(prefix)
         if not route:
-            raise ChirpError(Errno.EAGAIN, f"every replica of {path!r} is marked")
-        return route
+            raise ChirpError(Errno.EAGAIN, f"every replica of prefix {prefix!r} is marked")
+        return route, skipped
 
     def shard_for_prefix(self, prefix: str) -> ShardInfo:
         return self.replicas_for_prefix(prefix)[0]
@@ -278,7 +293,7 @@ class ShardMap:
                 f"  {shard.name}  host={shard.hostname}:{shard.port}  "
                 f"weight={shard.weight}"
                 + ("  SUSPECT" if shard.suspect else "")
-                + ("  MARKED" if shard.marked else "")
+                + (f"  MARKED {sorted(shard.marked)}" if shard.marked else "")
             )
         return "\n".join(lines)
 
@@ -479,15 +494,12 @@ class FederatedClient:
         return call(self._client(shard))
 
     def _failover(
-        self,
-        op: str,
-        ordered: tuple[ShardInfo, ...],
-        call: Callable[[ChirpClient], Any],
-        count: bool = True,
+        self, op: str, prefix: str, call: Callable[[ChirpClient], Any], count: bool = True
     ) -> Any:
         """A read: first replica to answer definitely wins; an
         unreachable replica is skipped (failover) as long as peers
         remain.  With one replica this is the old single-owner call."""
+        ordered = self.shard_map.route_for_prefix(prefix)[0]
         last: ChirpError | None = None
         for index, shard in enumerate(ordered):
             try:
@@ -502,34 +514,35 @@ class FederatedClient:
         raise last  # pragma: no cover - loop always raises or returns
 
     def _quorum(
-        self,
-        op: str,
-        ordered: tuple[ShardInfo, ...],
-        call: Callable[[ChirpClient], Any],
-        count: bool = True,
+        self, op: str, prefix: str, call: Callable[[ChirpClient], Any], count: bool = True
     ) -> Any:
-        """A write: apply to every routable replica and demand a strict
-        majority of the full replica set in definite answers.  Replicas
-        unreachable while another answered are marked (:meth:`_mark`)
-        before the write answers.  The verdict — result or error — is
-        the first definite outcome in attempt order (replicas are
-        deterministic, so definite outcomes agree)."""
+        """A write under one prefix: apply to every routable replica and
+        demand a strict majority of the full replica set in definite
+        answers.  Once one answered, every owner the write did not reach
+        — unreachable, or skipped by routing as marked — is reported
+        (:meth:`_mark`) before the write answers, so a mark cleared since
+        this map was fetched is set again.  The verdict is the first
+        definite outcome in attempt order (replicas are deterministic,
+        so definite outcomes agree)."""
+        ordered, skipped = self.shard_map.route_for_prefix(prefix)
         need = quorum(min(self.shard_map.replicas, len(self.shard_map.shards)))
         definite: list[tuple[ChirpError | None, Any]] = []
-        downs: list[tuple[ShardInfo, ChirpError]] = []
+        downs: list[ChirpError] = []
+        missed = list(skipped)
         for shard in ordered:
             try:
                 definite.append((None, self._attempt(op, shard, call, count=count)))
             except (ChirpError, KernelError) as exc:
                 error = as_chirp_error(exc)
                 if is_unavailable(error):
-                    downs.append((shard, error))
+                    downs.append(error)
+                    missed.append(shard)
                 else:
                     definite.append((error, None))
         if not definite:
-            raise downs[0][1]  # nothing answered: surface the original error
-        if downs:
-            self._mark(op, [shard for shard, _error in downs])
+            raise downs[0]  # nothing answered: surface the original error
+        if missed:
+            self._mark(op, prefix, missed)
         if len(definite) < need:
             self._inc("repl.quorum_failures", op)
             raise ChirpError(
@@ -544,40 +557,42 @@ class FederatedClient:
             raise error
         return result
 
-    def _mark(self, op: str, shards: list[ShardInfo]) -> None:
-        """Report replicas that missed a write to the catalog and refresh
-        the map.  An undelivered report fails the write with EAGAIN:
-        acknowledging it would leave a stale replica that routing trusts."""
+    def _mark(self, op: str, prefix: str, shards: list[ShardInfo]) -> None:
+        """Report shards that missed a write under ``prefix``; refresh the
+        map when the federation's version moved.  An undelivered report
+        fails the write with EAGAIN: acknowledging it would leave a stale
+        replica that routing trusts."""
         names = [shard.name for shard in shards]
         try:
             if not self.catalog_host:
                 raise ChirpError(Errno.EINVAL, "federated client has no catalog")
-            mark_shards(self.network, self.client_host, names, self.catalog_host,
-                        self.catalog_port)
-            self.refresh_map()
+            version, changed = mark_shards(
+                self.network, self.client_host, self.shard_map.federation,
+                [(name, prefix) for name in names], self.catalog_host, self.catalog_port,
+            )
+            if version != self.shard_map.version:
+                self.refresh_map()
         except (ChirpError, KernelError, RuntimeError) as exc:
             raise ChirpError(
                 Errno.EAGAIN, f"{op}: could not report that {names} missed it: {exc}"
             ) from exc
-        for name in names:
-            self._inc("repl.marks", op, name)
+        if changed:
+            self._inc("repl.marks", op, value=changed)
 
     def _fan_out(
-        self, op: str, path: str, call: Callable[[ChirpClient], Any]
-    ) -> tuple[list[Any], list[ShardInfo]]:
-        """A root op on every unmarked shard: the answers, and the shards
+        self, op: str, path: str, shards: tuple[ShardInfo, ...], call: Callable[[ChirpClient], Any]
+    ) -> tuple[list[tuple[ShardInfo, Any]], list[ShardInfo]]:
+        """A root op on ``shards``: (shard, answer) pairs, and the shards
         that were unreachable — skipped only on a replicated map (peers
         cover their prefixes) while some shard answers."""
-        span = self._span(op, path=path, fanout=len(self.shard_map.shards))
-        results: list[Any] = []
+        span = self._span(op, path=path, fanout=len(shards))
+        results: list[tuple[ShardInfo, Any]] = []
         downs: list[tuple[ShardInfo, ChirpError]] = []
         try:
-            for shard in self.shard_map.shards:
-                if shard.marked:
-                    continue
+            for shard in shards:
                 self._inc("fed.ops", op, shard.name)
                 try:
-                    results.append(call(self._client(shard)))
+                    results.append((shard, call(self._client(shard))))
                 except (ChirpError, KernelError) as exc:
                     error = as_chirp_error(exc)
                     if self.shard_map.replicas == 1 or not is_unavailable(error):
@@ -585,30 +600,27 @@ class FederatedClient:
                     downs.append((shard, error))
             if downs and not results:
                 raise downs[0][1]
+            if not results:
+                raise ChirpError(Errno.EAGAIN, f"{op}: every shard is marked")
         finally:
             self._end(span)
         return results, [shard for shard, _error in downs]
 
     def _delegated(self, op: str, path: str, call: Callable[[ChirpClient], Any]) -> Any:
         """Route a read: primary first, replica peers on unavailability."""
-        ordered = self.shard_map.route_for(path)
-        span = self._span(op, shard=ordered[0].name, path=path)
-        status = "ok"
-        try:
-            return self._failover(op, ordered, call)
-        except ChirpError as exc:
-            status = exc.errno.name
-            raise
-        finally:
-            self._end(span, status=status)
+        return self._routed(self._failover, op, path, call)
 
     def _mutating(self, op: str, path: str, call: Callable[[ChirpClient], Any]) -> Any:
         """Route a write: quorum across the path's replica set."""
-        ordered = self.shard_map.route_for(path)
-        span = self._span(op, shard=ordered[0].name, path=path)
+        return self._routed(self._quorum, op, path, call)
+
+    def _routed(self, run, op: str, path: str, call: Callable[[ChirpClient], Any]) -> Any:
+        """``run`` (:meth:`_failover` or :meth:`_quorum`) under a span."""
+        prefix = path_prefix(path)
+        span = self._span(op, shard=self.shard_map.route_for_prefix(prefix)[0][0].name, path=path)
         status = "ok"
         try:
-            return self._quorum(op, ordered, call)
+            return run(op, prefix, call)
         except ChirpError as exc:
             status = exc.errno.name
             raise
@@ -691,13 +703,17 @@ class FederatedClient:
         """Set an ACL entry; on the root this fans out to every shard so
         the namespace-wide policy surface cannot drift apart.  On a
         replicated map an unreachable shard is marked rather than failing
-        the whole fan-out; its rejoin copies the root ACL."""
+        the whole fan-out; its rejoin copies the root ACL.  A shard marked
+        for the root ACL gets no write and is reported again."""
         if path_prefix(path) == "":
+            shards = self.shard_map.shards
+            live = tuple(s for s in shards if "" not in s.marked)
             _done, downs = self._fan_out(
-                "setacl", path, lambda c: c.setacl(path, subject, rights)
+                "setacl", path, live, lambda c: c.setacl(path, subject, rights)
             )
-            if downs:
-                self._mark("setacl", downs)
+            missed = downs + [s for s in shards if "" in s.marked]
+            if missed:
+                self._mark("setacl", "", missed)
             return
         self._mutating("setacl", path, lambda c: c.setacl(path, subject, rights))
 
@@ -707,13 +723,21 @@ class FederatedClient:
         In-flight transfer staging names are shielded the way ACL files
         are: a half-finished migration is never visible to listings.  On
         a replicated map a dark shard is skipped — every prefix it owns
-        is still listed by its replica peers.
+        is still listed by its replica peers.  A shard's entries for the
+        prefixes it is marked for are dropped, and a marked prefix no
+        answering owner lists unmarked is EAGAIN, not left out.
         """
         if path_prefix(path) == "":
-            listings, downs = self._fan_out("readdir", path, lambda c: c.readdir(path))
+            shards = self.shard_map.shards
+            listings, downs = self._fan_out("readdir", path, shards, lambda c: c.readdir(path))
             for shard in downs:
                 self._inc("repl.failover_reads", "readdir", shard.name)
-            names = set().union(*listings)
+            names = {n for shard, listing in listings for n in listing if n not in shard.marked}
+            answered = {shard.name for shard, _listing in listings}
+            for prefix in sorted({p for s in shards for p in s.marked} - {""}):
+                if all(s.name not in answered or prefix in s.marked
+                       for s in self.shard_map.replicas_for_prefix(prefix)):
+                    raise ChirpError(Errno.EAGAIN, f"no owner of {prefix!r} lists it unmarked")
         else:
             names = set(self._delegated("readdir", path, lambda c: c.readdir(path)))
         return sorted(n for n in names if not n.endswith(FED_XFER_SUFFIX))
@@ -785,26 +809,22 @@ class FederatedClient:
             "rename", shard=dst[0].name, from_shard=src[0].name,
             to_shard=dst[0].name, path=oldpath,
         )
-
-        def step(run, path: str, call: Callable[[ChirpClient], Any]) -> Any:
-            return run("rename", self.shard_map.route_for(path), call, count=False)
-
+        status = "ok"
         try:
-            mode = step(self._failover, oldpath, lambda c: c.stat(oldpath)).mode or 0o644
-            data = step(self._failover, oldpath, lambda c: c.get(oldpath))
+            old, new = path_prefix(oldpath), path_prefix(newpath)
+            mode = self._failover("rename", old, lambda c: c.stat(oldpath), False).mode or 0o644
+            data = self._failover("rename", old, lambda c: c.get(oldpath), False)
             staging = newpath + FED_XFER_SUFFIX
-            step(self._quorum, newpath, lambda c: c.put(data, staging, mode=mode))
-            step(self._quorum, newpath, lambda c: c.rename(staging, newpath))  # keyed commit
-            step(self._quorum, oldpath, lambda c: c.unlink(oldpath))  # keyed cleanup
+            self._quorum("rename", new, lambda c: c.put(data, staging, mode=mode), False)
+            self._quorum("rename", new, lambda c: c.rename(staging, newpath), False)  # keyed commit
+            self._quorum("rename", old, lambda c: c.unlink(oldpath), False)  # keyed cleanup
             self._inc("fed.transfers")
             self._inc("fed.transfer_bytes", value=len(data))
         except ChirpError as exc:
-            self._end(span, status=exc.errno.name)
-            span = None
+            status = exc.errno.name
             raise
         finally:
-            if span is not None:
-                self._end(span)
+            self._end(span, status=status)
 
     # ------------------------------------------------------------------ #
     # observability conveniences
@@ -930,21 +950,26 @@ class Federation:
     def repair_shard(self, shard_name: str) -> dict[str, int]:
         """Anti-entropy: converge a shard's export with its replica peers.
 
-        A donor is never a marked shard: the shared root ACL file comes
-        from the first unmarked peer, each prefix the shard replicates
-        from the first unmarked other owner in placement order, and that
-        donor's manifest is authoritative.  Differing files are staged
-        under the hidden transfer suffix and committed with a rename (the
-        protocol cross-shard renames use, so a crash mid-repair is
-        invisible); entries the donor lacks are removed.  EAGAIN, before
-        anything is copied, when a part has peers but no unmarked one.
+        Each part — the shared root ACL file, and every prefix the shard
+        replicates — comes from the first peer (for a prefix, the first
+        other owner in placement order) the catalog has not marked for
+        that part, and that donor's manifest is authoritative.  Differing
+        files are staged under the hidden transfer suffix and committed
+        with a rename (the protocol cross-shard renames use, so a crash
+        mid-repair is invisible); entries the donor lacks are removed.  A
+        part whose every peer is marked for it is left as it is.
         """
+        return self._repair(shard_name)[0]
+
+    def _repair(self, shard_name: str) -> tuple[dict[str, int], list[str]]:
+        """:meth:`repair_shard`'s totals, and the parts it left because no
+        peer was unmarked for them ("" is the root ACL)."""
         placement = self.placement()
         target = self.shards[shard_name]
         totals = {"prefixes": 0, "copied": 0, "bytes": 0, "removed": 0}
         peers = [n for n in sorted(self.shards) if n != shard_name]
         if not peers:
-            return totals
+            return totals, []
         manifests = {shard_name: target.server.export_manifest()}
 
         def manifest_of(name: str) -> dict[str, tuple]:
@@ -952,13 +977,7 @@ class Federation:
                 manifests[name] = self.shards[name].server.export_manifest()
             return manifests[name]
 
-        def donor(part: str, others: list[str]) -> str:
-            for name in others:
-                if name not in self.catalog.marked:
-                    return name
-            raise ChirpError(Errno.EAGAIN, f"no unmarked donor of {part!r} for {shard_name}")
-
-        plan = [("/" + ACL_FILE_NAME, donor(ACL_FILE_NAME, peers))]
+        parts = [("", peers)]
         prefixes: set[str] = set()
         for name in (shard_name, *peers):
             for path in manifest_of(name):
@@ -969,10 +988,16 @@ class Federation:
             owners = [s.name for s in placement.replicas_for_prefix(prefix)]
             others = [n for n in owners if n != shard_name]
             if shard_name in owners and others:
-                plan.append(("/" + prefix, donor(prefix, others)))
-        totals["prefixes"] = len(plan) - 1
-        for vroot, name in plan:
-            self._sync_subtree(name, shard_name, vroot, manifest_of, totals)
+                parts.append((prefix, others))
+        marked = self.catalog.marked
+        skipped: list[str] = []
+        for part, candidates in parts:
+            donor = next((n for n in candidates if part not in marked.get(n, ())), None)
+            if donor is None:
+                skipped.append(part)
+                continue
+            totals["prefixes"] += part != ""
+            self._sync_subtree(donor, shard_name, "/" + (part or ACL_FILE_NAME), manifest_of, totals)
         target.server.policy.invalidate_all()  # repaired ACL bytes win
         if target.server.read_cache is not None:
             # repair wrote through target.fs, below the pipeline: the
@@ -985,7 +1010,7 @@ class Federation:
         telemetry.counter_inc("repl.repair_files", value=totals["copied"])
         telemetry.counter_inc("repl.repair_bytes", value=totals["bytes"])
         telemetry.counter_inc("repl.repair_removed", value=totals["removed"])
-        return totals
+        return totals, skipped
 
     def _sync_subtree(
         self,
@@ -1035,15 +1060,22 @@ class Federation:
             totals["bytes"] += len(data)
 
     def rejoin_shard(self, shard_name: str) -> dict[str, int]:
-        """Repair a shard from unmarked peers *first*, then re-advertise
-        and clear its mark: the only way a mark clears.  When repair
-        raises (EAGAIN: no unmarked donor) the mark stays."""
-        totals = self.repair_shard(shard_name)
+        """Repair a shard from unmarked donors *first*, then re-advertise
+        it and clear its marks: the only way a mark clears.  A mark on a
+        part no peer is unmarked for stays, and the rejoin answers EAGAIN
+        once the rest is repaired."""
+        totals, skipped = self._repair(shard_name)
         self._advertise(shard_name)
-        mark_shards(
-            self.cluster.network, self.shards[shard_name].server.hostname,
-            [shard_name], self.catalog_host, self.catalog.port, marked=False,
-        )
+        kept = [p for p in self.catalog.marked.get(shard_name, ()) if p in skipped]
+        repaired = [p for p in self.catalog.marked.get(shard_name, ()) if p not in skipped]
+        if repaired:
+            mark_shards(
+                self.cluster.network, self.shards[shard_name].server.hostname, self.name,
+                [(shard_name, p) for p in repaired], self.catalog_host, self.catalog.port,
+                marked=False,
+            )
+        if kept:
+            raise ChirpError(Errno.EAGAIN, f"no unmarked donor of {kept} for {shard_name}")
         return totals
 
 

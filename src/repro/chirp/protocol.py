@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from stat import S_IFDIR, S_IFLNK, S_IFREG
 from typing import Any
 
-from ..kernel.errno import Errno, KernelError
+from ..kernel.errno import Errno, errno_text
 from ..net.rpc import ProtocolError, decode_message, encode_message
 
 #: File-type bits of a mode (``stat.S_IFMT`` as a mask), for :func:`stat_fields`.
@@ -105,9 +105,9 @@ class ChirpError(Exception):
 
     def __init__(self, errno: Errno, message: str = "") -> None:
         self.errno = Errno(errno)
-        super().__init__(f"{self.errno.name}" + (f": {message}" if message else ""))
-
-    detail = KernelError.detail  # the text without the errno name
+        #: the message without the errno name (what the server sent)
+        self.detail = message
+        super().__init__(errno_text(self.errno, message))
 
 
 def request(op: str, **fields: Any) -> bytes:

@@ -59,6 +59,12 @@ class Errno(enum.IntEnum):
 _ERRNO_OF: dict[int, Errno] = {member.value: member for member in Errno}
 
 
+def errno_text(errno: Errno, detail: str) -> str:
+    """How an error that carries an errno reads: ``NAME: detail``, or the
+    name alone when there is no detail."""
+    return errno._name_ + (f": {detail}" if detail else "")
+
+
 class KernelError(Exception):
     """A syscall failure carrying an :class:`Errno`.
 
@@ -70,12 +76,9 @@ class KernelError(Exception):
         # a member is kept as it is; anything else goes through the enum,
         # which raises ValueError for a value it does not define
         self.errno = errno if errno.__class__ is Errno else Errno(errno)
-        super().__init__(self.errno._name_ + (f": {message}" if message else ""))
-
-    @property
-    def detail(self) -> str:
-        """The text without the errno name, for a reply that carries both."""
-        return self.args[0][len(self.errno._name_) + 2 :]
+        #: the message without the errno name, for a reply that carries both
+        self.detail = message
+        super().__init__(errno_text(self.errno, message))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KernelError({self.errno.name}, {self.args[0]!r})"

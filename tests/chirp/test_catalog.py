@@ -240,11 +240,12 @@ def test_a_mark_bumps_once_and_survives_heartbeats_revival_and_eviction(
 ):
     advertise(cluster.network, SERVER_HOST, server, watchful.hostname, federation="pool")
     name = f"{SERVER_HOST}:{server.port}"
-    mark_shards(cluster.network, CLIENT_HOST, [name], watchful.hostname)
-    assert watchful.federation_version("pool") == 2  # join + mark
-    mark_shards(cluster.network, CLIENT_HOST, [name], watchful.hostname)
-    assert watchful.federation_version("pool") == 2  # already marked: no bump
-    assert [r.marked for r in watchful.federation_view("pool")[1]] == [True]
+    marks = [(name, "d0"), (name, "")]
+    assert mark_shards(cluster.network, CLIENT_HOST, "pool", marks, watchful.hostname) == (2, 2)
+    assert watchful.federation_version("pool") == 2  # join + one bump per report
+    # already marked: no change, no bump
+    assert mark_shards(cluster.network, CLIENT_HOST, "pool", marks, watchful.hostname) == (2, 0)
+    assert [r.marked for r in watchful.federation_view("pool")[1]] == [("", "d0")]
     # a heartbeat, over the wire or straight into the catalog, keeps it
     advertise(cluster.network, SERVER_HOST, server, watchful.hostname, federation="pool")
     watchful.update(watchful.fresh_records()[0])
@@ -255,11 +256,18 @@ def test_a_mark_bumps_once_and_survives_heartbeats_revival_and_eviction(
     cluster.clock.advance(61 * NS)
     assert watchful.federation_view("pool")[1] == []
     advertise(cluster.network, SERVER_HOST, server, watchful.hostname, federation="pool")
-    assert name in watchful.marked
-    assert [r.marked for r in list_servers(cluster.network, CLIENT_HOST, watchful.hostname)] == [True]
-    # clearing is the same op: one more bump, then the record is plain
+    assert watchful.marked[name] == ("", "d0")
+    listed = list_servers(cluster.network, CLIENT_HOST, watchful.hostname)
+    assert [r.marked for r in listed] == [("", "d0")]
+    # clearing is the same op, one prefix at a time: one more bump each,
+    # and the record is plain once none is left
     version = watchful.federation_version("pool")
-    mark_shards(cluster.network, CLIENT_HOST, [name], watchful.hostname, marked=False)
-    assert watchful.federation_version("pool") == version + 1
+    clear = [(name, "d0")]
+    assert mark_shards(
+        cluster.network, CLIENT_HOST, "pool", clear, watchful.hostname, marked=False
+    ) == (version + 1, 1)
+    assert watchful.marked[name] == ("",)
+    watchful.mark("pool", [(name, "")], marked=False)
+    assert watchful.federation_version("pool") == version + 2
     assert name not in watchful.marked
     assert not any(r.marked for r in watchful.fresh_records())

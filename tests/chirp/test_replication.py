@@ -6,8 +6,9 @@ is blacked out mid-flight and rejoins (repaired) before the end, under a
 seeded 10% fault plan.  Around that sweep: placement unit-tests, failover
 reads, quorum arithmetic, tolerant teardown, suspect demotion, and the
 one repair mechanism: a replica that misses a write is marked in the
-catalog, routed around by every client that refreshed its map, and
-repaired only by a rejoin that copies from unmarked peers.
+catalog for the write's prefix, routed around for it by every client
+that refreshed its map, and repaired only by a rejoin that copies each
+prefix from a peer not marked for it.
 """
 
 import pytest
@@ -127,14 +128,18 @@ def test_route_order_demotes_suspects_but_keeps_placement_order():
 
 def test_route_order_drops_marked_replicas_and_an_all_marked_route_is_eagain():
     a, b, c = (
-        ShardInfo(name="a", hostname="a", marked=True),
-        ShardInfo(name="b", hostname="b", suspect=True, marked=True),
+        ShardInfo(name="a", hostname="a", marked=frozenset({"d0"})),
+        ShardInfo(name="b", hostname="b", suspect=True, marked=frozenset({""})),
         ShardInfo(name="c", hostname="c", suspect=True),
     )
-    assert route_order((a, b, c)) == (c,)
-    records = [CatalogRecord(name="a", hostname="a", port=CHIRP_PORT, owner="k", marked=True)]
+    # a mark holds for its prefix; one on the root ACL holds for every prefix
+    assert route_order((a, b, c), "d0") == (c,)
+    assert route_order((a, b, c), "d1") == (a, c)
+    records = [CatalogRecord(name="a", hostname="a", port=CHIRP_PORT, owner="k", marked=("d0",))]
+    shard_map = ShardMap.from_records("pool", 1, records)
+    assert shard_map.route_for_prefix("d1") == (shard_map.shards, ())
     with pytest.raises(ChirpError) as info:
-        ShardMap.from_records("pool", 1, records).route_for("/d0")
+        shard_map.route_for_prefix("d0")
     assert info.value.errno is Errno.EAGAIN
 
 
@@ -292,6 +297,16 @@ def test_root_readdir_and_setacl_tolerate_one_dark_shard():
     assert client.stats.marks == 1
 
 
+def test_a_root_setacl_with_every_shard_marked_for_the_root_acl_is_eagain():
+    cluster, federation, wallet = replicated_world()
+    federation.catalog.mark(FED, [(name, "") for name in federation.shards])
+    client = connect_fred(cluster, federation, wallet)
+    with pytest.raises(ChirpError) as info:
+        client.setacl("/", "globus:/O=NotreDame/*", "rl")
+    assert info.value.errno is Errno.EAGAIN
+    assert not any("NotreDame" in acl for acl in client.getacl_all("/").values())
+
+
 def test_close_with_dead_sessions_closes_the_rest_and_never_raises():
     cluster, federation, wallet = replicated_world()
     client = connect_fred(cluster, federation, wallet)
@@ -401,7 +416,7 @@ def test_repair_copies_neither_a_prefix_nor_the_root_acl_from_a_marked_peer():
     # every shard but the donor holds old bytes, and all but it are marked
     marked = [name for name in federation.shards if name != donor]
     plant_stale(federation, marked, old_acl)
-    federation.catalog.mark(marked)
+    federation.catalog.mark(FED, [(n, p) for n in marked for p in ("", "d0")])
 
     federation.rejoin_shard(victim)
     assert shard_file(federation, victim, "/d0/f") == b"current"
@@ -416,17 +431,68 @@ def test_a_rejoin_without_an_unmarked_donor_is_eagain_and_keeps_the_mark():
     client = connect_fred(cluster, federation, wallet)
     client.mkdir("/d0")
     client.put(b"current", "/d0/f")
+    current_acl = shard_file(federation, client.shard_of("/d0"), "/" + ACL_FILE_NAME)
     victim, *peers = owners_of(federation, "d0")
-    plant_stale(federation, [victim], shard_file(federation, victim, "/" + ACL_FILE_NAME))
-    federation.catalog.mark([victim, *peers])
+    plant_stale(federation, [victim], b"stale acl\n")
+    federation.catalog.mark(FED, [(n, "d0") for n in (victim, *peers)] + [(victim, "")])
     with pytest.raises(ChirpError) as info:
         federation.rejoin_shard(victim)
     assert info.value.errno is Errno.EAGAIN
-    assert victim in federation.catalog.marked
-    assert shard_file(federation, victim, "/d0/f") == b"stale"  # nothing copied
-    with pytest.raises(ChirpError) as info:
-        connect_fred(cluster, federation, wallet).get("/d0/f")
-    assert info.value.errno is Errno.EAGAIN  # no replica of /d0 is routable
+    assert federation.catalog.marked[victim] == ("d0",)  # the root ACL's mark cleared
+    assert shard_file(federation, victim, "/" + ACL_FILE_NAME) == current_acl
+    assert shard_file(federation, victim, "/d0/f") == b"stale"  # no donor: left as is
+    fresh = connect_fred(cluster, federation, wallet)
+    for unroutable in (lambda: fresh.get("/d0/f"), lambda: fresh.readdir("/")):
+        with pytest.raises(ChirpError) as info:
+            unroutable()  # no replica of /d0 is routable, so no listing omits it
+        assert info.value.errno is Errno.EAGAIN
+
+
+def test_a_writer_whose_map_still_shows_a_cleared_mark_reports_the_replica_again():
+    cluster, federation, wallet = make_fed_world(4, replicas=3, read_cache=False)
+    writer = connect_fred(cluster, federation, wallet, retry=RETRY)
+    writer.mkdir("/d0")
+    victim = writer.shard_of("/d0")
+    federation.blackout_shard(victim, 0, 10**9)
+    writer.put(b"v1", "/d0/f")  # marks the victim
+    lift_blackouts(cluster)
+    federation.rejoin_shard(victim)  # repaired; the writer's map still shows the mark
+    assert victim not in federation.catalog.marked
+    writer.put(b"v2", "/d0/f")  # skips the victim, so it reports it
+    assert federation.catalog.marked[victim] == ("d0",)
+    assert writer.stats.marks == 2
+    assert connect_fred(cluster, federation, wallet).get("/d0/f") == b"v2"
+    federation.rejoin_shard(victim)
+    assert shard_file(federation, victim, "/d0/f") == b"v2"
+
+
+def test_an_outage_on_every_owner_of_a_prefix_leaves_it_routable_and_each_rejoin_whole():
+    # each owner of /d0 misses a write under a different prefix it owns:
+    # a mark covers the prefix it was missed under, so /d0 keeps two
+    # routable owners and every rejoin has a donor
+    cluster, federation, wallet = make_fed_world(8, replicas=3, read_cache=False)
+    client = connect_fred(cluster, federation, wallet, retry=RETRY)
+    owners = owners_of(federation, "d0")
+    missed = {owners[0]: "d0"}
+    for owner in owners[1:]:
+        missed[owner] = next(
+            p for p in (f"d{i}" for i in range(1, 200))
+            if owner in owners_of(federation, p) and p not in missed.values()
+        )
+    for prefix in missed.values():
+        client.mkdir(f"/{prefix}")
+    for owner, prefix in missed.items():
+        federation.blackout_shard(owner, 0, 10**9)
+        client.put(f"missed by {owner}".encode(), f"/{prefix}/f")
+        lift_blackouts(cluster)
+    assert federation.catalog.marked == {o: (p,) for o, p in missed.items()}
+    fresh = connect_fred(cluster, federation, wallet)
+    assert fresh.get("/d0/f") == f"missed by {owners[0]}".encode()
+    assert set(missed.values()) <= set(fresh.readdir("/"))
+    for owner, prefix in missed.items():
+        federation.rejoin_shard(owner)
+        assert shard_file(federation, owner, f"/{prefix}/f") == f"missed by {owner}".encode()
+    assert federation.catalog.marked == {}
 
 
 # ---------------------------------------------------------------------- #
