@@ -84,6 +84,11 @@ def _shared_tables():
 class Supervisor:
     """A delegating system-call interposition agent with identity boxing."""
 
+    #: it peeks the registers at every stop and pokes the result of every
+    #: call it nullified, so the kernel charges both with the stops
+    #: (see :class:`~repro.kernel.ptrace.Tracer`)
+    delegating = True
+
     def __init__(
         self,
         machine: "Machine",

@@ -42,7 +42,7 @@ from .process import (
     Request,
     Task,
 )
-from .ptrace import TraceSession, Tracer
+from .ptrace import TraceSession, Tracer, TrapPlan
 from .signals import Signal, can_signal_unix, default_is_fatal
 from .syscalls import SyscallExecutor
 from .timing import Clock, CostModel
@@ -133,6 +133,9 @@ class Machine:
             name: getattr(self.executor, "do_" + name) for name in _SYSCALL_NAMES
         }
         self.trace = TraceSession(self)
+        #: Figure 4's steps for ``costs``, built at the first trapped call
+        #: and again whenever ``costs`` is replaced (see :attr:`trap_plan`)
+        self._plan: TrapPlan | None = None
         self.programs: dict[str, ProgramFactory] = {}
         #: pid -> every live or zombie process; a process leaves at reap
         self._procs: dict[int, Process] = {}
@@ -721,20 +724,15 @@ class Machine:
     # the traced-syscall path (Figure 4 of the paper)
     # ------------------------------------------------------------------ #
 
-    def _charge_stop(self) -> None:
-        """Child hits a trace stop: trap into kernel, switch to supervisor,
-        supervisor's ``wait()`` returns (one more trap)."""
-        self.clock.advance(self.costs.syscall_trap_ns * 2, "trap")
-        self.clock.advance(
-            self.costs.context_switch_ns + self.costs.cache_flush_ns, "switch"
-        )
-
-    def _charge_resume(self) -> None:
-        """Supervisor resumes the child: ptrace(CONT) trap, switch back."""
-        self.clock.advance(self.costs.syscall_trap_ns, "trap")
-        self.clock.advance(
-            self.costs.context_switch_ns + self.costs.cache_flush_ns, "switch"
-        )
+    @property
+    def trap_plan(self) -> TrapPlan:
+        """The :class:`TrapPlan` of the current cost model; a model that is
+        a different object (``CostModel.scaled``, restore, fork) gets a new
+        one."""
+        plan = self._plan
+        if plan is None or plan.costs is not self.costs:
+            plan = self._plan = TrapPlan(self.costs)
+        return plan
 
     def _traced_syscall(self, proc: Process, request: Request) -> Any:
         """Execute one syscall of a traced process under supervisor control.
@@ -743,35 +741,47 @@ class Machine:
         at entry stop, (3) supervisor implements the action with its own
         syscalls, (4) supervisor rewrites the call (usually into getpid),
         (5) the rewritten call executes, (6) supervisor adjusts the result
-        at the exit stop, (7) child resumes with the final value.
+        at the exit stop, (7) child resumes with the final value.  Each
+        stop and resume is one step of :attr:`trap_plan`.
         """
+        plan = self.trap_plan
+        tracer = proc.tracer
         proc.regs = Regs(name=request.name, args=request.args)
-        self._charge_stop()
-        proc.tracer.on_syscall_entry(proc)
+        self.clock.apply(
+            plan.stop_getregs if getattr(tracer, "delegating", False) else plan.stop
+        )
+        tracer.on_syscall_entry(proc)
         if not proc.alive:
             # the supervisor's delegated action killed the child itself
             # (kill aimed at its own pid); there is nothing to resume
             proc.regs = None
             return None
-        self._charge_resume()
-        return self._run_traced_native(proc, request)
+        self.clock.apply(plan.resume if proc.regs.forced else plan.resume_native)
+        return self._run_traced_native(proc, request, plan)
 
-    def _run_traced_native(self, proc: Process, request: Request) -> Any:
-        """Execute the (possibly rewritten) call natively, then the exit
-        stop.  Returns the final result, or :data:`PARKED` if the native
-        call blocked on a pipe (the process is parked; :meth:`_step` calls
-        :meth:`_resume_traced_native` on wakeup)."""
+    def _run_traced_native(self, proc: Process, request: Request, plan: TrapPlan) -> Any:
+        """Execute the (possibly rewritten) call natively, its trap already
+        charged, then the exit stop.  Returns the final result, or
+        :data:`PARKED` if the native call blocked on a pipe (the process is
+        parked; :meth:`_step` calls :meth:`_resume_traced_native` on
+        wakeup)."""
         regs = proc.regs
         if not regs.forced:
-            self.clock.advance(self.costs.syscall_trap_ns, "trap")
             try:
                 regs.retval = self._dispatch(proc.task, regs.name, regs.args)
             except WouldBlock as wb:
                 self._park(proc, request, wb)
                 return PARKED
-        self._charge_stop()
-        proc.tracer.on_syscall_exit(proc)
-        self._charge_resume()
+        tracer = proc.tracer
+        if not getattr(tracer, "delegating", False):
+            self.clock.apply(plan.stop)
+        elif regs.nullified:
+            regs.result_paid = True
+            self.clock.apply(plan.stop_getregs_poke)
+        else:
+            self.clock.apply(plan.stop_getregs)
+        tracer.on_syscall_exit(proc)
+        self.clock.apply(plan.resume)
         result = proc.regs.retval
         proc.regs = None
         proc.pending_retry = None
@@ -781,7 +791,9 @@ class Machine:
         """A traced process woke from a pipe wait mid-call: finish the call."""
         request = proc.pending_retry
         assert request is not None
-        result = self._run_traced_native(proc, request)
+        plan = self.trap_plan
+        self.clock.apply(plan.native)
+        result = self._run_traced_native(proc, request, plan)
         if result is PARKED or not proc.alive:
             return
         proc.pending_result = result

@@ -81,6 +81,12 @@ class Regs:
     retval: Any = None
     #: set by a tracer to force a return value without executing anything
     forced: bool = False
+    #: set by :meth:`~repro.kernel.ptrace.TraceSession.nullify`: a
+    #: delegating tracer owes the call's result at the exit stop
+    nullified: bool = False
+    #: set by the kernel when the exit stop charged the poke of that
+    #: result, so the tracer's ``set_result`` costs nothing more
+    result_paid: bool = False
 
 
 @dataclass

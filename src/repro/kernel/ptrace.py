@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Protocol
 
 from .memory import words_for
 from .process import Process, Regs
+from .timing import CostModel, Step
 
 if TYPE_CHECKING:  # pragma: no cover
     from .machine import Machine
@@ -28,14 +29,61 @@ if TYPE_CHECKING:  # pragma: no cover
 REGS_WORDS = 8
 
 
+class TrapPlan:
+    """Figure 4's kernel-side cost for one :class:`CostModel`, as data.
+
+    This is the one place the charges of a trapped syscall's stops and
+    resumes are stated.  Each attribute is a :class:`Step` that the machine
+    applies as one ledger update; a step ends only where something can read
+    the clock before the next charge (the tracer at a stop, the native
+    call's body).  A machine builds its plan from its cost model and
+    rebuilds it when the model is replaced (``CostModel.scaled``, restore,
+    fork).  What the tracer does between the stops (SETREGS, memory peeks
+    and pokes, its own syscalls) it charges itself, through
+    :class:`TraceSession` and kcall.
+    """
+
+    def __init__(self, costs: CostModel) -> None:
+        self.costs = costs
+        trap = costs.syscall_trap_ns
+        switch = costs.switch_cost(1)
+        getregs = trap + costs.peekpoke_cost(REGS_WORDS)
+        poke = trap + costs.peekpoke_cost(1)
+        #: a trace stop: the child traps, the kernel switches to the tracer,
+        #: and the tracer's ``wait()`` returns (a second trap)
+        self.stop = Step(trap=2 * trap, switch=switch)
+        #: the same stop with the GETREGS a delegating tracer makes at it
+        self.stop_getregs = Step(trap=2 * trap, switch=switch, trace=getregs)
+        #: the exit stop of a call a delegating tracer nullified: the
+        #: GETREGS and the POKEUSER of the result it arranged
+        self.stop_getregs_poke = Step(trap=2 * trap, switch=switch, trace=getregs + poke)
+        #: the tracer's ``ptrace(SYSCALL)``: one trap, the switch back
+        self.resume = Step(trap=trap, switch=switch)
+        #: the entry stop's resume of a call not forced, with the trap of
+        #: the native call that runs next
+        self.resume_native = Step(trap=2 * trap, switch=switch)
+        #: the native call's trap alone, when a call parked on a pipe retries
+        self.native = Step(trap=trap)
+
+
 class Tracer(Protocol):
     """What the kernel requires of a supervisor attached to a process.
 
-    The kernel invokes these synchronously while the child is stopped; the
-    scheduler has already charged the stop's context switches.  Everything
-    the tracer does in response (peeks, pokes, its own syscalls) is charged
-    to the cost model through the :class:`TraceSession` / kcall APIs.
+    The kernel invokes these synchronously while the child is stopped.  It
+    charges the stops and resumes itself, as the steps of its
+    :class:`TrapPlan`: their traps and context switches, the native call's
+    trap and, for a ``delegating`` tracer, the GETREGS it makes at every
+    stop and the POKEUSER of the result of each call it nullified.  The
+    tracer's own calls charge the rest through :class:`TraceSession` and
+    kcall: SETREGS (``nullify``, ``rewrite``, ``poke_regs``), peeks and
+    pokes of memory, any other ``set_result``, its delegated syscalls.
     """
+
+    #: a delegating tracer (the supervisor) reads the registers at every
+    #: stop and, at the exit stop, writes the result of every call it
+    #: nullified: Figure 4's steps 2 and 6.  A tracer without the
+    #: attribute pays for each ``peek_regs`` and ``set_result`` it makes.
+    delegating: bool
 
     def on_syscall_entry(self, proc: Process) -> None:
         """Child stopped at syscall entry; regs hold the attempted call."""
@@ -50,11 +98,14 @@ class Tracer(Protocol):
 class TraceSession:
     """Supervisor-side handle for inspecting/rewriting stopped children.
 
-    Every operation charges simulated time exactly as the corresponding
-    ptrace call would cost: one kernel trap per request, plus per-word
-    transfer cost.  Bulk helpers exist but deliberately pay the word-at-a-
-    time price — that is the honest 2005 ptrace behaviour the I/O channel
-    was invented to avoid.
+    Every operation costs simulated time exactly as the corresponding
+    ptrace call would: one kernel trap per request, plus per-word transfer
+    cost.  For a ``delegating`` tracer the kernel's stops already charge
+    the GETREGS of every stop and the poke of a nullified call's result
+    (see :class:`Tracer`), so ``peek_regs`` and that ``set_result`` charge
+    nothing here; every other call charges itself.  Bulk helpers exist but
+    deliberately pay the word-at-a-time price — that is the honest 2005
+    ptrace behaviour the I/O channel was invented to avoid.
     """
 
     def __init__(self, machine: "Machine") -> None:
@@ -69,10 +120,13 @@ class TraceSession:
     # -- registers ------------------------------------------------------ #
 
     def peek_regs(self, proc: Process) -> Regs:
-        """PTRACE_GETREGS: one trap, whole register set."""
-        self._charge(1, REGS_WORDS)
-        assert proc.regs is not None, "process is not stopped at a syscall"
-        return proc.regs
+        """PTRACE_GETREGS: one trap, whole register set (paid by the stop
+        for a delegating tracer)."""
+        regs = proc.regs
+        assert regs is not None, "process is not stopped at a syscall"
+        if not getattr(proc.tracer, "delegating", False):
+            self._charge(1, REGS_WORDS)
+        return regs
 
     def poke_regs(self, proc: Process, regs: Regs) -> None:
         """PTRACE_SETREGS: one trap, whole register set."""
@@ -80,11 +134,14 @@ class TraceSession:
         proc.regs = regs
 
     def nullify(self, proc: Process) -> None:
-        """Rewrite the pending call into ``getpid()`` (§5's null syscall)."""
-        assert proc.regs is not None
+        """Rewrite the pending call into ``getpid()`` (§5's null syscall);
+        a delegating tracer's exit stop then pokes the result it owes."""
+        regs = proc.regs
+        assert regs is not None
         self._charge(1, REGS_WORDS)
-        proc.regs.name = "getpid"
-        proc.regs.args = ()
+        regs.name = "getpid"
+        regs.args = ()
+        regs.nullified = True
 
     def rewrite(self, proc: Process, name: str, args: tuple) -> None:
         """Rewrite the pending call into a different call (read -> pread)."""
@@ -94,10 +151,15 @@ class TraceSession:
         proc.regs.args = args
 
     def set_result(self, proc: Process, value) -> None:
-        """At exit stop: overwrite the return register with ``value``."""
-        assert proc.regs is not None
-        self._charge(1, 1)
-        proc.regs.retval = value
+        """At exit stop: overwrite the return register with ``value``; free
+        once, when the stop already charged the poke of the result."""
+        regs = proc.regs
+        assert regs is not None
+        if regs.result_paid:
+            regs.result_paid = False
+        else:
+            self._charge(1, 1)
+        regs.retval = value
 
     # -- memory (word at a time, as 2005 ptrace required) ---------------- #
 

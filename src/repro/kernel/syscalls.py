@@ -79,11 +79,10 @@ class SyscallExecutor:
     def _charge(self, ns: int, category: str) -> None:
         self.machine.clock.advance(ns, category)
 
-    def _charge_walk(self, res: Resolution) -> None:
-        cost = self.machine.costs.path_component_ns * (
+    def _walk_cost(self, res: Resolution) -> int:
+        return self.machine.costs.path_component_ns * (
             res.stats.components + res.stats.symlinks
         )
-        self._charge(cost, "vfs")
 
     def _resolve(
         self,
@@ -93,7 +92,7 @@ class SyscallExecutor:
         follow: bool = True,
     ) -> Resolution:
         res = self.machine.vfs.resolve(path, task.cred, cwd=task.cwd, follow=follow)
-        self._charge_walk(res)
+        self._charge(self._walk_cost(res), "vfs")
         return res
 
     def _check_perm(self, task: Task, inode: Inode, want: int) -> None:
@@ -329,13 +328,15 @@ class SyscallExecutor:
     # ------------------------------------------------------------------ #
 
     def do_stat(self, task: Task, path: str) -> StatResult:
-        res = self._resolve(task, path)
-        self._charge(self.machine.costs.inode_op_ns, "vfs")
-        return stat_of(res.require())
+        return self._stat(task, path, True)
 
     def do_lstat(self, task: Task, path: str) -> StatResult:
-        res = self._resolve(task, path, follow=False)
-        self._charge(self.machine.costs.inode_op_ns, "vfs")
+        return self._stat(task, path, False)
+
+    def _stat(self, task: Task, path: str, follow: bool) -> StatResult:
+        """The walk and the inode op, charged as one ``vfs`` update."""
+        res = self.machine.vfs.resolve(path, task.cred, cwd=task.cwd, follow=follow)
+        self._charge(self._walk_cost(res) + self.machine.costs.inode_op_ns, "vfs")
         return stat_of(res.require())
 
     def do_access(self, task: Task, path: str, mode: int) -> int:

@@ -28,7 +28,8 @@ of these; our supervisor earns that the honest way, by paying
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import defaultdict
+from dataclasses import dataclass, replace
 
 
 NS_PER_US = 1_000
@@ -36,13 +37,16 @@ NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostModel:
     """Per-primitive simulated costs, in nanoseconds.
 
     All knobs are public so ablation benchmarks can sweep them (e.g.
     ``bench_ablation_ctxswitch`` revisits the paper's closing argument that a
-    kernel implementation would avoid most context-switch cost).
+    kernel implementation would avoid most context-switch cost).  A model is
+    frozen: a sweep takes a copy with :meth:`scaled`, so whatever was
+    precomputed from one model (a machine's
+    :class:`~repro.kernel.ptrace.TrapPlan`) never goes stale.
     """
 
     #: Entering/leaving the kernel for a syscall (trap + return).
@@ -96,19 +100,38 @@ class CostModel:
         return replace(self, **overrides)
 
 
-@dataclass
+class Step:
+    """A precomputed charge: ``total_ns`` and its ``(category, ns)`` parts.
+
+    :meth:`Clock.apply` charges all of it as one ledger update.  A step is
+    hashed by identity, so counting its applications is one dict update.
+    """
+
+    __slots__ = ("total_ns", "parts")
+
+    def __init__(self, **parts: int) -> None:
+        if any(ns < 0 for ns in parts.values()):
+            raise ValueError(f"cannot charge negative time: {parts}")
+        #: the nonzero ``(category, ns)`` pairs, in the order given
+        self.parts = tuple((category, ns) for category, ns in parts.items() if ns)
+        self.total_ns = sum(ns for _, ns in self.parts)
+
+
 class Clock:
     """Monotonic simulated clock, nanosecond resolution.
 
-    Every kernel subsystem charges time through :meth:`advance`; benchmarks
-    read :attr:`now_ns` before and after a run.  The clock is deterministic:
+    Every kernel subsystem charges time through :meth:`advance`, or through
+    :meth:`apply` for a precomputed :class:`Step`; benchmarks read
+    :attr:`now_ns` before and after a run.  The clock is deterministic:
     equal workloads produce equal timings, which keeps benchmark output and
     tests reproducible.
     """
 
-    now_ns: int = 0
-    #: Cumulative charge breakdown by category, for reporting/ablations.
-    charges: dict[str, int] = field(default_factory=dict)
+    def __init__(self, now_ns: int = 0) -> None:
+        self.now_ns = now_ns
+        self._charges: dict[str, int] = {}
+        #: step -> applications not yet folded into the charges
+        self._applied: defaultdict[Step, int] = defaultdict(int)
 
     def advance(self, ns: int, category: str = "other") -> None:
         """Advance simulated time by ``ns`` nanoseconds (must be >= 0)."""
@@ -116,7 +139,25 @@ class Clock:
             raise ValueError(f"cannot advance clock by negative time: {ns}")
         self.now_ns += ns
         if ns:
-            self.charges[category] = self.charges.get(category, 0) + ns
+            self._charges[category] = self._charges.get(category, 0) + ns
+
+    def apply(self, step: Step) -> None:
+        """Charge a whole :class:`Step`: one add to ``now_ns`` and one
+        count; its categories reach :attr:`charges` when they are read."""
+        self.now_ns += step.total_ns
+        self._applied[step] += 1
+
+    @property
+    def charges(self) -> dict[str, int]:
+        """Cumulative charge breakdown by category, for reporting/ablations."""
+        applied = self._applied
+        if applied:
+            charges = self._charges
+            for step, times in applied.items():
+                for category, ns in step.parts:
+                    charges[category] = charges.get(category, 0) + ns * times
+            applied.clear()
+        return self._charges
 
     def elapsed_since(self, start_ns: int) -> int:
         """Nanoseconds elapsed since a previously captured ``now_ns``."""
@@ -147,4 +188,5 @@ class Clock:
     def restore_state(self, state: object) -> None:
         now_ns, charges = state
         self.now_ns = now_ns
-        self.charges = dict(charges)
+        self._charges = dict(charges)
+        self._applied.clear()

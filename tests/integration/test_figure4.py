@@ -8,13 +8,15 @@ refactor that silently drops a context switch or a register peek fails here.
 import pytest
 
 from repro.core.box import IdentityBox
-from repro.kernel import Machine
+from repro.interpose.strace import SyscallTrace
+from repro.kernel import Machine, OpenFlags
 from repro.kernel.ptrace import REGS_WORDS
+from repro.kernel.timing import CostModel
 
 
-def charges_for(calls_body, boxed: bool):
+def charges_for(calls_body, boxed: bool, costs: CostModel | None = None):
     """Run a one-process workload on a fresh machine; return charge deltas."""
-    machine = Machine()
+    machine = Machine(costs=costs)
     cred = machine.add_user("u")
     if boxed:
         box = IdentityBox(machine, cred, "V")
@@ -28,13 +30,18 @@ def charges_for(calls_body, boxed: bool):
     return {k: after.get(k, 0) - before.get(k, 0) for k in set(after) | set(before)}
 
 
-def n_getpids(n):
+def n_calls(name, n):
     def body(proc, args):
+        call = getattr(proc.sys, name)
         for _ in range(n):
-            yield proc.sys.getpid()
+            yield call()
         return 0
 
     return body
+
+
+def n_getpids(n):
+    return n_calls("getpid", n)
 
 
 def test_each_trapped_call_pays_four_context_switches():
@@ -139,3 +146,142 @@ def test_bulk_read_charges_two_copies():
     plain_io = io_delta(boxed=False)
     boxed_io = io_delta(boxed=True)
     assert boxed_io == pytest.approx(2 * plain_io, rel=0.05)
+
+
+# ---------------------------------------------------------------------- #
+# the trap plan: Figure 4's kernel-side charges, declared once
+# ---------------------------------------------------------------------- #
+
+
+def per_call(name, costs=None):
+    """Charges of one boxed ``name()``, by differencing 200 calls and 100."""
+    big = charges_for(n_calls(name, 200), boxed=True, costs=costs)
+    small = charges_for(n_calls(name, 100), boxed=True, costs=costs)
+    delta = {k: big.get(k, 0) - small.get(k, 0) for k in set(big) | set(small)}
+    assert all(ns % 100 == 0 for ns in delta.values())
+    return {k: ns // 100 for k, ns in delta.items() if ns}
+
+
+def summed(*steps, **extra):
+    """Category totals of ``steps`` plus any ``extra`` charges."""
+    total = dict(extra)
+    for step in steps:
+        for category, ns in step.parts:
+            total[category] = total.get(category, 0) + ns
+    return total
+
+
+def test_a_trapped_getpid_costs_exactly_its_plan_steps():
+    """Entry stop, resume into the native call, exit stop, resume: the
+    pass-through call pays the four steps and nothing else."""
+    plan = Machine().trap_plan
+    assert per_call("getpid") == summed(
+        plan.stop_getregs, plan.resume_native, plan.stop_getregs, plan.resume
+    )
+
+
+def test_a_nullified_call_costs_its_plan_steps_and_one_setregs():
+    """get_user_name is answered by the supervisor: it nullifies the call
+    (a SETREGS it pays itself), and the exit stop pokes the result."""
+    machine = Machine()
+    plan = machine.trap_plan
+    setregs = machine.costs.syscall_trap_ns + machine.costs.peekpoke_cost(REGS_WORDS)
+    assert per_call("get_user_name") == summed(
+        plan.stop_getregs,
+        plan.resume_native,
+        plan.stop_getregs_poke,
+        plan.resume,
+        trace=setregs,
+    )
+
+
+def test_a_swept_cost_model_gets_its_own_plan():
+    """``CostModel.scaled`` is a new model, so the machine's plan follows
+    it and the ablation sweeps see the swept context switch."""
+    costs = CostModel().scaled(context_switch_ns=9_000)
+    machine = Machine(costs=costs)
+    plan = machine.trap_plan
+    assert plan.costs is costs
+    assert dict(plan.resume.parts)["switch"] == 9_000 + costs.cache_flush_ns
+    assert per_call("getpid", costs)["switch"] == 4 * (9_000 + costs.cache_flush_ns)
+    assert per_call("getpid", costs) == summed(
+        plan.stop_getregs, plan.resume_native, plan.stop_getregs, plan.resume
+    )
+    # a restore adopts the snapshot's model, and the plan is rebuilt for it
+    machine.restore(Machine().snapshot())
+    assert machine.trap_plan.costs is machine.costs
+    assert dict(machine.trap_plan.resume.parts)["switch"] == 2_250
+    assert machine.fork().trap_plan.costs is machine.costs
+
+
+def test_the_clock_reads_inside_trapped_calls_are_pinned(monkeypatch):
+    """What reads the clock mid-call sees the same time as when each
+    charge of Figure 4 was its own update: an interceptor at the entry
+    stop (before and after the handler), and strace at the exit stop.  The
+    calls are a pass-through getpid, a stat, an open the supervisor
+    nullifies and answers, and a pipe read that parks and finishes
+    through the resume path."""
+    resumed = []
+    resume = Machine._resume_traced_native
+
+    def counted(self, proc):
+        resumed.append(proc.pid)
+        resume(self, proc)
+
+    monkeypatch.setattr(Machine, "_resume_traced_native", counted)
+    machine = Machine()
+    cred = machine.add_user("u")
+    box = IdentityBox(machine, cred, "Visitor")
+    box.supervisor.strace = SyscallTrace()
+    entry = []
+
+    def watch(op, ctx, proceed):
+        entry.append((op.name, machine.clock.now_ns))
+        try:
+            return proceed()
+        finally:
+            entry.append((op.name, machine.clock.now_ns))
+
+    box.supervisor.pipeline.add_interceptor(watch)
+
+    def writer(proc, args):
+        yield proc.compute(us=40)  # the reader gets to its read first
+        addr = proc.alloc_bytes(b"hello")
+        yield proc.sys.write(int(args[0]), addr, 5)
+        return 0
+
+    machine.register_program("writer", writer)
+    machine.install_program(box.owner_task, f"{box.home}/writer.exe", "writer")
+
+    def reader(proc, args):
+        yield proc.sys.getpid()
+        yield proc.sys.stat("/tmp")
+        yield proc.sys.open("notes", OpenFlags.O_WRONLY | OpenFlags.O_CREAT)
+        rfd, wfd = yield proc.sys.pipe()
+        yield proc.sys.spawn("writer.exe", (str(wfd),))
+        buf = proc.alloc(16)
+        yield proc.sys.read(rfd, buf, 16)
+        return 0
+
+    parent = box.spawn(reader)
+    machine.run_to_completion()
+    assert resumed == [parent.pid]
+    assert entry == [
+        ("getpid", 303979), ("getpid", 303979),
+        ("stat", 318519), ("stat", 322609),
+        ("open", 337619), ("open", 344419),
+        ("pipe", 358959), ("pipe", 361269),
+        ("spawn", 376749), ("spawn", 634426),
+        ("read", 693466), ("read", 694776),
+        ("write", 704236), ("write", 705546),
+    ]
+    assert [(r.name, r.time_ns) for r in box.supervisor.strace.records] == [
+        ("getpid", 311189),
+        ("stat", 330289),
+        ("open", 352099),
+        ("pipe", 368949),
+        ("spawn", 642106),
+        ("write", 713058),
+        ("read", 722820),
+    ]
+    assert machine.clock.now_ns == 730770

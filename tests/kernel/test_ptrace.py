@@ -239,3 +239,65 @@ def test_poke_regs_replaces_the_call_for_one_trap(machine, alice):
     assert results == [proc.pid]
     per_poke = machine.costs.syscall_trap_ns + machine.costs.peekpoke_cost(REGS_WORDS)
     assert machine.clock.snapshot()["trace"] == per_poke
+
+
+def test_a_delegating_tracer_pays_the_same_with_its_stops(alice):
+    """A delegating tracer's stops charge its GETREGS and the poke of a
+    nullified call's result, so its ``peek_regs`` and that ``set_result``
+    are free: a nullified call whose result the tracer sets costs exactly
+    what it costs a tracer that pays for each of those calls."""
+
+    class Delegating(RecordingTracer):
+        delegating = True
+
+    def run(tracer_class):
+        machine = Machine()
+        cred = machine.add_user("u")
+        tracer = tracer_class(machine)
+        tracer.rewrite_to = "nullify"
+        tracer.force_result = "synthetic"
+        results = []
+
+        def body(proc, args):
+            results.append((yield proc.sys.getuid()))
+            return 0
+
+        machine.spawn(body, cred=cred, tracer=tracer)
+        machine.run_to_completion()
+        return results, machine.clock.now_ns, machine.clock.snapshot()
+
+    plain, delegating = run(RecordingTracer), run(Delegating)
+    assert delegating == plain
+    machine = Machine()
+    regs_cost = machine.costs.syscall_trap_ns + machine.costs.peekpoke_cost(REGS_WORDS)
+    poke_cost = machine.costs.syscall_trap_ns + machine.costs.peekpoke_cost(1)
+    # two GETREGS, the nullify's SETREGS, one poke of the result
+    assert plain[0] == ["synthetic"]
+    assert plain[2]["trace"] == 3 * regs_cost + poke_cost
+
+
+def test_a_second_result_poke_is_charged(machine, alice):
+    """The exit stop pays for one poke of a nullified call's result; a
+    tracer that pokes twice pays for the second."""
+
+    class TwicePoker(RecordingTracer):
+        delegating = True
+
+        def on_syscall_exit(self, proc):
+            self.machine.trace.set_result(proc, 1)
+            before = self.machine.clock.now_ns
+            self.machine.trace.set_result(proc, 2)
+            self.exits.append(self.machine.clock.now_ns - before)
+
+    tracer = TwicePoker(machine)
+    tracer.rewrite_to = "nullify"
+    results = []
+
+    def body(proc, args):
+        results.append((yield proc.sys.getuid()))
+        return 0
+
+    spawn_traced(machine, alice, tracer, body)
+    machine.run_to_completion()
+    assert results == [2]
+    assert tracer.exits == [machine.costs.syscall_trap_ns + machine.costs.peekpoke_cost(1)]

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.kernel.timing import Clock, CostModel, NS_PER_S, NS_PER_US
+import dataclasses
+
+from repro.kernel.timing import Clock, CostModel, NS_PER_S, NS_PER_US, Step
 
 
 def test_clock_starts_at_zero():
@@ -82,3 +84,39 @@ def test_net_transfer_cost():
     costs = CostModel(net_bytes_per_us=10)
     assert costs.net_transfer_cost(10) == NS_PER_US
     assert costs.net_transfer_cost(0) == 0
+
+
+def test_a_step_is_one_update_and_folds_into_the_charges():
+    step = Step(trap=700, switch=2250, trace=0)
+    assert step.total_ns == 2950
+    assert step.parts == (("trap", 700), ("switch", 2250))  # no zero parts
+    clock = Clock()
+    clock.advance(10, "trap")
+    clock.apply(step)
+    clock.apply(step)
+    assert clock.now_ns == 10 + 2 * 2950
+    assert clock.charges == {"trap": 1410, "switch": 4500}
+    clock.apply(Step(io=5))
+    assert clock.snapshot() == {"trap": 1410, "switch": 4500, "io": 5}
+
+
+def test_a_step_rejects_negative_time():
+    with pytest.raises(ValueError):
+        Step(trap=-1)
+
+
+def test_restore_drops_steps_applied_after_the_snapshot():
+    clock = Clock()
+    clock.apply(Step(trap=3))
+    state = clock.snapshot_state()
+    assert state == (3, {"trap": 3})
+    clock.apply(Step(trap=4, vfs=1))
+    clock.restore_state(state)
+    assert (clock.now_ns, clock.charges) == (3, {"trap": 3})
+
+
+def test_a_cost_model_is_replaced_not_mutated():
+    """A machine's trap plan is precomputed from its model, so the model
+    cannot change under it; a sweep takes a copy instead."""
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        CostModel().context_switch_ns = 1

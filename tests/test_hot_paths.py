@@ -50,6 +50,7 @@ from repro.kernel.localfs import LocalFS
 from repro.kernel.machine import Machine
 from repro.kernel.ptrace import TraceSession
 from repro.kernel.syscalls import SyscallExecutor
+from repro.kernel.timing import Clock
 from repro.net.faults import FaultPlan
 from repro.workloads import base
 
@@ -106,6 +107,7 @@ HOT = [
         "do_write_bytes",
         "do_pwrite_bytes",
         "do_stat",
+        "_stat",
         "do_fstat",
     ),
     *_methods(
@@ -319,11 +321,13 @@ PLANTED_FLAG = OpenFlags.O_WRONLY
 partial = functools.partial
 
 
-#: The classes whose instances the per-op path reads: the machine and its
-#: tracer, file system and walker, both front doors, the chain and its
-#: policy and cache, and the fault plan the network consults per call.
+#: The classes whose instances the per-op path reads: the machine, its
+#: clock and its tracer, file system and walker, both front doors, the
+#: chain and its policy and cache, and the fault plan the network consults
+#: per call.
 HOT_CLASSES = [
     Machine,
+    Clock,
     Supervisor,
     Pipeline,
     vfs.VFS,
