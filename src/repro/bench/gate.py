@@ -4,39 +4,25 @@ Usage (what the CI ``bench`` job runs after the Fig. 5 benchmarks)::
 
     PYTHONPATH=src python -m repro.bench.gate BENCH_fig5.json benchmarks/baseline.json
 
-The gate fails (exit 1) when a simulated Figure-5 number moved at all, or
-when the reproduction got meaningfully *slower* than the checked-in
-baseline elsewhere:
+The gate is the row table :data:`ROWS`, one ``(section, field)`` rule per
+row, checked on every series the baseline holds in that section (exit 1
+on any failure).  A series missing from the current run fails (a silently
+skipped benchmark is a regression too); one the baseline lacks is ignored.
 
-* fig5a, fig5b — any field of any op or workload that differs from the
-  baseline, in either direction.  Every field there is simulated time
-  (or derived from it) and deterministic, so a difference is a change to
-  the simulated clock, never noise; a change that means to move it
-  refreshes the baseline in the same commit.  The baseline holds the
-  ``REPRO_BENCH_SMOKE=1`` run, the one CI makes.
-* federation — any shard count whose aggregate throughput fell >25 %
-  (this is what holds the 1-vs-8-shard scaling claim),
-* snapshot — any fork-from-checkpoint measurement whose speedup ratio
-  over cold boot fell >25 % below baseline (``speedup_x`` is
-  dimensionless, so this gate is stable across host machines; the
-  baseline of 25x for ``fork_vs_boot`` makes the floor the ≥20x
-  acceptance bar),
-* fuzz — the scenario fuzzer's warm-fork vs cold-boot ``speedup_x``,
-  gated the same dimensionless way (baseline 25x → floor 20x: the
-  ISSUE's warm-fork throughput bar),
-* fastlane — the read-heavy ops/sec ratio with the fast lane (read
-  cache + frame coalescing) on vs off, gated on the dimensionless
-  ``speedup_x`` (baseline 2.5x → floor 2x: the fast-lane acceptance
-  bar),
-* replication — read availability during a single-replica blackout at
-  three replicas must not fall below baseline *at all* (the baseline is
-  100%, and availability is a correctness bar, not a perf number), and
-  the quorum-write overhead ratio vs one replica must not grow >25%.
+* fig5a, fig5b are simulated and deterministic: any field that moved, in
+  either direction, or was added or dropped, fails.  A change that means
+  to move one refreshes the baseline (the ``REPRO_BENCH_SMOKE=1`` run CI
+  makes) in the same commit.
+* Elsewhere only a regression beyond 25% fails: the federation's
+  aggregate throughput per shard count, and the dimensionless (so
+  host-stable) speedups of snapshot fork, fuzz warm fork and the fast
+  lane, whose baselines put their floors at the acceptance bars (25x to
+  20x, 25x to 20x, 2.5x to 2x); the quorum-write overhead may not grow.
+* Read availability during a single-replica blackout is held exactly: a
+  dropped read is a broken failover, not a slowdown.
 
-It also fails when an op/workload present in the baseline is missing from
-the current run (a silently skipped benchmark is a regression too).
-Outside fig5a/fig5b, getting *faster* never fails; refresh the baseline in
-the same change that earns the speedup so the new level is held.
+Refresh the baseline in the change that earns a speedup, so the new level
+is held.
 """
 
 from __future__ import annotations
@@ -49,17 +35,24 @@ from typing import Any
 #: >25% worse than baseline fails the gate.
 TOLERANCE = 1.25
 
-#: The higher-is-better rows: ``(section, field)``; a row whose field fell
-#: more than 25% below its baseline fails.
-FLOORS = (
-    ("federation", "ops_per_sec"),
-    ("snapshot", "speedup_x"),
-    ("fuzz", "speedup_x"),
-    ("fastlane", "speedup_x"),
+#: ``better`` is ``exact`` (field ``*``: every field of the series),
+#: ``higher`` (fails below baseline / tolerance) or ``lower`` (fails above
+#: baseline * tolerance); a row covers the series whose baseline has its field.
+ROWS = (
+    {"section": "fig5a", "field": "*", "better": "exact", "tolerance": 1.0},
+    {"section": "fig5b", "field": "*", "better": "exact", "tolerance": 1.0},
+    {"section": "federation", "field": "ops_per_sec", "better": "higher", "tolerance": TOLERANCE},
+    {"section": "snapshot", "field": "speedup_x", "better": "higher", "tolerance": TOLERANCE},
+    {"section": "fuzz", "field": "speedup_x", "better": "higher", "tolerance": TOLERANCE},
+    {"section": "fastlane", "field": "speedup_x", "better": "higher", "tolerance": TOLERANCE},
+    {"section": "replication", "field": "read_availability_pct", "better": "higher",
+     "tolerance": 1.0},
+    {"section": "replication", "field": "write_overhead_x", "better": "lower",
+     "tolerance": TOLERANCE},
 )
 
 #: Every section the gate reads.
-SECTIONS = ("fig5a", "fig5b", *(section for section, _ in FLOORS), "replication")
+SECTIONS = tuple(dict.fromkeys(row["section"] for row in ROWS))
 
 
 def _load(path: str) -> dict[str, Any]:
@@ -67,63 +60,38 @@ def _load(path: str) -> dict[str, Any]:
         return json.load(handle)
 
 
+def _check(field: str, got: Any, want: Any, better: str, tolerance: float) -> str:
+    """How ``got`` fails against ``want`` under one row's rule, or ""."""
+    if better == "exact":
+        return "" if got == want else f"{field} is {got!r}, baseline {want!r} (held exactly)"
+    if got is None:
+        return f"{field} missing from current run"
+    if better == "higher" and got < want / tolerance:
+        return f"{field} {got:.2f} below {want / tolerance:.2f} (baseline {want:.2f})"
+    if better == "lower" and got > want * tolerance:
+        return f"{field} {got:.2f} over {want * tolerance:.2f} (baseline {want:.2f})"
+    return ""
+
+
 def compare(current: dict[str, Any], baseline: dict[str, Any]) -> list[str]:
     """Every way ``current`` regressed from ``baseline``, as messages."""
     failures: list[str] = []
-    for section in ("fig5a", "fig5b"):
+    for rule in ROWS:
+        section, field = rule["section"], rule["field"]
         for name, base_row in sorted(baseline.get(section, {}).items()):
+            if field != "*" and field not in base_row:
+                continue
             row = current.get(section, {}).get(name)
             if row is None:
                 failures.append(f"{section}/{name}: missing from current run")
                 continue
-            for field in sorted(base_row.keys() | row.keys()):
-                got, want = row.get(field), base_row.get(field)
-                if got != want:
-                    failures.append(
-                        f"{section}/{name}: {field} is {got!r}, baseline {want!r} "
-                        "(simulated, held exactly)"
-                    )
-    for section, field in FLOORS:
-        for name, base_row in sorted(baseline.get(section, {}).items()):
-            row = current.get(section, {}).get(name)
-            if row is None:
-                failures.append(f"{section}/{name}: missing from current run")
-                continue
-            floor = base_row[field] / TOLERANCE
-            if row[field] < floor:
-                failures.append(
-                    f"{section}/{name}: {field} {row[field]:.2f} below "
-                    f"{floor:.2f} (baseline {base_row[field]:.2f} -25%)"
+            fields = sorted(base_row.keys() | row.keys()) if field == "*" else [field]
+            for each in fields:
+                failure = _check(
+                    each, row.get(each), base_row.get(each), rule["better"], rule["tolerance"]
                 )
-    base_avail = baseline.get("replication", {}).get("blackout_availability")
-    if base_avail is not None:
-        row = current.get("replication", {}).get("blackout_availability")
-        if row is None:
-            failures.append(
-                "replication/blackout_availability: missing from current run"
-            )
-        elif row["read_availability_pct"] < base_avail["read_availability_pct"]:
-            # availability is held exactly: any dropped read during a
-            # single-replica outage is a broken failover, not a slowdown
-            failures.append(
-                "replication/blackout_availability: "
-                f"{row['read_availability_pct']:.2f}% reads available, below "
-                f"the baseline {base_avail['read_availability_pct']:.2f}%"
-            )
-    base_quorum = baseline.get("replication", {}).get("quorum_overhead")
-    if base_quorum is not None:
-        row = current.get("replication", {}).get("quorum_overhead")
-        if row is None:
-            failures.append("replication/quorum_overhead: missing from current run")
-        else:
-            limit = base_quorum["write_overhead_x"] * TOLERANCE
-            if row["write_overhead_x"] > limit:
-                failures.append(
-                    "replication/quorum_overhead: quorum writes cost "
-                    f"{row['write_overhead_x']:.2f}x single-owner writes, over "
-                    f"{limit:.2f}x (baseline "
-                    f"{base_quorum['write_overhead_x']:.2f}x +25%)"
-                )
+                if failure:
+                    failures.append(f"{section}/{name}: {failure}")
     return failures
 
 

@@ -1020,7 +1020,8 @@ class Federation:
         manifest_of,
         totals: dict[str, int],
     ) -> None:
-        """Mirror one subtree of the donor's export onto the target."""
+        """Mirror one subtree of the donor's export onto the target; a link
+        is copied as its text, rooted at the *target's* export root."""
         donor = self.shards[donor_name].server
         target = self.shards[target_name].server
         in_tree = lambda p: p == vroot or p.startswith(vroot + "/")  # noqa: E731
@@ -1050,7 +1051,7 @@ class Federation:
             if entry[0] == "link":
                 if current is not None:
                     target.fs.unlink(real)
-                target.fs.symlink(target.real_path(entry[1]), real)
+                target.make_link(entry[1], real)
                 continue
             data = donor.read_export_file(path)
             staging = real + FED_XFER_SUFFIX

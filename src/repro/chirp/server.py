@@ -24,6 +24,7 @@ mapping protocol descriptors to the owner's real descriptors.
 from __future__ import annotations
 
 import hashlib
+import re
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -239,7 +240,7 @@ def c_readdir(op: Operation, conn: "_Connection") -> dict[str, Any]:
 
 def c_readlink(op: Operation, conn: "_Connection") -> dict[str, Any]:
     path = op.path()
-    return {"target": conn.server.virtual_path(path.driver.readlink(path.sub))}
+    return {"target": path.driver.readlink(path.sub)}
 
 
 def c_mkdir(op: Operation, conn: "_Connection") -> dict[str, Any]:
@@ -279,9 +280,9 @@ def c_symlink(op: Operation, conn: "_Connection") -> dict[str, Any]:
     target = op.args["target"]
     if not target.startswith("/"):  # relative to the link's directory
         target = join(dirname(link.full), target)
-    # stored as the machine path of a protocol path (".." resolved
-    # lexically, never above the export root): it resolves inside the export
-    link.driver.symlink(conn.server.real_path(target), link.sub)
+    # stored as a normalized protocol path (".." resolved lexically, never
+    # above the export root), which the link resolves below the export root
+    conn.server.make_link(normalize(target), link.sub)
     return {}
 
 
@@ -378,7 +379,13 @@ def build_chirp_registry() -> OpRegistry:
 
 
 class ChirpServer:
-    """One Chirp server instance on one simulated machine."""
+    """One Chirp server instance on one simulated machine.
+
+    Only protocol paths, rooted at the export root, cross the wire: a
+    request's paths become machine paths on the way in (:meth:`real_path`),
+    a symlink stores its protocol target (:meth:`make_link`), and the one
+    error mapping (``_Connection._outcome``) spells a kernel error's
+    machine paths as protocol paths on the way out."""
 
     def __init__(
         self,
@@ -405,6 +412,8 @@ class ChirpServer:
                 machine.users.by_uid(owner_cred.uid).home, DEFAULT_EXPORT_SUBDIR
             )
         self.export_root = normalize(export_root)
+        #: the export root in a kernel error's text, spelled ``/`` on the wire
+        self._root_in_text = re.compile(re.escape(self.export_root) + "/?")
         self.auth = auth or ServerAuth(server_hostname=self.hostname)
         self.auth.server_hostname = self.hostname
         self.admission = admission or OpenPolicy()
@@ -549,16 +558,12 @@ class ChirpServer:
         norm = normalize(vpath if vpath.startswith("/") else "/" + vpath)
         return norm, self.export_root if norm == "/" else self.export_root + norm
 
-    def virtual_path(self, real: str) -> str:
-        """The inverse of :meth:`real_path`, for export-relative state
-        (symlink targets are stored as machine paths; ``readlink`` answers
-        them export-relative, and replication must compare and copy them
-        so, since every shard's export root is a different owner's home)."""
-        if real == self.export_root:
-            return "/"
-        if real.startswith(self.export_root + "/"):
-            return real[len(self.export_root):]
-        return real
+    def make_link(self, target: str, real: str) -> None:
+        """Make the symlink at machine path ``real`` storing ``target``,
+        rooted at the export: every walker (this server, a boxed ``exec``
+        job, the owner) resolves an absolute target below the export root,
+        as ``openat2(..., RESOLVE_IN_ROOT)`` would."""
+        self.machine.kcall_x(self.owner_task, "symlink", target, real, self.export_root)
 
     # ------------------------------------------------------------------ #
     # anti-entropy support: a content manifest of the whole export
@@ -568,7 +573,8 @@ class ChirpServer:
         """Walk the export namespace into ``vpath → entry`` form.
 
         Entries are ``("dir", mode)``, ``("file", mode, size, digest)``
-        or ``("link", target_vpath)`` — exactly the comparison a replica
+        or ``("link", text)`` (the stored text, for a Chirp link a protocol
+        path) — exactly the comparison a replica
         peer needs to decide what a rejoining shard missed.  ACL files
         are included (policy must converge too); in-flight transfer
         staging names are excluded (they are not namespace state).
@@ -584,8 +590,7 @@ class ChirpServer:
             vpath = ("" if vdir == "/" else vdir) + "/" + name
             st = self.fs.lstat(self.real_path(vpath))
             if st.is_symlink:
-                target = self.fs.readlink(self.real_path(vpath))
-                manifest[vpath] = ("link", self.virtual_path(target))
+                manifest[vpath] = ("link", self.fs.readlink(self.real_path(vpath)))
             elif st.is_dir:
                 manifest[vpath] = ("dir", st.st_mode & 0o7777)
                 self._manifest_walk(vpath, manifest)
@@ -739,7 +744,9 @@ class _Connection:
             payload = self.server.pipeline.run(op, self)
             return {"ok": True, **(payload or {})}
         except KernelError as exc:
-            return {"ok": False, "errno": int(exc.errno), "error": exc.detail}
+            # the kernel names machine paths; the reply names protocol paths
+            text = self.server._root_in_text.sub("/", exc.detail)
+            return {"ok": False, "errno": int(exc.errno), "error": text}
         except ProtocolError as exc:
             return {"ok": False, "errno": int(Errno.EINVAL), "error": str(exc)}
         except (KeyError, TypeError, ValueError) as exc:

@@ -14,7 +14,10 @@ so auditing exactly those inodes against the template's recorded fields
 inspects everything the run touched and nothing it didn't.  Fields
 compared are the property-test set — type, mode, owner, link count,
 content/symlink target, directory entries — with access times excluded
-(world-readable files may legitimately be read).
+(world-readable files may legitimately be read).  On the Chirp surface
+every exec also runs the reply oracle: a reply or error text that names
+the export root (a machine path of the server's owner) is a
+``violation:leak:`` verdict.
 
 Survivors (inputs the engine retains for new coverage) get the full
 treatment via :meth:`check_survivor`: structural filesystem invariants,
@@ -492,20 +495,26 @@ class ChirpExecutor(_TemplateExecutor):
             result.touched = self.touched_count(machine)
             return result
 
+        named_root = ""
         for step in scenario.ops:
             op, rest = step[0], step[1:]
             try:
                 out = self._rpc(client, op, rest)
+                reply = repr(out)
             except ChirpError as exc:
-                out = ["chirp-error", exc.errno.name]
+                out, reply = ["chirp-error", exc.errno.name], str(exc)
             except KernelError as exc:
-                out = ["net-error", exc.errno.name]
+                out, reply = ["net-error", exc.errno.name], str(exc)
+            if self._export_root in reply:
+                named_root = named_root or f"{op} {rest!r} answered {reply!r}"
             result.transcript.append([op, _normalize(out)])
         result.coverage = coverage_edges(telemetry)
         result.touched = self.touched_count(machine)
         leak = self.containment_verdict(machine)
         if leak:
             result.verdict = f"violation:containment:{leak}"
+        elif named_root:  # the reply oracle: no machine path crosses the wire
+            result.verdict = f"violation:leak:{named_root}"
         return result
 
     def _rpc(self, client, op: str, rest: list) -> Any:

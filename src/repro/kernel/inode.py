@@ -53,6 +53,7 @@ class Inode:
     ``data`` is the byte content for regular files; ``entries`` maps names to
     inode numbers for directories; ``symlink_target`` holds the link text for
     symlinks.  Exactly one of the three is meaningful, selected by ``ftype``.
+    A link with a ``link_root`` resolves an absolute target below it.
     """
 
     ino: int
@@ -64,6 +65,7 @@ class Inode:
     data: bytearray = field(default_factory=bytearray)
     entries: dict[str, int] = field(default_factory=dict)
     symlink_target: str = ""
+    link_root: str = ""
     atime_ns: int = 0
     mtime_ns: int = 0
     ctime_ns: int = 0
@@ -89,6 +91,7 @@ class Inode:
             data=self.data,
             entries=dict(self.entries),
             symlink_target=self.symlink_target,
+            link_root=self.link_root,
             atime_ns=self.atime_ns,
             mtime_ns=self.mtime_ns,
             ctime_ns=self.ctime_ns,

@@ -266,8 +266,10 @@ class LocalFS:
         uid: int,
         gid: int,
         now_ns: int = 0,
+        root: str = "",
     ) -> Inode:
-        """Create a symbolic link whose text is ``target``."""
+        """Create a symbolic link whose text is ``target``; an absolute
+        target resolves below ``root`` (see :attr:`Inode.link_root`)."""
         check_name(name)
         if not directory.is_dir:
             raise err(Errno.ENOTDIR, f"inode {directory.ino}")
@@ -276,6 +278,7 @@ class LocalFS:
         directory = self.writable(directory)
         node = self._alloc(_SYMLINK, 0o777, uid, gid, now_ns)
         node.symlink_target = target
+        node.link_root = root
         directory.entries[name] = node.ino
         directory.mtime_ns = now_ns
         return node

@@ -756,7 +756,7 @@ class Machine:
             # (kill aimed at its own pid); there is nothing to resume
             proc.regs = None
             return None
-        self.clock.apply(plan.resume if proc.regs.forced else plan.resume_native)
+        self.clock.apply(plan.resume_native)
         return self._run_traced_native(proc, request, plan)
 
     def _run_traced_native(self, proc: Process, request: Request, plan: TrapPlan) -> Any:
@@ -766,12 +766,11 @@ class Machine:
         parked; :meth:`_step` calls :meth:`_resume_traced_native` on
         wakeup)."""
         regs = proc.regs
-        if not regs.forced:
-            try:
-                regs.retval = self._dispatch(proc.task, regs.name, regs.args)
-            except WouldBlock as wb:
-                self._park(proc, request, wb)
-                return PARKED
+        try:
+            regs.retval = self._dispatch(proc.task, regs.name, regs.args)
+        except WouldBlock as wb:
+            self._park(proc, request, wb)
+            return PARKED
         tracer = proc.tracer
         if not getattr(tracer, "delegating", False):
             self.clock.apply(plan.stop)

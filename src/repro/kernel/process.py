@@ -79,8 +79,6 @@ class Regs:
     name: str
     args: tuple
     retval: Any = None
-    #: set by a tracer to force a return value without executing anything
-    forced: bool = False
     #: set by :meth:`~repro.kernel.ptrace.TraceSession.nullify`: a
     #: delegating tracer owes the call's result at the exit stop
     nullified: bool = False

@@ -59,8 +59,8 @@ class TrapPlan:
         self.stop_getregs_poke = Step(trap=2 * trap, switch=switch, trace=getregs + poke)
         #: the tracer's ``ptrace(SYSCALL)``: one trap, the switch back
         self.resume = Step(trap=trap, switch=switch)
-        #: the entry stop's resume of a call not forced, with the trap of
-        #: the native call that runs next
+        #: the entry stop's resume, with the trap of the native call that
+        #: runs next
         self.resume_native = Step(trap=2 * trap, switch=switch)
         #: the native call's trap alone, when a call parked on a pipe retries
         self.native = Step(trap=trap)

@@ -422,14 +422,14 @@ class SyscallExecutor:
         )
         return 0
 
-    def do_symlink(self, task: Task, target: str, linkpath: str) -> int:
+    def do_symlink(self, task: Task, target: str, linkpath: str, root: str = "") -> int:
         res = self._resolve(task, linkpath, follow=False)
         if res.exists:
             raise err(Errno.EEXIST, linkpath)
         self._check_perm(task, res.parent, 2)
         self.machine.fs.symlink(
             res.parent, res.name, target, task.cred.uid, task.cred.gid,
-            self.machine.clock.now_ns,
+            self.machine.clock.now_ns, root,
         )
         return 0
 

@@ -180,7 +180,8 @@ class VFS:
         When ``cred`` is given and ``check_traverse`` is true, each directory
         crossed must grant execute permission, as a real kernel requires.
         ``follow=False`` stops at a symlink in the final component (lstat,
-        unlink, readlink semantics).
+        unlink, readlink semantics).  An absolute link target restarts the
+        walk at the link's :attr:`~Inode.link_root`, ``/`` when it has none.
 
         Every call returns a fresh :class:`Resolution` whose
         :class:`WalkStats` count the components a walk touches, whether or
@@ -278,7 +279,7 @@ class VFS:
                     raise err(Errno.ELOOP, path)
                 target = child.symlink_target
                 if target.startswith("/"):
-                    rest = split_path(target) + components[i + 1 :]
+                    rest = split_path(child.link_root + target) + components[i + 1 :]
                     current = root
                     current_path = []
                     components = rest

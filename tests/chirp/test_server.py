@@ -3,6 +3,7 @@
 import pytest
 
 from repro.chirp import ChirpError
+from repro.core import Acl, Rights
 from repro.core.acl import ACL_FILE_NAME
 from repro.kernel import Errno, OpenFlags
 from repro.net.rpc import decode_message, encode_message
@@ -107,8 +108,8 @@ def test_symlink_target_cannot_climb_out_of_the_export(fred, server):
     with pytest.raises(ChirpError) as info:
         fred.get("/d/esc")
     assert info.value.errno is Errno.ENOENT
-    stored = server.fs.readlink(server.real_path("/d/esc"))
-    assert stored == server.export_root + "/etc/passwd"
+    # the link stores the protocol path; it resolves below the export root
+    assert server.fs.readlink(server.real_path("/d/esc")) == "/etc/passwd"
 
 
 def test_no_reply_names_the_export_root(fred, server):
@@ -117,16 +118,58 @@ def test_no_reply_names_the_export_root(fred, server):
     fred.symlink("/d/f", "/d/absolute")
     fred.symlink("f", "/d/relative")
     fred.symlink("..", "/d/parent")
+    links = ["/d/absolute", "/d/relative", "/d/parent"]
     replies = [
-        fred.readlink("/d/absolute"),
-        fred.readlink("/d/relative"),
-        fred.readlink("/d/parent"),
-        fred.lstat("/d/absolute"),
+        *(fred.readlink(link) for link in links),
+        *(fred.lstat(link) for link in links),
         fred.readdir("/d"),
         fred.getacl("/d"),
     ]
     assert replies[:3] == ["/d/f", "/d/f", "/"]
+    # a link's size is the length of the target a client reads back
+    assert [st.size for st in replies[3:6]] == [4, 4, 1]
+    errors = {}
+    for name, call, errno in [
+        ("get", lambda: fred.get("/d/nope"), Errno.ENOENT),
+        ("rmdir", lambda: fred.rmdir("/d"), Errno.ENOTEMPTY),
+        ("mkdir", lambda: fred.mkdir("/d"), Errno.EEXIST),
+        ("readlink", lambda: fred.readlink("/d/f"), Errno.EINVAL),
+        ("rename", lambda: fred.rename("/d/nope", "/d/g"), Errno.ENOENT),
+    ]:
+        with pytest.raises(ChirpError) as info:
+            call()
+        assert info.value.errno is errno, name
+        errors[name] = str(info.value)
     assert all(server.export_root not in repr(reply) for reply in replies)
+    assert all(server.export_root not in text for text in errors.values()), errors
+    # the kernel's text names the paths as the client gave them
+    assert "'/d/nope'" in errors["get"] and "'/d/f'" in errors["readlink"]
+
+
+@pytest.mark.parametrize("target", ["/d/f", "f", "../d/f", "sub/../f", ".."])
+def test_a_link_is_as_long_as_its_readlink_answer(fred, target):
+    fred.mkdir("/d")
+    fred.put(b"t", "/d/f")
+    fred.symlink(target, "/d/l")
+    assert fred.lstat("/d/l").size == len(fred.readlink("/d/l"))
+
+
+def test_a_dotdot_target_through_a_symlinked_directory_stays_in_the_export(fred, server):
+    # /a is the export root itself, so the link /a/b/l lies physically in
+    # /b: its "../../x" must not climb from there to the owner's home
+    machine = server.machine
+    outside = server.export_root.rsplit("/", 1)[0] + "/x"
+    machine.write_file(server.owner_task, outside, b"outside the export")
+    root_acl = Acl()
+    root_acl.set_entry(f"globus:{FRED_DN}", Rights.parse("rwla"))
+    server.set_root_acl(root_acl)
+    fred.symlink("/", "/a")
+    fred.mkdir("/b")
+    fred.put(b"inside the export", "/x")
+    fred.symlink("../../x", "/a/b/l")
+    assert fred.readlink("/b/l") == "/x"
+    assert fred.get("/b/l") == fred.get("/a/b/l") == b"inside the export"
+    assert machine.read_file(server.owner_task, server.real_path("/b/l")) == b"inside the export"
 
 
 def test_error_replies_name_the_errno_once_and_denials_no_machine_path(fred, heidi, server):
@@ -330,6 +373,32 @@ def test_exec_runs_in_identity_box(fred, server):
     assert status == 0
     assert fred.get("/work/result.dat") == b"job output\n"
     assert server.stats.execs == 1
+
+
+def test_an_exec_job_reads_a_chirp_link_as_get_does(fred, server):
+    """Every walker reaches the file a Chirp-made link names: the server
+    (``get``), a boxed job on the server, and the owner."""
+
+    def reader(proc, args):
+        fd = yield proc.sys.open("l", OpenFlags.O_RDONLY)
+        buf = proc.alloc(64)
+        n = yield proc.sys.read(fd, buf, 64)
+        seen = proc.read_buffer(buf, n)
+        yield proc.sys.close(fd)
+        fd = yield proc.sys.open("seen.dat", OpenFlags.O_WRONLY | OpenFlags.O_CREAT)
+        yield proc.sys.write(fd, proc.alloc_bytes(seen), len(seen))
+        yield proc.sys.close(fd)
+        return 0
+
+    server.machine.register_program("reader", reader)
+    fred.mkdir("/work")
+    fred.put(b"linked bytes\n", "/work/f")
+    fred.symlink("/work/f", "/work/l")
+    fred.put(b"#!repro:reader\n", "/work/r.exe", mode=0o755)
+    assert fred.exec("/work/r.exe", cwd="/work") == 0
+    assert fred.get("/work/seen.dat") == fred.get("/work/l") == b"linked bytes\n"
+    owner_read = server.machine.read_file(server.owner_task, server.real_path("/work/l"))
+    assert owner_read == b"linked bytes\n"
 
 
 def test_exec_identity_is_the_principal(fred, server):

@@ -279,7 +279,9 @@ def oracle_walk(
             if target.startswith("/"):
                 current = fs.root
                 current_path = []
-                components = split_path(target) + components[i + 1 :]
+                components = (
+                    split_path(child.link_root) + split_path(target) + components[i + 1 :]
+                )
                 i = 0
                 if not components:
                     return fs.root, fs.root, "", "/", stats

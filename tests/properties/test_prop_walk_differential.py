@@ -2,8 +2,9 @@
 
 ``tests.helpers.oracle_walk`` resolves one ``LocalFS.lookup`` per
 component, as the resolver used to.  On generated trees (absolute and
-relative symlinks including loops, ``.`` and ``..``, missing
-intermediates, files used as directories, directories without ``x``)
+relative symlinks including loops, links rooted at ``/a`` whose absolute
+targets resolve below it, ``.`` and ``..``, missing intermediates, files
+used as directories, directories without ``x``)
 the resolver must return the same ``(inode, parent, name, dir_path)``
 with the same walk statistics, or fail with the same errno and message.
 ``normalize`` is checked exhaustively on short strings.
@@ -36,7 +37,7 @@ skeletons = st.lists(
 entries = st.tuples(
     st.sampled_from(PARENTS),
     st.sampled_from(NAMES),
-    st.sampled_from(("dir", "file", "symlink", "symlink")),
+    st.sampled_from(("dir", "file", "symlink", "symlink", "rooted")),
     st.sampled_from(MODES),
     owners,
     st.sampled_from(TARGETS),
@@ -74,7 +75,8 @@ def build(tree) -> LocalFS:
             elif kind == "file":
                 fs.create_file(directory, name, owner, owner, mode=mode)
             else:
-                fs.symlink(directory, name, target, owner, owner)
+                root = "/a" if kind == "rooted" else ""
+                fs.symlink(directory, name, target, owner, owner, root=root)
         except KernelError:
             pass  # missing or non-directory parent, or the name is taken
     return fs
