@@ -10,11 +10,11 @@ snapshot layer:
 * ``suite_batch`` — a simulated test session: N cases, each needing a
   prepared world plus a short case body (stat + read + write), run with
   per-case cold preparation versus one warm template forked per case
-  (the ``REPRO_SNAPSHOT_FIXTURES=1`` fixture path, template construction
-  included).  This is the honest shape of the saving: world *preparation*
-  is what forking removes, so the win scales with how much of a case is
-  setup rather than workload — large for unit-test-sized cases, small
-  for long application runs.
+  (how ``tests/helpers.make_machine`` hands out test machines, template
+  construction included).  This is the honest shape of the saving: world
+  *preparation* is what forking removes, so the win scales with how much
+  of a case is setup rather than workload — large for unit-test-sized
+  cases, small for long application runs.
 
 Both gate on the dimensionless ``speedup_x`` ratios, which are stable
 across host machines where absolute milliseconds are not.
@@ -57,7 +57,7 @@ def measure_fork_vs_boot() -> dict:
     try:
         t0 = time.perf_counter()
         for _ in range(BOOT_REPS):
-            machine, _cred = runner._prepare_cold(None, None)
+            machine, _cred = runner._prepare(None, None)
         cold_s = (time.perf_counter() - t0) / BOOT_REPS
         snap = machine.snapshot()
         t0 = time.perf_counter()
@@ -85,17 +85,18 @@ def measure_suite_batch() -> dict:
     """Wall-clock of an N-case session, per-case cold prep vs per-case fork."""
     t0 = time.perf_counter()
     for _ in range(CASES):
-        machine, cred = runner._prepare(None, None, use_snapshots=False)
+        machine, cred = runner._prepare(None, None)
         _case_body(machine, cred)
     cold_s = time.perf_counter() - t0
 
-    runner._TEMPLATES.clear()
+    template = None
     t0 = time.perf_counter()
-    for _ in range(CASES):  # the first iteration pays template construction
-        machine, cred = runner._prepare(None, None, use_snapshots=True)
-        _case_body(machine, cred)
+    for _ in range(CASES):
+        if template is None:  # the first iteration pays template construction
+            template = runner._prepare(None, None)[0].snapshot()
+        machine = Machine(snapshot=template)
+        _case_body(machine, machine.users.credentials_for("grid"))
     forked_s = time.perf_counter() - t0
-    runner._TEMPLATES.clear()
     return {
         "cold_s": cold_s,
         "forked_s": forked_s,

@@ -6,10 +6,6 @@ here, and nowhere else in the package:
 ===========================  =================================================
 ``REPRO_FAULT_RATE``         per-kind fault probability on the Chirp port
                              (CI's ``test-faulted`` job sets ``0.1``)
-``REPRO_SHARDS``             federation shard count (CI sets ``8``)
-``REPRO_REPLICAS``           owners per directory prefix (CI's
-                             ``test-replicated`` job sets ``3``)
-``REPRO_SNAPSHOT_FIXTURES``  fork test machines from warm CoW snapshots
 ``REPRO_BENCH_SMOKE``        CI-sized benchmark iteration counts
 ``REPRO_CACHE``              fast-lane read-op memoization at the pipeline
                              mouth (CI's ``test-fastlane`` leg sets ``1``)
@@ -18,10 +14,10 @@ here, and nowhere else in the package:
 All but ``REPRO_BENCH_SMOKE`` describe a *world*, read together into one
 :class:`WorldSpec`.  The package itself never consults them: a world
 setting reaches it as an argument (``ChirpServer(read_cache=)``,
-``deploy_federation(replicas=, read_cache=)``,
-``runner._prepare(use_snapshots=)``, an installed ``FaultPlan``).  The
+``deploy_federation(read_cache=)``, an installed ``FaultPlan``).  The
 test harness reads one spec and passes its values on, so one process can
-build differently configured worlds side by side.
+build differently configured worlds side by side.  Shard and replica
+counts are not knobs: the federation tests name the shapes they check.
 """
 
 from __future__ import annotations
@@ -50,20 +46,14 @@ class WorldSpec:
     are the plain world."""
 
     fault_rate: float = 0.0
-    shards: int = 1
-    replicas: int = 1
     read_cache: bool = False
-    snapshot_fixtures: bool = False
 
     @classmethod
     def from_env(cls) -> WorldSpec:
         """The world the ``REPRO_*`` knobs describe."""
         return cls(
             fault_rate=_env_number("REPRO_FAULT_RATE", "0", float),
-            shards=_env_number("REPRO_SHARDS", "1", int),
-            replicas=max(1, _env_number("REPRO_REPLICAS", "1", int)),
             read_cache=_env_flag("REPRO_CACHE"),
-            snapshot_fixtures=_env_flag("REPRO_SNAPSHOT_FIXTURES"),
         )
 
 

@@ -13,13 +13,13 @@ simulation prices every call deterministically.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 from ..core.acl import Acl
 from ..core.aclfs import AclPolicy
 from ..core.box import IdentityBox
 from ..core.telemetry import LatencyStats, Telemetry
-from ..kernel.machine import Machine, WorldSnapshot
+from ..kernel.machine import Machine
 from ..kernel.timing import CostModel, NS_PER_S, NS_PER_US
 from ..kernel.vfs import join
 from .base import (
@@ -93,16 +93,14 @@ class MicrobenchResult:
 # --------------------------------------------------------------------- #
 
 
-#: Session-lifetime cache of prepared-world snapshots, one per distinct
-#: (profile, cost-model) pair.  A template is built by cold-preparing a
-#: machine once; every later run forks it in O(size-of-diff).
-_TEMPLATES: dict[tuple, WorldSnapshot] = {}
-
-
-def _prepare_cold(
+def _prepare(
     profile: AppProfile | None, costs: CostModel | None
 ) -> tuple[Machine, object]:
-    """Fresh machine with the workload's file layout in place."""
+    """A fresh machine with the workload's file layout in place.
+
+    The measurement protocol requires *identical fresh machines* for the
+    base and boxed runs; each run cold-prepares its own.
+    """
     machine = Machine(costs=costs)
     cred = machine.add_user("grid")
     task = machine.host_task(cred, cwd=WORKDIR)
@@ -118,30 +116,6 @@ def _prepare_cold(
         machine.register_program(child_name, child_body(profile))
         machine.install_program(task, join(WORKDIR, CHILD_EXE), child_name)
     return machine, cred
-
-
-def _prepare(
-    profile: AppProfile | None,
-    costs: CostModel | None,
-    *,
-    use_snapshots: bool = False,
-) -> tuple[Machine, object]:
-    """A machine prepared for one run — cold-booted or forked from a template.
-
-    The measurement protocol requires *identical fresh machines* for the
-    base and boxed runs; a fork of the same immutable template satisfies
-    that by construction (and the equivalence is tested), while skipping
-    the file-layout setup on every run after a configuration's first.
-    """
-    if not use_snapshots:
-        return _prepare_cold(profile, costs)
-    key = (profile, astuple(costs or CostModel()))
-    snap = _TEMPLATES.get(key)
-    if snap is None:
-        snap = _prepare_cold(profile, costs)[0].snapshot()
-        _TEMPLATES[key] = snap
-    machine = Machine(snapshot=snap)
-    return machine, machine.users.credentials_for("grid")
 
 
 def _run(

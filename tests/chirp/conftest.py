@@ -5,6 +5,8 @@ subjects every test that uses these fixtures to a seeded uniform fault
 plan on the Chirp port, and arms the shared clients with a retry policy:
 the whole Chirp suite then doubles as a resilience suite.  The seed is
 fixed, so a faulted run is just as deterministic as a clean one.
+Federation shapes are not world knobs: ``test_federation.py`` names the
+(shards, replicas) shapes it checks, and every leg runs all of them.
 """
 
 import pytest
@@ -31,12 +33,6 @@ from tests.helpers import WORLD, make_server
 #: faulted leg); fixtures and skip markers read the same ``WORLD``.
 FAULT_RATE = WORLD.fault_rate
 FAULT_SEED = DEFAULT_FAULT_SEED
-#: Shard count for federation-aware tests (CI's federation job sets 8);
-#: single-server tests ignore it, the federation suite sweeps 1 vs this.
-SHARD_COUNT = WORLD.shards
-#: Replicas per directory prefix (CI's test-replicated chaos job sets 3);
-#: 1 is the old single-owner federation and the default everywhere.
-REPLICA_COUNT = WORLD.replicas
 #: Generous attempt budget: at rate r each call fails with ~1-(1-r)^4.
 FAULT_RETRY = RetryPolicy(max_attempts=10, seed=FAULT_SEED)
 #: What shared fixtures hand their clients/drivers/sessions.
@@ -47,13 +43,6 @@ DEFAULT_RETRY = FAULT_RETRY if FAULT_RATE > 0 else None
 requires_perfect_network = pytest.mark.skipif(
     FAULT_RATE > 0,
     reason="asserts exact transport-level behavior; skipped under fault plan",
-)
-
-#: For tests whose assertions count exactly one routed op per logical op
-#: — quorum writes at REPRO_REPLICAS>1 legitimately route k of them.
-requires_single_replica = pytest.mark.skipif(
-    REPLICA_COUNT > 1,
-    reason="asserts single-owner routing counts; skipped at REPRO_REPLICAS>1",
 )
 
 FRED_DN = "/O=UnivNowhere/CN=Fred"

@@ -31,13 +31,7 @@ from repro.kernel.fdtable import OpenFlags
 from repro.kernel.timing import NS_PER_MS, NS_PER_S
 from repro.net import Cluster, FaultPlan
 from repro.workloads import AMANDA, BLAST, CMS, HF, IBIS, MAKE
-from tests.chirp.conftest import (
-    FAULT_RATE,
-    FAULT_SEED,
-    REPLICA_COUNT,
-    SHARD_COUNT,
-    requires_single_replica,
-)
+from tests.chirp.conftest import FAULT_RATE, FAULT_SEED
 from tests.chirp.test_resilience import input_bytes, stage_and_run
 from tests.helpers import WORLD, make_server
 
@@ -45,9 +39,11 @@ LAPTOP = "laptop.cs.nowhere.edu"
 FRED_DN = "/O=UnivNowhere/CN=Fred"
 FED = "pool"
 
-#: How many shards "many" means: the CI federation job sets REPRO_SHARDS=8,
-#: a plain run still exercises a real multi-shard map.
-MANY = SHARD_COUNT if SHARD_COUNT > 1 else 4
+#: The (shards, replicas) shapes every multi-shard check runs on, in every
+#: CI leg: single-owner maps of two sizes, and three owners per prefix.
+SHAPES = ((4, 1), (8, 1), (8, 3))
+#: The shapes whose routing sends each logical op to exactly one shard.
+SINGLE_OWNER = tuple(shape for shape in SHAPES if shape[1] == 1)
 
 RETRY = RetryPolicy(
     max_attempts=10,
@@ -57,7 +53,7 @@ RETRY = RetryPolicy(
 )
 
 
-def make_fed_world(n_shards, plan=None, replicas=REPLICA_COUNT, read_cache=WORLD.read_cache):
+def make_fed_world(n_shards, plan=None, *, replicas, read_cache=WORLD.read_cache):
     """A federation of ``n_shards`` GSI-authenticated servers + a laptop."""
     cluster = Cluster()
     cluster.add_machine(LAPTOP)
@@ -106,6 +102,22 @@ def connect_fred(cluster, federation, wallet, retry=None, telemetry=None):
     )
 
 
+def across_shapes(shapes=SHAPES):
+    """Run a ``check(cluster, federation, wallet)`` on a fresh world of each
+    (shards, replicas) shape, each shape a subtest of one test."""
+
+    def decorate(check):
+        def test(subtests):
+            for shards, replicas in shapes:
+                with subtests.test(shards=shards, replicas=replicas):
+                    check(*make_fed_world(shards, replicas=replicas))
+
+        test.__name__, test.__doc__ = check.__name__, check.__doc__
+        return test
+
+    return decorate
+
+
 def cross_shard_pair(client, limit=64):
     """Two top-level directories that route to different shards."""
     base = client.shard_of("/d0")
@@ -123,14 +135,14 @@ def cross_shard_pair(client, limit=64):
 @pytest.mark.parametrize(
     "profile", [AMANDA, BLAST, CMS, HF, IBIS, MAKE], ids=lambda p: p.name
 )
-def test_every_workload_is_byte_identical_on_one_vs_many_shards(profile):
-    def run_on(n_shards):
+def test_every_workload_is_byte_identical_on_one_vs_many_shards(profile, subtests):
+    def run_on(n_shards, replicas):
         plan = None
         if FAULT_RATE > 0:
             plan = FaultPlan.uniform(
                 seed=FAULT_SEED, rate=FAULT_RATE, ports=(CHIRP_PORT,)
             )
-        cluster, federation, wallet = make_fed_world(n_shards, plan)
+        cluster, federation, wallet = make_fed_world(n_shards, plan, replicas=replicas)
         client = connect_fred(
             cluster, federation, wallet, retry=RETRY if FAULT_RATE > 0 else None
         )
@@ -138,14 +150,16 @@ def test_every_workload_is_byte_identical_on_one_vs_many_shards(profile):
         client.close()
         return result
 
-    want = run_on(1)
-    got = run_on(MANY)
+    want = run_on(1, 1)
     assert want["status"] == 0 and want["size"] == len(input_bytes(profile))
-    assert got == want  # sharding must not be observable in results
+    for shards, replicas in SHAPES:
+        with subtests.test(shards=shards, replicas=replicas):
+            # sharding and replication must not be observable in results
+            assert run_on(shards, replicas) == want
 
 
-def test_routing_spreads_prefixes_and_serves_from_owners():
-    cluster, federation, wallet = make_fed_world(MANY)
+@across_shapes()
+def test_routing_spreads_prefixes_and_serves_from_owners(cluster, federation, wallet):
     client = connect_fred(cluster, federation, wallet)
     for i in range(16):
         client.mkdir(f"/d{i}")
@@ -162,8 +176,8 @@ def test_routing_spreads_prefixes_and_serves_from_owners():
 # ---------------------------------------------------------------------- #
 
 
-def test_cross_shard_rename_moves_the_bytes_exactly_once():
-    cluster, federation, wallet = make_fed_world(MANY)
+@across_shapes()
+def test_cross_shard_rename_moves_the_bytes_exactly_once(cluster, federation, wallet):
     client = connect_fred(cluster, federation, wallet)
     src_dir, dst_dir = cross_shard_pair(client)
     client.mkdir(src_dir)
@@ -184,8 +198,8 @@ def test_cross_shard_rename_moves_the_bytes_exactly_once():
     assert not [n for n in raw.readdir(dst_dir) if n.endswith(FED_XFER_SUFFIX)]
 
 
-def test_cross_shard_rename_preserves_the_execute_bit():
-    cluster, federation, wallet = make_fed_world(MANY)
+@across_shapes()
+def test_cross_shard_rename_preserves_the_execute_bit(cluster, federation, wallet):
     client = connect_fred(cluster, federation, wallet)
     src_dir, dst_dir = cross_shard_pair(client)
     client.mkdir(src_dir)
@@ -195,8 +209,8 @@ def test_cross_shard_rename_preserves_the_execute_bit():
     assert client.exec(f"{dst_dir}/sim.exe", cwd=dst_dir) == 0
 
 
-def test_same_shard_rename_is_a_plain_rename():
-    cluster, federation, wallet = make_fed_world(MANY)
+@across_shapes()
+def test_same_shard_rename_is_a_plain_rename(cluster, federation, wallet):
     client = connect_fred(cluster, federation, wallet)
     client.mkdir("/d0")
     client.put(b"x", "/d0/a")
@@ -254,17 +268,17 @@ def test_cross_shard_rename_survives_drops_and_a_mid_transfer_restart():
 # ---------------------------------------------------------------------- #
 
 
-def test_same_credential_is_the_same_principal_on_every_shard():
-    cluster, federation, wallet = make_fed_world(MANY)
+@across_shapes()
+def test_same_credential_is_the_same_principal_on_every_shard(cluster, federation, wallet):
     client = connect_fred(cluster, federation, wallet)
     principals = client.whoami_all()
-    assert len(principals) == MANY
+    assert len(principals) == len(federation.shards)
     assert set(principals.values()) == {"globus:/O=UnivNowhere/CN=Fred"}
     assert client.assert_identity_consistent() == "globus:/O=UnivNowhere/CN=Fred"
 
 
-def test_acl_rendering_is_byte_identical_on_every_shard():
-    cluster, federation, wallet = make_fed_world(MANY)
+@across_shapes()
+def test_acl_rendering_is_byte_identical_on_every_shard(cluster, federation, wallet):
     client = connect_fred(cluster, federation, wallet)
     views = client.getacl_all("/")
     assert len(set(views.values())) == 1
@@ -280,8 +294,8 @@ def test_acl_rendering_is_byte_identical_on_every_shard():
 # ---------------------------------------------------------------------- #
 
 
-def test_refresh_is_a_cheap_no_op_while_membership_is_stable():
-    cluster, federation, wallet = make_fed_world(MANY)
+@across_shapes()
+def test_refresh_is_a_cheap_no_op_while_membership_is_stable(cluster, federation, wallet):
     client = connect_fred(cluster, federation, wallet)
     before = client.shard_map
     federation.advertise_all()  # heartbeats are not membership changes
@@ -291,8 +305,8 @@ def test_refresh_is_a_cheap_no_op_while_membership_is_stable():
     assert client.stats.map_rebuilds == 0
 
 
-def test_a_joining_shard_bumps_the_version_and_rebuilds_the_map():
-    cluster, federation, wallet = make_fed_world(MANY)
+@across_shapes()
+def test_a_joining_shard_bumps_the_version_and_rebuilds_the_map(cluster, federation, wallet):
     client = connect_fred(cluster, federation, wallet)
     # a new shard joins through the ordinary advertise path
     trust = CredentialStore()
@@ -309,11 +323,11 @@ def test_a_joining_shard_bumps_the_version_and_rebuilds_the_map():
     )
     assert client.refresh_map() is True
     assert f"late.pool:{CHIRP_PORT}" in client.shard_map.names()
-    assert len(client.shard_map.shards) == MANY + 1
+    assert len(client.shard_map.shards) == len(federation.shards) + 1
 
 
-def test_a_removed_shard_leaves_the_map_and_its_session_is_closed():
-    cluster, federation, wallet = make_fed_world(MANY)
+@across_shapes()
+def test_a_removed_shard_leaves_the_map_and_its_session_is_closed(cluster, federation, wallet):
     client = connect_fred(cluster, federation, wallet)
     src_dir, dst_dir = cross_shard_pair(client)
     client.mkdir(src_dir)  # open a session to the shard we will retire
@@ -327,11 +341,11 @@ def test_a_removed_shard_leaves_the_map_and_its_session_is_closed():
     assert victim not in client._clients  # departed session torn down
 
 
-def test_an_expired_shard_is_evicted_not_ghosted_and_can_reregister():
+@across_shapes()
+def test_an_expired_shard_is_evicted_not_ghosted_and_can_reregister(cluster, federation, wallet):
     """The staleness satellite, end to end: a dead shard's record is
     *evicted* (version bump, map rebuild), and restarting it re-registers
     cleanly — exactly one record, no ghost."""
-    cluster, federation, wallet = make_fed_world(MANY)
     client = connect_fred(cluster, federation, wallet)
     dead = sorted(federation.shards)[0]
     deployment = federation.shards[dead]
@@ -358,8 +372,8 @@ def test_an_expired_shard_is_evicted_not_ghosted_and_can_reregister():
 # ---------------------------------------------------------------------- #
 
 
-def test_one_trace_follows_a_cross_shard_rename_through_both_shards():
-    cluster, federation, wallet = make_fed_world(MANY)
+@across_shapes()
+def test_one_trace_follows_a_cross_shard_rename_through_both_shards(cluster, federation, wallet):
     laptop_tel = instrument(cluster.machine(LAPTOP))
     client = connect_fred(cluster, federation, wallet, telemetry=laptop_tel)
     src_dir, dst_dir = cross_shard_pair(client)
@@ -376,9 +390,8 @@ def test_one_trace_follows_a_cross_shard_rename_through_both_shards():
         assert remote, f"no server-side spans on {shard_name} in the trace"
 
 
-@requires_single_replica
-def test_per_shard_op_counters_account_for_routed_work():
-    cluster, federation, wallet = make_fed_world(MANY)
+@across_shapes(SINGLE_OWNER)
+def test_per_shard_op_counters_account_for_routed_work(cluster, federation, wallet):
     laptop_tel = instrument(cluster.machine(LAPTOP))
     client = connect_fred(cluster, federation, wallet, telemetry=laptop_tel)
     for i in range(8):
@@ -393,8 +406,8 @@ def test_per_shard_op_counters_account_for_routed_work():
     assert counted == set(routed)
 
 
-def test_per_shard_busy_time_is_spent_only_where_ops_were_served():
-    cluster, federation, wallet = make_fed_world(MANY)
+@across_shapes()
+def test_per_shard_busy_time_is_spent_only_where_ops_were_served(cluster, federation, wallet):
     client = connect_fred(cluster, federation, wallet)
     client.mkdir("/busy")
     client.put(b"x" * 100, "/busy/f")
@@ -456,8 +469,8 @@ def fed_outcomes(client):
     return out
 
 
-def test_federated_client_ops_match_a_plain_chirp_client():
-    cluster, federation, wallet = make_fed_world(MANY)
+@across_shapes()
+def test_federated_client_ops_match_a_plain_chirp_client(cluster, federation, wallet):
     federated = connect_fred(cluster, federation, wallet)
     one_cluster, one, one_wallet = make_fed_world(1, replicas=1)
     plain, _shard = connect_fred(one_cluster, one, one_wallet).client_for("/")

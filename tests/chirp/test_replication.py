@@ -1,19 +1,20 @@
 """Replicated federation: quorum writes, shard failover, anti-entropy repair.
 
-The acceptance bar: every workload profile is byte-identical at
-``REPRO_REPLICAS=3`` vs one replica — *including* a run where one replica
-is blacked out mid-flight and rejoins (repaired) before the end, under a
-seeded 10% fault plan.  Around that sweep: placement unit-tests, failover
-reads, quorum arithmetic, tolerant teardown, suspect demotion, and the
-one repair mechanism: a replica that misses a write is marked in the
-catalog for the write's prefix, routed around for it by every client
-that refreshed its map, and repaired only by a rejoin that copies each
-prefix from a peer not marked for it.
+The acceptance bar: every workload profile is byte-identical at three
+replicas vs one — *including* a run where one replica is blacked out
+mid-flight and rejoins (repaired) before the end, under a seeded 10%
+fault plan, at 4 and at 8 shards.  Around that sweep: placement
+unit-tests, failover reads, quorum arithmetic, tolerant teardown,
+suspect demotion, and the one repair mechanism: a replica that misses a
+write is marked in the catalog for the write's prefix, routed around for
+it by every client that refreshed its map, and repaired only by a rejoin
+that copies each prefix from a peer not marked for it.
 """
 
 import pytest
 
 from repro.chirp import (
+    CATALOG_PORT,
     CHIRP_PORT,
     CatalogRecord,
     ChirpError,
@@ -34,7 +35,6 @@ from tests.chirp.conftest import FAULT_RATE, FAULT_SEED
 from tests.chirp.test_federation import (
     FED,
     LAPTOP,
-    MANY,
     RETRY,
     connect_fred,
     make_fed_world,
@@ -42,19 +42,19 @@ from tests.chirp.test_federation import (
 from tests.chirp.test_resilience import input_bytes, stage_and_run
 
 #: Replicated worlds need room for k=3 plus at least one non-owner.
-SHARDS = max(MANY, 4)
+SHARDS = 4
 #: The fault rate the chaos sweep runs under: the CI knob when set, the
 #: ISSUE's 10% bar otherwise — a clean-wires run still drills the blackout.
 CHAOS_RATE = FAULT_RATE if FAULT_RATE > 0 else 0.10
 #: Where the mid-run outage sits on the fault plan's op counter: every
-#: workload is drilled early (keeping its bare test id) and late.
+#: workload is drilled early (keeping its bare test id) and late, each
+#: drill at every shard count in its third field.
 DEFAULT_WINDOW = (20, 90)
 LATE_WINDOW = (40, 120)
 ALL = (AMANDA, BLAST, CMS, HF, IBIS, MAKE)
-#: AMANDA's drill ends near op 43 below 8 shards, before a late outage
-SHORT_RUN = pytest.mark.skipif(SHARDS < 8, reason="the run ends before the outage")
-DRILLS = [pytest.param(p, DEFAULT_WINDOW, id=p.name) for p in ALL] + [
-    pytest.param(p, LATE_WINDOW, id=f"{p.name}-40:120", marks=SHORT_RUN if p is AMANDA else ())
+DRILLS = [pytest.param(p, DEFAULT_WINDOW, (4, 8), id=p.name) for p in ALL] + [
+    # AMANDA's drill ends near op 43 at 4 shards, before a late outage
+    pytest.param(p, LATE_WINDOW, (8,) if p is AMANDA else (4, 8), id=f"{p.name}-40:120")
     for p in ALL
 ]
 
@@ -148,19 +148,11 @@ def test_route_order_drops_marked_replicas_and_an_all_marked_route_is_eagain():
 # ---------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("profile, window", DRILLS)
-def test_every_workload_is_byte_identical_with_a_replica_dying_mid_run(profile, window):
-    # the reference: one replica per prefix, perfect wires
-    cluster, federation, wallet = replicated_world(replicas=1)
-    client = connect_fred(cluster, federation, wallet)
-    want = stage_and_run(client, profile)
-    client.close()
-    assert want["status"] == 0 and want["size"] == len(input_bytes(profile))
-
-    # the drill: three replicas, a seeded fault plan, and the workload
-    # prefix's *primary* blacked out for a mid-run op window
+def drill(profile, window, shards, want):
+    """Three replicas, a seeded fault plan, and the workload prefix's
+    *primary* blacked out for a mid-run op window."""
     plan = FaultPlan.uniform(seed=FAULT_SEED, rate=CHAOS_RATE, ports=(CHIRP_PORT,))
-    cluster, federation, wallet = replicated_world(plan, replicas=3)
+    cluster, federation, wallet = make_fed_world(shards, plan, replicas=3)
     client = connect_fred(cluster, federation, wallet, retry=RETRY)
     work = f"/{profile.name.lower().replace(' ', '-')}"
     victim = client.shard_of(work)
@@ -182,6 +174,21 @@ def test_every_workload_is_byte_identical_with_a_replica_dying_mid_run(profile, 
     assert manifest_subtree(
         federation.shards[victim].server, prefix
     ) == manifest_subtree(federation.shards[donor].server, prefix)
+
+
+@pytest.mark.parametrize("profile, window, shard_counts", DRILLS)
+def test_every_workload_is_byte_identical_with_a_replica_dying_mid_run(
+    profile, window, shard_counts, subtests
+):
+    # the reference: one replica per prefix, perfect wires
+    cluster, federation, wallet = replicated_world(replicas=1)
+    client = connect_fred(cluster, federation, wallet)
+    want = stage_and_run(client, profile)
+    client.close()
+    assert want["status"] == 0 and want["size"] == len(input_bytes(profile))
+    for shards in shard_counts:
+        with subtests.test(shards=shards):
+            drill(profile, window, shards, want)
 
 
 # ---------------------------------------------------------------------- #
@@ -387,6 +394,34 @@ def test_a_write_whose_mark_cannot_be_reported_answers_eagain():
     assert info.value.errno is Errno.EAGAIN
     assert victim not in federation.catalog.marked
     assert client.stats.marks == blind.stats.marks == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a replicated write whose mark report cannot be delivered answers "
+    "EAGAIN after the replicas that answered applied it, and the dark replica "
+    "stays unmarked (CHANGES.md FOUND line), so a fresh client reads the old "
+    "bytes from it",
+)
+def test_an_undelivered_mark_report_leaves_the_dark_replica_serving_the_old_bytes():
+    cluster, federation, wallet = make_fed_world(4, replicas=3, read_cache=False)
+    client = connect_fred(cluster, federation, wallet, retry=RETRY)
+    client.mkdir("/d0")
+    client.put(b"v0", "/d0/f")
+    victim = client.shard_of("/d0")
+    federation.blackout_shard(victim, 0, 10**9)
+    cluster.network.unlisten(federation.catalog_host, CATALOG_PORT)
+    with pytest.raises(ChirpError) as info:
+        client.put(b"v1", "/d0/f")
+    assert info.value.errno is Errno.EAGAIN
+    federation.catalog.serve()
+    lift_blackouts(cluster)
+
+    assert federation.catalog.marked == {}
+    held = [shard_file(federation, name, "/d0/f") for name in owners_of(federation, "d0")]
+    assert held == [b"v0", b"v1", b"v1"]  # the primary missed the applied write
+    assert connect_fred(cluster, federation, wallet).get("/d0/f") == b"v1"
 
 
 def plant_stale(federation, names, acl_bytes):

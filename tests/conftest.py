@@ -32,9 +32,9 @@ if settings is not None:
 def machine() -> Machine:
     """A fresh simulated host.
 
-    Under ``REPRO_SNAPSHOT_FIXTURES=1`` this is an O(size-of-diff) fork of
-    a once-per-session warm world instead of a cold boot — observably
-    identical, measurably faster (see ``benchmarks/bench_snapshot_fork.py``).
+    An O(size-of-diff) fork of a once-per-session warm world rather than
+    a cold boot — observably identical, measurably faster (see
+    ``benchmarks/bench_snapshot_fork.py``).
     """
     return make_machine()
 

@@ -53,9 +53,8 @@ __all__ = [
 WORLD = WorldSpec.from_env()
 
 #: Session-lifetime cache of warm-boot snapshots, one per distinct machine
-#: configuration.  Populated lazily by :func:`make_machine` when snapshot
-#: fixtures are enabled; safe because a WorldSnapshot is immutable and
-#: every consumer gets its own forked Machine.
+#: configuration, filled lazily by :func:`make_machine`; safe because a
+#: WorldSnapshot is immutable and every consumer gets its own forked Machine.
 _WARM_SNAPSHOTS: dict[tuple, WorldSnapshot] = {}
 
 
@@ -64,20 +63,17 @@ def make_machine(
     costs: CostModel | None = None,
     hostname: str = "localhost",
     telemetry=None,
-    fresh: bool = False,
 ) -> Machine:
     """The one place tests construct a Machine.
 
-    Cold-boots a fresh world normally.  Under ``WORLD.snapshot_fixtures``
-    it cold-boots each distinct configuration once per session, snapshots
-    it, and hands every subsequent caller an O(size-of-diff) fork — the
-    behaviour must be indistinguishable, which
-    ``tests/properties/test_prop_snapshot.py`` checks.  Pass ``fresh=True``
-    to force a cold boot (e.g. for tests that measure boot itself), or a
-    ``telemetry`` sink, which binds to machine identity and so never
-    shares a template.
+    Cold-boots each distinct configuration once per session, snapshots
+    it, and hands every caller an O(size-of-diff) fork — the behaviour
+    must be indistinguishable from a cold boot, which
+    ``tests/properties/test_prop_snapshot.py`` checks.  A machine given a
+    ``telemetry`` sink is cold-booted: the sink binds to machine identity
+    and so never shares a template.
     """
-    if fresh or telemetry is not None or not WORLD.snapshot_fixtures:
+    if telemetry is not None:
         return Machine(costs=costs, hostname=hostname, telemetry=telemetry)
     key = (hostname, None if costs is None else astuple(costs))
     snap = _WARM_SNAPSHOTS.get(key)

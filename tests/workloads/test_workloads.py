@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from repro.kernel.machine import Machine
 from repro.kernel.timing import CostModel
 from repro.workloads import runner
 from repro.workloads import (
@@ -19,7 +20,6 @@ from repro.workloads import (
     run_app,
     run_microbench,
 )
-from tests.workloads.conftest import prepare_runs
 
 #: Small scale for test speed; overheads are scale-invariant by design.
 SCALE = 0.002
@@ -160,13 +160,21 @@ def test_snapshot_templates_measure_identically(monkeypatch):
     fork of an immutable template must be indistinguishable from a cold
     boot in every reported number.
     """
-    prepare_runs(monkeypatch, use_snapshots=False)
     cold = measure_app(MAKE, scale=SCALE)
 
-    prepare_runs(monkeypatch, use_snapshots=True)
-    runner._TEMPLATES.clear()
+    prepare = runner._prepare
+    templates = {}
+
+    def forked_prepare(profile, costs):
+        if profile not in templates:
+            templates[profile] = prepare(profile, costs)[0].snapshot()
+        machine = Machine(snapshot=templates[profile])
+        return machine, machine.users.credentials_for("grid")
+
+    monkeypatch.setattr(runner, "_prepare", forked_prepare)
     first = measure_app(MAKE, scale=SCALE)   # builds the template
     second = measure_app(MAKE, scale=SCALE)  # pure fork path
+    assert list(templates) == [MAKE]
     for warm in (first, second):
         assert warm.base_s == cold.base_s
         assert warm.boxed_s == cold.boxed_s
