@@ -328,7 +328,14 @@ class AclPolicy:
         propagate as :class:`KernelError` since the underlying syscall
         would fail anyway.
         """
-        res = self._resolve(path, cwd, follow)
+        machine = self.machine
+        res = machine.vfs.resolve(path, self.owner_task.cred, cwd=cwd, follow=follow)
+        walked = res.stats
+        self.symlinks_walked += walked.symlinks
+        machine.clock.advance(
+            machine.costs.path_component_ns * (walked.components + walked.symlinks),
+            "vfs",
+        )
         own_scope = scope == "auto" and res.exists and res.inode.is_dir
         entry_mutation = scope == "parent" and res.exists
         if own_scope:

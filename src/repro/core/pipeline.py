@@ -41,7 +41,6 @@ from typing import Any, Callable
 
 from ..kernel.errno import Errno, KernelError, err
 from ..kernel.timing import NS_PER_S
-from ..kernel.vfs import basename
 from .acl import ACL_FILE_NAME
 from .aclfs import AclPolicy
 from .audit import AuditLog
@@ -707,7 +706,9 @@ class Enforcement:
         paths = op.paths
         for bound in paths:
             guard = bound.spec.guard
-            if guard != GUARD_NONE and basename(bound.full) == ACL_FILE_NAME:
+            # ``full`` is normalized by both binders: its last component
+            # is what follows the last slash
+            if guard != GUARD_NONE and bound.full.rpartition("/")[2] == ACL_FILE_NAME:
                 # ACL files are reachable only through getacl/setacl; to
                 # a read-only probe they do not exist
                 if guard == GUARD_PROTECT:

@@ -99,71 +99,68 @@ class LocalDriver(Driver):
         self.machine = machine
         self.task = owner_task
 
-    def _x(self, call: str, *args: Any) -> Any:
-        return self.machine.kcall_x(self.task, call, *args)
-
     def open(self, path: str, flags: int, mode: int) -> int:
-        return self._x("open", path, flags, mode)
+        return self.machine.kcall_x(self.task, "open", path, flags, mode)
 
     def close(self, handle: int) -> None:
-        self._x("close", handle)
+        self.machine.kcall_x(self.task, "close", handle)
 
     def read(self, handle: int, length: int) -> bytes:
-        return self._x("read_bytes", handle, length)
+        return self.machine.kcall_x(self.task, "read_bytes", handle, length)
 
     def write(self, handle: int, data: bytes) -> int:
-        return self._x("write_bytes", handle, data)
+        return self.machine.kcall_x(self.task, "write_bytes", handle, data)
 
     def pread(self, handle: int, length: int, offset: int) -> bytes:
-        return self._x("pread_bytes", handle, length, offset)
+        return self.machine.kcall_x(self.task, "pread_bytes", handle, length, offset)
 
     def pwrite(self, handle: int, data: bytes, offset: int) -> int:
-        return self._x("pwrite_bytes", handle, data, offset)
+        return self.machine.kcall_x(self.task, "pwrite_bytes", handle, data, offset)
 
     def lseek(self, handle: int, offset: int, whence: int) -> int:
-        return self._x("lseek", handle, offset, whence)
+        return self.machine.kcall_x(self.task, "lseek", handle, offset, whence)
 
     def dup(self, handle: int) -> int:
-        return self._x("dup", handle)
+        return self.machine.kcall_x(self.task, "dup", handle)
 
     def ftruncate(self, handle: int, length: int) -> None:
-        self._x("ftruncate", handle, length)
+        self.machine.kcall_x(self.task, "ftruncate", handle, length)
 
     def fstat(self, handle: int) -> StatResult:
-        return self._x("fstat", handle)
+        return self.machine.kcall_x(self.task, "fstat", handle)
 
     def stat(self, path: str) -> StatResult:
-        return self._x("stat", path)
+        return self.machine.kcall_x(self.task, "stat", path)
 
     def lstat(self, path: str) -> StatResult:
-        return self._x("lstat", path)
+        return self.machine.kcall_x(self.task, "lstat", path)
 
     def readlink(self, path: str) -> str:
-        return self._x("readlink", path)
+        return self.machine.kcall_x(self.task, "readlink", path)
 
     def readdir(self, path: str) -> list[str]:
-        return self._x("readdir", path)
+        return self.machine.kcall_x(self.task, "readdir", path)
 
     def mkdir(self, path: str, mode: int) -> None:
-        self._x("mkdir", path, mode)
+        self.machine.kcall_x(self.task, "mkdir", path, mode)
 
     def rmdir(self, path: str) -> None:
-        self._x("rmdir", path)
+        self.machine.kcall_x(self.task, "rmdir", path)
 
     def unlink(self, path: str) -> None:
-        self._x("unlink", path)
+        self.machine.kcall_x(self.task, "unlink", path)
 
     def rename(self, oldpath: str, newpath: str) -> None:
-        self._x("rename", oldpath, newpath)
+        self.machine.kcall_x(self.task, "rename", oldpath, newpath)
 
     def symlink(self, target: str, linkpath: str) -> None:
-        self._x("symlink", target, linkpath)
+        self.machine.kcall_x(self.task, "symlink", target, linkpath)
 
     def link(self, oldpath: str, newpath: str) -> None:
-        self._x("link", oldpath, newpath)
+        self.machine.kcall_x(self.task, "link", oldpath, newpath)
 
     def truncate(self, path: str, length: int) -> None:
-        self._x("truncate", path, length)
+        self.machine.kcall_x(self.task, "truncate", path, length)
 
     def fetch_executable(self, path: str) -> bytes:
         return self.machine.read_file(self.task, path)

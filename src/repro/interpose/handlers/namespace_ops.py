@@ -67,7 +67,7 @@ def h_rename(op: "Operation", ctx: "SyscallContext") -> None:
 def h_symlink(op: "Operation", ctx: "SyscallContext") -> None:
     # the target is stored raw, never resolved here, so it is not a
     # checked path argument; it still costs a child-memory peek
-    target = ctx.sup._peek_path(ctx.proc, op.args["target"])
+    target = ctx.sup.machine.trace.peek_string_cost(ctx.proc, op.args["target"])
     link = op.path()
     link.driver.symlink(target, link.sub)
     ctx.finish(0)

@@ -130,7 +130,6 @@ class Supervisor:
             policy=self.policy,
             clock=machine.clock,
             audit_log=audit,
-            resolve_identity=lambda op, ctx: ctx.state.identity,
             telemetry=self.telemetry,
         )
 
@@ -155,6 +154,7 @@ class Supervisor:
         """Place a process under this supervisor with a visiting identity.
 
         EBADF once the world has moved on from the supervisor's own table.
+        ``passwd_redirect`` is kept normalized, as every bound path is.
         """
         self.machine.check_table(self.task.fdtable)
         validate_identity(identity)
@@ -162,7 +162,7 @@ class Supervisor:
             pid=proc.pid,
             identity=identity,
             home=home,
-            passwd_redirect=passwd_redirect,
+            passwd_redirect=normalize(passwd_redirect) if passwd_redirect else "",
         )
         self.table.adopt(state)
         self.channel.attach_child(proc)
@@ -258,7 +258,8 @@ class Supervisor:
     # ------------------------------------------------------------------ #
 
     def _bind(self, proc: "Process", state: ChildState, regs: "Regs") -> Operation:
-        """Decode registers into an :class:`Operation` with bound paths."""
+        """Decode registers into an :class:`Operation` with bound paths,
+        acting as the child's identity."""
         name = regs.name
         plan = self._plans.get(name)
         if plan is None:
@@ -274,7 +275,7 @@ class Supervisor:
         args = dict(zip(names, values))
         paths = []
         for path_spec in spec.paths:
-            text = self._peek_path(proc, args[path_spec.field])
+            text = self.machine.trace.peek_string_cost(proc, args[path_spec.field])
             if not text:
                 raise err(Errno.ENOENT, "empty path")
             full = normalize(text if text.startswith("/") else join(proc.task.cwd, text))
@@ -284,7 +285,9 @@ class Supervisor:
             paths.append(
                 BoundPath(path_spec, text, full, sub, driver, driver.requires_local_acl)
             )
-        return Operation(name, "syscall", args, None, proc.task.cwd, paths, {}, spec)
+        return Operation(
+            name, "syscall", args, state.identity, proc.task.cwd, paths, {}, spec
+        )
 
     # ------------------------------------------------------------------ #
     # helpers used by the binder and the registered handlers
@@ -294,10 +297,3 @@ class Supervisor:
         """Nullify the pending call and arrange ``value`` as its result."""
         self.machine.trace.nullify(proc)
         state.exit_value = value
-
-    def _peek_path(self, proc: "Process", path: Any) -> str:
-        """Fetch a path argument from child memory (charges word traffic)."""
-        if not isinstance(path, str):
-            raise err(Errno.EFAULT, f"bad path argument {path!r}")
-        return self.machine.trace.peek_string_cost(proc, path)
-

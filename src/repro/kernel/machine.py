@@ -60,6 +60,11 @@ _SYSCALL_NAMES = tuple(
     attr[3:] for attr in dir(SyscallExecutor) if attr.startswith("do_")
 )
 
+#: The errnos the kernel entry answers itself, bound once as plain ints
+#: (an ``Errno`` member looked up through its class costs about 10x).
+_ENOSYS = int(Errno.ENOSYS)
+_EAGAIN = int(Errno.EAGAIN)
+
 #: Sentinel returned by the traced-call machinery when the call blocked on
 #: a pipe and the process has been parked (nothing to deliver yet).
 PARKED = object()
@@ -336,12 +341,13 @@ class Machine:
     # ------------------------------------------------------------------ #
 
     def _dispatch(self, task: Task, name: str, args: tuple) -> Any:
-        """Execute one syscall body (no trap charge) with Unix error convention."""
+        """Execute one syscall body of a simulated process (no trap charge)
+        with Unix error convention; a would-block pipe op propagates."""
         handler = self._handlers.get(name)
         if handler is None:
             handler = getattr(self.executor, f"do_{name}", None)
             if handler is None:
-                return -int(Errno.ENOSYS)
+                return -_ENOSYS
         try:
             return handler(task, *args)
         except KernelError as exc:
@@ -354,10 +360,17 @@ class Machine:
         surfaces as ``-EAGAIN`` rather than parking anything.
         """
         self.clock.advance(self.costs.syscall_trap_ns, "trap")
+        handler = self._handlers.get(name)
+        if handler is None:
+            handler = getattr(self.executor, f"do_{name}", None)
+            if handler is None:
+                return -_ENOSYS
         try:
-            return self._dispatch(task, name, args)
+            return handler(task, *args)
+        except KernelError as exc:
+            return -int(exc.errno)
         except WouldBlock:
-            return -int(Errno.EAGAIN)
+            return -_EAGAIN
 
     def kcall_x(self, task: Task, name: str, *args: Any) -> Any:
         """Like :meth:`kcall` but raises :class:`KernelError` on failure."""
@@ -761,18 +774,21 @@ class Machine:
 
     def _run_traced_native(self, proc: Process, request: Request, plan: TrapPlan) -> Any:
         """Execute the (possibly rewritten) call natively, its trap already
-        charged, then the exit stop.  Returns the final result, or
+        charged, then the exit stop; a delegating tracer's nullified call
+        is charged but not run.  Returns the final result, or
         :data:`PARKED` if the native call blocked on a pipe (the process is
         parked; :meth:`_step` calls :meth:`_resume_traced_native` on
         wakeup)."""
         regs = proc.regs
-        try:
-            regs.retval = self._dispatch(proc.task, regs.name, regs.args)
-        except WouldBlock as wb:
-            self._park(proc, request, wb)
-            return PARKED
         tracer = proc.tracer
-        if not getattr(tracer, "delegating", False):
+        delegating = getattr(tracer, "delegating", False)
+        if not (delegating and regs.nullified):
+            try:
+                regs.retval = self._dispatch(proc.task, regs.name, regs.args)
+            except WouldBlock as wb:
+                self._park(proc, request, wb)
+                return PARKED
+        if not delegating:
             self.clock.apply(plan.stop)
         elif regs.nullified:
             regs.result_paid = True

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Protocol
 
-from .memory import words_for
+from .errno import Errno, err
+from .memory import WORD_SIZE, words_for
 from .process import Process, Regs
 from .timing import CostModel, Step
 
@@ -77,6 +78,12 @@ class Tracer(Protocol):
     tracer's own calls charge the rest through :class:`TraceSession` and
     kcall: SETREGS (``nullify``, ``rewrite``, ``poke_regs``), peeks and
     pokes of memory, any other ``set_result``, its delegated syscalls.
+
+    A call a ``delegating`` tracer nullified is not run: the tracer owes
+    its result and writes it with ``set_result`` at the exit stop, so the
+    kernel charges the rewritten ``getpid()``'s trap and skips its body
+    (``regs.retval`` is None until the tracer sets it).  Any other tracer's
+    nullified call runs, and its exit stop sees ``getpid()``'s result.
     """
 
     #: a delegating tracer (the supervisor) reads the registers at every
@@ -138,7 +145,10 @@ class TraceSession:
         a delegating tracer's exit stop then pokes the result it owes."""
         regs = proc.regs
         assert regs is not None
-        self._charge(1, REGS_WORDS)
+        costs = self._machine.costs
+        self._machine.clock.advance(
+            costs.syscall_trap_ns + REGS_WORDS * costs.ptrace_word_ns, "trace"
+        )
         regs.name = "getpid"
         regs.args = ()
         regs.nullified = True
@@ -184,7 +194,15 @@ class TraceSession:
         Syscall arguments in this simulation carry Python strings directly,
         but a real supervisor must fetch them from child memory word by
         word; this charges that traffic without round-tripping the bytes.
+        An argument that is no string is a bad address (EFAULT).
         """
-        nwords = words_for(len(text) + 1)
-        self._charge(nwords, nwords)
+        if not isinstance(text, str):
+            raise err(Errno.EFAULT, f"bad path argument {text!r}")
+        machine = self._machine
+        costs = machine.costs
+        # one PEEKDATA per word of the string and its NUL
+        nwords = (len(text) + WORD_SIZE) // WORD_SIZE
+        machine.clock.advance(
+            nwords * (costs.syscall_trap_ns + costs.ptrace_word_ns), "trace"
+        )
         return text

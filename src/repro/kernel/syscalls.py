@@ -79,11 +79,6 @@ class SyscallExecutor:
     def _charge(self, ns: int, category: str) -> None:
         self.machine.clock.advance(ns, category)
 
-    def _walk_cost(self, res: Resolution) -> int:
-        return self.machine.costs.path_component_ns * (
-            res.stats.components + res.stats.symlinks
-        )
-
     def _resolve(
         self,
         task: Task,
@@ -91,8 +86,12 @@ class SyscallExecutor:
         *,
         follow: bool = True,
     ) -> Resolution:
-        res = self.machine.vfs.resolve(path, task.cred, cwd=task.cwd, follow=follow)
-        self._charge(self._walk_cost(res), "vfs")
+        machine = self.machine
+        res = machine.vfs.resolve(path, task.cred, cwd=task.cwd, follow=follow)
+        walked = res.stats
+        machine.clock.advance(
+            machine.costs.path_component_ns * (walked.components + walked.symlinks), "vfs"
+        )
         return res
 
     def _check_perm(self, task: Task, inode: Inode, want: int) -> None:
@@ -335,8 +334,15 @@ class SyscallExecutor:
 
     def _stat(self, task: Task, path: str, follow: bool) -> StatResult:
         """The walk and the inode op, charged as one ``vfs`` update."""
-        res = self.machine.vfs.resolve(path, task.cred, cwd=task.cwd, follow=follow)
-        self._charge(self._walk_cost(res) + self.machine.costs.inode_op_ns, "vfs")
+        machine = self.machine
+        res = machine.vfs.resolve(path, task.cred, cwd=task.cwd, follow=follow)
+        walked = res.stats
+        costs = machine.costs
+        machine.clock.advance(
+            costs.path_component_ns * (walked.components + walked.symlinks)
+            + costs.inode_op_ns,
+            "vfs",
+        )
         return stat_of(res.require())
 
     def do_access(self, task: Task, path: str, mode: int) -> int:

@@ -41,9 +41,3 @@ def test_kernel_entry_errors_are_pinned(machine, alice_task, case):
     assert caught.value.errno is errno
     assert caught.value.detail == f"{name}{args!r}"
     assert str(caught.value) == f"{errno.name}: {name}{args!r}"
-
-
-def test_an_unknown_call_costs_one_trap(machine, alice_task):
-    before = machine.clock.now_ns
-    machine.kcall(alice_task, "no_such_call")
-    assert machine.clock.now_ns - before == machine.costs.syscall_trap_ns

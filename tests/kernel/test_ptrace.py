@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core.box import IdentityBox
 from repro.kernel import Machine, Regs
 from repro.kernel.memory import words_for
 from repro.kernel.ptrace import REGS_WORDS
+from tests.helpers import run_calls
 
 
 class RecordingTracer:
@@ -69,6 +71,28 @@ def test_nullified_call_executes_getpid(machine, alice, tracer):
     machine.run_to_completion()
     # the child received the *getpid* result, not its uid
     assert results == [proc.pid]
+
+
+def test_delegating_tracer_nullified_call_never_runs_getpid(machine, alice, monkeypatch):
+    """A delegating tracer owes the result of every call it nullified, so
+    the kernel never runs the ``getpid()`` the call became; the child still
+    receives the result the supervisor poked.  A call the supervisor lets
+    through (``getpid`` itself) still runs natively."""
+    ran = []
+    getpid = machine._handlers["getpid"]
+
+    def counted_getpid(task):
+        result = getpid(task)
+        ran.append(result)
+        return result
+
+    monkeypatch.setitem(machine._handlers, "getpid", counted_getpid)
+    box = IdentityBox(machine, alice, "Visitor")
+    name, st, pid = run_calls(
+        [("get_user_name",), ("stat", box.home), ("getpid",)], machine=machine, box=box
+    )
+    assert (name, st.is_dir) == ("Visitor", True)
+    assert ran == [pid]
 
 
 def test_forced_result_overrides_native(machine, alice, tracer):

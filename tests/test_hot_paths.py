@@ -81,6 +81,7 @@ HOT = [
         "_traced_syscall",
         "_run_traced_native",
         "_resume_traced_native",
+        "kcall",
         "kcall_x",
         "read_file",
         "write_file",
@@ -116,8 +117,8 @@ HOT = [
         "on_syscall_exit",
         "_bind",
         "_finish",
-        "_peek_path",
     ),
+    *_methods(TraceSession, "nullify", "peek_string_cost"),
     *_handlers(files),
     ("files._deliver_read", files._deliver_read),
     ("files._complete_channel_write", files._complete_channel_write),
