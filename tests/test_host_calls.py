@@ -8,7 +8,7 @@ kept (DESIGN.md §12, "Delegated syscall frame").  This test counts the
 Python function's frame or a generator's resume each count once, a C
 builtin (``len``, ``dict.get``, ``isinstance``) not at all.  With the
 forwarding frames in place the boxed make ran 89.05 calls per trapped
-syscall; without them it runs 74.72.  The simulated time and the trapped
+syscall; without them it runs 74.38.  The simulated time and the trapped
 count stay pinned beside it, so no frame is saved by skipping work.
 """
 
