@@ -21,8 +21,8 @@ so the list never outlives its reasons.
 
 The hook starts when this module is imported, not in
 ``pytest_configure``: ``-p`` imports the plugin before any test module
-or conftest, so import-time calls (``WorldSpec.from_env`` in
-``tests/helpers.py``, decorators run in class bodies) are counted.
+or conftest, so import-time calls (module-level constants a test
+module builds, decorators run in class bodies) are counted.
 The census judges whatever the session ran, so it is meant for a whole
 suite; a run of a few test files reports most of ``src/`` as never run.
 """

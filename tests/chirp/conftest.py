@@ -1,24 +1,24 @@
 """Shared Chirp test scaffolding: a cluster with one server and full auth.
 
-A nonzero ``WORLD.fault_rate`` (``REPRO_FAULT_RATE``, e.g. ``0.1``)
-subjects every test that uses these fixtures to a seeded uniform fault
-plan on the Chirp port, and arms the shared clients with a retry policy:
-the whole Chirp suite then doubles as a resilience suite.  The seed is
-fixed, so a faulted run is just as deterministic as a clean one.
-Federation shapes are not world knobs: ``test_federation.py`` names the
-(shards, replicas) shapes it checks, and every leg runs all of them.
+Every test that uses these fixtures runs in each world
+(``tests/conftest.py``), except that one marked
+``requires_perfect_network`` skips the faulted one.  The ``faulted``
+world subjects the cluster to a seeded uniform fault plan on the Chirp
+port and arms the shared clients with a retry policy, so the Chirp
+suite doubles as a resilience suite; the seed is fixed, so a faulted
+run is just as deterministic as a clean one.  The ``cached`` world gives
+the server a read cache.  Federation shapes are not worlds:
+``test_federation.py`` names the (shards, replicas) shapes it checks,
+and runs all of them in every world.
 """
 
 import pytest
 
 from repro.chirp import (
-    CHIRP_PORT,
     ChirpClient,
     GlobusAuthenticator,
-    RetryPolicy,
     ServerAuth,
 )
-from repro.config import DEFAULT_FAULT_SEED
 from repro.core import Acl, Rights
 from repro.gsi import (
     CertificateAuthority,
@@ -26,24 +26,13 @@ from repro.gsi import (
     KeyDistributionCenter,
     provision_user,
 )
-from repro.net import Cluster, FaultPlan
-from tests.helpers import WORLD, make_server
-
-#: Per-kind fault probability injected under every chirp test (CI's
-#: faulted leg); fixtures and skip markers read the same ``WORLD``.
-FAULT_RATE = WORLD.fault_rate
-FAULT_SEED = DEFAULT_FAULT_SEED
-#: Generous attempt budget: at rate r each call fails with ~1-(1-r)^4.
-FAULT_RETRY = RetryPolicy(max_attempts=10, seed=FAULT_SEED)
-#: What shared fixtures hand their clients/drivers/sessions.
-DEFAULT_RETRY = FAULT_RETRY if FAULT_RATE > 0 else None
+from repro.net import Cluster
+from tests.helpers import make_server
 
 #: For tests whose assertions are about exact transport behavior or
-#: precise operation counts — both meaningless once faults are injected.
-requires_perfect_network = pytest.mark.skipif(
-    FAULT_RATE > 0,
-    reason="asserts exact transport-level behavior; skipped under fault plan",
-)
+#: precise operation counts, both meaningless once faults are injected:
+#: such a test never runs in the faulted world.
+requires_perfect_network = pytest.mark.requires_perfect_network
 
 FRED_DN = "/O=UnivNowhere/CN=Fred"
 HEIDI_DN = "/O=NotreDame/CN=Heidi"
@@ -54,15 +43,12 @@ SERVICE_PRINCIPAL = "chirp/server1.nowhere.edu"
 
 
 @pytest.fixture
-def cluster():
+def cluster(make_fault_plan):
     c = Cluster()
     c.add_machine(SERVER_HOST)
     c.add_machine(CLIENT_HOST)
     c.add_machine(OUTSIDE_HOST)
-    if FAULT_RATE > 0:
-        c.install_faults(
-            FaultPlan.uniform(seed=FAULT_SEED, rate=FAULT_RATE, ports=(CHIRP_PORT,))
-        )
+    c.install_faults(make_fault_plan())
     return c
 
 
@@ -96,12 +82,13 @@ def kdc():
 
 
 @pytest.fixture
-def server(cluster, trust, kdc):
+def server(cluster, trust, kdc, world):
     machine = cluster.machine(SERVER_HOST)
     owner = machine.add_user("dthain")
     srv = make_server(
         machine,
         owner,
+        read_cache=world.read_cache,
         network=cluster.network,
         auth=ServerAuth(
             credential_store=trust,
@@ -118,20 +105,20 @@ def server(cluster, trust, kdc):
     return srv
 
 
-def connect(cluster, host=CLIENT_HOST):
-    return ChirpClient.connect(cluster.network, host, SERVER_HOST, retry=DEFAULT_RETRY)
+def connect(cluster, world, host=CLIENT_HOST):
+    return ChirpClient.connect(cluster.network, host, SERVER_HOST, retry=world.retry)
 
 
 @pytest.fixture
-def fred(cluster, server, fred_wallet):
-    client = connect(cluster)
+def fred(cluster, server, fred_wallet, world):
+    client = connect(cluster, world)
     client.authenticate([GlobusAuthenticator(fred_wallet)])
     return client
 
 
 @pytest.fixture
-def heidi(cluster, server, heidi_wallet):
-    client = connect(cluster)
+def heidi(cluster, server, heidi_wallet, world):
+    client = connect(cluster, world)
     client.authenticate([GlobusAuthenticator(heidi_wallet)])
     return client
 

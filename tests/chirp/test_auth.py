@@ -21,72 +21,72 @@ from tests.chirp.conftest import (
 from tests.helpers import make_server
 
 
-def test_globus_auth_builds_principal(cluster, server, fred_wallet):
-    client = connect(cluster)
+def test_globus_auth_builds_principal(cluster, server, fred_wallet, world):
+    client = connect(cluster, world)
     principal = client.authenticate([GlobusAuthenticator(fred_wallet)])
     assert principal == f"globus:{FRED_DN}"
     assert client.whoami() == principal
 
 
-def test_kerberos_auth(cluster, server, kdc):
-    client = connect(cluster)
+def test_kerberos_auth(cluster, server, kdc, world):
+    client = connect(cluster, world)
     principal = client.authenticate(
         [KerberosAuthenticator(kdc, "fred@nowhere.edu", SERVICE_PRINCIPAL)]
     )
     assert principal == "kerberos:fred@nowhere.edu"
 
 
-def test_hostname_auth_uses_reverse_lookup(cluster, server):
-    client = connect(cluster)
+def test_hostname_auth_uses_reverse_lookup(cluster, server, world):
+    client = connect(cluster, world)
     principal = client.authenticate([HostnameAuthenticator()])
     assert principal == f"hostname:{CLIENT_HOST}"
 
 
-def test_unix_auth_same_host_only(cluster, server):
+def test_unix_auth_same_host_only(cluster, server, world):
     # from the server machine itself
-    local = connect(cluster, host=SERVER_HOST)
+    local = connect(cluster, world, host=SERVER_HOST)
     assert local.authenticate([UnixAuthenticator("dthain")]) == "unix:dthain"
     # from a remote machine: refused
-    remote = connect(cluster)
+    remote = connect(cluster, world)
     with pytest.raises(ChirpError):
         remote.authenticate([UnixAuthenticator("dthain")])
 
 
-def test_negotiation_falls_back_in_client_order(cluster, server):
+def test_negotiation_falls_back_in_client_order(cluster, server, world):
     # an invalid globus offer followed by hostname: hostname wins
     bogus_ca = CertificateAuthority("Bogus CA")
     bogus = UserCredentials(certificate=bogus_ca.issue("/O=Bogus/CN=Nobody"))
-    client = connect(cluster)
+    client = connect(cluster, world)
     principal = client.authenticate(
         [GlobusAuthenticator(bogus), HostnameAuthenticator()]
     )
     assert principal.startswith("hostname:")
 
 
-def test_all_offers_failing_raises_last_error(cluster, server):
+def test_all_offers_failing_raises_last_error(cluster, server, world):
     bogus_ca = CertificateAuthority("Bogus CA")
     bogus = UserCredentials(certificate=bogus_ca.issue("/O=Bogus/CN=Nobody"))
-    client = connect(cluster)
+    client = connect(cluster, world)
     with pytest.raises(ChirpError):
         client.authenticate([GlobusAuthenticator(bogus)])
 
 
-def test_no_authenticators_raises(cluster, server):
-    client = connect(cluster)
+def test_no_authenticators_raises(cluster, server, world):
+    client = connect(cluster, world)
     with pytest.raises(ChirpError):
         client.authenticate([])
 
 
-def test_operations_require_authentication(cluster, server):
-    client = connect(cluster)
+def test_operations_require_authentication(cluster, server, world):
+    client = connect(cluster, world)
     with pytest.raises(ChirpError) as info:
         client.stat("/")
     assert "authenticate" in str(info.value)
 
 
-def test_forged_proxy_rejected(cluster, server, fred_wallet):
+def test_forged_proxy_rejected(cluster, server, fred_wallet, world):
 
-    client = connect(cluster)
+    client = connect(cluster, world)
     auth = GlobusAuthenticator(fred_wallet)
     payload = auth.payload()
     payload["subject"] = "/O=UnivNowhere/CN=Mallory"  # tamper
@@ -99,7 +99,7 @@ def test_forged_proxy_rejected(cluster, server, fred_wallet):
         client.authenticate([Tampered(fred_wallet)])
 
 
-def test_admission_policy_blocks_principals(cluster, trust, fred_wallet):
+def test_admission_policy_blocks_principals(cluster, trust, fred_wallet, world):
     from repro.chirp import ServerAuth
     from repro.gsi import WildcardPolicy
 
@@ -108,6 +108,7 @@ def test_admission_policy_blocks_principals(cluster, trust, fred_wallet):
     server = make_server(
         machine,
         owner,
+        read_cache=world.read_cache,
         network=cluster.network,
         port=9200,
         auth=ServerAuth(credential_store=trust),
@@ -123,7 +124,7 @@ def test_admission_policy_blocks_principals(cluster, trust, fred_wallet):
     assert server.stats.auth_failures == 1
 
 
-def test_method_not_offered_by_server(cluster, trust):
+def test_method_not_offered_by_server(cluster, trust, world):
     from repro.chirp import ChirpClient, ServerAuth
 
     machine = cluster.machine(SERVER_HOST)
@@ -131,6 +132,7 @@ def test_method_not_offered_by_server(cluster, trust):
     server = make_server(
         machine,
         owner,
+        read_cache=world.read_cache,
         network=cluster.network,
         port=9201,
         auth=ServerAuth(methods=["globus"], credential_store=trust),
@@ -141,9 +143,9 @@ def test_method_not_offered_by_server(cluster, trust):
         client.authenticate([HostnameAuthenticator()])
 
 
-def test_hostname_identity_differs_per_host(cluster, server):
-    inside = connect(cluster)
-    outside = connect(cluster, host=OUTSIDE_HOST)
+def test_hostname_identity_differs_per_host(cluster, server, world):
+    inside = connect(cluster, world)
+    outside = connect(cluster, world, host=OUTSIDE_HOST)
     assert inside.authenticate([HostnameAuthenticator()]) != outside.authenticate(
         [HostnameAuthenticator()]
     )

@@ -12,7 +12,6 @@ from repro.kernel.inode import StatResult
 from repro.kernel.syscalls import SEEK_CUR, SEEK_END, SEEK_SET
 from tests.chirp.conftest import (
     CLIENT_HOST,
-    DEFAULT_RETRY,
     SERVER_HOST,
     requires_perfect_network,
 )
@@ -20,7 +19,7 @@ from tests.helpers import boxed_read_file, boxed_write_file, run_calls
 
 
 @pytest.fixture
-def client_box(cluster, server, fred_wallet):
+def client_box(cluster, server, fred_wallet, world):
     """An identity box on the client machine with /chirp mounted."""
     machine = cluster.machine(CLIENT_HOST)
     user = machine.add_user("fred")
@@ -29,7 +28,7 @@ def client_box(cluster, server, fred_wallet):
         cluster.network,
         CLIENT_HOST,
         [GlobusAuthenticator(fred_wallet)],
-        retry=DEFAULT_RETRY,
+        retry=world.retry,
     )
     box.supervisor.mount("/chirp", driver)
     return box

@@ -20,7 +20,7 @@ FRED_DN = "/O=Example/CN=Fred"
 
 
 @pytest.fixture
-def world():
+def grid(world):
     cluster = Cluster()
     for host in (HOST_A, HOST_B, LAPTOP):
         cluster.add_machine(host)
@@ -32,7 +32,7 @@ def world():
         machine = cluster.machine(host)
         owner = machine.add_user("op")
         server = make_server(
-            machine, owner, network=cluster.network,
+            machine, owner, read_cache=world.read_cache, network=cluster.network,
             auth=ServerAuth(credential_store=trust),
         )
         acl = Acl()
@@ -48,16 +48,16 @@ def world():
     return cluster, box
 
 
-def test_one_mount_reaches_both_servers(world):
-    _cluster, box = world
+def test_one_mount_reaches_both_servers(grid):
+    _cluster, box = grid
     assert boxed_write_file(box, f"/chirp/{HOST_A}/fa", b"on A") == 4
     assert boxed_write_file(box, f"/chirp/{HOST_B}/fb", b"on B") == 4
     assert boxed_read_file(box, f"/chirp/{HOST_A}/fa") == b"on A"
     assert boxed_read_file(box, f"/chirp/{HOST_B}/fb") == b"on B"
 
 
-def test_rename_across_servers_is_exdev(world):
-    _cluster, box = world
+def test_rename_across_servers_is_exdev(grid):
+    _cluster, box = grid
     boxed_write_file(box, f"/chirp/{HOST_A}/f", b"x")
     results = run_calls(
         [("rename", f"/chirp/{HOST_A}/f", f"/chirp/{HOST_B}/f")],
@@ -67,8 +67,8 @@ def test_rename_across_servers_is_exdev(world):
     assert results == [-Errno.EXDEV]
 
 
-def test_link_across_servers_is_exdev(world):
-    _cluster, box = world
+def test_link_across_servers_is_exdev(grid):
+    _cluster, box = grid
     boxed_write_file(box, f"/chirp/{HOST_A}/f", b"x")
     results = run_calls(
         [("link", f"/chirp/{HOST_A}/f", f"/chirp/{HOST_B}/f2")],
@@ -78,8 +78,8 @@ def test_link_across_servers_is_exdev(world):
     assert results == [-Errno.EXDEV]
 
 
-def test_rename_within_one_server_works(world):
-    _cluster, box = world
+def test_rename_within_one_server_works(grid):
+    _cluster, box = grid
     boxed_write_file(box, f"/chirp/{HOST_A}/old", b"x")
     results = run_calls(
         [("rename", f"/chirp/{HOST_A}/old", f"/chirp/{HOST_A}/new")],
@@ -90,14 +90,14 @@ def test_rename_within_one_server_works(world):
     assert boxed_read_file(box, f"/chirp/{HOST_A}/new") == b"x"
 
 
-def test_local_paths_untouched_by_chirp_mount(world):
-    _cluster, box = world
+def test_local_paths_untouched_by_chirp_mount(grid):
+    _cluster, box = grid
     assert boxed_write_file(box, "local.txt", b"home sweet home") == 15
     assert boxed_read_file(box, "local.txt") == b"home sweet home"
 
 
-def test_unknown_server_refuses_connection(world):
-    _cluster, box = world
+def test_unknown_server_refuses_connection(grid):
+    _cluster, box = grid
     results = run_calls(
         [("stat", "/chirp/no-such-host.example/f")], machine=box.machine, box=box
     )

@@ -221,8 +221,8 @@ def test_cross_shard_repair_flushes_replica_caches():
 # ---------------------------------------------------------------------- #
 
 
-def test_batch_runs_frames_in_order_and_isolates_slot_failures():
-    cluster, server, wallet = make_world()
+def test_batch_runs_frames_in_order_and_isolates_slot_failures(world):
+    cluster, server, wallet = make_world(read_cache=world.read_cache)
     fred = connect_fred(cluster, wallet, retry=None)
     fred.mkdir("/t")
     fred.put(b"abc", "/t/f")
@@ -242,10 +242,10 @@ def test_batch_runs_frames_in_order_and_isolates_slot_failures():
     assert server.stats.coalesced == coalesced + 3
 
 
-def test_batch_refuses_uncoalescable_and_oversized_envelopes():
+def test_batch_refuses_uncoalescable_and_oversized_envelopes(world):
     from repro.chirp.protocol import BATCH_LIMIT
 
-    cluster, server, wallet = make_world()
+    cluster, server, wallet = make_world(read_cache=world.read_cache)
     fred = connect_fred(cluster, wallet, retry=None)
     results = fred.batch([{"op": "auth", "method": "unix"}])
     assert not results[0]["ok"]  # auth cannot ride a batch
@@ -263,11 +263,11 @@ def test_batch_refuses_uncoalescable_and_oversized_envelopes():
     ],
     ids=["getfile", "putfile"],
 )
-def test_batch_refuses_whole_file_slots(slot):
+def test_batch_refuses_whole_file_slots(slot, world):
     from repro.chirp.protocol import batch_request
     from repro.net.rpc import ProtocolError
 
-    cluster, server, wallet = make_world()
+    cluster, server, wallet = make_world(read_cache=world.read_cache)
     fred = connect_fred(cluster, wallet, retry=None)
     fred.mkdir("/t")
     fred.put(b"abc", "/t/f")
@@ -284,8 +284,8 @@ def test_batch_refuses_whole_file_slots(slot):
         batch_request([slot])
 
 
-def test_batch_requires_an_authenticated_connection():
-    cluster, server, wallet = make_world()
+def test_batch_requires_an_authenticated_connection(world):
+    cluster, server, wallet = make_world(read_cache=world.read_cache)
     client = ChirpClient.connect(
         cluster.network, "laptop.cs.nowhere.edu", "server1.nowhere.edu"
     )
@@ -294,8 +294,8 @@ def test_batch_requires_an_authenticated_connection():
     assert excinfo.value.errno is Errno.EACCES
 
 
-def test_batch_counts_every_inner_frame_as_an_op():
-    cluster, server, wallet = make_world()
+def test_batch_counts_every_inner_frame_as_an_op(world):
+    cluster, server, wallet = make_world(read_cache=world.read_cache)
     fred = connect_fred(cluster, wallet, retry=None)
     before = server.stats.ops
     fred.batch([{"op": "whoami"}, {"op": "whoami"}, {"op": "whoami"}])
@@ -330,13 +330,13 @@ def test_transfer_survives_faults_and_a_restart():
 # ---------------------------------------------------------------------- #
 
 
-def quota_world():
+def quota_world(world):
     """A server granting each identity 50 ops/s with a burst of 4."""
-    return make_world(limits=Admission(rate_per_s=50.0, burst=4))
+    return make_world(read_cache=world.read_cache, limits=Admission(rate_per_s=50.0, burst=4))
 
 
-def test_quota_exhaustion_surfaces_as_eagain():
-    cluster, server, wallet = quota_world()
+def test_quota_exhaustion_surfaces_as_eagain(world):
+    cluster, server, wallet = quota_world(world)
     fred = connect_fred(cluster, wallet, retry=None)
     with pytest.raises(ChirpError) as excinfo:
         for _ in range(64):
@@ -346,11 +346,11 @@ def test_quota_exhaustion_surfaces_as_eagain():
     assert server.limits.over_budget >= 1
 
 
-def test_retrying_client_rides_out_the_quota():
+def test_retrying_client_rides_out_the_quota(world):
     # EAGAIN is a transient errno: the retry policy backs off, simulated
     # time passes, the bucket refills — the op eventually lands.  That
     # loop is the whole contract.
-    cluster, server, wallet = quota_world()
+    cluster, server, wallet = quota_world(world)
     fred = connect_fred(cluster, wallet, retry=RETRY)
     for _ in range(32):
         fred.stat("/")

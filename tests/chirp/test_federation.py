@@ -8,6 +8,8 @@ the same principal on every shard, and one trace follows a transfer
 through both sides.
 """
 
+import inspect
+
 import pytest
 
 from repro.chirp import (
@@ -31,16 +33,15 @@ from repro.kernel.fdtable import OpenFlags
 from repro.kernel.timing import NS_PER_MS, NS_PER_S
 from repro.net import Cluster, FaultPlan
 from repro.workloads import AMANDA, BLAST, CMS, HF, IBIS, MAKE
-from tests.chirp.conftest import FAULT_RATE, FAULT_SEED
 from tests.chirp.test_resilience import input_bytes, stage_and_run
-from tests.helpers import WORLD, make_server
+from tests.helpers import make_server
 
 LAPTOP = "laptop.cs.nowhere.edu"
 FRED_DN = "/O=UnivNowhere/CN=Fred"
 FED = "pool"
 
 #: The (shards, replicas) shapes every multi-shard check runs on, in every
-#: CI leg: single-owner maps of two sizes, and three owners per prefix.
+#: world: single-owner maps of two sizes, and three owners per prefix.
 SHAPES = ((4, 1), (8, 1), (8, 3))
 #: The shapes whose routing sends each logical op to exactly one shard.
 SINGLE_OWNER = tuple(shape for shape in SHAPES if shape[1] == 1)
@@ -53,7 +54,7 @@ RETRY = RetryPolicy(
 )
 
 
-def make_fed_world(n_shards, plan=None, *, replicas, read_cache=WORLD.read_cache):
+def make_fed_world(n_shards, plan=None, *, replicas, read_cache):
     """A federation of ``n_shards`` GSI-authenticated servers + a laptop."""
     cluster = Cluster()
     cluster.add_machine(LAPTOP)
@@ -103,14 +104,19 @@ def connect_fred(cluster, federation, wallet, retry=None, telemetry=None):
 
 
 def across_shapes(shapes=SHAPES):
-    """Run a ``check(cluster, federation, wallet)`` on a fresh world of each
-    (shards, replicas) shape, each shape a subtest of one test."""
+    """Run a ``check(cluster, federation, wallet)`` on a fresh federation of
+    each (shards, replicas) shape in the test's world, each shape a subtest
+    of one test; a check that names a ``world`` parameter is handed it."""
 
     def decorate(check):
-        def test(subtests):
+        wants_world = "world" in inspect.signature(check).parameters
+
+        def test(subtests, world):
+            extra = {"world": world} if wants_world else {}
             for shards, replicas in shapes:
                 with subtests.test(shards=shards, replicas=replicas):
-                    check(*make_fed_world(shards, replicas=replicas))
+                    fed = make_fed_world(shards, replicas=replicas, read_cache=world.read_cache)
+                    check(*fed, **extra)
 
         test.__name__, test.__doc__ = check.__name__, check.__doc__
         return test
@@ -135,16 +141,15 @@ def cross_shard_pair(client, limit=64):
 @pytest.mark.parametrize(
     "profile", [AMANDA, BLAST, CMS, HF, IBIS, MAKE], ids=lambda p: p.name
 )
-def test_every_workload_is_byte_identical_on_one_vs_many_shards(profile, subtests):
+def test_every_workload_is_byte_identical_on_one_vs_many_shards(
+    profile, subtests, world, make_fault_plan
+):
     def run_on(n_shards, replicas):
-        plan = None
-        if FAULT_RATE > 0:
-            plan = FaultPlan.uniform(
-                seed=FAULT_SEED, rate=FAULT_RATE, ports=(CHIRP_PORT,)
-            )
-        cluster, federation, wallet = make_fed_world(n_shards, plan, replicas=replicas)
+        cluster, federation, wallet = make_fed_world(
+            n_shards, make_fault_plan(), replicas=replicas, read_cache=world.read_cache
+        )
         client = connect_fred(
-            cluster, federation, wallet, retry=RETRY if FAULT_RATE > 0 else None
+            cluster, federation, wallet, retry=RETRY if world.faulted else None
         )
         result = stage_and_run(client, profile)
         client.close()
@@ -219,7 +224,7 @@ def test_same_shard_rename_is_a_plain_rename(cluster, federation, wallet):
     assert client.get("/d0/b") == b"x"
 
 
-def test_cross_shard_rename_survives_drops_and_a_mid_transfer_restart():
+def test_cross_shard_rename_survives_drops_and_a_mid_transfer_restart(world):
     """The satellite's bar: seeded drops plus a shard restart landing in
     the middle of the transfer; afterwards exactly one copy exists, the
     staging name is gone, and retries were answered from replay caches."""
@@ -228,7 +233,9 @@ def test_cross_shard_rename_survives_drops_and_a_mid_transfer_restart():
     plan = FaultPlan.uniform(
         seed=20260802, rate=0.10, restart_at_ops=(12,), ports=(CHIRP_PORT,)
     )
-    cluster, federation, wallet = make_fed_world(4, plan, replicas=1)
+    cluster, federation, wallet = make_fed_world(
+        4, plan, replicas=1, read_cache=world.read_cache
+    )
     client = connect_fred(cluster, federation, wallet, retry=RETRY)
     src_dir, dst_dir = cross_shard_pair(client)
     client.mkdir(src_dir)
@@ -306,14 +313,16 @@ def test_refresh_is_a_cheap_no_op_while_membership_is_stable(cluster, federation
 
 
 @across_shapes()
-def test_a_joining_shard_bumps_the_version_and_rebuilds_the_map(cluster, federation, wallet):
+def test_a_joining_shard_bumps_the_version_and_rebuilds_the_map(
+    cluster, federation, wallet, world
+):
     client = connect_fred(cluster, federation, wallet)
     # a new shard joins through the ordinary advertise path
     trust = CredentialStore()
     machine = cluster.add_machine("late.pool")
     owner = machine.add_user("keeper9")
     newcomer = make_server(
-        machine, owner, network=cluster.network,
+        machine, owner, read_cache=world.read_cache, network=cluster.network,
         auth=ServerAuth(credential_store=trust),
     )
     newcomer.serve()
@@ -470,9 +479,9 @@ def fed_outcomes(client):
 
 
 @across_shapes()
-def test_federated_client_ops_match_a_plain_chirp_client(cluster, federation, wallet):
+def test_federated_client_ops_match_a_plain_chirp_client(cluster, federation, wallet, world):
     federated = connect_fred(cluster, federation, wallet)
-    one_cluster, one, one_wallet = make_fed_world(1, replicas=1)
+    one_cluster, one, one_wallet = make_fed_world(1, replicas=1, read_cache=world.read_cache)
     plain, _shard = connect_fred(one_cluster, one, one_wallet).client_for("/")
     assert type(plain) is ChirpClient
     got = fed_outcomes(federated)

@@ -27,11 +27,11 @@ from repro.chirp import (
     route_order,
 )
 from repro.chirp.server import read_file, write_file
+from repro.config import DEFAULT_FAULT_SEED
 from repro.core.acl import ACL_FILE_NAME
 from repro.kernel.errno import Errno
 from repro.net import FaultPlan
 from repro.workloads import AMANDA, BLAST, CMS, HF, IBIS, MAKE
-from tests.chirp.conftest import FAULT_RATE, FAULT_SEED
 from tests.chirp.test_federation import (
     FED,
     LAPTOP,
@@ -43,9 +43,8 @@ from tests.chirp.test_resilience import input_bytes, stage_and_run
 
 #: Replicated worlds need room for k=3 plus at least one non-owner.
 SHARDS = 4
-#: The fault rate the chaos sweep runs under: the CI knob when set, the
-#: ISSUE's 10% bar otherwise — a clean-wires run still drills the blackout.
-CHAOS_RATE = FAULT_RATE if FAULT_RATE > 0 else 0.10
+#: The fault rate the chaos sweep runs under, in every world.
+CHAOS_RATE = 0.10
 #: Where the mid-run outage sits on the fault plan's op counter: every
 #: workload is drilled early (keeping its bare test id) and late, each
 #: drill at every shard count in its third field.
@@ -59,8 +58,8 @@ DRILLS = [pytest.param(p, DEFAULT_WINDOW, (4, 8), id=p.name) for p in ALL] + [
 ]
 
 
-def replicated_world(plan=None, replicas=3):
-    return make_fed_world(SHARDS, plan, replicas=replicas)
+def replicated_world(world, replicas=3):
+    return make_fed_world(SHARDS, replicas=replicas, read_cache=world.read_cache)
 
 
 def manifest_subtree(server, prefix):
@@ -148,11 +147,13 @@ def test_route_order_drops_marked_replicas_and_an_all_marked_route_is_eagain():
 # ---------------------------------------------------------------------- #
 
 
-def drill(profile, window, shards, want):
+def drill(profile, window, shards, want, world):
     """Three replicas, a seeded fault plan, and the workload prefix's
     *primary* blacked out for a mid-run op window."""
-    plan = FaultPlan.uniform(seed=FAULT_SEED, rate=CHAOS_RATE, ports=(CHIRP_PORT,))
-    cluster, federation, wallet = make_fed_world(shards, plan, replicas=3)
+    plan = FaultPlan.uniform(seed=DEFAULT_FAULT_SEED, rate=CHAOS_RATE, ports=(CHIRP_PORT,))
+    cluster, federation, wallet = make_fed_world(
+        shards, plan, replicas=3, read_cache=world.read_cache
+    )
     client = connect_fred(cluster, federation, wallet, retry=RETRY)
     work = f"/{profile.name.lower().replace(' ', '-')}"
     victim = client.shard_of(work)
@@ -178,17 +179,17 @@ def drill(profile, window, shards, want):
 
 @pytest.mark.parametrize("profile, window, shard_counts", DRILLS)
 def test_every_workload_is_byte_identical_with_a_replica_dying_mid_run(
-    profile, window, shard_counts, subtests
+    profile, window, shard_counts, subtests, world
 ):
     # the reference: one replica per prefix, perfect wires
-    cluster, federation, wallet = replicated_world(replicas=1)
+    cluster, federation, wallet = replicated_world(world, replicas=1)
     client = connect_fred(cluster, federation, wallet)
     want = stage_and_run(client, profile)
     client.close()
     assert want["status"] == 0 and want["size"] == len(input_bytes(profile))
     for shards in shard_counts:
         with subtests.test(shards=shards):
-            drill(profile, window, shards, want)
+            drill(profile, window, shards, want, world)
 
 
 # ---------------------------------------------------------------------- #
@@ -196,8 +197,8 @@ def test_every_workload_is_byte_identical_with_a_replica_dying_mid_run(
 # ---------------------------------------------------------------------- #
 
 
-def test_failover_read_serves_from_a_replica_while_the_primary_is_dark():
-    cluster, federation, wallet = replicated_world()
+def test_failover_read_serves_from_a_replica_while_the_primary_is_dark(world):
+    cluster, federation, wallet = replicated_world(world)
     client = connect_fred(cluster, federation, wallet)
     payload = input_bytes(AMANDA)[:512]
     client.mkdir("/d0")
@@ -211,8 +212,8 @@ def test_failover_read_serves_from_a_replica_while_the_primary_is_dark():
     assert client.stats.routed[victim] >= 1  # the primary was tried first
 
 
-def test_a_replica_that_misses_a_write_is_marked_and_serves_again_after_its_rejoin():
-    cluster, federation, wallet = replicated_world()
+def test_a_replica_that_misses_a_write_is_marked_and_serves_again_after_its_rejoin(world):
+    cluster, federation, wallet = replicated_world(world)
     client = connect_fred(cluster, federation, wallet, retry=RETRY)
     client.mkdir("/d0")
     victim = client.shard_of("/d0")
@@ -244,8 +245,8 @@ def test_a_replica_that_misses_a_write_is_marked_and_serves_again_after_its_rejo
     assert client.stats.routed[victim] == served + 1  # the primary serves again
 
 
-def test_a_rejoin_applies_a_missed_mkdir_before_the_put_inside_it():
-    cluster, federation, wallet = replicated_world()
+def test_a_rejoin_applies_a_missed_mkdir_before_the_put_inside_it(world):
+    cluster, federation, wallet = replicated_world(world)
     client = connect_fred(cluster, federation, wallet, retry=RETRY)
     victim = client.shard_of("/d0")
     federation.blackout_shard(victim, 0, 10**9)
@@ -261,8 +262,8 @@ def test_a_rejoin_applies_a_missed_mkdir_before_the_put_inside_it():
     assert sorted(raw.readdir("/d0")) == ["f", "g"]
 
 
-def test_quorum_write_fails_with_eagain_when_a_majority_is_dark():
-    cluster, federation, wallet = replicated_world()
+def test_quorum_write_fails_with_eagain_when_a_majority_is_dark(world):
+    cluster, federation, wallet = replicated_world(world)
     client = connect_fred(cluster, federation, wallet)
     owners = client.replica_names("/q")
     assert len(owners) == 3
@@ -277,10 +278,10 @@ def test_quorum_write_fails_with_eagain_when_a_majority_is_dark():
     assert [name in federation.catalog.marked for name in owners] == [False, True, True]
 
 
-def test_a_definite_error_outvotes_nothing_reads_stay_exact():
+def test_a_definite_error_outvotes_nothing_reads_stay_exact(world):
     # replicas are deterministic, so a definite error (ENOENT) from the
     # first live replica IS the answer — failover is only for silence
-    cluster, federation, wallet = replicated_world()
+    cluster, federation, wallet = replicated_world(world)
     client = connect_fred(cluster, federation, wallet)
     with pytest.raises(ChirpError) as info:
         client.stat("/nowhere/nothing")
@@ -288,8 +289,8 @@ def test_a_definite_error_outvotes_nothing_reads_stay_exact():
     assert client.stats.failover_reads == 0
 
 
-def test_root_readdir_and_setacl_tolerate_one_dark_shard():
-    cluster, federation, wallet = replicated_world()
+def test_root_readdir_and_setacl_tolerate_one_dark_shard(world):
+    cluster, federation, wallet = replicated_world(world)
     client = connect_fred(cluster, federation, wallet)
     for i in range(8):
         client.mkdir(f"/d{i}")
@@ -304,8 +305,8 @@ def test_root_readdir_and_setacl_tolerate_one_dark_shard():
     assert client.stats.marks == 1
 
 
-def test_a_root_setacl_with_every_shard_marked_for_the_root_acl_is_eagain():
-    cluster, federation, wallet = replicated_world()
+def test_a_root_setacl_with_every_shard_marked_for_the_root_acl_is_eagain(world):
+    cluster, federation, wallet = replicated_world(world)
     federation.catalog.mark(FED, [(name, "") for name in federation.shards])
     client = connect_fred(cluster, federation, wallet)
     with pytest.raises(ChirpError) as info:
@@ -314,8 +315,8 @@ def test_a_root_setacl_with_every_shard_marked_for_the_root_acl_is_eagain():
     assert not any("NotreDame" in acl for acl in client.getacl_all("/").values())
 
 
-def test_close_with_dead_sessions_closes_the_rest_and_never_raises():
-    cluster, federation, wallet = replicated_world()
+def test_close_with_dead_sessions_closes_the_rest_and_never_raises(world):
+    cluster, federation, wallet = replicated_world(world)
     client = connect_fred(cluster, federation, wallet)
     for i in range(8):
         client.mkdir(f"/d{i}")
@@ -334,7 +335,7 @@ def test_close_with_dead_sessions_closes_the_rest_and_never_raises():
 
 
 def test_stale_read_after_a_quorum_write():
-    # explicit world: the same in every CI leg, no fault plan, no cache
+    # explicit world: no fault plan, no cache
     cluster, federation, wallet = make_fed_world(4, replicas=3, read_cache=False)
     a = connect_fred(cluster, federation, wallet, retry=RETRY)
     a.mkdir("/d0")
@@ -374,8 +375,8 @@ def test_a_map_cached_before_the_mark_still_reads_the_unrepaired_replica():
     assert reader.get("/d0/f") == b"v1"
 
 
-def test_a_write_whose_mark_cannot_be_reported_answers_eagain():
-    cluster, federation, wallet = replicated_world()
+def test_a_write_whose_mark_cannot_be_reported_answers_eagain(world):
+    cluster, federation, wallet = replicated_world(world)
     client = connect_fred(cluster, federation, wallet, retry=RETRY)
     client.mkdir("/d0")
     victim = client.shard_of("/d0")
@@ -439,8 +440,8 @@ def shard_file(federation, name, path):
     return read_file(server.fs, server.real_path(path))
 
 
-def test_repair_copies_neither_a_prefix_nor_the_root_acl_from_a_marked_peer():
-    cluster, federation, wallet = replicated_world()
+def test_repair_copies_neither_a_prefix_nor_the_root_acl_from_a_marked_peer(world):
+    cluster, federation, wallet = replicated_world(world)
     client = connect_fred(cluster, federation, wallet)
     client.mkdir("/d0")
     victim, _stale, donor = owners_of(federation, "d0")
@@ -461,8 +462,8 @@ def test_repair_copies_neither_a_prefix_nor_the_root_acl_from_a_marked_peer():
     ]
 
 
-def test_a_rejoin_without_an_unmarked_donor_is_eagain_and_keeps_the_mark():
-    cluster, federation, wallet = replicated_world()
+def test_a_rejoin_without_an_unmarked_donor_is_eagain_and_keeps_the_mark(world):
+    cluster, federation, wallet = replicated_world(world)
     client = connect_fred(cluster, federation, wallet)
     client.mkdir("/d0")
     client.put(b"current", "/d0/f")
@@ -535,8 +536,8 @@ def test_an_outage_on_every_owner_of_a_prefix_leaves_it_routable_and_each_rejoin
 # ---------------------------------------------------------------------- #
 
 
-def test_a_suspect_shard_is_demoted_so_reads_never_pay_a_failover():
-    cluster, federation, wallet = replicated_world()
+def test_a_suspect_shard_is_demoted_so_reads_never_pay_a_failover(world):
+    cluster, federation, wallet = replicated_world(world)
     client = connect_fred(cluster, federation, wallet)
     client.mkdir("/d0")
     client.put(b"demoted", "/d0/f")
@@ -563,8 +564,8 @@ def test_a_suspect_shard_is_demoted_so_reads_never_pay_a_failover():
 # ---------------------------------------------------------------------- #
 
 
-def test_rejoin_repairs_a_dark_shard_from_its_replica_peers():
-    cluster, federation, wallet = replicated_world()
+def test_rejoin_repairs_a_dark_shard_from_its_replica_peers(world):
+    cluster, federation, wallet = replicated_world(world)
     client = connect_fred(cluster, federation, wallet)
     client.mkdir("/d0")
     client.put(b"old bytes", "/d0/keep")
@@ -607,8 +608,8 @@ def test_rejoin_repairs_a_dark_shard_from_its_replica_peers():
         raw.stat("/d0/tmp")
 
 
-def test_repair_is_idempotent_and_scoped_to_owned_prefixes():
-    cluster, federation, wallet = replicated_world()
+def test_repair_is_idempotent_and_scoped_to_owned_prefixes(world):
+    cluster, federation, wallet = replicated_world(world)
     client = connect_fred(cluster, federation, wallet)
     for i in range(8):
         client.mkdir(f"/d{i}")

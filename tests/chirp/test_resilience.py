@@ -46,9 +46,9 @@ RETRY = RetryPolicy(
 )
 
 
-def make_world(plan=None, **server_kwargs):
+def make_world(plan=None, *, read_cache, **server_kwargs):
     """A one-server cluster with GSI auth, optionally under a fault plan;
-    ``server_kwargs`` (``limits=``, ``read_cache=``) go to the server."""
+    ``read_cache`` and ``server_kwargs`` (``limits=``) go to the server."""
     cluster = Cluster()
     cluster.add_machine(SERVER)
     cluster.add_machine(LAPTOP)
@@ -63,6 +63,7 @@ def make_world(plan=None, **server_kwargs):
         machine,
         owner,
         network=cluster.network,
+        read_cache=read_cache,
         auth=ServerAuth(credential_store=trust),
         **server_kwargs,
     )
@@ -126,9 +127,9 @@ def stage_and_run(client, profile):
 @pytest.mark.parametrize(
     "profile", [AMANDA, BLAST, CMS, HF, IBIS, MAKE], ids=lambda p: p.name
 )
-def test_every_workload_survives_ten_percent_faults(profile):
+def test_every_workload_survives_ten_percent_faults(profile, world):
     # the reference run, on perfect wires
-    cluster, _, wallet = make_world()
+    cluster, _, wallet = make_world(read_cache=world.read_cache)
     fred = connect_fred(cluster, wallet, retry=None)
     want = stage_and_run(fred, profile)
     assert want["status"] == 0 and want["size"] == len(input_bytes(profile))
@@ -137,7 +138,7 @@ def test_every_workload_survives_ten_percent_faults(profile):
     plan = FaultPlan.uniform(
         seed=20260805, rate=0.10, restart_at_ops=(8,), ports=(CHIRP_PORT,)
     )
-    cluster, server, wallet = make_world(plan)
+    cluster, server, wallet = make_world(plan, read_cache=world.read_cache)
     fred = connect_fred(cluster, wallet)
     got = stage_and_run(fred, profile)
 
@@ -151,11 +152,11 @@ def test_every_workload_survives_ten_percent_faults(profile):
     assert fred.stats.reconnects >= 1  # the restart alone guarantees one
 
 
-def test_fault_free_clock_cost_is_unchanged_by_the_fault_hooks():
+def test_fault_free_clock_cost_is_unchanged_by_the_fault_hooks(world):
     """Installing a zero-rate plan must not slow the simulated fast path."""
     elapsed = []
     for plan in (None, FaultPlan()):
-        cluster, _, wallet = make_world(plan)
+        cluster, _, wallet = make_world(plan, read_cache=world.read_cache)
         fred = connect_fred(cluster, wallet, retry=None)
         start = cluster.clock.now_ns
         stage_and_run(fred, AMANDA)
@@ -168,9 +169,9 @@ def test_fault_free_clock_cost_is_unchanged_by_the_fault_hooks():
 # ---------------------------------------------------------------------- #
 
 
-def test_rename_with_lost_response_is_replayed_not_reapplied():
+def test_rename_with_lost_response_is_replayed_not_reapplied(world):
     plan = FaultPlan(ports=(CHIRP_PORT,))
-    cluster, server, wallet = make_world(plan)
+    cluster, server, wallet = make_world(plan, read_cache=world.read_cache)
     fred = connect_fred(cluster, wallet)
     fred.mkdir("/w")
     fred.put(b"payload", "/w/a")
@@ -181,11 +182,11 @@ def test_rename_with_lost_response_is_replayed_not_reapplied():
     assert fred.get("/w/b") == b"payload"
 
 
-def test_putfile_with_lost_response_replays_over_a_later_write():
+def test_putfile_with_lost_response_replays_over_a_later_write(world):
     # A's putfile lands, its reply dies, and B's putfile lands before A
     # retries: the retry must replay A's reply, not write A's bytes again
     plan = FaultPlan(ports=(CHIRP_PORT,))
-    cluster, server, wallet = make_world(plan)
+    cluster, server, wallet = make_world(plan, read_cache=world.read_cache)
     writer_a = connect_fred(cluster, wallet)
     writer_b = connect_fred(cluster, wallet)
     writer_a.mkdir("/w")
@@ -203,9 +204,9 @@ def test_putfile_with_lost_response_replays_over_a_later_write():
     assert writer_a.get("/w/f") == b"from-b"
 
 
-def test_mkdir_with_lost_response_is_replayed_not_reapplied():
+def test_mkdir_with_lost_response_is_replayed_not_reapplied(world):
     plan = FaultPlan(ports=(CHIRP_PORT,))
-    cluster, server, wallet = make_world(plan)
+    cluster, server, wallet = make_world(plan, read_cache=world.read_cache)
     fred = connect_fred(cluster, wallet)
     plan.force("drop_after")
     fred.mkdir("/solo")  # a naive retry would see EEXIST here
@@ -213,10 +214,10 @@ def test_mkdir_with_lost_response_is_replayed_not_reapplied():
     assert fred.stat("/solo").is_dir
 
 
-def test_replay_window_holds_exactly_the_last_limit_replies():
+def test_replay_window_holds_exactly_the_last_limit_replies(world):
     # the cache keeps the last IDEM_CACHE_LIMIT keyed replies, evicted in
     # first-reply order; a replay does not refresh its key
-    cluster, server, wallet = make_world()
+    cluster, server, wallet = make_world(read_cache=world.read_cache)
     fred = connect_fred(cluster, wallet, retry=None)
 
     def mkdir(key, path):
@@ -234,10 +235,10 @@ def test_replay_window_holds_exactly_the_last_limit_replies():
     assert server.stats.replays == 2
 
 
-def test_server_restart_mid_transfer_revives_the_descriptor():
+def test_server_restart_mid_transfer_revives_the_descriptor(world):
     # ops: auth=1, mkdir=2, putfile=3 <- crash lands on the transfer
     plan = FaultPlan(restart_at_ops=(3,), ports=(CHIRP_PORT,))
-    cluster, _, wallet = make_world(plan)
+    cluster, _, wallet = make_world(plan, read_cache=world.read_cache)
     fred = connect_fred(cluster, wallet)
     fred.mkdir("/big")
     data = input_bytes(BLAST)
@@ -264,9 +265,9 @@ def test_server_restart_mid_transfer_revives_the_descriptor():
 # ---------------------------------------------------------------------- #
 
 
-def test_corrupted_request_poisons_one_connection_only():
+def test_corrupted_request_poisons_one_connection_only(world):
     plan = FaultPlan(ports=(CHIRP_PORT,))
-    cluster, server, wallet = make_world(plan)
+    cluster, server, wallet = make_world(plan, read_cache=world.read_cache)
     fred = connect_fred(cluster, wallet)
     bystander = connect_fred(cluster, wallet)
     plan.force("corrupt")
@@ -277,8 +278,8 @@ def test_corrupted_request_poisons_one_connection_only():
     assert bystander.whoami() == f"globus:{FRED_DN}"
 
 
-def poisons_one_connection_only(frame):
-    cluster, server, wallet = make_world()
+def poisons_one_connection_only(frame, world):
+    cluster, server, wallet = make_world(read_cache=world.read_cache)
     bystander = connect_fred(cluster, wallet, retry=None)
     conn = cluster.network.connect(LAPTOP, SERVER, CHIRP_PORT)
     reply = decode_message(conn.call(frame))
@@ -290,10 +291,10 @@ def poisons_one_connection_only(frame):
     assert bystander.whoami() == f"globus:{FRED_DN}"
 
 
-def test_malformed_bytes_tag_poisons_one_connection_only():
+def test_malformed_bytes_tag_poisons_one_connection_only(world):
     # the payload slot points at the path string, not at a null
     poisons_one_connection_only(
-        forge_frame(b'{"op":"stat","path":"/x"}', b'[[["path"],1]]', b"x")
+        forge_frame(b'{"op":"stat","path":"/x"}', b'[[["path"],1]]', b"x"), world
     )
 
 
@@ -311,8 +312,8 @@ PWRITE = encode_message({"op": "pwrite", "fd": 3, "offset": 0, "data": b"x" * 64
     ],
     ids=["bad-slot-path", "slot-past-the-end", "truncated", "corrupted", "deeply-nested"],
 )
-def test_damaged_frames_on_a_live_connection_get_ebadmsg(frame):
-    poisons_one_connection_only(frame)
+def test_damaged_frames_on_a_live_connection_get_ebadmsg(frame, world):
+    poisons_one_connection_only(frame, world)
 
 
 def pwrite_dies(client, plan, deaths):
@@ -340,10 +341,10 @@ def driver_writer(cluster, wallet):
 # lost wire retries it whole (test_server_restart_mid_transfer_...)
 @pytest.mark.parametrize("writer", [driver_writer], ids=["driver"])
 @pytest.mark.parametrize("deaths", [1, RETRY.max_attempts - 1, RETRY.max_attempts])
-def test_descriptor_survives_losing_the_wire_during_its_revival(writer, deaths):
+def test_descriptor_survives_losing_the_wire_during_its_revival(writer, deaths, world):
     # each death spends one of the op's max_attempts descriptor attempts
     plan = FaultPlan(ports=(CHIRP_PORT,))
-    cluster, _server, wallet = make_world(plan)
+    cluster, _server, wallet = make_world(plan, read_cache=world.read_cache)
     fred = connect_fred(cluster, wallet)
     fred.mkdir("/w")
     client, write = writer(cluster, wallet)
@@ -359,18 +360,18 @@ def test_descriptor_survives_losing_the_wire_during_its_revival(writer, deaths):
     assert client.stats.transfer_restarts == RETRY.max_attempts - 1
 
 
-def test_truncated_response_is_transient_and_retried():
+def test_truncated_response_is_transient_and_retried(world):
     plan = FaultPlan(ports=(CHIRP_PORT,))
-    cluster, _, wallet = make_world(plan)
+    cluster, _, wallet = make_world(plan, read_cache=world.read_cache)
     fred = connect_fred(cluster, wallet)
     plan.force("truncate")
     assert fred.whoami() == f"globus:{FRED_DN}"
     assert fred.stats.retries >= 1 and fred.stats.reconnects >= 1
 
 
-def test_late_response_counts_as_timeout_and_is_retried():
+def test_late_response_counts_as_timeout_and_is_retried(world):
     plan = FaultPlan(spike_ns=3 * NS_PER_S, ports=(CHIRP_PORT,))
-    cluster, _, wallet = make_world(plan)
+    cluster, _, wallet = make_world(plan, read_cache=world.read_cache)
     fred = connect_fred(
         cluster, wallet, retry=RetryPolicy(call_timeout_ns=1 * NS_PER_S, seed=99)
     )
@@ -384,9 +385,9 @@ def test_late_response_counts_as_timeout_and_is_retried():
 # ---------------------------------------------------------------------- #
 
 
-def test_overload_shed_returns_eagain_and_backoff_drains_it():
+def test_overload_shed_returns_eagain_and_backoff_drains_it(world):
     overload = Admission(arrival_rate_per_s=200.0, arrival_burst=2)
-    cluster, server, wallet = make_world(limits=overload)
+    cluster, server, wallet = make_world(read_cache=world.read_cache, limits=overload)
     fred = connect_fred(cluster, wallet)  # auth spends a token
     fred.mkdir("/w")  # the burst is gone now
     for i in range(6):
@@ -396,9 +397,9 @@ def test_overload_shed_returns_eagain_and_backoff_drains_it():
     assert sorted(fred.readdir("/w")) == [f"f{i}" for i in range(6)]
 
 
-def test_overload_shed_without_retry_surfaces_eagain():
+def test_overload_shed_without_retry_surfaces_eagain(world):
     overload = Admission(arrival_rate_per_s=0.001, arrival_burst=1)
-    cluster, server, wallet = make_world(limits=overload)
+    cluster, server, wallet = make_world(read_cache=world.read_cache, limits=overload)
     fred = connect_fred(cluster, wallet, retry=None)  # auth drains the bucket
     with pytest.raises(ChirpError) as info:
         fred.stat("/")
@@ -406,7 +407,7 @@ def test_overload_shed_without_retry_surfaces_eagain():
     assert server.stats.sheds == 1
 
 
-def test_circuit_breaker_trips_per_identity_and_half_opens():
+def test_circuit_breaker_trips_per_identity_and_half_opens(world):
     cluster = Cluster()  # need the clock before the breaker exists
     breaker = Admission(clock=cluster.clock, threshold=3, cooldown_ns=NS_PER_S)
     cluster.add_machine(SERVER)
@@ -419,6 +420,7 @@ def test_circuit_breaker_trips_per_identity_and_half_opens():
     server = make_server(
         machine,
         machine.add_user("dthain"),
+        read_cache=world.read_cache,
         network=cluster.network,
         auth=ServerAuth(credential_store=trust),
         limits=breaker,
@@ -456,8 +458,8 @@ def test_circuit_breaker_trips_per_identity_and_half_opens():
     assert server.pipeline.stats()["health"]["successes"] > 0
 
 
-def test_strangers_failed_logins_do_not_lock_everyone_out_of_auth():
-    cluster, server, wallet = make_world(limits=Admission(threshold=3))
+def test_strangers_failed_logins_do_not_lock_everyone_out_of_auth(world):
+    cluster, server, wallet = make_world(read_cache=world.read_cache, limits=Admission(threshold=3))
     rogue_ca = CertificateAuthority("Rogue CA")  # the server trusts no such CA
     rogue_store = CredentialStore()
     rogue_store.trust(rogue_ca)
@@ -472,8 +474,9 @@ def test_strangers_failed_logins_do_not_lock_everyone_out_of_auth():
     assert server.pipeline.stats()["health"]["open"] == []
 
 
-def test_batch_envelope_is_one_arrival_and_each_frame_one_budget_token():
+def test_batch_envelope_is_one_arrival_and_each_frame_one_budget_token(world):
     cluster, server, wallet = make_world(
+        read_cache=world.read_cache,
         limits=Admission(
             arrival_rate_per_s=1e-9, arrival_burst=2, rate_per_s=1e-9, burst=3
         )
@@ -496,9 +499,9 @@ def test_batch_envelope_is_one_arrival_and_each_frame_one_budget_token():
 # ---------------------------------------------------------------------- #
 
 
-def test_auth_dropped_mid_negotiation_falls_back_to_next_method():
+def test_auth_dropped_mid_negotiation_falls_back_to_next_method(world):
     plan = FaultPlan(ports=(CHIRP_PORT,))
-    cluster, _, wallet = make_world(plan)
+    cluster, _, wallet = make_world(plan, read_cache=world.read_cache)
     client = ChirpClient.connect(cluster.network, LAPTOP, SERVER, retry=RETRY)
     plan.force("drop_after")  # the globus offer's verdict is lost
     principal = client.authenticate(
@@ -511,8 +514,8 @@ def test_auth_dropped_mid_negotiation_falls_back_to_next_method():
     assert client.whoami() == principal
 
 
-def test_failed_renegotiation_clears_the_stale_principal():
-    cluster, _, wallet = make_world()
+def test_failed_renegotiation_clears_the_stale_principal(world):
+    cluster, _, wallet = make_world(read_cache=world.read_cache)
     fred = connect_fred(cluster, wallet, retry=None)
     assert fred.principal == f"globus:{FRED_DN}"
 
@@ -525,8 +528,8 @@ def test_failed_renegotiation_clears_the_stale_principal():
     assert fred.principal == ""  # never a leftover identity
 
 
-def test_closed_client_raises_clean_epipe_everywhere():
-    cluster, _, wallet = make_world()
+def test_closed_client_raises_clean_epipe_everywhere(world):
+    cluster, _, wallet = make_world(read_cache=world.read_cache)
     fred = connect_fred(cluster, wallet, retry=None)
     fred.close()
     with pytest.raises(ChirpError) as info:
@@ -537,8 +540,8 @@ def test_closed_client_raises_clean_epipe_everywhere():
     assert info.value.errno is Errno.EPIPE
 
 
-def test_crash_and_reserve_recovers_transparently():
-    cluster, server, wallet = make_world()
+def test_crash_and_reserve_recovers_transparently(world):
+    cluster, server, wallet = make_world(read_cache=world.read_cache)
     fred = connect_fred(cluster, wallet)
     fred.mkdir("/w")
     cluster.crash_server(SERVER, CHIRP_PORT)  # connections AND listener die

@@ -445,13 +445,13 @@ def test_exec_job_confined_by_acls(fred, heidi, server):
     assert "trespass" not in fred.readdir("/work")
 
 
-def test_rx_rights_mean_run_existing_programs_only(fred, server, cluster):
+def test_rx_rights_mean_run_existing_programs_only(fred, server, cluster, world):
     """The paper's example: rx lets you run what's there, not stage new code."""
     register_writer(server.machine)
     fred.mkdir("/work")
     fred.put(b"#!repro:job\n", "/work/job.exe", mode=0o755)
     fred.setacl("/work", "hostname:*.nowhere.edu", "rlx")
-    visitor = connect(cluster)
+    visitor = connect(cluster, world)
     visitor.authenticate([HostnameAuthenticator()])
     assert visitor.exec("/work/job.exe", cwd="/work") == 0
     with pytest.raises(ChirpError):

@@ -5,16 +5,16 @@ import pytest
 from repro.chirp import ChirpError, ChirpSession
 from repro.chirp.auth import GlobusAuthenticator, HostnameAuthenticator
 from repro.kernel.errno import Errno, KernelError
-from tests.chirp.conftest import CLIENT_HOST, DEFAULT_RETRY, FRED_DN, SERVER_HOST
+from tests.chirp.conftest import CLIENT_HOST, FRED_DN, SERVER_HOST
 
 
-def test_session_context_manager(cluster, server, fred_wallet):
+def test_session_context_manager(cluster, server, fred_wallet, world):
     with ChirpSession(
         cluster.network,
         CLIENT_HOST,
         SERVER_HOST,
         authenticators=[GlobusAuthenticator(fred_wallet)],
-        retry=DEFAULT_RETRY,
+        retry=world.retry,
     ) as client:
         assert client.principal == f"globus:{FRED_DN}"
         client.mkdir("/ctx")
@@ -26,26 +26,26 @@ def test_session_context_manager(cluster, server, fred_wallet):
     assert info.value.errno in (Errno.EPIPE, Errno.ECONNRESET)
 
 
-def test_session_closes_even_on_body_error(cluster, server, fred_wallet):
+def test_session_closes_even_on_body_error(cluster, server, fred_wallet, world):
     with pytest.raises(RuntimeError):
         with ChirpSession(
             cluster.network,
             CLIENT_HOST,
             SERVER_HOST,
             authenticators=[GlobusAuthenticator(fred_wallet)],
-            retry=DEFAULT_RETRY,
+            retry=world.retry,
         ) as client:
             raise RuntimeError("boom")
     assert client.connection.closed
 
 
-def test_session_with_hostname_auth(cluster, server):
+def test_session_with_hostname_auth(cluster, server, world):
     with ChirpSession(
         cluster.network,
         CLIENT_HOST,
         SERVER_HOST,
         authenticators=[HostnameAuthenticator()],
-        retry=DEFAULT_RETRY,
+        retry=world.retry,
     ) as client:
         assert client.whoami() == f"hostname:{CLIENT_HOST}"
 

@@ -35,9 +35,9 @@ from tests.chirp.test_federation import RETRY, connect_fred, make_fed_world
 from tests.helpers import state_census
 
 #: Stores with a fixed cap: reaching it is bounded by construction.  The
-#: read cache (armed when the suite runs with ``REPRO_CACHE=1``) keys its
-#: entries by identity, so new principals fill it up to its capacity,
-#: one path index entry per cached key.
+#: read cache (armed in the cached world) keys its entries by identity,
+#: so new principals fill it up to its capacity, one path index entry
+#: per cached key.
 CAPS = {
     "ChirpServer._idem_cache": IDEM_CACHE_LIMIT,
     "VFS._memo": MEMO_ENTRIES,
@@ -46,8 +46,8 @@ CAPS = {
 }
 
 
-def test_churn_leaves_every_store_bounded(cluster, server, fred_wallet):
-    fred = connect(cluster)
+def test_churn_leaves_every_store_bounded(cluster, server, fred_wallet, world):
+    fred = connect(cluster, world)
     fred.authenticate([GlobusAuthenticator(fred_wallet)])
     fred.mkdir("/w")  # the root grants Fred only the reserve right
     fred.put(b"held open", "/w/b")
@@ -96,14 +96,14 @@ def job(proc, args):
     return 0
 
 
-def test_exec_churn_leaves_no_process_behind(cluster, server, fred_wallet):
+def test_exec_churn_leaves_no_process_behind(cluster, server, fred_wallet, world):
     """Every ``exec`` runs a job that exits with a zombie child.  The
     process table holds only live processes and zombies, so between execs
     it is empty, however many have run."""
     machine = server.machine
     machine.register_program("job", job)
     machine.register_program("leaf", leaf)
-    fred = connect(cluster)
+    fred = connect(cluster, world)
     fred.authenticate([GlobusAuthenticator(fred_wallet)])
     fred.mkdir("/w")
     fred.put(b"#!repro:job\n", "/w/job.exe", mode=0o755)
@@ -139,13 +139,13 @@ def rights_memos(server) -> dict[int, int]:
 
 
 def test_principal_churn_leaves_every_rights_memo_within_its_cap(
-    cluster, server, ca, trust, fred_wallet
+    cluster, server, ca, trust, fred_wallet, world
 ):
     """Each session is a new principal that is checked against two ACLs
     (the export root's and ``/shared``'s).  After 200 and after 2,000 of
     them, no rights memo holds more than its cap, though each ACL was
     asked about every principal: a full memo starts over."""
-    fred = connect(cluster)
+    fred = connect(cluster, world)
     fred.authenticate([GlobusAuthenticator(fred_wallet)])
     fred.mkdir("/shared")  # through the reserve right: fred alone holds it
     fred.setacl("/shared", "globus:/O=UnivNowhere/*", "rl")
@@ -157,7 +157,7 @@ def test_principal_churn_leaves_every_rights_memo_within_its_cap(
         for _ in range(count):
             minted += 1
             wallet = provision_user(ca, trust, f"/O=UnivNowhere/CN=p{minted:05d}")
-            client = connect(cluster)
+            client = connect(cluster, world)
             client.authenticate([GlobusAuthenticator(wallet)])
             assert not client.access("/", "l")  # the root grants only v(...)
             assert client.access("/shared", "l")

@@ -20,14 +20,14 @@ from tests.helpers import make_server
 SERVER = "server1.nowhere.edu"
 
 
-def make_world():
+def make_world(world):
     """A server with telemetry whose root lets every unix user list and
     read but not write."""
     cluster = Cluster()
     machine = cluster.add_machine(SERVER)
     telemetry = instrument(machine)
     owner = machine.add_user("dthain")
-    server = make_server(machine, owner, network=cluster.network)
+    server = make_server(machine, owner, read_cache=world.read_cache, network=cluster.network)
     acl = Acl()
     acl.set_entry("unix:*", Rights.parse("rl"))
     server.set_root_acl(acl)
@@ -50,8 +50,8 @@ def series(telemetry) -> int:
     return len(snap["counters"]) + len(snap["gauges"]) + len(snap["histograms"])
 
 
-def test_series_count_does_not_grow_with_the_number_of_principals():
-    cluster, _server, telemetry = make_world()
+def test_series_count_does_not_grow_with_the_number_of_principals(world):
+    cluster, _server, telemetry = make_world(world)
     for i in range(100):
         visit(cluster, f"a{i:05d}")
     after_100 = series(telemetry)
@@ -74,8 +74,8 @@ def test_series_count_does_not_grow_with_the_number_of_principals():
     [{"trace_id": "t1", "span_id": "s1"}, "t" + "1" * (1 << 20) + "/s1", "a/b/c"],
     ids=["dict", "1MiB-string", "three-parts"],
 )
-def test_a_malformed_wire_trace_starts_a_fresh_root_and_is_counted(trace):
-    cluster, _server, telemetry = make_world()
+def test_a_malformed_wire_trace_starts_a_fresh_root_and_is_counted(trace, world):
+    cluster, _server, telemetry = make_world(world)
     client = ChirpClient.connect(cluster.network, SERVER, SERVER)
     client.authenticate([UnixAuthenticator("mallory")])
     reply = decode_message(
@@ -89,8 +89,8 @@ def test_a_malformed_wire_trace_starts_a_fresh_root_and_is_counted(trace):
     assert span.identity == "unix:mallory"
 
 
-def test_a_well_formed_wire_trace_is_adopted():
-    cluster, _server, telemetry = make_world()
+def test_a_well_formed_wire_trace_is_adopted(world):
+    cluster, _server, telemetry = make_world(world)
     client = ChirpClient.connect(cluster.network, SERVER, SERVER)
     client.authenticate([UnixAuthenticator("fred")])
     reply = decode_message(

@@ -8,7 +8,7 @@ Under faults, a retried frame must reuse the original call's trace id
 (the tracing analogue of the idempotency key).
 
 These tests build their own clusters (and their own fault plans), so
-they are independent of the suite-wide ``REPRO_FAULT_RATE`` knob.
+they run in the plain and cached worlds, never the faulted one.
 """
 
 from repro.chirp import (
@@ -37,7 +37,7 @@ RETRY = RetryPolicy(
 )
 
 
-def make_traced_world(plan=None):
+def make_traced_world(world, plan=None):
     """One GSI-authenticated server with telemetry on both ends."""
     cluster = Cluster()
     cluster.add_machine(SERVER)
@@ -54,6 +54,7 @@ def make_traced_world(plan=None):
     server = make_server(
         machine,
         owner,
+        read_cache=world.read_cache,
         network=cluster.network,
         auth=ServerAuth(credential_store=trust),
     )
@@ -91,8 +92,8 @@ def only_span(telemetry, name):
 # -- the nesting claim: laptop call site -> server kernel --------------------- #
 
 
-def test_remote_exec_trace_nests_client_rpc_server_op_and_boxed_syscalls():
-    _, _, server_tel, client, client_tel = make_traced_world()
+def test_remote_exec_trace_nests_client_rpc_server_op_and_boxed_syscalls(world):
+    _, _, server_tel, client, client_tel = make_traced_world(world)
     client.mkdir("/work")
     client.put(b"#!repro:sim\n", "/work/sim.exe", mode=0o755)
     assert client.exec("/work/sim.exe", cwd="/work") == 0
@@ -118,8 +119,8 @@ def test_remote_exec_trace_nests_client_rpc_server_op_and_boxed_syscalls():
     assert rpc.duration_ns >= remote.duration_ns > 0
 
 
-def test_unrelated_rpcs_get_distinct_traces():
-    _, _, _, client, client_tel = make_traced_world()
+def test_unrelated_rpcs_get_distinct_traces(world):
+    _, _, _, client, client_tel = make_traced_world(world)
     client.mkdir("/a")
     client.mkdir("/b")
     first, second = client_tel.spans_named("rpc:mkdir")
@@ -129,11 +130,11 @@ def test_unrelated_rpcs_get_distinct_traces():
 # -- the retry claim: one logical call, one trace id -------------------------- #
 
 
-def test_retried_frame_reuses_the_original_trace_id():
+def test_retried_frame_reuses_the_original_trace_id(world):
     # the request is dropped before the server ever sees it; only the
     # retried frame arrives — carrying the *original* trace id
     plan = FaultPlan(ports=(CHIRP_PORT,))
-    _, server, server_tel, client, client_tel = make_traced_world(plan)
+    _, server, server_tel, client, client_tel = make_traced_world(world, plan)
     plan.force("drop")
     client.mkdir("/w")
 
@@ -145,12 +146,12 @@ def test_retried_frame_reuses_the_original_trace_id():
     assert remote.parent_id == rpc.span_id
 
 
-def test_replayed_retry_shares_the_trace_and_executes_once():
+def test_replayed_retry_shares_the_trace_and_executes_once(world):
     # the server applies the mkdir but the response dies: the retry hits
     # the idempotency cache, so exactly one pipeline span exists and it
     # belongs to the client call's trace
     plan = FaultPlan(ports=(CHIRP_PORT,))
-    _, server, server_tel, client, client_tel = make_traced_world(plan)
+    _, server, server_tel, client, client_tel = make_traced_world(world, plan)
     plan.force("drop_after")
     client.mkdir("/solo")
 
@@ -165,8 +166,8 @@ def test_replayed_retry_shares_the_trace_and_executes_once():
 # -- pipeline stats surface the telemetry snapshot ---------------------------- #
 
 
-def test_pipeline_stats_includes_a_detached_telemetry_section():
-    _, server, server_tel, client, _ = make_traced_world()
+def test_pipeline_stats_includes_a_detached_telemetry_section(world):
+    _, server, server_tel, client, _ = make_traced_world(world)
     client.mkdir("/w")
     stats = server.pipeline.stats()
     ops_before = server_tel.counter_total("pipeline.ops")

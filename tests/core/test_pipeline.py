@@ -134,13 +134,13 @@ def test_supervisor_denial_and_syscall_counters(machine, alice, alice_task, box)
     assert box.supervisor.denials == 1
 
 
-def _hostname_server():
+def _hostname_server(world):
     cluster = Cluster()
     cluster.add_machine("srv")
     cluster.add_machine("cli")
     machine = cluster.machine("srv")
     owner = machine.add_user("op")
-    server = make_server(machine, owner, network=cluster.network)
+    server = make_server(machine, owner, read_cache=world.read_cache, network=cluster.network)
     acl = Acl()
     acl.set_entry("hostname:cli", Rights.parse("rwl"))
     server.set_root_acl(acl)
@@ -150,8 +150,8 @@ def _hostname_server():
     return server, client
 
 
-def test_server_stats_count_denials():
-    server, client = _hostname_server()
+def test_server_stats_count_denials(world):
+    server, client = _hostname_server(world)
     client.put(b"fine", "/allowed.txt")
     with pytest.raises(ChirpError) as excinfo:
         client.setacl("/", "hostname:cli", "rwlxa")  # no 'a' right granted
@@ -160,8 +160,8 @@ def test_server_stats_count_denials():
     assert server.stats.ops >= 3  # auth counts, put is one putfile, setacl
 
 
-def test_unauthenticated_op_counts_as_denial():
-    server, client = _hostname_server()
+def test_unauthenticated_op_counts_as_denial(world):
+    server, client = _hostname_server(world)
     raw = ChirpClient.connect(server.network, "cli", "srv")
     with pytest.raises(ChirpError) as excinfo:
         raw.stat("/")
@@ -172,8 +172,8 @@ def test_unauthenticated_op_counts_as_denial():
 # -- every stats object is a read-only view of the telemetry registry ------- #
 
 
-def test_assigning_any_stats_field_raises():
-    server, _client = _hostname_server()
+def test_assigning_any_stats_field_raises(world):
+    server, _client = _hostname_server(world)
     fed = FederatedClient(server.network, "cli", ShardMap("pool", 1, ()), [])
     for stats, fields in [
         (server.stats, "connections auth_failures ops execs bytes_read bytes_written"
@@ -194,9 +194,9 @@ def _untraced(pipeline) -> bool:
 
 
 def test_owners_without_telemetry_add_no_tracing_and_record_no_spans(
-    machine, alice_task, box
+    machine, alice_task, box, world
 ):
-    server, client = _hostname_server()
+    server, client = _hostname_server(world)
     client.put(b"payload", "/f")
     with pytest.raises(ChirpError):
         client.setacl("/", "hostname:cli", "rwlxa")  # no 'a' right: denied
@@ -223,7 +223,7 @@ class CountingInterceptor:
         return proceed()
 
 
-def test_counting_interceptor_fires_on_both_surfaces(machine, alice, box):
+def test_counting_interceptor_fires_on_both_surfaces(machine, alice, box, world):
     counter = CountingInterceptor()
 
     # surface 1: a boxed open trapped by the supervisor
@@ -236,7 +236,7 @@ def test_counting_interceptor_fires_on_both_surfaces(machine, alice, box):
     assert ("syscall", "open") in counter.seen
 
     # surface 2: a Chirp open RPC on a different machine entirely
-    server, client = _hostname_server()
+    server, client = _hostname_server(world)
     server.pipeline.add_interceptor(counter)
     fd = client.open("/remote.txt", OpenFlags.O_WRONLY | OpenFlags.O_CREAT)
     client.close_fd(fd)
@@ -260,14 +260,16 @@ def test_denied_syscall_is_audited_through_pipeline(machine, alice, alice_task):
     assert denied[0].identity == "Visitor"
 
 
-def test_chirp_ops_are_audited_when_log_attached():
+def test_chirp_ops_are_audited_when_log_attached(world):
     cluster = Cluster()
     cluster.add_machine("srv")
     cluster.add_machine("cli")
     machine = cluster.machine("srv")
     owner = machine.add_user("op")
     audit = AuditLog()
-    server = make_server(machine, owner, network=cluster.network, audit=audit)
+    server = make_server(
+        machine, owner, read_cache=world.read_cache, network=cluster.network, audit=audit
+    )
     acl = Acl()
     acl.set_entry("hostname:cli", Rights.parse("rwl"))
     server.set_root_acl(acl)

@@ -6,11 +6,11 @@ import gc
 import json
 import struct
 from collections import deque
-from dataclasses import astuple
+from dataclasses import astuple, dataclass
 from typing import Any
 
-from repro.chirp import ChirpServer
-from repro.config import WorldSpec
+from repro.chirp import ChirpServer, RetryPolicy
+from repro.config import DEFAULT_FAULT_SEED
 from repro.core.box import IdentityBox
 from repro.core.ops import OpSpec
 from repro.core.pipeline import AuditSink, DenialCounter, Enforcement, Operation, ReadCache
@@ -27,8 +27,13 @@ from repro.kernel.vfs import MAX_SYMLINKS, WalkStats, split_path
 from repro.net.rpc import _PREFIX, ProtocolError, _fill
 
 __all__ = [
+    "CACHED",
+    "FAULTED",
+    "FAULT_RETRY",
     "KeywordRecorder",
-    "WORLD",
+    "PLAIN",
+    "WORLDS",
+    "World",
     "boxed_read_file",
     "boxed_write_file",
     "denial_stage",
@@ -48,9 +53,33 @@ __all__ = [
     "state_census",
 ]
 
-#: The world every test builds unless it asks for another: the CI leg's
-#: ``REPRO_*`` knobs, read once and passed on as arguments.
-WORLD = WorldSpec.from_env()
+#: Generous attempt budget: at rate r each call fails with ~1-(1-r)^4.
+FAULT_RETRY = RetryPolicy(max_attempts=10, seed=DEFAULT_FAULT_SEED)
+
+
+@dataclass(frozen=True)
+class World:
+    """One configuration a Chirp test runs in, handed to it as the ``world``
+    parameter (``tests/conftest.py``): the Chirp semantics must not move
+    between worlds, so every assertion holds in each."""
+
+    name: str
+    #: a seeded 10% fault plan on the Chirp port (the ``make_fault_plan``
+    #: fixture), ridden out with :data:`FAULT_RETRY`
+    faulted: bool = False
+    #: a fresh :class:`ReadCache` on every server the test builds
+    read_cache: bool = False
+
+    @property
+    def retry(self) -> RetryPolicy | None:
+        """What the shared fixtures hand their clients, drivers and sessions."""
+        return FAULT_RETRY if self.faulted else None
+
+
+PLAIN = World("plain")
+FAULTED = World("faulted", faulted=True)
+CACHED = World("cached", read_cache=True)
+WORLDS = (PLAIN, FAULTED, CACHED)
 
 #: Session-lifetime cache of warm-boot snapshots, one per distinct machine
 #: configuration, filled lazily by :func:`make_machine`; safe because a
@@ -83,9 +112,10 @@ def make_machine(
     return Machine(snapshot=snap)
 
 
-def make_server(machine, owner, *, read_cache=WORLD.read_cache, **kwargs) -> ChirpServer:
-    """The one place tests construct a ChirpServer: ``read_cache`` (by
-    default ``WORLD``'s) arms the fast lane with a fresh :class:`ReadCache`."""
+def make_server(machine, owner, *, read_cache: bool, **kwargs) -> ChirpServer:
+    """The one place tests construct a ChirpServer: ``read_cache`` (a
+    world's, or a test's own choice) arms the fast lane with a fresh
+    :class:`ReadCache`."""
     return ChirpServer(machine, owner, read_cache=ReadCache() if read_cache else None, **kwargs)
 
 

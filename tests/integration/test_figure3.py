@@ -25,7 +25,7 @@ FRED_DN = "/O=UnivNowhere/CN=Fred"
 
 
 @pytest.fixture
-def world():
+def grid(world):
     cluster = Cluster()
     for host in (SERVER, LAPTOP, CATALOG):
         cluster.add_machine(host)
@@ -39,6 +39,7 @@ def world():
     server = make_server(
         server_machine,
         dthain,
+        read_cache=world.read_cache,
         network=cluster.network,
         auth=ServerAuth(credential_store=trust),
     )
@@ -64,8 +65,8 @@ def world():
     return cluster, server, fred_wallet
 
 
-def test_full_workflow(world):
-    cluster, server, fred_wallet = world
+def test_full_workflow(grid):
+    cluster, server, fred_wallet = grid
 
     # 0. discovery
     records = list_servers(cluster.network, LAPTOP, CATALOG)
@@ -98,8 +99,8 @@ def test_full_workflow(world):
     assert client.readdir("/") == []
 
 
-def test_no_account_exists_for_fred_anywhere(world):
-    cluster, server, fred_wallet = world
+def test_no_account_exists_for_fred_anywhere(grid):
+    cluster, server, fred_wallet = grid
     client = ChirpClient.connect(cluster.network, LAPTOP, SERVER)
     client.authenticate([GlobusAuthenticator(fred_wallet)])
     client.mkdir("/work")
@@ -114,8 +115,8 @@ def test_no_account_exists_for_fred_anywhere(world):
     assert st.st_uid == server.owner_cred.uid
 
 
-def test_hostname_visitors_limited_to_rlx(world):
-    cluster, server, fred_wallet = world
+def test_hostname_visitors_limited_to_rlx(grid):
+    cluster, server, fred_wallet = grid
     visitor = ChirpClient.connect(cluster.network, LAPTOP, SERVER)
     visitor.authenticate([HostnameAuthenticator()])
     # can list the root...
@@ -127,8 +128,8 @@ def test_hostname_visitors_limited_to_rlx(world):
         visitor.put(b"x", "/dropped")
 
 
-def test_two_grid_users_share_via_acls(world):
-    cluster, server, fred_wallet = world
+def test_two_grid_users_share_via_acls(grid):
+    cluster, server, fred_wallet = grid
     ca2 = CertificateAuthority("UnivNowhere CA")  # same CA by determinism
     trust2 = server.auth.credential_store
     george_wallet = provision_user(ca2, trust2, "/O=UnivNowhere/CN=George")

@@ -29,7 +29,7 @@ FRED = f"globus:{FRED_DN}"
 
 
 @pytest.fixture
-def world():
+def grid(world):
     cluster = Cluster()
     for host in (SITE_A, SITE_B, LAPTOP):
         cluster.add_machine(host)
@@ -45,6 +45,7 @@ def world():
         server = make_server(
             machine,
             owner,
+            read_cache=world.read_cache,
             network=cluster.network,
             auth=ServerAuth(credential_store=trust),
         )
@@ -62,15 +63,15 @@ def _client(cluster, wallet, host):
     return client
 
 
-def test_same_principal_at_both_sites(world):
-    cluster, servers, wallet = world
+def test_same_principal_at_both_sites(grid):
+    cluster, servers, wallet = grid
     a = _client(cluster, wallet, SITE_A)
     b = _client(cluster, wallet, SITE_B)
     assert a.whoami() == b.whoami() == FRED
 
 
-def test_acl_written_at_one_site_names_identity_used_at_other(world):
-    cluster, servers, wallet = world
+def test_acl_written_at_one_site_names_identity_used_at_other(grid):
+    cluster, servers, wallet = grid
     a = _client(cluster, wallet, SITE_A)
     a.mkdir("/data")
     # the ACL at site A literally contains the same string site B verifies
@@ -80,8 +81,8 @@ def test_acl_written_at_one_site_names_identity_used_at_other(world):
     assert a.getacl("/data").strip() == b.getacl("/results").strip()
 
 
-def test_no_local_accounts_created_anywhere(world):
-    cluster, servers, wallet = world
+def test_no_local_accounts_created_anywhere(grid):
+    cluster, servers, wallet = grid
     a = _client(cluster, wallet, SITE_A)
     a.mkdir("/data")
     a.put(b"input", "/data/in.dat")
@@ -90,9 +91,9 @@ def test_no_local_accounts_created_anywhere(world):
         assert names == {"root", "nobody", server.owner_cred.username}
 
 
-def test_boxed_job_spans_both_sites(world):
+def test_boxed_job_spans_both_sites(grid):
     """A boxed process on the laptop pipes data from site A to site B."""
-    cluster, servers, wallet = world
+    cluster, servers, wallet = grid
     a = _client(cluster, wallet, SITE_A)
     a.mkdir("/data")
     payload = b"dataset-" + b"x" * 20_000
@@ -129,8 +130,8 @@ def test_boxed_job_spans_both_sites(world):
     assert b.get("/results/out.dat") == payload
 
 
-def test_revocation_at_one_site_is_local(world):
-    cluster, servers, wallet = world
+def test_revocation_at_one_site_is_local(grid):
+    cluster, servers, wallet = grid
     a = _client(cluster, wallet, SITE_A)
     b = _client(cluster, wallet, SITE_B)
     a.mkdir("/data")

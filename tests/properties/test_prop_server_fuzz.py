@@ -13,13 +13,13 @@ from repro.net import Cluster, decode_message, encode_message
 from tests.helpers import make_server
 
 
-def build_server():
+def build_server(world):
     cluster = Cluster()
     cluster.add_machine("srv")
     cluster.add_machine("cli")
     machine = cluster.machine("srv")
     owner = machine.add_user("op")
-    server = make_server(machine, owner, network=cluster.network)
+    server = make_server(machine, owner, read_cache=world.read_cache, network=cluster.network)
     acl = Acl()
     acl.set_entry("hostname:*", Rights.parse("rwlxa"))
     server.set_root_acl(acl)
@@ -49,8 +49,8 @@ op_names = st.sampled_from(
 
 @settings(max_examples=80, deadline=None)
 @given(raw_frames)
-def test_random_bytes_get_error_frames(frame):
-    cluster, _server = build_server()
+def test_random_bytes_get_error_frames(world, frame):
+    cluster, _server = build_server(world)
     conn = cluster.network.connect("cli", "srv", 9094)
     reply = decode_message(conn.handler.handle(frame))
     assert reply["ok"] is False
@@ -58,8 +58,8 @@ def test_random_bytes_get_error_frames(frame):
 
 @settings(max_examples=80, deadline=None)
 @given(op_names, shaped_messages)
-def test_malformed_requests_never_crash(op, fields):
-    cluster, server = build_server()
+def test_malformed_requests_never_crash(world, op, fields):
+    cluster, server = build_server(world)
     conn = cluster.network.connect("cli", "srv", 9094)
     message = dict(fields)
     message["op"] = op
@@ -76,9 +76,9 @@ def test_malformed_requests_never_crash(op, fields):
 
 @settings(max_examples=40, deadline=None)
 @given(shaped_messages)
-def test_authenticated_garbage_cannot_corrupt_export(fields):
+def test_authenticated_garbage_cannot_corrupt_export(world, fields):
     """Even authenticated, malformed ops must leave the export intact."""
-    cluster, server = build_server()
+    cluster, server = build_server(world)
     conn = cluster.network.connect("cli", "srv", 9094)
     conn.handler.handle(
         encode_message({"op": "auth", "method": "hostname", "payload": {}})

@@ -63,12 +63,14 @@ steps = st.lists(
 )
 
 
-def build_world():
+def build_tree(world):
     cluster = Cluster()
     for host in (SERVER, *HOSTS):
         cluster.add_machine(host)
     machine = cluster.machine(SERVER)
-    server = make_server(machine, machine.add_user("owner"), network=cluster.network)
+    server = make_server(
+        machine, machine.add_user("owner"), read_cache=world.read_cache, network=cluster.network
+    )
     root = Acl()
     root.set_entry(f"hostname:{ADMIN}", Rights.parse("rwlax"))
     root.set_entry("hostname:beta.nowhere.edu", Rights.parse("rl"))
@@ -127,8 +129,8 @@ def put_by_descriptor(client, data, path, mode):
         client.close_fd(fd)
 
 
-def run(world, script, *, whole_file):
-    server, clients = world
+def run(tree, script, *, whole_file):
+    server, clients = tree
     results = []
     for step in script:
         kind, host, path = step[:3]
@@ -148,19 +150,19 @@ def run(world, script, *, whole_file):
 
 @settings(max_examples=60, deadline=None)
 @given(script=steps)
-def test_whole_file_ops_match_the_descriptor_ops(script):
-    whole = run(build_world(), script, whole_file=True)
-    by_fd = run(build_world(), script, whole_file=False)
+def test_whole_file_ops_match_the_descriptor_ops(script, world):
+    whole = run(build_tree(world), script, whole_file=True)
+    by_fd = run(build_tree(world), script, whole_file=False)
     assert whole == by_fd
 
 
-def test_the_tree_reaches_every_outcome_class():
+def test_the_tree_reaches_every_outcome_class(world):
     # the fixture is only useful if it spans grants, denials and kernel
     # errors on both ops
-    world = build_world()
+    tree = build_tree(world)
     gamma = "gamma.elsewhere.org"
     results, _ = run(
-        world,
+        tree,
         [
             ("get", ADMIN, "/pub/big"),
             ("get", gamma, "/priv/s"),

@@ -71,7 +71,7 @@ def test_proc_context_compute_units():
     assert request.compute_ns == 1 + 1_000 + 1_000_000 + 1_000_000_000
 
 
-def test_chirp_driver_disconnect_all(cluster_world=None):
+def test_chirp_driver_disconnect_all(world):
     from repro.chirp import ChirpDriver
     from repro.chirp.auth import HostnameAuthenticator
     from repro.net import Cluster
@@ -83,7 +83,7 @@ def test_chirp_driver_disconnect_all(cluster_world=None):
     owner = machine.add_user("op")
     from repro.core import Acl, Rights
 
-    server = make_server(machine, owner, network=cluster.network)
+    server = make_server(machine, owner, read_cache=world.read_cache, network=cluster.network)
     acl = Acl()
     acl.set_entry("hostname:*", Rights.parse("rwlxa"))
     server.set_root_acl(acl)

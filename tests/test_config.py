@@ -5,13 +5,11 @@ README points readers at the same names.  Deleting a knob from the code
 must delete it from both, and a knob read in the code must be listed.
 Only ``repro.config`` reads the environment, and the rest of the package
 takes nothing from it but the names in ``CONFIG_EXPORTS``: a world
-setting reaches ``src/`` as an argument.  The CI ``test`` job sets only
-knobs the module reads, and some leg sets each world knob.
+setting reaches ``src/`` as an argument.
 """
 
 import ast
 import re
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -22,7 +20,7 @@ REPO = Path(__file__).resolve().parent.parent
 PACKAGE = Path(config.__file__).resolve().parent
 KNOB = re.compile(r"REPRO_[A-Z_]+")
 #: what the package may import from ``repro.config``
-CONFIG_EXPORTS = {"bench_smoke", "DEFAULT_FAULT_SEED", "WorldSpec"}
+CONFIG_EXPORTS = {"bench_smoke", "DEFAULT_FAULT_SEED"}
 
 
 def knobs_read():
@@ -51,95 +49,6 @@ def test_config_table_lists_exactly_the_knobs_the_module_reads():
 def test_readme_mentions_no_knob_the_module_does_not_read():
     readme = (REPO / "README.md").read_text()
     assert set(KNOB.findall(readme)) <= knobs_read()
-
-
-def world_knobs():
-    """``WorldSpec`` field -> the knob ``WorldSpec.from_env`` reads it from."""
-    tree = ast.parse(Path(config.__file__).read_text())
-    from_env = next(
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "from_env"
-    )
-    return {
-        keyword.arg: keyword.value.args[0].value
-        for node in ast.walk(from_env) if isinstance(node, ast.Call)
-        for keyword in node.keywords
-    }
-
-
-def ci_test_job(workflow: str) -> tuple[dict[str, str], list[dict[str, str]]]:
-    """The CI ``test`` job's ``env:`` block and its matrix legs, read by
-    indentation: CI installs no YAML parser."""
-    env, legs, section, in_job = {}, [], None, False
-    for line in workflow.splitlines():
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        indent = len(line) - len(line.lstrip())
-        if indent == 2:
-            in_job = text == "test:"
-        elif not in_job:
-            continue
-        elif indent == 4:
-            section = "env" if text == "env:" else "strategy" if text == "strategy:" else None
-        elif section == "strategy" and text == "include:":
-            section = "legs"
-        elif section == "env":
-            key, _, value = text.partition(":")
-            env[key] = value.strip()
-        elif section == "legs":
-            if text.startswith("- "):
-                legs.append({})
-                text = text[2:]
-            key, _, value = text.partition(":")
-            legs[-1][key] = value.strip().strip('"')
-    return env, legs
-
-
-MATRIX_VALUE = re.compile(r"\$\{\{ matrix\.(\w+) \|\| '' \}\}")
-
-
-def ci_leg_problems(workflow: str) -> list[str]:
-    """Every ``REPRO_*`` name in the CI ``test`` job's ``env:`` must be read
-    by ``repro.config``, and every world knob must be set (non-empty, not
-    ``0``) by at least one matrix leg: a leg left setting a deleted knob
-    would silently re-run the plain suite."""
-    env, legs = ci_test_job(workflow)
-    named = {name for name in env if KNOB.fullmatch(name)}
-    problems = [f"{name} is not read by repro.config" for name in sorted(named - knobs_read())]
-    for knob in sorted(world_knobs().values()):
-        ref = MATRIX_VALUE.fullmatch(env.get(knob, ""))
-        if ref is None or not any(leg.get(ref.group(1), "") not in ("", "0") for leg in legs):
-            problems.append(f"no leg sets {knob}")
-    return problems
-
-
-def test_every_world_field_has_a_knob():
-    assert set(world_knobs()) == {field.name for field in fields(config.WorldSpec)}
-
-
-def test_ci_legs_set_only_read_knobs_and_every_world_knob():
-    workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
-    _env, legs = ci_test_job(workflow)
-    assert [leg["suite"] for leg in legs] == ["plain", "faulted", "fastlane"]
-    assert ci_leg_problems(workflow) == []
-
-
-STALE_ENV = "      REPRO_RETIRED: ${{ matrix.retired || '' }}\n"
-
-
-@pytest.mark.parametrize("edit, want", [
-    (lambda text: text.replace("    env:\n", "    env:\n" + STALE_ENV, 1),
-     ["REPRO_RETIRED is not read by repro.config"]),
-    (lambda text: text.replace('            cache: "1"\n', ""), ["no leg sets REPRO_CACHE"]),
-    (lambda text: text.replace("      REPRO_FAULT_RATE:", "      REPRO_FAULT:"),
-     ["REPRO_FAULT is not read by repro.config", "no leg sets REPRO_FAULT_RATE"]),
-], ids=["stale-knob", "unset-knob", "renamed-knob"])
-def test_the_ci_guard_catches_a_planted_stale_leg(edit, want):
-    workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
-    planted = edit(workflow)
-    assert planted != workflow
-    assert ci_leg_problems(planted) == want
 
 
 def ambient_reads(source: str, package: str) -> list[str]:
