@@ -24,7 +24,6 @@ import pytest
 
 from repro.bench import Table, banner, bench_scale, save_and_print, write_bench_json
 from repro.chirp import (
-    ChirpError,
     FederatedClient,
     GlobusAuthenticator,
     ServerAuth,
@@ -93,7 +92,7 @@ def blackout_read_mix(replicas: int) -> dict:
             try:
                 assert read()
                 ok += 1
-            except (ChirpError, KernelError):
+            except KernelError:
                 pass
     stats = client.stats
     client.close()

@@ -43,6 +43,7 @@ from ..kernel.errno import Errno
 from ..kernel.timing import NS_PER_S
 from ..net.network import Network, Peer
 from ..net.rpc import ProtocolError, decode_message, encode_message
+from .protocol import error_response, ok_response, parse_response
 from .server import ChirpServer
 
 #: Default catalog port (as in real Chirp deployments).
@@ -278,41 +279,26 @@ class _CatalogConnection:
             op = message.get("op")
             if op == "update":
                 self.catalog.update(CatalogRecord.from_fields(message["record"]))
-                return encode_message({"ok": True})
+                return ok_response()
             if op == "remove":
                 removed = self.catalog.remove(str(message["name"]))
-                return encode_message({"ok": True, "removed": removed})
+                return ok_response(removed=removed)
             if op == "mark":
                 federation = str(message["federation"])
                 marks = [(str(name), str(prefix)) for name, prefix in message["marks"]]
                 changed = self.catalog.mark(federation, marks, bool(message["marked"]))
                 version = self.catalog.federation_version(federation)
-                return encode_message({"ok": True, "changed": changed, "version": version})
+                return ok_response(changed=changed, version=version)
             if op == "list":
-                return encode_message(
-                    {
-                        "ok": True,
-                        "records": [r.to_fields() for r in self.catalog.fresh_records()],
-                    }
-                )
+                return ok_response(records=[r.to_fields() for r in self.catalog.fresh_records()])
             if op == "federation":
                 version, members = self.catalog.federation_view(
                     str(message["federation"])
                 )
-                return encode_message(
-                    {
-                        "ok": True,
-                        "version": version,
-                        "records": [r.to_fields() for r in members],
-                    }
-                )
-            return encode_message(
-                {"ok": False, "errno": int(Errno.EINVAL), "error": f"bad op {op!r}"}
-            )
+                return ok_response(version=version, records=[r.to_fields() for r in members])
+            return error_response(Errno.EINVAL, f"bad op {op!r}")
         except (ProtocolError, KeyError, TypeError, ValueError) as exc:
-            return encode_message(
-                {"ok": False, "errno": int(Errno.EINVAL), "error": str(exc)}
-            )
+            return error_response(Errno.EINVAL, str(exc))
 
     def on_close(self) -> None:  # pragma: no cover - stateless
         pass
@@ -330,12 +316,10 @@ def _catalog_call(
     catalog_port: int,
     message: dict[str, Any],
 ) -> dict[str, Any]:
+    """One catalog op; a refusal raises the catalog's answer as a ChirpError."""
     conn = network.connect(from_host, catalog_host, catalog_port)
     try:
-        reply = decode_message(conn.call(encode_message(message)))
-        if not reply.get("ok"):
-            raise RuntimeError(f"catalog {message.get('op')} failed: {reply}")
-        return reply
+        return parse_response(conn.call(encode_message(message)))
     finally:
         conn.close()
 

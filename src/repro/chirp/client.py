@@ -13,8 +13,13 @@ re-authenticated with the original credentials, and mutating path
 operations carry idempotency keys so a retry can never silently apply an
 operation twice (a ``put`` included: a transfer that dies mid-flight is
 retried as a whole op).  Without a policy the client is the thin single-shot
-wrapper it always was, except that transport failures surface as clean
-:class:`ChirpError`\\ s rather than leaking kernel-level exceptions.
+wrapper it always was.
+
+Every call on a connected client fails with a :class:`ChirpError`: the
+server's answer as it came, or a transport failure recast with that
+failure as its ``__cause__``.  A ``ChirpError`` is a
+:class:`~repro.kernel.errno.KernelError`, so the errno reaches a boxed
+program through the Parrot driver unchanged.
 """
 
 from __future__ import annotations
@@ -176,7 +181,7 @@ class ChirpClient:
                 except (KernelError, ProtocolError) as exc:
                     last_error = as_chirp_error(exc)
                     if self.retry is None:
-                        raise last_error from exc
+                        raise last_error
                     # connection state is unknowable; start clean for
                     # the next offer
                     saw_transient = True
@@ -228,7 +233,7 @@ class ChirpClient:
         if span is None:
             return
         status = "ok"
-        if isinstance(error, (ChirpError, KernelError)):
+        if isinstance(error, KernelError):
             status = error.errno.name
         elif error is not None:
             status = "error"
@@ -245,7 +250,7 @@ class ChirpClient:
             return parse_response(self.connection.call(request(op, **fields)))
         except (KernelError, ProtocolError) as exc:
             error = as_chirp_error(exc)
-            raise error from exc
+            raise error
         finally:
             self._end_rpc_span(span, op, error)
 
@@ -293,11 +298,11 @@ class ChirpClient:
                         Errno.ETIMEDOUT, f"{op} response past deadline"
                     )
                 return reply
-            except (ChirpError, KernelError, ProtocolError) as exc:
+            except (KernelError, ProtocolError) as exc:
                 if breaks_connection(exc):
                     self.connection.close()
                 if not is_transient(exc):
-                    raise as_chirp_error(exc) from exc
+                    raise as_chirp_error(exc)
                 last = exc
         raise as_chirp_error(last)
 
@@ -319,7 +324,7 @@ class ChirpClient:
                 )
             except KernelError as exc:
                 if exc.errno is not Errno.ECONNREFUSED:
-                    raise as_chirp_error(exc) from exc
+                    raise as_chirp_error(exc)
                 last = exc
                 continue
             self._epoch += 1

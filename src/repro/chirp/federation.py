@@ -504,13 +504,13 @@ class FederatedClient:
         for index, shard in enumerate(ordered):
             try:
                 return self._attempt(op, shard, call, count=count)
-            except (ChirpError, KernelError) as exc:
+            except KernelError as exc:
                 error = as_chirp_error(exc)
                 if is_unavailable(error) and index + 1 < len(ordered):
                     last = error
                     self._inc("repl.failover_reads", op, shard.name)
                     continue
-                raise error from exc
+                raise error
         raise last  # pragma: no cover - loop always raises or returns
 
     def _quorum(
@@ -532,7 +532,7 @@ class FederatedClient:
         for shard in ordered:
             try:
                 definite.append((None, self._attempt(op, shard, call, count=count)))
-            except (ChirpError, KernelError) as exc:
+            except KernelError as exc:
                 error = as_chirp_error(exc)
                 if is_unavailable(error):
                     downs.append(error)
@@ -572,7 +572,7 @@ class FederatedClient:
             )
             if version != self.shard_map.version:
                 self.refresh_map()
-        except (ChirpError, KernelError, RuntimeError) as exc:
+        except KernelError as exc:
             raise ChirpError(
                 Errno.EAGAIN, f"{op}: could not report that {names} missed it: {exc}"
             ) from exc
@@ -593,10 +593,10 @@ class FederatedClient:
                 self._inc("fed.ops", op, shard.name)
                 try:
                     results.append((shard, call(self._client(shard))))
-                except (ChirpError, KernelError) as exc:
+                except KernelError as exc:
                     error = as_chirp_error(exc)
                     if self.shard_map.replicas == 1 or not is_unavailable(error):
-                        raise error from exc
+                        raise error
                     downs.append((shard, error))
             if downs and not results:
                 raise downs[0][1]
@@ -1091,7 +1091,6 @@ def deploy_federation(
     catalog_host: str = "",
     port: int = CHIRP_PORT,
     owner_basename: str = "keeper",
-    weights: "tuple[int, ...] | None" = None,
     host_pattern: str = "shard{i}.{name}",
     replicas: int = 1,
     read_cache: bool = False,
@@ -1139,8 +1138,6 @@ def deploy_federation(
         server.set_root_acl(root_acl)
         server.serve()
         shard_name = f"{hostname}:{port}"
-        federation.shards[shard_name] = ShardDeployment(
-            server=server, telemetry=telemetry, weight=weights[i] if weights is not None else 1
-        )
+        federation.shards[shard_name] = ShardDeployment(server=server, telemetry=telemetry)
         federation._advertise(shard_name)
     return federation

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from stat import S_IFDIR, S_IFLNK, S_IFREG
 from typing import Any
 
-from ..kernel.errno import Errno, errno_text
+from ..kernel.errno import Errno, KernelError
 from ..net.rpc import ProtocolError, decode_message, encode_message
 
 #: File-type bits of a mode (``stat.S_IFMT`` as a mask), for :func:`stat_fields`.
@@ -100,14 +100,12 @@ def batch_request(frames: list[dict], **envelope: Any) -> bytes:
     return encode_message({"op": BATCH_OP, "frames": list(frames), **envelope})
 
 
-class ChirpError(Exception):
-    """Client-side exception carrying the server's errno."""
+class ChirpError(KernelError):
+    """A Chirp answer (or a failed call): the server's errno and text, as
+    the :class:`KernelError` a boxed program sees through ``/chirp``."""
 
-    def __init__(self, errno: Errno, message: str = "") -> None:
-        self.errno = Errno(errno)
-        #: the message without the errno name (what the server sent)
-        self.detail = message
-        super().__init__(errno_text(self.errno, message))
+    #: ``ChirpError('EACCES: ...')``, the spelling fuzz transcripts record
+    __repr__ = Exception.__repr__
 
 
 def request(op: str, **fields: Any) -> bytes:

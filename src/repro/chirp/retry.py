@@ -4,7 +4,11 @@ Wide-area Chirp traffic fails in two very different ways.  *Transient*
 failures — a refused connect, a dropped connection, a truncated frame, a
 shed under overload — say nothing about the operation itself and are
 worth retrying after a backoff.  *Definite* failures — EACCES, ENOENT,
-EBADF — are the server's answer and must surface immediately.
+EBADF — are the server's answer and must surface immediately.  Both
+kinds arrive as a :class:`~repro.kernel.errno.KernelError`: a
+:class:`ChirpError` (a subclass) is an answer or a failure the client
+raised itself, and any other ``KernelError`` comes straight from the
+transport.
 
 Retrying a mutating operation blindly can apply it twice: the classic
 case is a ``rename`` whose response was lost after the server renamed.
@@ -84,7 +88,7 @@ IDEMPOTENCY_KEYED_OPS = frozenset(
 
 def is_unavailable(exc: BaseException) -> bool:
     """Is this failure the replica being unreachable (vs an answer)?"""
-    if isinstance(exc, (KernelError, ChirpError)):
+    if isinstance(exc, KernelError):
         return exc.errno in UNAVAILABLE_ERRNOS
     return False
 
@@ -98,7 +102,7 @@ def is_transient(exc: BaseException) -> bool:
     """Would a retry plausibly succeed?"""
     if isinstance(exc, ProtocolError):
         return True  # garbled frame: connection state is unknowable
-    if isinstance(exc, (KernelError, ChirpError)):
+    if isinstance(exc, KernelError):
         return exc.errno in TRANSIENT_ERRNOS
     return False
 
@@ -109,10 +113,6 @@ def breaks_connection(exc: BaseException) -> bool:
     An EAGAIN shed arrives on a healthy connection; everything else
     transient either broke the transport or lost framing sync.
     """
-    if isinstance(exc, ProtocolError):
-        return True
-    if isinstance(exc, KernelError) and not isinstance(exc, ChirpError):
-        return True
     if isinstance(exc, ChirpError):
         return exc.errno in (
             Errno.EPIPE,
@@ -120,7 +120,8 @@ def breaks_connection(exc: BaseException) -> bool:
             Errno.ETIMEDOUT,
             Errno.EBADMSG,
         )
-    return False
+    # a raw transport KernelError, or a frame out of sync
+    return isinstance(exc, (KernelError, ProtocolError))
 
 
 @dataclass(frozen=True)
@@ -154,11 +155,15 @@ class RetryPolicy:
 
 
 def as_chirp_error(exc: BaseException) -> ChirpError:
-    """Normalize any transport-layer failure into a clean ChirpError."""
+    """A server's answer as it is; a transport failure as a ChirpError
+    whose ``__cause__`` is that failure."""
     if isinstance(exc, ChirpError):
         return exc
     if isinstance(exc, KernelError):
-        return ChirpError(exc.errno, exc.detail)
-    if isinstance(exc, ProtocolError):
-        return ChirpError(Errno.EBADMSG, str(exc))
-    raise exc  # pragma: no cover - programming error, not a wire failure
+        error = ChirpError(exc.errno, exc.detail)
+    elif isinstance(exc, ProtocolError):
+        error = ChirpError(Errno.EBADMSG, str(exc))
+    else:  # pragma: no cover - programming error, not a wire failure
+        raise exc
+    error.__cause__ = exc
+    return error

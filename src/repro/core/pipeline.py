@@ -257,21 +257,19 @@ class ReadCache(_Counted):
       physical one, and a mutation by physical path finds every entry it
       can change.
 
-    Only successful results of ops in ``cacheable`` are stored, and only
+    Only successful results of ops in ``CACHEABLE_OPS`` are stored, and only
     surfaces whose handlers are pure install the cache at all (the Chirp
     server does; the supervisor's handlers act on child process state).
     """
 
     def __init__(
         self,
-        cacheable: frozenset[str] = CACHEABLE_OPS,
         *,
         capacity: int = READ_CACHE_ENTRIES,
         telemetry: Telemetry | None = None,
         epoch_source: Callable[[], Any] | None = None,
     ) -> None:
         super().__init__(telemetry)
-        self.cacheable = cacheable
         self.capacity = capacity
         self.epoch_source = epoch_source
         self._epoch = epoch_source() if epoch_source is not None else None
@@ -408,7 +406,7 @@ class ReadCache(_Counted):
     def __call__(self, op: Operation, ctx: Any, proceed: Callable[[], Any]) -> Any:
         self._check_epoch()
         name = op.name
-        if name in self.cacheable and op.paths:
+        if name in CACHEABLE_OPS and op.paths:
             key = self._key(op)
             if key is not None:
                 if key in self._entries:
@@ -854,15 +852,13 @@ class Pipeline:
             out["telemetry"] = self.telemetry.snapshot()
         return out
 
-    def add_interceptor(self, interceptor: Interceptor, index: int | None = None) -> None:
-        """Insert an interceptor (outermost by default, i.e. index 0).
+    def add_interceptor(self, interceptor: Interceptor) -> None:
+        """Insert an interceptor as the outermost one.
 
         Every interceptor runs before the standard stages, so ``op.identity``
         is whatever the surface bound: the identity gate has not run yet.
         """
-        if index is None:
-            index = 0
-        self.interceptors.insert(index, interceptor)
+        self.interceptors.insert(0, interceptor)
 
     def run(self, op: Operation, ctx: Any) -> Any:
         """Send ``op`` down the chain to its handler; returns its result."""

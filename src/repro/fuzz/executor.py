@@ -489,7 +489,7 @@ class ChirpExecutor(_TemplateExecutor):
                 [GlobusAuthenticator(self._wallet(scenario.identity))]
             )
             result.transcript.append(["authenticated", principal])
-        except (ChirpError, KernelError) as exc:
+        except KernelError as exc:
             result.transcript.append(["connect-failed", repr(exc)])
             result.coverage = coverage_edges(telemetry)
             result.touched = self.touched_count(machine)

@@ -173,13 +173,12 @@ class Machine:
         root = self.host_task(self.users.credentials_for("root"))
         self.write_file(root, "/etc/passwd", self.users.render_passwd().encode())
 
-    def add_user(self, name: str, *, with_home: bool = True) -> Credentials:
+    def add_user(self, name: str) -> Credentials:
         """Admin convenience: create an account, its home dir, and passwd entry."""
         root = self.host_task(self.users.credentials_for("root"))
         account = self.users.create_account(root.cred, name)
-        if with_home:
-            self.kcall_x(root, "mkdir", account.home, 0o755)
-            self.kcall_x(root, "chown", account.home, account.uid, account.gid)
+        self.kcall_x(root, "mkdir", account.home, 0o755)
+        self.kcall_x(root, "chown", account.home, account.uid, account.gid)
         self.refresh_passwd_file()
         return self.users.credentials_for(name)
 

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.chirp import CatalogRecord, CatalogServer, advertise, list_servers, mark_shards
+from repro.chirp import (
+    CatalogRecord,
+    CatalogServer,
+    ChirpError,
+    advertise,
+    list_servers,
+    mark_shards,
+)
+from repro.kernel.errno import Errno
 from tests.chirp.conftest import CLIENT_HOST, SERVER_HOST
 
 CATALOG_HOST = "catalog.nowhere.edu"
@@ -70,6 +78,13 @@ def test_bad_catalog_op_rejected(cluster, catalog):
     conn = cluster.network.connect(CLIENT_HOST, CATALOG_HOST, catalog.port)
     reply = decode_message(conn.call(encode_message({"op": "explode"})))
     assert reply["ok"] is False
+
+
+def test_a_refused_catalog_op_raises_the_catalogs_errno(cluster, catalog):
+    with pytest.raises(ChirpError) as info:
+        mark_shards(cluster.network, CLIENT_HOST, "fed", [("a",)], CATALOG_HOST)
+    assert info.value.errno is Errno.EINVAL
+    assert catalog.marked == {}
 
 
 # ---------------------------------------------------------------------- #

@@ -4,10 +4,10 @@ import stat
 
 import pytest
 
-from repro.chirp import ChirpDriver
+from repro.chirp import ChirpDriver, ChirpError
 from repro.chirp.auth import GlobusAuthenticator
 from repro.core.box import IdentityBox
-from repro.kernel import Errno, OpenFlags
+from repro.kernel import Errno, KernelError, OpenFlags
 from repro.kernel.inode import StatResult
 from repro.kernel.syscalls import SEEK_CUR, SEEK_END, SEEK_SET
 from tests.chirp.conftest import (
@@ -136,6 +136,40 @@ def test_unknown_server_component(cluster, client_box):
         [("stat", "/chirp")], machine=client_box.machine, box=client_box
     )
     assert results == [-Errno.ENOENT]
+
+
+def test_remote_refusals_reach_the_boxed_call_with_the_servers_errno_and_text(
+    cluster, client_box, fred
+):
+    fred.mkdir("/shut")
+    fred.put(b"x", "/shut/f")
+    fred.setacl("/shut", "globus:/O=UnivNowhere/CN=Fred", "-")
+    fred.mkdir("/open")  # fred may list here, so a missing name is ENOENT
+    raised = []
+
+    def tap(op, ctx, proceed):
+        try:
+            return proceed()
+        except KernelError as exc:
+            raised.append(exc)
+            raise
+
+    client_box.supervisor.pipeline.add_interceptor(tap)
+    results = run_calls(
+        [("open", chirp_path("/shut/f"), OpenFlags.O_RDONLY), ("stat", chirp_path("/open/nope"))],
+        machine=client_box.machine,
+        box=client_box,
+    )
+    assert results == [-Errno.EACCES, -Errno.ENOENT]
+    # the same identity asking the server directly gets the same answers
+    answers = []
+    for call in (lambda: fred.open("/shut/f", OpenFlags.O_RDONLY), lambda: fred.stat("/open/nope")):
+        with pytest.raises(ChirpError) as info:
+            call()
+        answers.append(info.value)
+    assert [(e.errno, e.detail, str(e)) for e in raised] == [
+        (e.errno, e.detail, str(e)) for e in answers
+    ]
 
 
 @requires_perfect_network  # asserts an exact connection count

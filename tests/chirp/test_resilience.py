@@ -22,7 +22,7 @@ from repro.chirp import (
 )
 from repro.chirp.protocol import request
 from repro.chirp.server import IDEM_CACHE_LIMIT
-from repro.core import Acl, Admission, Rights
+from repro.core import Acl, Admission, Rights, Telemetry
 from repro.gsi import CertificateAuthority, CredentialStore, provision_user
 from repro.kernel.errno import Errno, KernelError
 from repro.kernel.fdtable import OpenFlags
@@ -354,7 +354,7 @@ def test_descriptor_survives_losing_the_wire_during_its_revival(writer, deaths, 
         assert client.stats.transfer_restarts == deaths
         assert fred.get("/w/out") == b"abc"
         return
-    with pytest.raises((ChirpError, KernelError)) as excinfo:
+    with pytest.raises(KernelError) as excinfo:
         write()
     assert excinfo.value.errno is Errno.EBADF
     assert client.stats.transfer_restarts == RETRY.max_attempts - 1
@@ -538,6 +538,32 @@ def test_closed_client_raises_clean_epipe_everywhere(world):
     with pytest.raises(ChirpError) as info:
         fred.authenticate([GlobusAuthenticator(wallet)])
     assert info.value.errno is Errno.EPIPE
+
+
+@pytest.mark.parametrize("retry", [None, RETRY], ids=["single-shot", "retrying"])
+def test_a_servers_answer_is_raised_and_counted_as_it_came(retry, world):
+    cluster, _, _wallet = make_world(read_cache=world.read_cache)
+    telemetry = Telemetry(cluster.clock)
+    client = ChirpClient.connect(
+        cluster.network, LAPTOP, SERVER, retry=retry, telemetry=telemetry
+    )
+    client.authenticate([HostnameAuthenticator()])
+    with pytest.raises(ChirpError) as info:
+        client.mkdir("/nope")  # the hostname principal may list the root, not write
+    assert info.value.errno is Errno.EACCES
+    assert info.value.__cause__ is None  # the answer itself, chained to nothing
+    assert telemetry.counter_by("client.calls", "status") == {"EACCES": 1}
+
+
+def test_a_transport_failure_is_a_chirp_error_caused_by_it(world):
+    plan = FaultPlan(ports=(CHIRP_PORT,))
+    cluster, _, wallet = make_world(plan, read_cache=world.read_cache)
+    fred = connect_fred(cluster, wallet, retry=None)
+    plan.force("drop")
+    with pytest.raises(ChirpError) as info:
+        fred.whoami()
+    cause = info.value.__cause__
+    assert type(cause) is KernelError and cause.errno is info.value.errno
 
 
 def test_crash_and_reserve_recovers_transparently(world):
